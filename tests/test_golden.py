@@ -1,0 +1,103 @@
+"""Golden outputs: exact CLI stdout, exit codes, logical and kernel bases.
+
+Each CLI call records the exit code and the sha256 of its exact stdout; the
+basis digests cover the logical basis support vectors and the H_X / H_Z
+kernel bases of every published row.  A refactor of the elimination or
+chain-map code must leave all of them unchanged.
+"""
+
+import hashlib
+
+import pytest
+
+from bbcovers.cli import main
+from bbcovers.tables import all_rows
+
+CODE_18 = "l=3 m=3 A=1+y+y^2 B=1+x+x^2"
+CODE_72 = "l=6 m=6 A=x^3+y+y^2 B=y^3+x+x^2"
+GROSS = "l=12 m=6 A=x^3+y+y^2 B=y^3+x+x^2"
+COVER_54 = "l=9 m=3 A=x^3+y+y^2 B=1+x+x^2"
+
+CLI_GOLDEN = [
+    (["info", CODE_18], 0, "43cdd0d5216446cd74da95e84987caff55c15ba782de5260753fd0961c750df6"),
+    (["info", CODE_18, "--distance"], 0, "0df7852e54f03a682c2d8b1f563b145a19c86ce86fd1b177eea3cd04305f4ba7"),
+    (
+        ["check-cover", CODE_72, GROSS, "--verify-graph"],
+        0,
+        "d17d9aa872594d91860312501a4848d263231750b3941f4fd8ce661d873729a0",
+    ),
+    (
+        ["enumerate", CODE_18, "--lt", "9", "--mt", "3"],
+        0,
+        "392442c3d185fcb7c3038eda9b8d0f406b16e448a1281ee71f12bdf3275646a4",
+    ),
+    (
+        ["enumerate", CODE_18, "--lt", "9", "--mt", "3", "--csv"],
+        0,
+        "81709dcacbe2c709e5e6ccb18c2f4853aeb8a685ccd6cbdba11a3acc0e546b36",
+    ),
+    (["sequence"], 0, "1097738b2047377afa90be87ca89f642596162f8ba3f67513d09c3db33651050"),
+    (
+        ["distance", CODE_18, "--wmax", "4"],
+        0,
+        "57e913f2f3fe6a7df7ba4e295fce7936c06b8cb7971b3a1f52d6925809d5518e",
+    ),
+    (
+        ["distance", CODE_18, "--wmax", "4", "--side", "z"],
+        0,
+        "6f36b7d5f0007b333ef2918fe5396323aef8c2908f268d5443eae8f9dc2ba0b2",
+    ),
+    (
+        ["lift", CODE_18, COVER_54, "X(1+x|0)"],
+        0,
+        "9f2006076a0b8c692ac447d534eee866e826567a7618b816b661b78729d34179",
+    ),
+    (
+        ["project", CODE_18, COVER_54, "X(1|0)"],
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    (
+        ["wpl-search", CODE_18, "l=6 m=3 A=1+y+y^2 B=1+x^2+x^4", "X(0|1+y)"],
+        0,
+        "9bae63d7ab2f25fa96a33a51f73aca9230bcc2ab17dace56807156527938d77c",
+    ),
+    (
+        ["aut", CODE_18, "example-5-cnot", "--lift-to", COVER_54],
+        0,
+        "80f8da17fc73506a071f16f324d5136289bba0c65c23d196d1b094774daa4133",
+    ),
+    (
+        ["aut", CODE_18, "example-5-zx", "--lift-to", "l=9 m=3 A=1+y+y^2 B=1+x^4+x^5"],
+        0,
+        "be354b0cda717cbeaf795608a6e9e5b52e789cba4e08e965816bb033eaee6567",
+    ),
+    (["aut", CODE_18, "antipode-zx"], 0, "2c81f50f7be718dba71f14cea8c59b3e43263b07578dc2074d448cdd446b9250"),
+    (["aut", GROSS, "shift:x^2y"], 0, "f2232227c85673929517dde1e08d002fb49a2955fda39175d245e8d93b0128b4"),
+]
+
+LOGICAL_BASIS_SHA = "e2f4603cd48b0960f918b08667169bf0d94ac7c6dbcfe322ba3821f5f2499991"
+KERNEL_BASIS_SHA = "773b7022f7f331d04e420f45bde9a5cbc87f69238a4ab16a943098ebbcb2bb55"
+
+
+@pytest.mark.parametrize(
+    "argv,exit_code,stdout_sha", CLI_GOLDEN, ids=[" ".join(argv) for argv, _, _ in CLI_GOLDEN]
+)
+def test_cli_stdout_is_golden(capsys, argv, exit_code, stdout_sha):
+    assert main(argv) == exit_code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha, out
+
+
+def test_published_bases_are_golden():
+    logical = hashlib.sha256()
+    kernel = hashlib.sha256()
+    rows = all_rows()
+    assert len(rows) == 61
+    for row in rows:
+        code = row.code()
+        basis = code.logical_basis
+        logical.update(repr([op.support_vector() for op in basis.x_ops + basis.z_ops]).encode())
+        kernel.update(repr((code.hx.kernel_basis().rows, code.hz.kernel_basis().rows)).encode())
+    assert logical.hexdigest() == LOGICAL_BASIS_SHA
+    assert kernel.hexdigest() == KERNEL_BASIS_SHA
