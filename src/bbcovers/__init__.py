@@ -1,6 +1,6 @@
 """Bivariate bicycle codes, Tanner-graph covers, and logical operator lifting."""
 
-from .gf2 import BinMatrix, RowBasis, RowReducer, ShapeError
+from .gf2 import BinMatrix, RowReducer, ShapeError
 from .rings import (
     ContextMismatch,
     Monomial,

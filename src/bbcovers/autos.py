@@ -19,7 +19,7 @@ from .codes import (
     pairing_matrix,
 )
 from .covers import CoverWitness
-from .chainmaps import lift_poly, projection_matrix, _block_diag
+from .chainmaps import _block_diag, _boundaries, _is_chain_map, lift_poly, projection_matrix
 from .gf2 import BinMatrix
 from .rings import Monomial
 
@@ -36,8 +36,10 @@ def _perm_matrix(perm: tuple[int, ...]) -> BinMatrix:
 class CodeAutomorphism:
     """Qubit permutation f with check transformations W_X, W_Z.
 
-    The permutation is stored as an image map: qubit j goes to qubit f[j].
-    Kind "tanner" additionally promises W_X and W_Z are permutation matrices.
+    Together they are a chain map (W_Z, f, W_X) of the complex Z-checks ->
+    qubits -> X-checks to itself.  The permutation is stored as an image map:
+    qubit j goes to qubit f[j].  Kind "tanner" additionally promises W_X and
+    W_Z are permutation matrices.
     """
 
     f: tuple[int, ...]
@@ -66,44 +68,37 @@ class CodeAutomorphism:
         )
 
 
-@dataclass(frozen=True)
-class ZXDuality:
-    """Chain map from a code to its dual complex, swapping X and Z sectors."""
+class ZXDuality(CodeAutomorphism):
+    """Chain map from a code to its dual complex, swapping X and Z sectors.
 
-    f: tuple[int, ...]
-    w_x: BinMatrix  # deg0 -> dual deg... maps X-check space to Z-check space
-    w_z: BinMatrix  # maps Z-check space to X-check space
+    W_X maps the X-check space to the Z-check space and W_Z the Z-check space
+    to the X-check space.  Every function of this module that takes a
+    CodeAutomorphism reads the sector swap from this type.
+    """
 
-    def f_matrix(self) -> BinMatrix:
-        return _perm_matrix(self.f)
+
+def _verify(code: BBCode, m: CodeAutomorphism) -> bool:
+    """Invertible W's and exact chain squares into the code's own or dual complex."""
+    lm = code.ctx.dim
+    if len(m.f) != code.n or m.w_x.n_cols != lm or m.w_z.n_cols != lm:
+        raise Refusal("map shapes do not match the code")
+    if m.kind == "tanner":
+        if not (m.w_x.is_permutation() and m.w_z.is_permutation()):
+            return False
+    elif m.w_x.rank() != lm or m.w_z.rank() != lm:
+        return False
+    target = _boundaries(code, isinstance(m, ZXDuality))
+    return _is_chain_map((m.w_z, m.f_matrix(), m.w_x), _boundaries(code), target)
 
 
 def verify_automorphism(code: BBCode, aut: CodeAutomorphism) -> bool:
     """Check W_X H_X = H_X f and H_Z^T W_Z = f H_Z^T exactly; W's must be invertible."""
-    if len(aut.f) != code.n or aut.w_x.n_cols != code.ctx.dim or aut.w_z.n_cols != code.ctx.dim:
-        raise Refusal("automorphism shapes do not match the code")
-    fm = aut.f_matrix()
-    if aut.kind == "tanner":
-        if not (aut.w_x.is_permutation() and aut.w_z.is_permutation()):
-            return False
-    elif aut.w_x.rank() != code.ctx.dim or aut.w_z.rank() != code.ctx.dim:
-        return False
-    if aut.w_x @ code.hx != code.hx @ fm:
-        return False
-    hzt = code.hz_t
-    return hzt @ aut.w_z == fm @ hzt
+    return _verify(code, aut)
 
 
 def verify_zx_duality(code: BBCode, dual: ZXDuality) -> bool:
     """Check f H_Z^T = H_X^T W_Z and W_X H_X = H_Z f exactly; W's must be invertible."""
-    if len(dual.f) != code.n:
-        raise Refusal("duality shapes do not match the code")
-    if dual.w_x.rank() != code.ctx.dim or dual.w_z.rank() != code.ctx.dim:
-        return False
-    fm = dual.f_matrix()
-    left = fm @ code.hz_t == code.hx_t @ dual.w_z
-    right = dual.w_x @ code.hx == code.hz @ fm
-    return left and right
+    return _verify(code, dual)
 
 
 # --- built-in constructions -----------------------------------------------------
@@ -166,19 +161,6 @@ def antipode_zx_duality(code: BBCode) -> ZXDuality:
 
 # --- lifting along a cover -------------------------------------------------------
 
-def _lift_index_map(witness: CoverWitness) -> tuple[list[int], list[list[int]]]:
-    """For each cover monomial index: its base index and sheet slot."""
-    base, cover = witness.base, witness.cover
-    base_of = []
-    sheets_of_base: list[list[int]] = [[] for _ in range(base.ctx.dim)]
-    for mono in cover.ctx.monomials():
-        j = cover.ctx.index(mono.a, mono.b)
-        bi = base.ctx.index(mono.a % base.l, mono.b % base.m)
-        base_of.append(bi)
-        sheets_of_base[bi].append(j)
-    return base_of, sheets_of_base
-
-
 def _lift_check_matrix(witness: CoverWitness, w: BinMatrix) -> BinMatrix:
     """Sheet-wise block lift: repeat the base map on every sheet."""
     base, cover = witness.base, witness.cover
@@ -217,54 +199,38 @@ def _lift_qubit_perm(witness: CoverWitness, f: tuple[int, ...]) -> tuple[int, ..
     return tuple(out)
 
 
-def _check_intertwining(witness: CoverWitness, base_m: BinMatrix, lifted_m: BinMatrix) -> bool:
+def _lift(witness: CoverWitness, m: CodeAutomorphism) -> CodeAutomorphism:
+    """Sheet-wise lift; verified on the cover and intertwining with p in every degree."""
+    if not _verify(witness.base, m):
+        raise Refusal("the supplied map does not verify on the base code")
+    lifted = type(m)(
+        _lift_qubit_perm(witness, m.f),
+        _lift_check_matrix(witness, m.w_x),
+        _lift_check_matrix(witness, m.w_z),
+        kind=m.kind,
+    )
+    if not _verify(witness.cover, lifted):
+        raise Refusal("sheet-wise lift does not verify on the cover code")
+    # p . lifted = base . p says (lifted, base) is a chain map cover --p--> base
     p = projection_matrix(witness)
-    if base_m.n_cols == 2 * witness.base.ctx.dim:
-        p = _block_diag(p)
-    return p @ lifted_m == base_m @ p
+    squares = (
+        (_block_diag(p), lifted.f_matrix(), m.f_matrix()),
+        (p, lifted.w_x, m.w_x),
+        (p, lifted.w_z, m.w_z),
+    )
+    if not all(_is_chain_map((up, down), (q,), (q,)) for q, up, down in squares):
+        raise InternalConsistencyError("lift does not intertwine with the projection")
+    return lifted
 
 
 def lift_automorphism(witness: CoverWitness, aut: CodeAutomorphism) -> CodeAutomorphism:
     """Sheet-wise lift; verified as a cover automorphism intertwining with p."""
-    if not verify_automorphism(witness.base, aut):
-        raise Refusal("the supplied automorphism does not verify on the base code")
-    lifted = CodeAutomorphism(
-        _lift_qubit_perm(witness, aut.f),
-        _lift_check_matrix(witness, aut.w_x),
-        _lift_check_matrix(witness, aut.w_z),
-        kind=aut.kind,
-    )
-    if not verify_automorphism(witness.cover, lifted):
-        raise Refusal("sheet-wise lift is not an automorphism of the cover code")
-    ok = (
-        _check_intertwining(witness, aut.f_matrix(), lifted.f_matrix())
-        and _check_intertwining(witness, aut.w_x, lifted.w_x)
-        and _check_intertwining(witness, aut.w_z, lifted.w_z)
-    )
-    if not ok:
-        raise InternalConsistencyError("lift does not intertwine with the projection")
-    return lifted
+    return _lift(witness, aut)
 
 
 def lift_zx_duality(witness: CoverWitness, dual: ZXDuality) -> ZXDuality:
     """Sheet-wise lift of a ZX-duality; verified on the cover."""
-    if not verify_zx_duality(witness.base, dual):
-        raise Refusal("the supplied duality does not verify on the base code")
-    lifted = ZXDuality(
-        _lift_qubit_perm(witness, dual.f),
-        _lift_check_matrix(witness, dual.w_x),
-        _lift_check_matrix(witness, dual.w_z),
-    )
-    if not verify_zx_duality(witness.cover, lifted):
-        raise Refusal("sheet-wise lift is not a ZX-duality of the cover code")
-    ok = (
-        _check_intertwining(witness, dual.f_matrix(), lifted.f_matrix())
-        and _check_intertwining(witness, dual.w_x, lifted.w_x)
-        and _check_intertwining(witness, dual.w_z, lifted.w_z)
-    )
-    if not ok:
-        raise InternalConsistencyError("lift does not intertwine with the projection")
-    return lifted
+    return _lift(witness, dual)
 
 
 # --- logical actions --------------------------------------------------------------
@@ -298,93 +264,49 @@ def _apply_perm_vec(perm: tuple[int, ...], v: int) -> int:
     return out
 
 
+def _class_matrix(code: BBCode, side: str, vectors: list[int]) -> BinMatrix:
+    """Rows: coordinates of kernel vectors of one sector in the code's logical basis."""
+    coords = code.x_class_coords if side == "X" else code.z_class_coords
+    return BinMatrix(len(vectors), code.k, tuple(coords(v) for v in vectors))
+
+
+def _class_action(code: BBCode, m: CodeAutomorphism, basis: LogicalBasis):
+    """Images of the X and of the Z basis classes, in the given paired basis.
+
+    An automorphism keeps each sector; a ZX-duality sends X classes to Z
+    classes and Z classes to X classes.
+    """
+    k = basis.k
+    if k != code.k or pairing_matrix(basis.x_ops, basis.z_ops) != BinMatrix.identity(k):
+        raise Refusal("logical action needs a symplectically paired basis of the code")
+    swap = isinstance(m, ZXDuality)
+    vecs = {
+        "X": [op.support_vector() for op in basis.x_ops],
+        "Z": [op.support_vector() for op in basis.z_ops],
+    }
+    # (images, caller basis) per source sector, all classified before any inverse:
+    # with every vector in its kernel, a paired basis has invertible coordinates
+    parts = [
+        (
+            _class_matrix(code, side, [_apply_perm_vec(m.f, v) for v in vecs[src]]),
+            _class_matrix(code, side, vecs[side]),
+        )
+        for src, side in zip("XZ", "ZX" if swap else "XZ")
+    ]
+    on_x, on_z = (images @ change.inverse() for images, change in parts)
+    if on_x @ on_z.transpose() != BinMatrix.identity(k):
+        raise InternalConsistencyError("action does not preserve the symplectic pairing")
+    return DualityAction(on_x, on_z) if swap else LogicalAction(on_x, on_z)
+
+
 def logical_action(code: BBCode, aut: CodeAutomorphism, basis: LogicalBasis) -> LogicalAction:
     """Action on logical classes relative to the given paired basis."""
-    if pairing_matrix(basis.x_ops, basis.z_ops) != BinMatrix.identity(basis.k):
-        raise Refusal("logical action needs a symplectically paired basis")
-    ax_rows, az_rows = [], []
-    for op in basis.x_ops:
-        image = _apply_perm_vec(aut.f, op.support_vector())
-        if code.syndrome_vector("X", image) != 0:
-            raise Refusal("automorphism image left the kernel; not a valid automorphism")
-        ax_rows.append(code.x_class_coords(image))
-    for op in basis.z_ops:
-        image = _apply_perm_vec(aut.f, op.support_vector())
-        if code.syndrome_vector("Z", image) != 0:
-            raise Refusal("automorphism image left the kernel; not a valid automorphism")
-        az_rows.append(code.z_class_coords(image))
-    k = basis.k
-    ax = _coords_rows_to_matrix(ax_rows, code, basis, "X")
-    az = _coords_rows_to_matrix(az_rows, code, basis, "Z")
-    if ax @ az.transpose() != BinMatrix.identity(k):
-        raise InternalConsistencyError("action does not preserve the symplectic pairing")
-    return LogicalAction(ax, az)
-
-
-def _coords_rows_to_matrix(code_coords: list[int], code: BBCode, basis: LogicalBasis, side: str) -> BinMatrix:
-    """Convert class coordinates (in the code's deterministic basis) to the
-    caller's basis by a change of basis."""
-    k = basis.k
-    ops = basis.x_ops if side == "X" else basis.z_ops
-    change_rows = []
-    for op in ops:
-        v = op.support_vector()
-        change_rows.append(
-            code.x_class_coords(v) if side == "X" else code.z_class_coords(v)
-        )
-    change = BinMatrix(k, code.k, tuple(change_rows))  # caller basis in code basis
-    coords = BinMatrix(len(code_coords), code.k, tuple(code_coords))
-    # solve rows: coords = result @ change  =>  result = coords * change^{-1}
-    inv = _invert(change)
-    return coords @ inv
-
-
-def _invert(m: BinMatrix) -> BinMatrix:
-    if m.n_rows != m.n_cols:
-        raise Refusal("cannot invert a non-square matrix")
-    n = m.n_rows
-    aug = [row | (1 << (n + i)) for i, row in enumerate(m.rows)]
-    pivots = {}
-    for r in aug:
-        v = r
-        while v & ((1 << n) - 1):
-            c = (v & -v).bit_length() - 1
-            if c in pivots:
-                v ^= pivots[c]
-            else:
-                pivots[c] = v
-                break
-    if len(pivots) != n:
-        raise Refusal("matrix is singular over GF(2)")
-    # back-substitute to reduced form
-    cols = sorted(pivots, reverse=True)
-    for c in cols:
-        row = pivots[c]
-        for c2, r2 in list(pivots.items()):
-            if c2 != c and (r2 >> c) & 1:
-                pivots[c2] = r2 ^ row
-    inv_rows = [pivots[c] >> n for c in sorted(pivots)]
-    return BinMatrix(n, n, tuple(inv_rows))
+    return _class_action(code, aut, basis)
 
 
 def duality_action(code: BBCode, dual: ZXDuality, basis: LogicalBasis) -> DualityAction:
     """Class maps of a duality: X images in the Z basis, Z images in the X basis."""
-    if pairing_matrix(basis.x_ops, basis.z_ops) != BinMatrix.identity(basis.k):
-        raise Refusal("duality action needs a symplectically paired basis")
-    dx_rows, dz_rows = [], []
-    for op in basis.x_ops:
-        image = _apply_perm_vec(dual.f, op.support_vector())
-        if code.syndrome_vector("Z", image) != 0:
-            raise Refusal("duality image of an X logical is not a Z-kernel vector")
-        dx_rows.append(code.z_class_coords(image))
-    for op in basis.z_ops:
-        image = _apply_perm_vec(dual.f, op.support_vector())
-        if code.syndrome_vector("X", image) != 0:
-            raise Refusal("duality image of a Z logical is not an X-kernel vector")
-        dz_rows.append(code.x_class_coords(image))
-    dx = _coords_rows_to_matrix(dx_rows, code, basis, "Z")
-    dz = _coords_rows_to_matrix(dz_rows, code, basis, "X")
-    return DualityAction(dx, dz)
+    return _class_action(code, dual, basis)
 
 
 # --- base vs lifted comparison ------------------------------------------------------
@@ -413,6 +335,17 @@ def tau_lifted_basis(witness: CoverWitness, base_basis: LogicalBasis) -> Logical
     return lifted
 
 
+def _compare(witness, m, lifted, base_basis) -> bool:
+    if witness.h % 2 == 0:
+        raise Refusal("comparison hypothesis unmet: h must be odd")
+    if witness.cover.k != witness.base.k:
+        raise Refusal("comparison hypothesis unmet: k_h must equal k")
+    basis = base_basis if base_basis is not None else witness.base.logical_basis
+    lifted_basis = tau_lifted_basis(witness, basis)
+    base_action = _class_action(witness.base, m, basis)
+    return base_action == _class_action(witness.cover, lifted, lifted_basis)
+
+
 def compare_base_and_lifted_action(
     witness: CoverWitness,
     aut: CodeAutomorphism,
@@ -424,15 +357,7 @@ def compare_base_and_lifted_action(
     Requires odd h and k_h = k, the hypothesis under which the lifted basis is
     a basis at all; refuses otherwise.
     """
-    if witness.h % 2 == 0:
-        raise Refusal("comparison hypothesis unmet: h must be odd")
-    if witness.cover.k != witness.base.k:
-        raise Refusal("comparison hypothesis unmet: k_h must equal k")
-    basis = base_basis if base_basis is not None else witness.base.logical_basis
-    lifted_basis = tau_lifted_basis(witness, basis)
-    base_action = logical_action(witness.base, aut, basis)
-    cover_action = logical_action(witness.cover, lifted_aut, lifted_basis)
-    return base_action.ax == cover_action.ax and base_action.az == cover_action.az
+    return _compare(witness, aut, lifted_aut, base_basis)
 
 
 def compare_base_and_lifted_duality_action(
@@ -442,12 +367,4 @@ def compare_base_and_lifted_duality_action(
     base_basis: LogicalBasis | None = None,
 ) -> bool:
     """Duality counterpart of compare_base_and_lifted_action."""
-    if witness.h % 2 == 0:
-        raise Refusal("comparison hypothesis unmet: h must be odd")
-    if witness.cover.k != witness.base.k:
-        raise Refusal("comparison hypothesis unmet: k_h must equal k")
-    basis = base_basis if base_basis is not None else witness.base.logical_basis
-    lifted_basis = tau_lifted_basis(witness, basis)
-    base_action = duality_action(witness.base, dual, basis)
-    cover_action = duality_action(witness.cover, lifted_dual, lifted_basis)
-    return base_action.dx == cover_action.dx and base_action.dz == cover_action.dz
+    return _compare(witness, dual, lifted_dual, base_basis)

@@ -57,31 +57,29 @@ def _block_diag(p: BinMatrix) -> BinMatrix:
     return p.hstack(zero_tr).vstack(zero_tr.hstack(p))
 
 
+def _boundaries(code: BBCode, dual: bool = False) -> tuple[BinMatrix, BinMatrix]:
+    """(d2, d1) of the complex Z-checks -> qubits -> X-checks; the dual
+    complex X-checks -> qubits -> Z-checks swaps the X and Z sectors."""
+    return (code.hx_t, code.hz) if dual else (code.hz_t, code.hx)
+
+
+def _is_chain_map(degs, source, target) -> bool:
+    """Whether degs = (deg_top, ..., deg_0) commute with the boundary maps.
+
+    ``source`` and ``target`` list the boundaries (d_top, ..., d_1) of the two
+    complexes; square i is deg_(i-1) . d_i == d'_i . deg_i, checked exactly.
+    """
+    return all(lo @ d == dt @ hi for hi, lo, d, dt in zip(degs, degs[1:], source, target))
+
+
 def _verify_squares(cm: ChainMap) -> None:
-    """All four commuting squares (chain and cochain diagrams), exactly."""
-    if cm.direction == "projection":
-        cov, base = cm.source, cm.target
-        hzt_c, hzt_b = cov.hz_t, base.hz_t
-        hxt_c, hxt_b = cov.hx_t, base.hx_t
-        checks = [
-            (cm.deg1 @ hzt_c, hzt_b @ cm.deg2, "deg1 . H~_Z^T == H_Z^T . deg2"),
-            (cm.deg0 @ cov.hx, base.hx @ cm.deg1, "deg0 . H~_X == H_X . deg1"),
-            (cm.deg1 @ hxt_c, hxt_b @ cm.deg0, "deg1 . H~_X^T == H_X^T . deg0"),
-            (cm.deg2 @ cov.hz, base.hz @ cm.deg1, "deg2 . H~_Z == H_Z . deg1"),
-        ]
-    else:
-        base, cov = cm.source, cm.target
-        hzt_c, hzt_b = cov.hz_t, base.hz_t
-        hxt_c, hxt_b = cov.hx_t, base.hx_t
-        checks = [
-            (hzt_c @ cm.deg2, cm.deg1 @ hzt_b, "H~_Z^T . deg2 == deg1 . H_Z^T"),
-            (cov.hx @ cm.deg1, cm.deg0 @ base.hx, "H~_X . deg1 == deg0 . H_X"),
-            (hxt_c @ cm.deg0, cm.deg1 @ hxt_b, "H~_X^T . deg0 == deg1 . H_X^T"),
-            (cov.hz @ cm.deg1, cm.deg2 @ base.hz, "H~_Z . deg1 == deg2 . H_Z"),
-        ]
-    for left, right, name in checks:
-        if left != right:
-            raise InternalConsistencyError(f"chain-map square failed: {name}")
+    """All four commuting squares, exactly: the chain squares of cm, and its
+    cochain squares as the chain squares between the dual complexes."""
+    degs = (cm.deg2, cm.deg1, cm.deg0)
+    if not _is_chain_map(degs, _boundaries(cm.source), _boundaries(cm.target)):
+        raise InternalConsistencyError("chain-map square failed")
+    if not _is_chain_map(degs[::-1], _boundaries(cm.source, True), _boundaries(cm.target, True)):
+        raise InternalConsistencyError("cochain-map square failed")
 
 
 def projection_map(witness: CoverWitness) -> ChainMap:
@@ -278,10 +276,7 @@ def section_chain_map_commutes(witness: CoverWitness, g: int, d: int) -> bool:
         lifted = sec.lift_mono(mono)
         rows[cover.ctx.index(lifted.a, lifted.b)] |= 1 << j
     sigma = BinMatrix(cover.ctx.dim, base.ctx.dim, tuple(rows))
-    sigma1 = _block_diag(sigma)
-    left_square = cover.hz_t @ sigma == sigma1 @ base.hz_t
-    right_square = cover.hx @ sigma1 == sigma @ base.hx
-    return left_square and right_square
+    return _is_chain_map((sigma, _block_diag(sigma), sigma), _boundaries(base), _boundaries(cover))
 
 
 def weight_preserving_lift_search(

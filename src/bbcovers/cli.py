@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: info, check-cover, enumerate, sequence, distance, project, lift,
-wpl-search, aut.  Output is JSON by default (one object, or one object per
-line for streaming subcommands); --csv switches the streaming subcommands to
-CSV.  Exit codes: 0 success, 2 refused precondition or parse error, 3 internal
-invariant breach.
+wpl-search, aut.  Output is one JSON object, or one JSON object per line for
+the streaming subcommands enumerate and sequence; only those two take --csv,
+which prints a header row and then one CSV row per record.  Exit codes: 0
+success, 2 refused precondition or parse error, 3 internal invariant breach.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .autos import (
 from .chainmaps import lift_logical, project_logical, weight_preserving_lift_search
 from .codes import BBCode, InternalConsistencyError, Refusal, parse_code_spec, parse_pauli
 from .covers import check_cover, enumerate_covers, verify_cover_isomorphism
-from .distance import distance_one_side, exact_distance, verify_dx_equals_dz
+from .distance import _sides_agree, distance_one_side, exact_distance
 from .rings import PolyParseError, parse_poly
 from .tables import base_row, sequence_tables
 
@@ -182,11 +182,9 @@ def cmd_sequence(args) -> int:
 def cmd_distance(args) -> int:
     code = parse_code_spec(args.spec)
     if args.side == "both":
-        rec = {
-            "z": distance_one_side(code, "Z", args.wmax).as_dict(),
-            "x": distance_one_side(code, "X", args.wmax).as_dict(),
-            "dx_equals_dz": verify_dx_equals_dz(code, args.wmax),
-        }
+        dz = distance_one_side(code, "Z", args.wmax)
+        dx = distance_one_side(code, "X", args.wmax)
+        rec = {"z": dz.as_dict(), "x": dx.as_dict(), "dx_equals_dz": _sides_agree(dz, dx)}
     else:
         rec = distance_one_side(code, args.side.upper(), args.wmax).as_dict()
     _emit(rec, args)
@@ -288,22 +286,19 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="bbcovers", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--json", action="store_true", help="JSON output (default)")
-        p.add_argument("--csv", action="store_true", help="CSV output for row streams")
+    def csv_flag(p):
+        p.add_argument("--csv", action="store_true", help="CSV rows after a header row")
 
     p = sub.add_parser("info", help="parameters of a code spec")
     p.add_argument("spec")
     p.add_argument("--distance", action="store_true")
     p.add_argument("--wmax", type=int, default=DEFAULT_EXACT_D)
-    common(p)
     p.set_defaults(func=cmd_info)
 
     p = sub.add_parser("check-cover", help="decide the h-cover relation")
     p.add_argument("base")
     p.add_argument("candidate")
     p.add_argument("--verify-graph", action="store_true")
-    common(p)
     p.set_defaults(func=cmd_check_cover)
 
     p = sub.add_parser("enumerate", help="all cover classes at target lattice parameters")
@@ -313,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-dedup", action="store_true")
     p.add_argument("--connected-only", action="store_true")
     p.add_argument("--workers", type=int, default=1)
-    common(p)
+    csv_flag(p)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("sequence", help="recompute the bundled sequence tables")
@@ -321,28 +316,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fixtures", default=None)
     p.add_argument("--distance", choices=["none", "auto", "bounds-only"], default="none")
     p.add_argument("--wmax", type=int, default=DEFAULT_EXACT_D)
-    common(p)
+    csv_flag(p)
     p.set_defaults(func=cmd_sequence)
 
     p = sub.add_parser("distance", help="exact distance search")
     p.add_argument("spec")
     p.add_argument("--wmax", type=int, default=DEFAULT_EXACT_D)
     p.add_argument("--side", choices=["z", "x", "both"], default="both")
-    common(p)
     p.set_defaults(func=cmd_distance)
 
     p = sub.add_parser("project", help="project a cover logical to the base")
     p.add_argument("base")
     p.add_argument("cover")
     p.add_argument("op")
-    common(p)
     p.set_defaults(func=cmd_project)
 
     p = sub.add_parser("lift", help="lift a base logical to the cover")
     p.add_argument("base")
     p.add_argument("cover")
     p.add_argument("op")
-    common(p)
     p.set_defaults(func=cmd_lift)
 
     p = sub.add_parser("wpl-search", help="weight-preserving lift search")
@@ -350,14 +342,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("cover")
     p.add_argument("op")
     p.add_argument("--limit", type=int, default=1 << 20)
-    common(p)
     p.set_defaults(func=cmd_wpl)
 
     p = sub.add_parser("aut", help="verify and apply a named automorphism")
     p.add_argument("spec")
     p.add_argument("name")
     p.add_argument("--lift-to", default=None)
-    common(p)
     p.set_defaults(func=cmd_aut)
 
     return ap

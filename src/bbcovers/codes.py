@@ -18,7 +18,7 @@ import enum
 from dataclasses import dataclass
 from functools import cached_property
 
-from .gf2 import BinMatrix, RowBasis, RowReducer
+from .gf2 import BinMatrix, RowReducer
 from .rings import ContextMismatch, Poly, PolyParseError, RingContext, Monomial, parse_poly
 
 
@@ -207,25 +207,30 @@ class BBCode:
     def logical_basis(self) -> "LogicalBasis":
         return _symplectic_basis(self)
 
+    @cached_property
+    def _x_class_reducer(self) -> RowReducer:
+        """Rows of H_X, then the X logical basis, tagged by insertion index."""
+        logicals = tuple(op.support_vector() for op in self.logical_basis.x_ops)
+        return RowReducer.with_tags(self.n, self.hx.rows + logicals)
+
+    @cached_property
+    def _z_class_reducer(self) -> RowReducer:
+        logicals = tuple(op.support_vector() for op in self.logical_basis.z_ops)
+        return RowReducer.with_tags(self.n, self.hz.rows + logicals)
+
     def x_class_coords(self, v: int) -> int:
         """Coordinates of an X-type kernel vector in the X logical basis."""
-        return self._class_expressor("X").coords(v)
+        return self._class_coords(self._x_class_reducer, v)
 
     def z_class_coords(self, v: int) -> int:
-        return self._class_expressor("Z").coords(v)
+        return self._class_coords(self._z_class_reducer, v)
 
-    def _class_expressor(self, basis: str) -> "_ClassExpressor":
-        if basis == "X":
-            if "_x_expr" not in self.__dict__:
-                self.__dict__["_x_expr"] = _ClassExpressor(
-                    self.hx.rows, [op.support_vector() for op in self.logical_basis.x_ops], self.n
-                )
-            return self.__dict__["_x_expr"]
-        if "_z_expr" not in self.__dict__:
-            self.__dict__["_z_expr"] = _ClassExpressor(
-                self.hz.rows, [op.support_vector() for op in self.logical_basis.z_ops], self.n
-            )
-        return self.__dict__["_z_expr"]
+    def _class_coords(self, reducer: RowReducer, v: int) -> int:
+        combo = reducer.express(v)
+        if combo is None:
+            raise Refusal("vector is not in the kernel of the relevant check matrix")
+        # the first lm tags are the stabilizer rows, the rest the logical basis
+        return combo >> self.ctx.dim
 
 
 def build_code(a: str | Poly, b: str | Poly, l: int | None = None, m: int | None = None) -> BBCode:
@@ -340,20 +345,3 @@ def _symplectic_basis(code: BBCode) -> LogicalBasis:
             raise InternalConsistencyError("basis operator is not a nontrivial logical")
     return basis
 
-
-class _ClassExpressor:
-    """Expresses kernel vectors as stabilizers plus logical basis combinations."""
-
-    def __init__(self, stab_rows, basis_vectors, n: int) -> None:
-        self._rb = RowBasis(n)
-        self._n_stab = len(stab_rows)
-        for r in stab_rows:
-            self._rb.add(r)
-        for v in basis_vectors:
-            self._rb.add(v)
-
-    def coords(self, v: int) -> int:
-        combo = self._rb.express(v)
-        if combo is None:
-            raise Refusal("vector is not in the kernel of the relevant check matrix")
-        return combo >> self._n_stab

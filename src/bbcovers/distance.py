@@ -17,8 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .codes import BBCode, Classification, PauliOp, Refusal
-from .gf2 import RowReducer
+from .codes import BBCode, Classification, InternalConsistencyError, PauliOp, Refusal
 
 COSET_MAX_STAB = 16
 COSET_MAX_K = 12
@@ -53,8 +52,8 @@ def _columns(rows: tuple[int, ...], n: int) -> list[int]:
 def _coset_minimum(code: BBCode, basis_ops) -> tuple[int, int]:
     """Exact min weight over every nontrivial class; returns (weight, witness)."""
     n = code.n
-    stab_rows = code.hz.rows if basis_ops[0].basis == "Z" else code.hx.rows
-    stab_basis = RowReducer(n, stab_rows).basis_rows()
+    stab = code._z_stab_reducer if basis_ops[0].basis == "Z" else code._x_stab_reducer
+    stab_basis = stab.basis_rows()
     reps = [op.support_vector() for op in basis_ops]
     gens = reps + stab_basis
     k = len(reps)
@@ -140,7 +139,7 @@ def distance_one_side(code: BBCode, basis: str, w_max: int) -> DistanceResult:
         w, vec = _coset_minimum(code, ops)
         op = PauliOp.from_vector(basis, code.ctx, vec)
         if code.classify(op) != Classification.LOGICAL:
-            raise Refusal("internal: coset witness failed classification")
+            raise InternalConsistencyError("coset witness failed classification")
         return DistanceResult("exact", w, "coset", w_max=code.n, witness=op)
     w, vec = _mitm_minimum(code, basis, w_max)
     if w is None:
@@ -166,10 +165,13 @@ def exact_distance(code: BBCode, w_max: int, *, both_sides: bool = False) -> Dis
     return dz
 
 
-def verify_dx_equals_dz(code: BBCode, w_max: int) -> bool | None:
-    """True/False when both sides are exact within w_max; None if inconclusive."""
-    dz = distance_one_side(code, "Z", w_max)
-    dx = distance_one_side(code, "X", w_max)
+def _sides_agree(dz: DistanceResult, dx: DistanceResult) -> bool | None:
+    """True/False when both sides are exact; None if inconclusive."""
     if dz.kind != "exact" or dx.kind != "exact":
         return None
     return dz.value == dx.value
+
+
+def verify_dx_equals_dz(code: BBCode, w_max: int) -> bool | None:
+    """True/False when both sides are exact within w_max; None if inconclusive."""
+    return _sides_agree(distance_one_side(code, "Z", w_max), distance_one_side(code, "X", w_max))

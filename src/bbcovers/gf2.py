@@ -5,15 +5,16 @@ entry (i, j), so the lowest bit of a row is column 0.  Python ints give
 single-instruction XOR/popcount on vectors of a few hundred bits, which is
 the regime everything in this package lives in.
 
-All values are immutable after construction.  Row reduction always picks the
-leftmost nonzero column with the topmost unreduced row, so ranks, kernels and
-membership certificates are deterministic functions of their inputs.
+All matrices are immutable after construction.  ``RowReducer`` is the one
+row reduction: it always pivots on the leftmost nonzero column, so ranks,
+kernels, inverses and membership certificates are deterministic functions of
+their inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 class ShapeError(ValueError):
@@ -158,74 +159,40 @@ class BinMatrix:
             raise ShapeError(f"vstack column mismatch {self.n_cols} vs {other.n_cols}")
         return BinMatrix(self.n_rows + other.n_rows, self.n_cols, self.rows + other.rows)
 
-    def kron(self, other: "BinMatrix") -> "BinMatrix":
-        """Kronecker product; shape (r1*r2) x (c1*c2)."""
-        rows = []
-        for ra in self.rows:
-            for rb in other.rows:
-                acc = 0
-                x = ra
-                while x:
-                    j = (x & -x).bit_length() - 1
-                    acc |= rb << (j * other.n_cols)
-                    x &= x - 1
-                rows.append(acc)
-        return BinMatrix(self.n_rows * other.n_rows, self.n_cols * other.n_cols, tuple(rows))
-
     # -- rank / kernel -----------------------------------------------------
 
     def rank(self) -> int:
         """Rank over GF(2); the input is never mutated."""
-        red = RowReducer(self.n_cols)
-        for r in self.rows:
-            red.add(r)
-        return len(red)
+        return len(RowReducer(self.n_cols, self.rows))
 
     def kernel_basis(self) -> "BinMatrix":
         """Basis of the right kernel {v : self @ v^T = 0}, one vector per row.
 
-        Pivots are chosen leftmost-column first; basis vectors are emitted in
-        ascending free-column order, so the result is deterministic.
+        Read off the reduced row echelon form (pivots leftmost-column first,
+        unique for the row space): one vector per free column, in ascending
+        free-column order, so the result is deterministic.
         """
-        pivots: list[int] = []
-        echelon: list[int] = []
-        for r in self.rows:
-            v = r
-            for col, prow in zip(pivots, echelon):
-                if (v >> col) & 1:
-                    v ^= prow
-            if v:
-                c = (v & -v).bit_length() - 1
-                # back-substitute to keep the pivot column pure
-                echelon = [e ^ v if (e >> c) & 1 else e for e in echelon]
-                # keep pivot lists sorted by column
-                k = 0
-                while k < len(pivots) and pivots[k] < c:
-                    k += 1
-                pivots.insert(k, c)
-                echelon.insert(k, v)
-        pivot_set = set(pivots)
-        basis = []
-        for fc in range(self.n_cols):
-            if fc in pivot_set:
-                continue
-            v = 1 << fc
-            for col, prow in zip(pivots, echelon):
-                if (prow >> fc) & 1:
-                    v |= 1 << col
-            basis.append(v)
-        return BinMatrix(len(basis), self.n_cols, tuple(basis))
+        rref = RowReducer(self.n_cols, self.rows).reduced_rows()
+        pivots = 0
+        for c in rref:
+            pivots |= 1 << c
+        basis = {f: 1 << f for f in range(self.n_cols) if not (pivots >> f) & 1}
+        for c, row in rref.items():
+            x = row & ~pivots
+            while x:
+                basis[(x & -x).bit_length() - 1] |= 1 << c
+                x &= x - 1
+        return BinMatrix(len(basis), self.n_cols, tuple(basis.values()))
 
-    def in_row_space(self, v: int, length: int | None = None) -> bool:
-        """True iff v (int bit vector of n_cols bits) is a combination of rows."""
-        if length is not None and length != self.n_cols:
-            raise ShapeError(f"vector length {length} != n_cols {self.n_cols}")
-        if v & ~_mask(self.n_cols):
-            raise ShapeError("vector has bits beyond n_cols")
-        red = RowReducer(self.n_cols)
-        for r in self.rows:
-            red.add(r)
-        return red.reduce(v) == 0
+    def inverse(self) -> "BinMatrix":
+        """The matrix inverse over GF(2); raises ValueError when singular."""
+        if self.n_rows != self.n_cols:
+            raise ShapeError(f"cannot invert a non-square {self.n_rows}x{self.n_cols} matrix")
+        red = RowReducer.with_tags(self.n_cols, self.rows)
+        if len(red) != self.n_rows:
+            raise ValueError("matrix is singular over GF(2)")
+        rows = tuple(red.express(1 << i) for i in range(self.n_cols))
+        return BinMatrix(self.n_rows, self.n_cols, rows)
 
     # -- debug serialization ------------------------------------------------
 
@@ -255,17 +222,26 @@ class BinMatrix:
 
 
 class RowReducer:
-    """Incremental row-echelon form for rank and membership queries.
+    """Incremental row-echelon form: the one GF(2) elimination of the package.
 
-    Each stored row has its lowest set bit at a distinct pivot column, which
-    makes ``reduce`` a loop over set bits instead of a full elimination.
+    Each stored row has its lowest set bit at a distinct pivot column below
+    ``n_cols``, which makes ``reduce`` a loop over set bits instead of a full
+    elimination.  Bits at ``n_cols`` and above are carried along but never
+    become pivots: ``with_tags`` uses them to record which inserted rows each
+    stored row combines, so ``express`` can solve for combinations.
     """
 
     def __init__(self, n_cols: int, rows: Iterable[int] = ()) -> None:
         self.n_cols = n_cols
+        self._mask = _mask(n_cols)
         self._pivot_rows: dict[int, int] = {}
         for r in rows:
             self.add(r)
+
+    @classmethod
+    def with_tags(cls, n_cols: int, rows: Iterable[int]) -> "RowReducer":
+        """Reducer whose i-th inserted row carries the unit tag bit n_cols + i."""
+        return cls(n_cols, (r | (1 << (n_cols + i)) for i, r in enumerate(rows)))
 
     def __len__(self) -> int:
         return len(self._pivot_rows)
@@ -284,59 +260,40 @@ class RowReducer:
     def add(self, v: int) -> int:
         """Insert v; returns its residual (0 if it was already in the span)."""
         v = self.reduce(v)
-        if v:
+        if v & self._mask:
             self._pivot_rows[(v & -v).bit_length() - 1] = v
-        return v
+            return v
+        return 0
 
     def contains(self, v: int) -> bool:
-        return self.reduce(v) == 0
+        """True iff v (a vector of n_cols bits) is in the span of the inserted rows."""
+        if v >> self.n_cols:
+            raise ShapeError(f"vector has bits beyond column {self.n_cols - 1}")
+        return not self.reduce(v) & self._mask
+
+    def express(self, v: int) -> int | None:
+        """Combination of inserted rows reproducing v, as a mask over insertion
+        indices, or None outside the span; needs a reducer built by ``with_tags``."""
+        r = self.reduce(v)
+        return None if r & self._mask else r >> self.n_cols
 
     def basis_rows(self) -> list[int]:
         """Current echelon rows, ascending by pivot column."""
         return [row for _, row in sorted(self._pivot_rows.items())]
 
-
-class RowBasis:
-    """Row reducer that tracks how each pivot was formed from the inserted rows.
-
-    ``express`` returns the combination of originally inserted rows that
-    produces a target vector, as a bitmask over insertion indices.
-    """
-
-    def __init__(self, n_cols: int) -> None:
-        self.n_cols = n_cols
-        self._pivot_rows: dict[int, tuple[int, int]] = {}  # col -> (row, combo)
-        self._count = 0
-
-    def add(self, v: int) -> None:
-        combo = 1 << self._count
-        self._count += 1
-        pr = self._pivot_rows
-        while v:
-            c = (v & -v).bit_length() - 1
-            hit = pr.get(c)
-            if hit is None:
-                pr[c] = (v, combo)
-                return
-            v ^= hit[0]
-            combo ^= hit[1]
-
-    def express(self, v: int) -> int | None:
-        """Combination mask over inserted rows reproducing v, or None."""
-        combo = 0
-        pr = self._pivot_rows
-        while v:
-            c = (v & -v).bit_length() - 1
-            hit = pr.get(c)
-            if hit is None:
-                return None
-            v ^= hit[0]
-            combo ^= hit[1]
-        return combo
-
-
-def iter_bits(v: int) -> Iterator[int]:
-    """Indices of set bits, ascending."""
-    while v:
-        yield (v & -v).bit_length() - 1
-        v &= v - 1
+    def reduced_rows(self) -> dict[int, int]:
+        """Reduced row echelon form: pivot column -> row with every other pivot
+        column cleared.  The stored rows are left as they are."""
+        pivots = 0
+        for c in self._pivot_rows:
+            pivots |= 1 << c
+        out: dict[int, int] = {}
+        for c in sorted(self._pivot_rows, reverse=True):
+            v = self._pivot_rows[c]
+            # rows with higher pivots are already reduced, so each clears one bit
+            x = (v >> (c + 1) << (c + 1)) & pivots
+            while x:
+                v ^= out[(x & -x).bit_length() - 1]
+                x &= x - 1
+            out[c] = v
+        return out

@@ -9,7 +9,6 @@ columns and serialized supports all use this convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce as _reduce
 from typing import Iterable, Iterator
 
 from .gf2 import BinMatrix
@@ -183,20 +182,6 @@ class Poly:
 
     def __str__(self) -> str:
         return self.render()
-
-
-def circulant_generator(k: int) -> BinMatrix:
-    """C_k: the k x k cyclic shift whose row i is the support of x^(i+1)."""
-    return BinMatrix(k, k, tuple(1 << ((i + 1) % k) for i in range(k)))
-
-
-def poly_power_matrix(ctx: RingContext, a: int, b: int) -> BinMatrix:
-    """Explicit C_l^a (x) C_m^b, mostly for cross-checking to_matrix."""
-    cl = circulant_generator(ctx.l)
-    cm = circulant_generator(ctx.m)
-    pa = _reduce(lambda acc, _: acc @ cl, range(a), BinMatrix.identity(ctx.l))
-    pb = _reduce(lambda acc, _: acc @ cm, range(b), BinMatrix.identity(ctx.m))
-    return pa.kron(pb)
 
 
 # --- parsing ----------------------------------------------------------------

@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import jsonschema
+import pytest
 
 from bbcovers.cli import main
 from bbcovers.tables import record_schema
@@ -193,3 +194,41 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["n"] == 2
+
+
+def test_distance_coset_witness_breach_exits_3(monkeypatch, capsys):
+    import bbcovers.distance as distance
+
+    def stabilizer_witness(code, basis_ops):
+        stab = code.hz if basis_ops[0].basis == "Z" else code.hx
+        return stab.rows[0].bit_count(), stab.rows[0]
+
+    monkeypatch.setattr(distance, "_coset_minimum", stabilizer_witness)
+    assert main(["distance", CODE_18, "--side", "z"]) == 3
+    assert "internal invariant breach" in capsys.readouterr().err
+
+
+def test_distance_both_sides_searches_each_side_once(monkeypatch, capsys):
+    import bbcovers.cli as cli
+    import bbcovers.distance as distance
+
+    calls = []
+    original = distance.distance_one_side
+
+    def counting(code, basis, w_max):
+        calls.append(basis)
+        return original(code, basis, w_max)
+
+    monkeypatch.setattr(cli, "distance_one_side", counting)
+    monkeypatch.setattr(distance, "distance_one_side", counting)
+    code, recs = run_json(capsys, ["distance", CODE_18, "--wmax", "4"])
+    assert code == 0 and recs[0]["dx_equals_dz"] is True
+    assert sorted(calls) == ["X", "Z"]
+
+
+def test_format_flags_only_on_streaming_subcommands(capsys):
+    for argv in (["info", CODE_18, "--csv"], ["info", CODE_18, "--json"], ["sequence", "--json"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    capsys.readouterr()

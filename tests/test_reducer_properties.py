@@ -1,0 +1,85 @@
+"""Properties of the one GF(2) elimination (RowReducer) and what is built on it."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bbcovers.codes import Refusal, parse_code_spec
+from bbcovers.gf2 import BinMatrix, ShapeError
+
+from oracles import kernel, kernel_basis_reference, span
+
+SMALL_CODES = [
+    parse_code_spec("l=3 m=3 A=1+y+y^2 B=1+x+x^2"),
+    parse_code_spec("l=7 m=2 A=1+x^2+x^3y B=1+x^3+x^2y"),
+]
+
+
+@st.composite
+def matrices(draw, max_rows=12, max_cols=12, square=False):
+    n_cols = draw(st.integers(1, max_cols))
+    n_rows = n_cols if square else draw(st.integers(0, max_rows))
+    rows = draw(st.lists(st.integers(0, (1 << n_cols) - 1), min_size=n_rows, max_size=n_rows))
+    return BinMatrix.from_ints(rows, n_cols)
+
+
+@given(matrices())
+def test_kernel_basis_is_the_brute_force_kernel(m):
+    ker = m.kernel_basis()
+    assert ker.rank() == ker.n_rows
+    assert span(ker.rows) == kernel(m)
+    assert ker == kernel_basis_reference(m)
+
+
+@given(matrices(), st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=20))
+def test_kernel_basis_is_unchanged_by_row_operations(m, ops):
+    rows = list(m.rows)
+    for i, j in ops:
+        if len(rows) > 1 and i % len(rows) != j % len(rows):
+            rows[i % len(rows)] ^= rows[j % len(rows)]
+    rows.reverse()
+    rows.append(rows[0] ^ rows[-1] if rows else 0)  # one dependent row
+    assert BinMatrix.from_ints(rows, m.n_cols).kernel_basis() == m.kernel_basis()
+
+
+@given(matrices(square=True))
+def test_inverse_or_singular_refusal(m):
+    if m.rank() < m.n_rows:
+        with pytest.raises(ValueError, match="singular"):
+            m.inverse()
+    else:
+        ident = BinMatrix.identity(m.n_rows)
+        assert m.inverse() @ m == ident
+        assert m @ m.inverse() == ident
+
+
+def test_inverse_refuses_non_square():
+    with pytest.raises(ShapeError):
+        BinMatrix.zeros(2, 3).inverse()
+
+
+@given(matrices())
+def test_rank_equals_rank_of_transpose(m):
+    assert m.rank() == m.transpose().rank()
+
+
+@settings(max_examples=50)
+@given(st.sampled_from(SMALL_CODES), st.sampled_from("XZ"), st.data())
+def test_class_coords_round_trip(code, side, data):
+    basis = code.logical_basis
+    ops = basis.x_ops if side == "X" else basis.z_ops
+    stabs = code.hx.rows if side == "X" else code.hz.rows
+    coords = code.x_class_coords if side == "X" else code.z_class_coords
+    c = data.draw(st.integers(0, (1 << code.k) - 1))
+    s = data.draw(st.integers(0, (1 << len(stabs)) - 1))
+    v = 0
+    for i, op in enumerate(ops):
+        if (c >> i) & 1:
+            v ^= op.support_vector()
+    for i, row in enumerate(stabs):
+        if (s >> i) & 1:
+            v ^= row
+    assert coords(v) == c
+    if code.syndrome_vector(side, v ^ 1):
+        with pytest.raises(Refusal):
+            coords(v ^ 1)

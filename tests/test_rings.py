@@ -10,8 +10,9 @@ from bbcovers.rings import (
     PolyParseError,
     RingContext,
     parse_poly,
-    poly_power_matrix,
 )
+
+from oracles import poly_power_matrix
 
 
 def random_poly(rng, ctx, max_terms=4):
