@@ -130,7 +130,7 @@ class BBCode:
         )
 
     def __hash__(self) -> int:
-        return hash((self.ctx, self.a.terms, self.b.terms))
+        return hash((self.ctx, self.a.mask, self.b.mask))
 
     # -- parameters ----------------------------------------------------------
 

@@ -10,13 +10,22 @@ algebra against an explicit derived-graph construction.
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 from .codes import BBCode, Refusal
 from .rings import Monomial, Poly, RingContext
+
+
+# Codes one enumerate_covers call may build, one per (A-class, B-class) pair:
+# 64 times the 15,625 classes of the weight-8 base
+# l=6 m=2 A=1+x^3+x^5+x^5y B=y+x^2y+x^3+x^5y at (30, 2), whose codes build in
+# about 0.7 ms each on one core.
+MAX_ENUMERATION_JOBS = 1_000_000
 
 
 class CoverRefusal(Refusal):
@@ -180,35 +189,30 @@ def _tanner_connected_by_translation(a: Poly, b: Poly) -> bool:
 
     Closed walks displace check labels by differences of defining exponents,
     so the graph is connected iff those differences generate Z_l x Z_m.  The
-    generic BFS in is_connected agrees with this; see the cover tests.
+    subgroup is grown as a bitmask over the lm basis indices; closing it
+    under one difference g doubles the step, s |= (2^j g) s, until nothing
+    changes.  The generic BFS in is_connected agrees with this; see the cover
+    tests.
     """
     ctx = a.ctx
-    gens = []
-    a0 = a.terms[0]
-    for term in a.terms[1:]:
-        gens.append(((term.a - a0.a) % ctx.l, (term.b - a0.b) % ctx.m))
-    b0 = b.terms[0]
-    for term in b.terms[1:]:
-        gens.append(((term.a - b0.a) % ctx.l, (term.b - b0.b) % ctx.m))
-    seen = {(0, 0)}
-    frontier = [(0, 0)]
-    while frontier:
-        nxt = []
-        for (pa, pb) in frontier:
-            for (ga, gb) in gens:
-                q = ((pa + ga) % ctx.l, (pb + gb) % ctx.m)
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    return len(seen) == ctx.dim
+    full = (1 << ctx.dim) - 1
+    reached = 1
+    for p in (a, b):
+        p0 = p.terms[0]
+        for term in p.terms[1:]:
+            da, db = term.a - p0.a, term.b - p0.b
+            while True:
+                grown = reached | ctx.shift(reached, da, db)
+                if grown == reached:
+                    break
+                reached, da, db = grown, 2 * da, 2 * db
+            if reached == full:
+                return True
+    return reached == full
 
 
-def _record_of(args: tuple) -> CoverRecord:
-    a_terms, b_terms, lt, mt = args
-    ctx = RingContext(lt, mt)
-    a = Poly.make(ctx, a_terms)
-    b = Poly.make(ctx, b_terms)
+def _record_of(args: tuple[Poly, Poly]) -> CoverRecord:
+    a, b = args
     code = BBCode(a, b)
     return CoverRecord(a, b, code.k, _tanner_connected_by_translation(a, b))
 
@@ -225,10 +229,15 @@ def enumerate_covers(
 
     With dedup (the default), candidates are reduced to canonical orbit
     representatives first; class count is then at most h^4 for weight-6 codes
-    and h^6 for weight-8 ones.
+    and h^6 for weight-8 ones.  Refuses worker counts outside 1..cpu_count()
+    and more than MAX_ENUMERATION_JOBS codes (A-classes x B-classes) before
+    building any of them.
     """
     if lt < base.l or mt < base.m or lt % base.l != 0 or mt % base.m != 0:
         raise Refusal(f"(l~, m~) = ({lt}, {mt}) not divisible by (l, m) = ({base.l}, {base.m})")
+    cpus = os.cpu_count() or 1
+    if not 1 <= workers <= cpus:
+        raise Refusal(f"workers must be between 1 and {cpus} (the CPU count), got {workers}")
     u, t = lt // base.l, mt // base.m
     if dedup:
         a_side = _side_representatives(base.a, u, t)
@@ -236,7 +245,12 @@ def enumerate_covers(
     else:
         a_side = lifts_of_poly(base.a, u, t)
         b_side = lifts_of_poly(base.b, u, t)
-    jobs = [(a.terms, b.terms, lt, mt) for a in a_side for b in b_side]
+    if len(a_side) * len(b_side) > MAX_ENUMERATION_JOBS:
+        raise Refusal(
+            f"{len(a_side)} A-classes x {len(b_side)} B-classes = {len(a_side) * len(b_side)} codes "
+            f"exceed the enumeration budget of {MAX_ENUMERATION_JOBS}"
+        )
+    jobs = [(a, b) for a in a_side for b in b_side]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_record_of, jobs, chunksize=max(1, len(jobs) // (4 * workers))))
@@ -248,68 +262,104 @@ def enumerate_covers(
 
 # --- Tanner graphs and derived graphs ----------------------------------------
 
-Vertex = tuple  # ("X"|"Z"|"L"|"R", label...) with label (a, b) or (a, b, g1, g2)
+Vertex = tuple  # (class, (a, b)), or (class, (a, b), (g1, g2)) in a derived graph
+
+CLASSES = ("X", "Z", "L", "R")
 
 
 @dataclass(frozen=True)
 class TannerGraph:
-    """Bipartite check/qubit graph with class-tagged vertices."""
+    """Bipartite check/qubit graph on integer vertex ids.
 
-    vertices: frozenset
-    edges: frozenset  # of frozenset vertex pairs
+    Vertex id class * cells + a * mt + b names the vertex of class X, Z, L or
+    R (in that order) at cell x^a y^b of an lt x mt lattice, cells = lt * mt.
+    An edge is the id check * 2cells + (qubit - 2cells): the entry (row, column)
+    of the stacked check matrix (H_X ; H_Z).  A derived graph carries its
+    ``sheets`` (u, t) and uses the ids of the cover lattice (lt, mt) =
+    (u l, t m); its labels name the base cell and the sheet instead.
+    """
 
-    def neighbors(self, v: Vertex) -> set:
-        return self._adjacency[v]
+    lt: int
+    mt: int
+    edge_ids: frozenset
+    sheets: tuple[int, int] | None = None
 
     @property
-    def _adjacency(self) -> dict:
-        adj = self.__dict__.get("_adj")
-        if adj is None:
-            adj = {v: set() for v in self.vertices}
-            for e in self.edges:
-                p, q = tuple(e)
-                adj[p].add(q)
-                adj[q].add(p)
-            self.__dict__["_adj"] = adj
-        return adj
+    def cells(self) -> int:
+        return self.lt * self.mt
+
+    def label(self, v: int) -> Vertex:
+        cls, cell = divmod(v, self.cells)
+        a, b = divmod(cell, self.mt)
+        if self.sheets is None:
+            return (CLASSES[cls], (a, b))
+        l, m = self.lt // self.sheets[0], self.mt // self.sheets[1]
+        return (CLASSES[cls], (a % l, b % m), (a // l, b // m))
+
+    @cached_property
+    def _ids(self) -> dict:
+        return {self.label(v): v for v in range(4 * self.cells)}
+
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Neighbour ids of every vertex id."""
+        n = 2 * self.cells
+        adj: list[list[int]] = [[] for _ in range(2 * n)]
+        for e in self.edge_ids:
+            c, q = divmod(e, n)
+            adj[c].append(n + q)
+            adj[n + q].append(c)
+        return tuple(map(tuple, adj))
+
+    @cached_property
+    def vertices(self) -> frozenset:
+        return frozenset(self._ids)
+
+    @cached_property
+    def edges(self) -> frozenset:
+        n = 2 * self.cells
+        return frozenset(
+            frozenset((self.label(c), self.label(n + q))) for c, q in (divmod(e, n) for e in self.edge_ids)
+        )
+
+    def neighbors(self, v: Vertex) -> set:
+        return {self.label(w) for w in self.adjacency[self._ids[v]]}
 
     def class_count(self, cls: str) -> int:
-        return sum(1 for v in self.vertices if v[0] == cls)
+        return self.cells if cls in CLASSES else 0
 
     @property
     def n_checks(self) -> int:
-        return self.class_count("X") + self.class_count("Z")
+        return 2 * self.cells
 
     @property
     def n_qubits(self) -> int:
-        return self.class_count("L") + self.class_count("R")
+        return 2 * self.cells
 
     def degree(self, v: Vertex) -> int:
-        return len(self.neighbors(v))
+        return len(self.adjacency[self._ids[v]])
+
+
+def _edge_ids(code: BBCode) -> list[int]:
+    """Edge ids of the Tanner graph: the set bits of the rows of (H_X ; H_Z).
+
+    Row r of H_X (H_Z) is the support of the X (Z) check labelled r, the same
+    vector stabilizer_support returns, so the rows are the check neighbourhoods.
+    """
+    n = code.n
+    out = []
+    for c, row in enumerate(code.hx.rows + code.hz.rows):
+        first = c * n
+        while row:
+            low = row & -row
+            out.append(first + low.bit_length() - 1)
+            row ^= low
+    return out
 
 
 def build_tanner_graph(code: BBCode) -> TannerGraph:
-    """Explicit Tanner graph: X-check edges from A, B; Z-check edges from
-    the supports of the Z stabilizer generators."""
-    ctx = code.ctx
-    vertices = set()
-    for cls in ("X", "Z", "L", "R"):
-        for mono in ctx.monomials():
-            vertices.add((cls, (mono.a, mono.b)))
-    edges = set()
-    for mono in ctx.monomials():
-        c = (mono.a, mono.b)
-        xsupp = code.stabilizer_support(mono, "X")
-        for term in xsupp.left.terms:
-            edges.add(frozenset((("X", c), ("L", (term.a, term.b)))))
-        for term in xsupp.right.terms:
-            edges.add(frozenset((("X", c), ("R", (term.a, term.b)))))
-        zsupp = code.stabilizer_support(mono, "Z")
-        for term in zsupp.left.terms:
-            edges.add(frozenset((("Z", c), ("L", (term.a, term.b)))))
-        for term in zsupp.right.terms:
-            edges.add(frozenset((("Z", c), ("R", (term.a, term.b)))))
-    return TannerGraph(frozenset(vertices), frozenset(edges))
+    """Explicit Tanner graph, read off the rows of H_X and H_Z."""
+    return TannerGraph(code.l, code.m, frozenset(_edge_ids(code)))
 
 
 def _derived_edge_generators(witness: CoverWitness):
@@ -328,102 +378,108 @@ def _derived_edge_generators(witness: CoverWitness):
         yield ("L", "Z", cover_term)
 
 
+def _derived_edge_ids(base: BBCode, witness: CoverWitness) -> list[int]:
+    """Edges of the right-derived graph over Gamma = Z_u x Z_t, in cover ids.
+
+    Base vertex v at sheet g gets the cover id of v + (l g1, m g2).  The edge
+    of a generator with cover exponent e runs from tail v at sheet g to head
+    (v + e) mod (l, m) at sheet g + voltage, the voltage being the carry
+    ((v1 + e1) // l, (v2 + e2) // m) mod (u, t).
+    """
+    l, m, u, t = base.l, base.m, witness.u, witness.t
+    mt = m * t
+    cells = l * u * mt
+    n = 2 * cells
+    sheets = [(g1, g2) for g1 in range(u) for g2 in range(t)]
+    offset = [l * g1 * mt + m * g2 for g1, g2 in sheets]
+    # voltage -> the head sheet offset of each tail sheet
+    moved = {
+        (s1, s2): [offset[((g1 + s1) % u) * t + (g2 + s2) % t] for g1, g2 in sheets]
+        for s1, s2 in sheets
+    }
+    out: list[int] = []
+    for tail_cls, head_cls, exp in _derived_edge_generators(witness):
+        tail_first, head_first = CLASSES.index(tail_cls) * cells, CLASSES.index(head_cls) * cells
+        tail_is_check = tail_first < n
+        for v1 in range(l):
+            s1, h1 = divmod(v1 + exp.a, l)
+            for v2 in range(m):
+                s2, h2 = divmod(v2 + exp.b, m)
+                tail = tail_first + v1 * mt + v2
+                head = head_first + h1 * mt + h2
+                heads = moved[(s1 % u, s2 % t)]
+                if tail_is_check:
+                    first = tail * n + head - n
+                    out.extend(first + o * n + p for o, p in zip(offset, heads))
+                else:
+                    first = head * n + tail - n
+                    out.extend(first + p * n + o for o, p in zip(offset, heads))
+    return out
+
+
 def build_derived_graph(base: BBCode, witness: CoverWitness) -> TannerGraph:
     """Right-derived graph of the base Tanner graph over Gamma = Z_u x Z_t,
     with voltages read off the witness's lifted exponents."""
-    l, m = base.l, base.m
-    u, t = witness.u, witness.t
-    vertices = set()
-    for cls in ("X", "Z", "L", "R"):
-        for mono in base.ctx.monomials():
-            for g1 in range(u):
-                for g2 in range(t):
-                    vertices.add((cls, (mono.a, mono.b), (g1, g2)))
-    edges = set()
-    for tail_cls, head_cls, exp in _derived_edge_generators(witness):
-        ea, eb = exp.a, exp.b
-        for mono in base.ctx.monomials():
-            v1, v2 = mono.a, mono.b
-            head = ((v1 + ea) % l, (v2 + eb) % m)
-            g = ((v1 + ea) // l % u, (v2 + eb) // m % t)
-            for g1 in range(u):
-                for g2 in range(t):
-                    edges.add(
-                        frozenset(
-                            (
-                                (tail_cls, (v1, v2), (g1, g2)),
-                                (head_cls, head, ((g1 + g[0]) % u, (g2 + g[1]) % t)),
-                            )
-                        )
-                    )
-    return TannerGraph(frozenset(vertices), frozenset(edges))
-
-
-def _vertex_down(v: Vertex, l: int, m: int) -> Vertex:
-    """Lemma-style bijection from a cover vertex to a derived-graph vertex."""
-    cls, (a, b) = v
-    return (cls, (a % l, b % m), (a // l, b // m))
-
-
-def _vertex_up(v: Vertex, l: int, m: int) -> Vertex:
-    cls, (a, b), (s1, s2) = v
-    return (cls, (a + l * s1, b + m * s2))
+    return TannerGraph(
+        base.l * witness.u, base.m * witness.t, frozenset(_derived_edge_ids(base, witness)), (witness.u, witness.t)
+    )
 
 
 def verify_cover_isomorphism(base: BBCode, cover: BBCode, witness: CoverWitness) -> bool:
     """Cross-validate the algebraic witness against explicit graphs.
 
-    Checks that the vertex bijection maps cover edges to derived-graph edges
-    and back, that projection fibers all have size h, and that projection
-    restricts to a bijection on every neighborhood.
+    Cover vertex (cls, (a, b)) corresponds to derived vertex
+    (cls, (a mod l, b mod m), (a // l, b // m)); both graphs number their
+    vertices by the cover id, so this is a bijection exactly when the cover
+    lattice is (u l, t m), and the bijection maps edges onto edges exactly
+    when the two edge-id sets are equal.  Then checks that projection fibers
+    all have size h and that projection restricts to a bijection from every
+    cover neighbourhood onto the neighbourhood in the base graph, which is
+    read off the rows and columns of the base H_X and H_Z.
     """
     l, m = base.l, base.m
-    cover_graph = build_tanner_graph(cover)
-    derived = build_derived_graph(base, witness)
-    if len(cover_graph.vertices) != len(derived.vertices):
+    if (cover.l, cover.m) != (l * witness.u, m * witness.t):
         return False
-    down = {v: _vertex_down(v, l, m) for v in cover_graph.vertices}
-    if set(down.values()) != set(derived.vertices):
+    cover_edges = _edge_ids(cover)
+    if set(cover_edges) != set(_derived_edge_ids(base, witness)):
         return False
-    for e in cover_graph.edges:
-        p, q = tuple(e)
-        if frozenset((down[p], down[q])) not in derived.edges:
-            return False
-    for e in derived.edges:
-        p, q = tuple(e)
-        if frozenset((_vertex_up(p, l, m), _vertex_up(q, l, m))) not in cover_graph.edges:
-            return False
-    base_graph = build_tanner_graph(base)
-    fibers = Counter()
-    for v in cover_graph.vertices:
-        cls, (a, b) = v
-        fibers[(cls, (a % l, b % m))] += 1
-    if set(fibers.values()) != {witness.h}:
+    # cell projection; a check or qubit index is block * cells + cell in both codes
+    lt, mt = cover.l, cover.m
+    proj = [(a % l) * m + b % m for a in range(lt) for b in range(mt)]
+    if set(Counter(proj).values()) != {witness.h}:
         return False
-    for v in cover_graph.vertices:
-        cls, (a, b) = v
-        pv = (cls, (a % l, b % m))
-        projected = [(w[0], (w[1][0] % l, w[1][1] % m)) for w in cover_graph.neighbors(v)]
-        if len(set(projected)) != len(projected):
-            return False
-        if set(projected) != base_graph.neighbors(pv):
-            return False
-    return True
+    n = cover.n
+    proj = proj + [base.ctx.dim + p for p in proj]
+    check_nbrs = [0] * n  # projected qubit neighbours of each cover check
+    qubit_nbrs = [0] * n  # projected check neighbours of each cover qubit
+    for e in cover_edges:
+        c, q = divmod(e, n)
+        pq, pc = 1 << proj[q], 1 << proj[c]
+        if check_nbrs[c] & pq or qubit_nbrs[q] & pc:
+            return False  # two neighbours in one fiber
+        check_nbrs[c] |= pq
+        qubit_nbrs[q] |= pc
+    base_rows = base.hx.rows + base.hz.rows
+    dim = base.ctx.dim
+    base_cols = [x | z << dim for x, z in zip(base.hx_t.rows, base.hz_t.rows)]
+    return all(nb == base_rows[proj[c]] for c, nb in enumerate(check_nbrs)) and all(
+        nb == base_cols[proj[q]] for q, nb in enumerate(qubit_nbrs)
+    )
 
 
 def is_connected(g: TannerGraph) -> bool:
     """Breadth-first connectivity over the whole bipartite graph."""
-    if not g.vertices:
+    adj = g.adjacency
+    if not adj:
         return True
-    start = next(iter(g.vertices))
-    seen = {start}
-    frontier = [start]
+    seen = {0}
+    frontier = [0]
     while frontier:
         nxt = []
         for v in frontier:
-            for w in g.neighbors(v):
+            for w in adj[v]:
                 if w not in seen:
                     seen.add(w)
                     nxt.append(w)
         frontier = nxt
-    return len(seen) == len(g.vertices)
+    return len(seen) == len(adj)

@@ -38,10 +38,11 @@ class BinMatrix:
             raise ShapeError(f"negative shape ({self.n_rows}, {self.n_cols})")
         if len(self.rows) != self.n_rows:
             raise ShapeError(f"{len(self.rows)} rows for declared n_rows={self.n_rows}")
-        m = _mask(self.n_cols)
-        for i, r in enumerate(self.rows):
-            if r & ~m:
-                raise ShapeError(f"row {i} has bits beyond column {self.n_cols - 1}")
+        rows = self.rows
+        if rows and (min(rows) < 0 or max(rows) >> self.n_cols):
+            m = _mask(self.n_cols)
+            i = next(i for i, r in enumerate(rows) if r & ~m)
+            raise ShapeError(f"row {i} has bits beyond column {self.n_cols - 1}")
 
     # -- constructors ------------------------------------------------------
 
@@ -113,11 +114,10 @@ class BinMatrix:
         orows = other.rows
         for r in self.rows:
             acc = 0
-            x = r
-            while x:
-                i = (x & -x).bit_length() - 1
-                acc ^= orows[i]
-                x &= x - 1
+            while r:
+                low = r & -r
+                acc ^= orows[low.bit_length() - 1]
+                r ^= low
             out.append(acc)
         return BinMatrix(self.n_rows, other.n_cols, tuple(out))
 
@@ -141,11 +141,11 @@ class BinMatrix:
     def transpose(self) -> "BinMatrix":
         cols = [0] * self.n_cols
         for i, r in enumerate(self.rows):
-            x = r
-            while x:
-                j = (x & -x).bit_length() - 1
-                cols[j] |= 1 << i
-                x &= x - 1
+            bit = 1 << i
+            while r:
+                low = r & -r
+                cols[low.bit_length() - 1] |= bit
+                r ^= low
         return BinMatrix(self.n_cols, self.n_rows, tuple(cols))
 
     def hstack(self, other: "BinMatrix") -> "BinMatrix":

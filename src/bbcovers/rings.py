@@ -1,14 +1,15 @@
 """Arithmetic in F2[x, y] / (x^l - 1, y^m - 1).
 
-Monomials are reduced exponent pairs, polynomials are canonically ordered
-term sets (coefficients live in F2, so equal terms cancel in pairs).  The
-basis index of x^a y^b is a*m + b throughout the package: vectors, matrix
-columns and serialized supports all use this convention.
+Monomials are reduced exponent pairs; a polynomial is the bitmask of its
+support (coefficients live in F2, so equal terms cancel in pairs).  The basis
+index of x^a y^b is a*m + b throughout the package: polynomial masks,
+vectors, matrix columns and serialized supports all use this convention.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .gf2 import BinMatrix
@@ -24,6 +25,11 @@ class PolyParseError(ValueError):
 
 class ContextMismatch(ValueError):
     """Raised when combining polynomials over different rings."""
+
+
+def _rotate(v: int, s: int, n: int) -> int:
+    """Cyclic left rotation of an n-bit vector by s places."""
+    return ((v << s) | (v >> (n - s))) & ((1 << n) - 1) if s else v
 
 
 @dataclass(frozen=True, order=True)
@@ -48,6 +54,24 @@ class RingContext:
     def monomial_at(self, index: int) -> "Monomial":
         a, b = divmod(index, self.m)
         return Monomial(a, b)
+
+    @cached_property
+    def _block_ones(self) -> int:
+        """The vector with bit a*m set for every a: one bit per m-block."""
+        return ((1 << self.dim) - 1) // ((1 << self.m) - 1)
+
+    def shift(self, v: int, a: int, b: int) -> int:
+        """Basis vector of x^a y^b times the polynomial with basis vector v.
+
+        y^b rotates every m-bit block by b places, then x^a rotates the whole
+        vector by a*m places.
+        """
+        m = self.m
+        b %= m
+        if b:
+            low = self._block_ones * ((1 << (m - b)) - 1)  # y-exponents below m - b
+            v = ((v & low) << b) | ((v & ~low) >> (m - b))
+        return _rotate(v, (a % self.l) * m, self.dim)
 
     def monomials(self) -> Iterator["Monomial"]:
         for a in range(self.l):
@@ -81,34 +105,50 @@ class Monomial:
 
 @dataclass(frozen=True)
 class Poly:
-    """A polynomial as a canonically ordered set of monomials."""
+    """A polynomial as its support bitmask over the lm monomial basis.
+
+    Bit a*m + b of ``mask`` is set iff x^a y^b is a term, so addition is XOR
+    and a monomial shift is a rotation of each m-bit block (y) followed by a
+    rotation of the whole vector by a multiple of m (x).  ``terms`` lists the
+    monomials in ascending basis index, which is ascending (a, b).
+    """
 
     ctx: RingContext
-    terms: tuple[Monomial, ...]
+    mask: int
 
     @classmethod
     def make(cls, ctx: RingContext, terms: Iterable[tuple[int, int] | Monomial]) -> "Poly":
         """Reduce exponents mod (l, m) and cancel repeated terms pairwise."""
-        seen: set[Monomial] = set()
+        l, m = ctx.l, ctx.m
+        v = 0
         for t in terms:
-            if isinstance(t, Monomial):
-                mono = Monomial(t.a % ctx.l, t.b % ctx.m)
-            else:
-                mono = Monomial(t[0] % ctx.l, t[1] % ctx.m)
-            seen.symmetric_difference_update({mono})
-        return cls(ctx, tuple(sorted(seen)))
+            a, b = (t.a, t.b) if isinstance(t, Monomial) else t
+            v ^= 1 << ((a % l) * m + b % m)
+        return cls(ctx, v)
 
     @classmethod
     def zero(cls, ctx: RingContext) -> "Poly":
-        return cls(ctx, ())
+        return cls(ctx, 0)
 
     @classmethod
     def one(cls, ctx: RingContext) -> "Poly":
-        return cls(ctx, (Monomial(0, 0),))
+        return cls(ctx, 1)
 
     @classmethod
     def monomial(cls, ctx: RingContext, a: int, b: int) -> "Poly":
         return cls.make(ctx, [(a, b)])
+
+    @cached_property
+    def terms(self) -> tuple[Monomial, ...]:
+        """The monomials of the support, in ascending basis index."""
+        m = self.ctx.m
+        out = []
+        v = self.mask
+        while v:
+            low = v & -v
+            out.append(Monomial(*divmod(low.bit_length() - 1, m)))
+            v ^= low
+        return tuple(out)
 
     def _check_ctx(self, other: "Poly") -> None:
         if self.ctx != other.ctx:
@@ -116,43 +156,45 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check_ctx(other)
-        return Poly.make(self.ctx, self.terms + other.terms)
+        return Poly(self.ctx, self.mask ^ other.mask)
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check_ctx(other)
-        prods = [p.mul(q, self.ctx) for p in self.terms for q in other.terms]
-        return Poly.make(self.ctx, prods)
+        m = self.ctx.m
+        v, x = 0, other.mask
+        while x:
+            low = x & -x
+            v ^= self.ctx.shift(self.mask, *divmod(low.bit_length() - 1, m))
+            x ^= low
+        return Poly(self.ctx, v)
 
     def shift(self, mono: Monomial) -> "Poly":
         """Multiply by a single monomial."""
-        return Poly.make(self.ctx, [t.mul(mono, self.ctx) for t in self.terms])
+        return Poly(self.ctx, self.ctx.shift(self.mask, mono.a, mono.b))
 
     def transpose(self) -> "Poly":
         """Negate all exponents; matches transposing the circulant matrix."""
-        return Poly.make(self.ctx, [t.inverse(self.ctx) for t in self.terms])
+        ctx = self.ctx
+        # reversal sends index a*m + b to (l-1-a)*m + (m-1-b); x y then adds (1, 1)
+        reversed_mask = int(format(self.mask, f"0{ctx.dim}b")[::-1], 2)
+        return Poly(ctx, ctx.shift(reversed_mask, 1, 1))
 
     @property
     def weight(self) -> int:
-        return len(self.terms)
+        return self.mask.bit_count()
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.mask
 
     def to_vector(self) -> int:
         """Support bitmask over the lm-dimensional monomial basis."""
-        v = 0
-        for t in self.terms:
-            v |= 1 << self.ctx.index(t.a, t.b)
-        return v
+        return self.mask
 
     @classmethod
     def from_vector(cls, ctx: RingContext, v: int) -> "Poly":
-        terms = []
-        while v:
-            i = (v & -v).bit_length() - 1
-            terms.append(ctx.monomial_at(i))
-            v &= v - 1
-        return cls.make(ctx, terms)
+        if v < 0 or v >> ctx.dim:
+            raise ValueError(f"vector has bits beyond index {ctx.dim - 1}")
+        return cls(ctx, v)
 
     def to_matrix(self) -> BinMatrix:
         """The lm x lm matrix whose row r is the support of r * self.
@@ -164,16 +206,15 @@ class Poly:
         examples in this package rely on.
         """
         ctx = self.ctx
-        l, m = ctx.l, ctx.m
-        rows = [0] * ctx.dim
-        for t in self.terms:
-            ta, tb = t.a, t.b
-            for a in range(l):
-                ra = a * m
-                ca = ((a + ta) % l) * m
-                for b in range(m):
-                    rows[ra + b] |= 1 << (ca + (b + tb) % m)
-        return BinMatrix(ctx.dim, ctx.dim, tuple(rows))
+        l, m, n = ctx.l, ctx.m, ctx.dim
+        full = (1 << n) - 1
+        rows = [0] * n
+        for b in range(m):
+            yb = ctx.shift(self.mask, 0, b)
+            doubled = yb | (yb << n)
+            # row a*m + b is yb rotated by a*m: a window of the doubled vector
+            rows[b::m] = [(doubled >> (n - a * m)) & full for a in range(l)]
+        return BinMatrix(n, n, tuple(rows))
 
     def render(self) -> str:
         if not self.terms:

@@ -3,6 +3,12 @@
 The fixture file is data, not code; each sequence row carries the printed
 parameters, the defining polynomials, and its cover height h over the
 sequence's base row.
+
+``TableRow.d_is_bound`` is true when the source prints d only as an upper
+bound, not as a proven minimum, and false when the printed d is exact.
+Nothing in the package reads it: distances are always computed, never taken
+from the table, so a flagged value is not a certificate and the true
+distance may be lower.
 """
 
 from __future__ import annotations

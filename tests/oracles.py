@@ -1,9 +1,10 @@
 """Slow, obviously-correct reference implementations used only by the tests."""
 
+from collections import Counter
 from functools import reduce
 
 from bbcovers.gf2 import BinMatrix
-from bbcovers.rings import RingContext
+from bbcovers.rings import Poly, RingContext
 
 
 def kron(a: BinMatrix, b: BinMatrix) -> BinMatrix:
@@ -75,3 +76,119 @@ def kernel_basis_reference(m: BinMatrix) -> BinMatrix:
                 v |= 1 << col
         basis.append(v)
     return BinMatrix(len(basis), m.n_cols, tuple(basis))
+
+
+def to_matrix_reference(p: Poly) -> BinMatrix:
+    """Poly.to_matrix by a loop over terms and cells: row a*m + b gets the bit
+    of x^(a + ta) y^(b + tb) for every term x^ta y^tb.
+
+    This is the construction Poly.to_matrix used before it built the rows from
+    rotations of the support bitmask; both must agree bit for bit.
+    """
+    ctx = p.ctx
+    l, m = ctx.l, ctx.m
+    rows = [0] * ctx.dim
+    for t in p.terms:
+        for a in range(l):
+            for b in range(m):
+                rows[a * m + b] |= 1 << (((a + t.a) % l) * m + (b + t.b) % m)
+    return BinMatrix(ctx.dim, ctx.dim, tuple(rows))
+
+
+# --- cover certification over labelled vertices and frozenset edges ------------
+#
+# verify_cover_isomorphism_reference is the check covers.verify_cover_isomorphism
+# made before the graphs became integer edge-id sets: the cover Tanner graph is
+# built through Poly products (stabilizer_support), the derived graph over
+# labelled (class, base cell, sheet) vertices, and the base neighbourhoods from
+# a rebuilt base graph.
+
+
+def _graph(vertices, edges):
+    adj = {v: set() for v in vertices}
+    for e in edges:
+        p, q = tuple(e)
+        adj[p].add(q)
+        adj[q].add(p)
+    return adj
+
+
+def tanner_graph_reference(code):
+    """(vertices, edges, adjacency) with vertices ("X"|"Z"|"L"|"R", (a, b))."""
+    vertices = {(cls, (mono.a, mono.b)) for cls in "XZLR" for mono in code.ctx.monomials()}
+    edges = set()
+    for mono in code.ctx.monomials():
+        c = (mono.a, mono.b)
+        for basis in "XZ":
+            supp = code.stabilizer_support(mono, basis)
+            for block, poly in (("L", supp.left), ("R", supp.right)):
+                for term in poly.terms:
+                    edges.add(frozenset(((basis, c), (block, (term.a, term.b)))))
+    return vertices, edges, _graph(vertices, edges)
+
+
+def derived_graph_reference(base, witness):
+    """(vertices, edges) of the right-derived graph, vertices (class, (a, b), (g1, g2))."""
+    l, m, u, t = base.l, base.m, witness.u, witness.t
+    vertices = {
+        (cls, (mono.a, mono.b), (g1, g2))
+        for cls in "XZLR"
+        for mono in base.ctx.monomials()
+        for g1 in range(u)
+        for g2 in range(t)
+    }
+    generators = [("X", "L", c) for c, _ in witness.a_matching] + [("R", "Z", c) for c, _ in witness.a_matching]
+    generators += [("X", "R", c) for c, _ in witness.b_matching] + [("L", "Z", c) for c, _ in witness.b_matching]
+    edges = set()
+    for tail_cls, head_cls, exp in generators:
+        for mono in base.ctx.monomials():
+            v1, v2 = mono.a, mono.b
+            head = ((v1 + exp.a) % l, (v2 + exp.b) % m)
+            g = ((v1 + exp.a) // l % u, (v2 + exp.b) // m % t)
+            for g1 in range(u):
+                for g2 in range(t):
+                    edges.add(
+                        frozenset(
+                            (
+                                (tail_cls, (v1, v2), (g1, g2)),
+                                (head_cls, head, ((g1 + g[0]) % u, (g2 + g[1]) % t)),
+                            )
+                        )
+                    )
+    return vertices, edges
+
+
+def verify_cover_isomorphism_reference(base, cover, witness) -> bool:
+    l, m = base.l, base.m
+    cover_vertices, cover_edges, cover_adj = tanner_graph_reference(cover)
+    derived_vertices, derived_edges = derived_graph_reference(base, witness)
+    if len(cover_vertices) != len(derived_vertices):
+        return False
+    down = {v: (v[0], (v[1][0] % l, v[1][1] % m), (v[1][0] // l, v[1][1] // m)) for v in cover_vertices}
+    if set(down.values()) != derived_vertices:
+        return False
+    for e in cover_edges:
+        p, q = tuple(e)
+        if frozenset((down[p], down[q])) not in derived_edges:
+            return False
+
+    def up(v):
+        cls, (a, b), (s1, s2) = v
+        return (cls, (a + l * s1, b + m * s2))
+
+    for e in derived_edges:
+        p, q = tuple(e)
+        if frozenset((up(p), up(q))) not in cover_edges:
+            return False
+    _, _, base_adj = tanner_graph_reference(base)
+    fibers = Counter((cls, (a % l, b % m)) for cls, (a, b) in cover_vertices)
+    if set(fibers.values()) != {witness.h}:
+        return False
+    for v in cover_vertices:
+        cls, (a, b) = v
+        projected = [(w[0], (w[1][0] % l, w[1][1] % m)) for w in cover_adj[v]]
+        if len(set(projected)) != len(projected):
+            return False
+        if set(projected) != base_adj[(cls, (a % l, b % m))]:
+            return False
+    return True

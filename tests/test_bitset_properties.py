@@ -1,0 +1,119 @@
+"""Properties of the bitset polynomials and of the integer-id cover graphs.
+
+Small rings only.  The slow references are in oracles.py; networkx is an
+independent oracle for Tanner-graph connectivity.
+"""
+
+import networkx as nx
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bbcovers.codes import BBCode, parse_code_spec
+from bbcovers.covers import (
+    CoverWitness,
+    _tanner_connected_by_translation,
+    build_tanner_graph,
+    check_cover,
+    is_connected,
+    verify_cover_isomorphism,
+)
+from bbcovers.rings import Monomial, Poly, RingContext, parse_poly
+
+from oracles import to_matrix_reference, verify_cover_isomorphism_reference
+
+BASES = [
+    parse_code_spec("l=3 m=3 A=1+y+y^2 B=1+x+x^2"),
+    parse_code_spec("l=7 m=2 A=1+x^2+x^3y B=1+x^3+x^2y"),
+    parse_code_spec("l=6 m=2 A=1+x^5+x^3+x^5y B=y+x^2y+x^5y+x^3"),
+]
+
+
+@st.composite
+def polys(draw, ctx=None, min_terms=0, max_terms=6):
+    if ctx is None:
+        ctx = RingContext(draw(st.integers(1, 7)), draw(st.integers(1, 7)))
+    terms = draw(
+        st.lists(st.tuples(st.integers(0, 20), st.integers(0, 20)), min_size=min_terms, max_size=max_terms)
+    )
+    return Poly.make(ctx, terms)
+
+
+@st.composite
+def poly_pairs(draw):
+    p = draw(polys())
+    return p, draw(polys(p.ctx))
+
+
+@st.composite
+def lifts(draw):
+    """(base, cover, witness) for a random lift: each base term moves to a random sheet."""
+    base = draw(st.sampled_from(BASES))
+    u, t = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    ctx = RingContext(base.l * u, base.m * t)
+
+    def lift(p):
+        sheets = draw(st.lists(st.tuples(st.integers(0, u - 1), st.integers(0, t - 1)), min_size=p.weight, max_size=p.weight))
+        return Poly.make(ctx, [(x.a + base.l * i, x.b + base.m * j) for x, (i, j) in zip(p.terms, sheets)])
+
+    cover = BBCode(lift(base.a), lift(base.b))
+    return base, cover, check_cover(base, cover)
+
+
+@given(polys())
+def test_parse_of_render_is_identity(p):
+    assert parse_poly(p.render(), p.ctx) == p
+
+
+@given(polys())
+def test_terms_are_the_set_bits_in_ascending_order(p):
+    assert list(p.terms) == sorted(p.terms)
+    assert [p.ctx.index(t.a, t.b) for t in p.terms] == [i for i in range(p.ctx.dim) if p.mask >> i & 1]
+    assert Poly.make(p.ctx, p.terms) == p
+
+
+@given(polys())
+def test_to_matrix_matches_loop_oracle(p):
+    assert p.to_matrix() == to_matrix_reference(p)
+
+
+@given(poly_pairs())
+def test_to_matrix_is_a_ring_homomorphism(pq):
+    p, q = pq
+    assert (p + q).to_matrix() == p.to_matrix().add(q.to_matrix())
+    assert (p * q).to_matrix() == p.to_matrix() @ q.to_matrix()
+    assert p.transpose().to_matrix() == p.to_matrix().transpose()
+
+
+@settings(max_examples=60, deadline=None)
+@given(lifts())
+def test_verify_cover_isomorphism_matches_oracle_on_lifts(lift):
+    base, cover, witness = lift
+    assert verify_cover_isomorphism(base, cover, witness)
+    assert verify_cover_isomorphism_reference(base, cover, witness)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lifts(), st.booleans(), st.integers(0, 3), st.integers(-30, 30), st.integers(-30, 30))
+def test_verify_cover_isomorphism_matches_oracle_on_perturbed_witnesses(lift, side, index, da, db):
+    base, cover, w = lift
+    matching = list(w.a_matching if side else w.b_matching)
+    c, b = matching[index % len(matching)]
+    matching[index % len(matching)] = (Monomial(c.a + da, c.b + db), b)
+    if side:
+        bad = CoverWitness(w.base, w.cover, w.u, w.t, tuple(matching), w.b_matching)
+    else:
+        bad = CoverWitness(w.base, w.cover, w.u, w.t, w.a_matching, tuple(matching))
+    assert verify_cover_isomorphism(base, cover, bad) == verify_cover_isomorphism_reference(base, cover, bad)
+
+
+@settings(deadline=None)
+@given(polys(min_terms=1), st.data())
+def test_translation_connectivity_matches_networkx(a, data):
+    b = data.draw(polys(a.ctx, min_terms=1))
+    if a.is_zero() or b.is_zero():  # repeated terms may cancel
+        return
+    g = build_tanner_graph(BBCode(a, b))
+    nxg = nx.Graph()
+    nxg.add_nodes_from(g.vertices)
+    nxg.add_edges_from(tuple(e) for e in g.edges)
+    assert _tanner_connected_by_translation(a, b) == nx.is_connected(nxg) == is_connected(g)

@@ -232,3 +232,32 @@ def test_format_flags_only_on_streaming_subcommands(capsys):
             main(argv)
         assert exc.value.code == 2
     capsys.readouterr()
+
+
+def _refuse_to_build(monkeypatch):
+    """Make building any enumeration job or worker pool fail the test."""
+    import bbcovers.covers as covers
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the refusal came too late: a job or a worker pool was started")
+
+    monkeypatch.setattr(covers, "_record_of", fail)
+    monkeypatch.setattr(covers, "ProcessPoolExecutor", fail)
+
+
+@pytest.mark.parametrize("workers", ["0", "-1", "cpu_count+1"])
+def test_enumerate_workers_outside_cpu_count_exit_2(monkeypatch, capsys, workers):
+    import os
+
+    _refuse_to_build(monkeypatch)
+    if workers == "cpu_count+1":
+        workers = str((os.cpu_count() or 1) + 1)
+    assert main(["enumerate", CODE_18, "--lt", "6", "--mt", "3", "--workers", workers]) == 2
+    assert "workers" in capsys.readouterr().err
+
+
+def test_enumerate_job_budget_exit_2(monkeypatch, capsys):
+    # 11^3 raw lifts per side at h = 11: 1,771,561 codes, over the budget
+    _refuse_to_build(monkeypatch)
+    assert main(["enumerate", CODE_18, "--lt", "33", "--mt", "3", "--no-dedup"]) == 2
+    assert "enumeration budget" in capsys.readouterr().err

@@ -315,3 +315,34 @@ def test_fibers_have_size_h():
         fibers.setdefault((cls, (a % 3, b % 3)), 0)
         fibers[(cls, (a % 3, b % 3))] += 1
     assert set(fibers.values()) == {3}
+
+
+def test_enumeration_budget_is_far_above_the_census():
+    from bbcovers.covers import MAX_ENUMERATION_JOBS
+
+    assert MAX_ENUMERATION_JOBS >= 50 * 15_625
+
+
+def test_enumerate_refuses_jobs_over_budget(monkeypatch):
+    import bbcovers.covers as covers
+
+    def fail(*args, **kwargs):
+        raise AssertionError("jobs were built before the refusal")
+
+    monkeypatch.setattr(covers, "_record_of", fail)
+    monkeypatch.setattr(covers, "MAX_ENUMERATION_JOBS", 99)
+    base = parse_code_spec(BASE_18)
+    n_a = len(covers._side_representatives(base.a, 3, 2))
+    n_b = len(covers._side_representatives(base.b, 3, 2))
+    assert n_a * n_b == 168 > 99
+    with pytest.raises(Refusal, match="enumeration budget"):
+        enumerate_covers(base, 9, 6)
+
+
+def test_tanner_graph_edges_are_the_check_supports():
+    # build_tanner_graph reads H_X and H_Z; their rows are the stabilizer supports
+    code = parse_code_spec(BASE_72)
+    for r in code.ctx.monomials():
+        i = code.ctx.index(r.a, r.b)
+        assert code.hx.rows[i] == code.stabilizer_support(r, "X").support_vector()
+        assert code.hz.rows[i] == code.stabilizer_support(r, "Z").support_vector()

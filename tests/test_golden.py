@@ -1,9 +1,10 @@
 """Golden outputs: exact CLI stdout, exit codes, logical and kernel bases.
 
 Each CLI call records the exit code and the sha256 of its exact stdout; the
-basis digests cover the logical basis support vectors and the H_X / H_Z
-kernel bases of every published row.  A refactor of the elimination or
-chain-map code must leave all of them unchanged.
+basis digests cover the logical basis support vectors, the H_X / H_Z
+kernel bases and the H_X / H_Z rows of every published row.  A refactor of
+the elimination, polynomial, graph or chain-map code must leave all of them
+unchanged.
 """
 
 import hashlib
@@ -17,6 +18,8 @@ CODE_18 = "l=3 m=3 A=1+y+y^2 B=1+x+x^2"
 CODE_72 = "l=6 m=6 A=x^3+y+y^2 B=y^3+x+x^2"
 GROSS = "l=12 m=6 A=x^3+y+y^2 B=y^3+x+x^2"
 COVER_54 = "l=9 m=3 A=x^3+y+y^2 B=1+x+x^2"
+WEIGHT_8 = "l=6 m=2 A=1+x^5+x^3+x^5y B=y+x^2y+x^5y+x^3"
+COVER_W8 = "l=12 m=2 A=1+x^9+x^5+x^11y B=y+x^8y+x^5y+x^9"
 
 CLI_GOLDEN = [
     (["info", CODE_18], 0, "43cdd0d5216446cd74da95e84987caff55c15ba782de5260753fd0961c750df6"),
@@ -74,10 +77,28 @@ CLI_GOLDEN = [
     ),
     (["aut", CODE_18, "antipode-zx"], 0, "2c81f50f7be718dba71f14cea8c59b3e43263b07578dc2074d448cdd446b9250"),
     (["aut", GROSS, "shift:x^2y"], 0, "f2232227c85673929517dde1e08d002fb49a2955fda39175d245e8d93b0128b4"),
+    # weight-8 classes in canonical-form order
+    (
+        ["enumerate", WEIGHT_8, "--lt", "12", "--mt", "2"],
+        0,
+        "bf4f0f40e8454dcd15fe846afb0440c2f09104904bacdebad15ef297d2d02558",
+    ),
+    # both x and y lifted
+    (
+        ["enumerate", CODE_18, "--lt", "9", "--mt", "6"],
+        0,
+        "2a06b63a04e26996995c9ca6ab4d7d522c268eac39d33a5db962b21578d712d8",
+    ),
+    (
+        ["check-cover", WEIGHT_8, COVER_W8, "--verify-graph"],
+        0,
+        "c108ac904703bf92447d9258be7585c0775c474782036f6bc43fa2eac0c56f85",
+    ),
 ]
 
 LOGICAL_BASIS_SHA = "e2f4603cd48b0960f918b08667169bf0d94ac7c6dbcfe322ba3821f5f2499991"
 KERNEL_BASIS_SHA = "773b7022f7f331d04e420f45bde9a5cbc87f69238a4ab16a943098ebbcb2bb55"
+CHECK_MATRIX_SHA = "930fca6bd800b5333ebea3722673a239dc37059cd196e80b72ec7b7fb258bdfa"
 
 
 @pytest.mark.parametrize(
@@ -101,3 +122,13 @@ def test_published_bases_are_golden():
         kernel.update(repr((code.hx.kernel_basis().rows, code.hz.kernel_basis().rows)).encode())
     assert logical.hexdigest() == LOGICAL_BASIS_SHA
     assert kernel.hexdigest() == KERNEL_BASIS_SHA
+
+
+def test_published_check_matrices_are_golden():
+    digest = hashlib.sha256()
+    rows = all_rows()
+    assert len(rows) == 61
+    for row in rows:
+        code = row.code()
+        digest.update(repr((code.hx.rows, code.hz.rows)).encode())
+    assert digest.hexdigest() == CHECK_MATRIX_SHA
