@@ -41,7 +41,6 @@ from .chainmaps import (
     ChainMap,
     ClassifiedOp,
     HomologyMap,
-    Section,
     classical_inherited_check,
     compose_p_tau,
     constant_section,

@@ -19,7 +19,7 @@ from .codes import (
     pairing_matrix,
 )
 from .covers import CoverWitness
-from .chainmaps import _block_diag, _boundaries, _is_chain_map, lift_poly, projection_matrix
+from .chainmaps import _block_diag, _boundaries, _class_matrix, _is_chain_map, lift_poly, projection_matrix
 from .gf2 import BinMatrix
 from .rings import Monomial
 
@@ -163,39 +163,24 @@ def antipode_zx_duality(code: BBCode) -> ZXDuality:
 
 def _lift_check_matrix(witness: CoverWitness, w: BinMatrix) -> BinMatrix:
     """Sheet-wise block lift: repeat the base map on every sheet."""
-    base, cover = witness.base, witness.cover
-    l, m = base.l, base.m
-    lm_c = cover.ctx.dim
-    rows = [0] * lm_c
-    for mono in cover.ctx.monomials():
-        j = cover.ctx.index(mono.a, mono.b)
-        jb = base.ctx.index(mono.a % l, mono.b % m)
-        s1, s2 = mono.a // l, mono.b // m
-        col = w.column(jb)
-        x = col
-        while x:
-            ib = (x & -x).bit_length() - 1
-            bmono = base.ctx.monomial_at(ib)
-            rows[cover.ctx.index(bmono.a + l * s1, bmono.b + m * s2)] |= 1 << j
-            x &= x - 1
-    return BinMatrix(lm_c, lm_c, tuple(rows))
+    rows = [0] * witness.cover.ctx.dim
+    for e, row in zip(witness.embedding, w.rows):
+        lifted = witness.embed(row)
+        for o in witness.sheet_offsets:
+            rows[e + o] = lifted << o
+    return BinMatrix(len(rows), len(rows), tuple(rows))
 
 
 def _lift_qubit_perm(witness: CoverWitness, f: tuple[int, ...]) -> tuple[int, ...]:
-    base, cover = witness.base, witness.cover
-    l, m = base.l, base.m
-    lm_b, lm_c = base.ctx.dim, cover.ctx.dim
+    """Sheet-wise lift of a qubit permutation: each sheet maps to itself."""
+    lm_b, lm_c = witness.base.ctx.dim, witness.cover.ctx.dim
+    emb = witness.embedding
     out = [0] * (2 * lm_c)
-    for mono in cover.ctx.monomials():
-        j = cover.ctx.index(mono.a, mono.b)
-        jb = base.ctx.index(mono.a % l, mono.b % m)
-        s1, s2 = mono.a // l, mono.b // m
-        for block in (0, 1):
-            image = f[block * lm_b + jb]
-            img_block, img_idx = divmod(image, lm_b)
-            bmono = base.ctx.monomial_at(img_idx)
-            lifted = cover.ctx.index(bmono.a + l * s1, bmono.b + m * s2)
-            out[block * lm_c + j] = img_block * lm_c + lifted
+    for j, image in enumerate(f):
+        block, jb = divmod(j, lm_b)
+        img_block, ib = divmod(image, lm_b)
+        for o in witness.sheet_offsets:
+            out[block * lm_c + emb[jb] + o] = img_block * lm_c + emb[ib] + o
     return tuple(out)
 
 
@@ -262,12 +247,6 @@ def _apply_perm_vec(perm: tuple[int, ...], v: int) -> int:
         out |= 1 << perm[j]
         v &= v - 1
     return out
-
-
-def _class_matrix(code: BBCode, side: str, vectors: list[int]) -> BinMatrix:
-    """Rows: coordinates of kernel vectors of one sector in the code's logical basis."""
-    coords = code.x_class_coords if side == "X" else code.z_class_coords
-    return BinMatrix(len(vectors), code.k, tuple(coords(v) for v in vectors))
 
 
 def _class_action(code: BBCode, m: CodeAutomorphism, basis: LogicalBasis):

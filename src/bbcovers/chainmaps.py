@@ -17,14 +17,14 @@ from .codes import BBCode, Classification, InternalConsistencyError, PauliOp, Re
 from .covers import CoverWitness
 from .distance import DistanceResult
 from .gf2 import BinMatrix
-from .rings import Monomial, Poly
+from .rings import Poly
 
 
 @dataclass(frozen=True)
 class ChainMap:
-    """Degreewise matrices of a (co)chain map between two code complexes."""
+    """Degreewise matrices of a map between two code complexes; a chain map
+    wherever its squares were checked (constant sections are not checked)."""
 
-    direction: str  # "projection" (cover->base) or "lift" (base->cover)
     deg2: BinMatrix
     deg1: BinMatrix
     deg0: BinMatrix
@@ -43,13 +43,8 @@ class HomologyMap:
 
 
 def projection_matrix(witness: CoverWitness) -> BinMatrix:
-    """p: F2^(l~ m~) -> F2^(lm) on check/monomial spaces."""
-    base, cover = witness.base, witness.cover
-    rows = [0] * base.ctx.dim
-    for mono in cover.ctx.monomials():
-        j = cover.ctx.index(mono.a, mono.b)
-        rows[base.ctx.index(mono.a % base.l, mono.b % base.m)] |= 1 << j
-    return BinMatrix(base.ctx.dim, cover.ctx.dim, tuple(rows))
+    """p: F2^(l~ m~) -> F2^(lm) on check/monomial spaces; row i is the fibre over i."""
+    return BinMatrix(witness.base.ctx.dim, witness.cover.ctx.dim, witness.fibres)
 
 
 def _block_diag(p: BinMatrix) -> BinMatrix:
@@ -85,7 +80,7 @@ def _verify_squares(cm: ChainMap) -> None:
 def projection_map(witness: CoverWitness) -> ChainMap:
     """The chain map p_* : cover -> base, with commutativity verified."""
     p = projection_matrix(witness)
-    cm = ChainMap("projection", p, _block_diag(p), p, witness.cover, witness.base)
+    cm = ChainMap(p, _block_diag(p), p, witness.cover, witness.base)
     _verify_squares(cm)
     return cm
 
@@ -94,7 +89,7 @@ def lifting_map(witness: CoverWitness) -> ChainMap:
     """The chain map tau_* : base -> cover; exactly the transpose of p_*."""
     p = projection_matrix(witness)
     tau = p.transpose()
-    cm = ChainMap("lift", tau, _block_diag(tau), tau, witness.base, witness.cover)
+    cm = ChainMap(tau, _block_diag(tau), tau, witness.base, witness.cover)
     _verify_squares(cm)
     return cm
 
@@ -125,13 +120,11 @@ def project_poly(witness: CoverWitness, p: Poly) -> Poly:
 
 def lift_poly(witness: CoverWitness, p: Poly) -> Poly:
     """Termwise fiber sum into the cover ring; weight multiplies by h."""
-    base, cover = witness.base, witness.cover
-    terms = []
-    for t in p.terms:
-        for i in range(witness.u):
-            for j in range(witness.t):
-                terms.append((t.a + base.l * i, t.b + base.m * j))
-    return Poly.make(cover.ctx, terms)
+    v = witness.embed(p.mask)
+    out = 0
+    for o in witness.sheet_offsets:
+        out |= v << o
+    return Poly(witness.cover.ctx, out)
 
 
 @dataclass(frozen=True)
@@ -168,19 +161,16 @@ def induced_homology_map(cm: ChainMap, side: str = "Z") -> HomologyMap:
     """
     src, tgt = cm.source, cm.target
     ops = src.logical_basis.z_ops if side == "Z" else src.logical_basis.x_ops
-    coords = []
-    for op in ops:
-        image = cm.deg1.mul_vec(op.support_vector())
-        if tgt.syndrome_vector(side, image) != 0:
-            raise InternalConsistencyError("chain-map image left the target kernel")
-        coords.append(tgt.z_class_coords(image) if side == "Z" else tgt.x_class_coords(image))
-    k_t = tgt.k
-    rows = [0] * k_t
-    for j, c in enumerate(coords):
-        for i in range(k_t):
-            if (c >> i) & 1:
-                rows[i] |= 1 << j
-    return HomologyMap(BinMatrix(k_t, len(ops), tuple(rows)), side, src, tgt)
+    images = [cm.deg1.mul_vec(op.support_vector()) for op in ops]
+    if any(tgt.syndrome_vector(side, image) for image in images):
+        raise InternalConsistencyError("chain-map image left the target kernel")
+    return HomologyMap(_class_matrix(tgt, side, images).transpose(), side, src, tgt)
+
+
+def _class_matrix(code: BBCode, side: str, vectors: list[int]) -> BinMatrix:
+    """Rows: coordinates of kernel vectors of one sector in the code's logical basis."""
+    coords = code.x_class_coords if side == "X" else code.z_class_coords
+    return BinMatrix(len(vectors), code.k, tuple(coords(v) for v in vectors))
 
 
 # --- distance bounds -----------------------------------------------------------
@@ -236,29 +226,16 @@ def distance_bounds(witness: CoverWitness, base_d: DistanceResult, cover_k: int)
 
 # --- sections and weight-preserving lifts ---------------------------------------
 
-@dataclass(frozen=True)
-class Section:
-    """Sheet choice (gamma, delta) per base monomial; a one-point fiber pick."""
-
-    witness: CoverWitness
-    offsets: tuple[tuple[Monomial, tuple[int, int]], ...]
-
-    def lift_mono(self, mono: Monomial) -> Monomial:
-        base = self.witness.base
-        for m, (g, d) in self.offsets:
-            if m == mono:
-                return Monomial(mono.a + base.l * g, mono.b + base.m * d)
-        raise Refusal(f"section has no sheet assignment for {mono.render()}")
-
-    def apply(self, p: Poly) -> Poly:
-        cover = self.witness.cover
-        return Poly.make(cover.ctx, [self.lift_mono(t) for t in p.terms])
-
-
-def constant_section(witness: CoverWitness, g: int, d: int) -> Section:
-    """The section shifting every base monomial to the same sheet."""
-    offsets = tuple((mono, (g, d)) for mono in witness.base.ctx.monomials())
-    return Section(witness, offsets)
+def constant_section(witness: CoverWitness, g: int, d: int) -> ChainMap:
+    """The section (sigma, sigma (+) sigma, sigma): base -> cover that puts every base
+    cell on sheet (g mod u, d mod t); p . sigma is the identity in each degree."""
+    base, cover = witness.base, witness.cover
+    o = witness.sheet_offsets[(g % witness.u) * witness.t + d % witness.t]
+    rows = [0] * cover.ctx.dim
+    for i, e in enumerate(witness.embedding):
+        rows[e + o] = 1 << i
+    sigma = BinMatrix(cover.ctx.dim, base.ctx.dim, tuple(rows))
+    return ChainMap(sigma, _block_diag(sigma), sigma, base, cover)
 
 
 def section_chain_map_commutes(witness: CoverWitness, g: int, d: int) -> bool:
@@ -268,15 +245,8 @@ def section_chain_map_commutes(witness: CoverWitness, g: int, d: int) -> bool:
     exponent embedding; they are the one family where commutativity is
     mechanically decidable, so only they are checked here.
     """
-    base, cover = witness.base, witness.cover
     sec = constant_section(witness, g, d)
-    rows = [0] * cover.ctx.dim
-    for mono in base.ctx.monomials():
-        j = base.ctx.index(mono.a, mono.b)
-        lifted = sec.lift_mono(mono)
-        rows[cover.ctx.index(lifted.a, lifted.b)] |= 1 << j
-    sigma = BinMatrix(cover.ctx.dim, base.ctx.dim, tuple(rows))
-    return _is_chain_map((sigma, _block_diag(sigma), sigma), _boundaries(base), _boundaries(cover))
+    return _is_chain_map((sec.deg2, sec.deg1, sec.deg0), _boundaries(sec.source), _boundaries(sec.target))
 
 
 def weight_preserving_lift_search(
@@ -295,20 +265,16 @@ def weight_preserving_lift_search(
     total = h**w
     if total > limit:
         raise Refusal(f"section space h^w = {total} exceeds the budget {limit}")
-    base, cover = witness.base, witness.cover
-    support = [("L", t) for t in op.left.terms] + [("R", t) for t in op.right.terms]
-    sheet_choices = [(i, j) for i in range(witness.u) for j in range(witness.t)]
+    cover = witness.cover
+    # (block, cover index on sheet (0, 0)) of every support term, left block first
+    blocks = (op.left.mask, op.right.mask)
+    support = [(j, e) for j in (0, 1) for i, e in enumerate(witness.embedding) if blocks[j] >> i & 1]
     hits = []
-    for assignment in product(sheet_choices, repeat=w):
-        left_terms, right_terms = [], []
-        for (block, term), (g, d) in zip(support, assignment):
-            lifted = (term.a + base.l * g, term.b + base.m * d)
-            (left_terms if block == "L" else right_terms).append(lifted)
-        cand = PauliOp(
-            op.basis,
-            Poly.make(cover.ctx, left_terms),
-            Poly.make(cover.ctx, right_terms),
-        )
+    for assignment in product(witness.sheet_offsets, repeat=w):
+        masks = [0, 0]
+        for (block, e), o in zip(support, assignment):
+            masks[block] |= 1 << (e + o)
+        cand = PauliOp(op.basis, Poly(cover.ctx, masks[0]), Poly(cover.ctx, masks[1]))
         if cand.weight != w:
             raise InternalConsistencyError("sheet assignment collapsed the support")
         if cover.classify(cand) == Classification.LOGICAL:

@@ -86,7 +86,7 @@ def parse_pauli(text: str, ctx: RingContext) -> PauliOp:
 class BBCode:
     """An immutable code instance with cached parity checks and parameters."""
 
-    def __init__(self, a: Poly, b: Poly, *, _skip_check: bool = False) -> None:
+    def __init__(self, a: Poly, b: Poly) -> None:
         if a.ctx != b.ctx:
             raise ContextMismatch("A and B over different rings")
         if a.is_zero() or b.is_zero():
@@ -98,7 +98,7 @@ class BBCode:
         mat, mbt = a.transpose().to_matrix(), b.transpose().to_matrix()
         self.hx = ma.hstack(mb)
         self.hz = mbt.hstack(mat)
-        if not _skip_check and not self.hx.mul(self.hz.transpose()).is_zero():
+        if not self.hx.mul(self.hz.transpose()).is_zero():
             raise InternalConsistencyError("H_X H_Z^T != 0; construction is broken")
 
     # -- identity ------------------------------------------------------------

@@ -51,6 +51,41 @@ class CoverWitness:
     def h(self) -> int:
         return self.u * self.t
 
+    # The covering map: cover cell x^a y^b lies over base cell x^(a mod l) y^(b mod m)
+    # on sheet (a // l, b // m), so base index i on sheet g is cover index
+    # embedding[i] + sheet_offsets[g], distinct for each (i, g) on a (u l, t m) cover.
+
+    @cached_property
+    def sheet_offsets(self) -> tuple[int, ...]:
+        """Cover-index offset of sheet (g1, g2), at position g1 * t + g2."""
+        l, m, mt = self.base.l, self.base.m, self.base.m * self.t
+        return tuple(l * g1 * mt + m * g2 for g1 in range(self.u) for g2 in range(self.t))
+
+    @cached_property
+    def embedding(self) -> tuple[int, ...]:
+        """Cover index a * m~ + b of base index a * m + b: its cell on sheet (0, 0)."""
+        mt = self.base.m * self.t
+        return tuple(a * mt + b for a in range(self.base.l) for b in range(self.base.m))
+
+    @cached_property
+    def projection(self) -> tuple[int, ...]:
+        """Base index of every cover index."""
+        out = [0] * (self.base.ctx.dim * self.h)
+        for i, e in enumerate(self.embedding):
+            for o in self.sheet_offsets:
+                out[e + o] = i
+        return tuple(out)
+
+    @cached_property
+    def fibres(self) -> tuple[int, ...]:
+        """Cover mask of the fibre over every base index: row i of p."""
+        sheets = sum(1 << o for o in self.sheet_offsets)
+        return tuple(sheets << e for e in self.embedding)
+
+    def embed(self, v: int) -> int:
+        """Cover mask of base mask v on sheet (0, 0)."""
+        return sum(1 << e for i, e in enumerate(self.embedding) if v >> i & 1)
+
 
 def _match_terms(cand: Poly, base: Poly, l: int, m: int) -> tuple[tuple[Monomial, Monomial], ...]:
     """Pair each candidate term with the base term it reduces to, or raise.
@@ -325,9 +360,6 @@ class TannerGraph:
     def neighbors(self, v: Vertex) -> set:
         return {self.label(w) for w in self.adjacency[self._ids[v]]}
 
-    def class_count(self, cls: str) -> int:
-        return self.cells if cls in CLASSES else 0
-
     @property
     def n_checks(self) -> int:
         return 2 * self.cells
@@ -387,11 +419,10 @@ def _derived_edge_ids(base: BBCode, witness: CoverWitness) -> list[int]:
     ((v1 + e1) // l, (v2 + e2) // m) mod (u, t).
     """
     l, m, u, t = base.l, base.m, witness.u, witness.t
-    mt = m * t
-    cells = l * u * mt
+    cells = base.ctx.dim * witness.h
     n = 2 * cells
+    offset, embedding = witness.sheet_offsets, witness.embedding
     sheets = [(g1, g2) for g1 in range(u) for g2 in range(t)]
-    offset = [l * g1 * mt + m * g2 for g1, g2 in sheets]
     # voltage -> the head sheet offset of each tail sheet
     moved = {
         (s1, s2): [offset[((g1 + s1) % u) * t + (g2 + s2) % t] for g1, g2 in sheets]
@@ -405,8 +436,8 @@ def _derived_edge_ids(base: BBCode, witness: CoverWitness) -> list[int]:
             s1, h1 = divmod(v1 + exp.a, l)
             for v2 in range(m):
                 s2, h2 = divmod(v2 + exp.b, m)
-                tail = tail_first + v1 * mt + v2
-                head = head_first + h1 * mt + h2
+                tail = tail_first + embedding[v1 * m + v2]
+                head = head_first + embedding[h1 * m + h2]
                 heads = moved[(s1 % u, s2 % t)]
                 if tail_is_check:
                     first = tail * n + head - n
@@ -437,19 +468,17 @@ def verify_cover_isomorphism(base: BBCode, cover: BBCode, witness: CoverWitness)
     cover neighbourhood onto the neighbourhood in the base graph, which is
     read off the rows and columns of the base H_X and H_Z.
     """
-    l, m = base.l, base.m
-    if (cover.l, cover.m) != (l * witness.u, m * witness.t):
+    if (cover.l, cover.m) != (base.l * witness.u, base.m * witness.t):
         return False
     cover_edges = _edge_ids(cover)
     if set(cover_edges) != set(_derived_edge_ids(base, witness)):
         return False
     # cell projection; a check or qubit index is block * cells + cell in both codes
-    lt, mt = cover.l, cover.m
-    proj = [(a % l) * m + b % m for a in range(lt) for b in range(mt)]
+    proj = witness.projection
     if set(Counter(proj).values()) != {witness.h}:
         return False
     n = cover.n
-    proj = proj + [base.ctx.dim + p for p in proj]
+    proj = proj + tuple(base.ctx.dim + p for p in proj)
     check_nbrs = [0] * n  # projected qubit neighbours of each cover check
     qubit_nbrs = [0] * n  # projected check neighbours of each cover qubit
     for e in cover_edges:

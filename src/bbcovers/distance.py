@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterator
 
 from .codes import BBCode, Classification, InternalConsistencyError, PauliOp, Refusal
 
@@ -36,17 +37,6 @@ class DistanceResult:
         if self.witness is not None:
             d["witness"] = str(self.witness)
         return d
-
-
-def _columns(rows: tuple[int, ...], n: int) -> list[int]:
-    cols = [0] * n
-    for i, r in enumerate(rows):
-        x = r
-        while x:
-            j = (x & -x).bit_length() - 1
-            cols[j] |= 1 << i
-            x &= x - 1
-    return cols
 
 
 def _coset_minimum(code: BBCode, basis_ops) -> tuple[int, int]:
@@ -72,7 +62,7 @@ def _coset_minimum(code: BBCode, basis_ops) -> tuple[int, int]:
     return best, best_vec
 
 
-def _mitm_weight_hits(cols: list[int], n: int, w: int) -> set[tuple[int, ...]]:
+def _mitm_weight_hits(cols: tuple[int, ...], n: int, w: int) -> set[tuple[int, ...]]:
     """Supports of all weight-w vectors in the kernel (column sums to zero)."""
     w1, w2 = w // 2, w - w // 2
     table: dict[int, list[tuple[int, ...]]] = {}
@@ -103,28 +93,26 @@ def _support_vec(supp: tuple[int, ...]) -> int:
     return v
 
 
-def logical_vectors_of_weight(code: BBCode, basis: str, w: int) -> list[int]:
-    """Every weight-w nontrivial logical of the given type, exhaustively."""
-    h_ker = code.hx if basis == "Z" else code.hz
+def _logicals_of_weight(code: BBCode, basis: str, w: int) -> Iterator[int]:
+    """Weight-w nontrivial logicals of the given type, in ascending support order."""
+    cols = (code.hx_t if basis == "Z" else code.hz_t).rows  # the columns of H_X or H_Z
     stab = code._z_stab_reducer if basis == "Z" else code._x_stab_reducer
-    cols = _columns(h_ker.rows, code.n)
-    out = []
     for supp in sorted(_mitm_weight_hits(cols, code.n, w)):
         v = _support_vec(supp)
         if not stab.contains(v):
-            out.append(v)
-    return out
+            yield v
+
+
+def logical_vectors_of_weight(code: BBCode, basis: str, w: int) -> list[int]:
+    """Every weight-w nontrivial logical of the given type, exhaustively."""
+    return list(_logicals_of_weight(code, basis, w))
 
 
 def _mitm_minimum(code: BBCode, basis: str, w_max: int) -> tuple[int | None, int]:
-    h_ker = code.hx if basis == "Z" else code.hz
-    stab = code._z_stab_reducer if basis == "Z" else code._x_stab_reducer
-    cols = _columns(h_ker.rows, code.n)
     for w in range(1, w_max + 1):
-        for supp in sorted(_mitm_weight_hits(cols, code.n, w)):
-            v = _support_vec(supp)
-            if not stab.contains(v):
-                return w, v
+        v = next(_logicals_of_weight(code, basis, w), None)
+        if v is not None:
+            return w, v
     return None, 0
 
 

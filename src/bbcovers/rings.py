@@ -51,10 +51,6 @@ class RingContext:
         """Basis index of x^a y^b (x-major)."""
         return (a % self.l) * self.m + (b % self.m)
 
-    def monomial_at(self, index: int) -> "Monomial":
-        a, b = divmod(index, self.m)
-        return Monomial(a, b)
-
     @cached_property
     def _block_ones(self) -> int:
         """The vector with bit a*m set for every a: one bit per m-block."""
@@ -88,9 +84,6 @@ class Monomial:
 
     def mul(self, other: "Monomial", ctx: RingContext) -> "Monomial":
         return Monomial((self.a + other.a) % ctx.l, (self.b + other.b) % ctx.m)
-
-    def inverse(self, ctx: RingContext) -> "Monomial":
-        return Monomial((-self.a) % ctx.l, (-self.b) % ctx.m)
 
     def render(self) -> str:
         if self.a == 0 and self.b == 0:
@@ -133,10 +126,6 @@ class Poly:
     @classmethod
     def one(cls, ctx: RingContext) -> "Poly":
         return cls(ctx, 1)
-
-    @classmethod
-    def monomial(cls, ctx: RingContext, a: int, b: int) -> "Poly":
-        return cls.make(ctx, [(a, b)])
 
     @cached_property
     def terms(self) -> tuple[Monomial, ...]:

@@ -192,3 +192,76 @@ def verify_cover_isomorphism_reference(base, cover, witness) -> bool:
         if set(projected) != base_adj[(cls, (a % l, b % m))]:
             return False
     return True
+
+
+# --- the covering map by loops over monomials -----------------------------------
+#
+# The constructions chainmaps and autos used before they read the index tables
+# of CoverWitness: each walks the cover or base monomials and reduces or
+# shifts exponents itself.
+
+
+def projection_matrix_reference(witness) -> BinMatrix:
+    """p: row x^a y^b of the base collects every cover x^a' y^b' with a' = a mod l, b' = b mod m."""
+    base, cover = witness.base, witness.cover
+    rows = [0] * base.ctx.dim
+    for mono in cover.ctx.monomials():
+        j = cover.ctx.index(mono.a, mono.b)
+        rows[base.ctx.index(mono.a % base.l, mono.b % base.m)] |= 1 << j
+    return BinMatrix(base.ctx.dim, cover.ctx.dim, tuple(rows))
+
+
+def lift_poly_reference(witness, p: Poly) -> Poly:
+    """Every term x^a y^b goes to x^(a + l i) y^(b + m j) for every sheet (i, j)."""
+    base, cover = witness.base, witness.cover
+    terms = []
+    for t in p.terms:
+        for i in range(witness.u):
+            for j in range(witness.t):
+                terms.append((t.a + base.l * i, t.b + base.m * j))
+    return Poly.make(cover.ctx, terms)
+
+
+def section_matrix_reference(witness, g: int, d: int) -> BinMatrix:
+    """sigma of the constant section: base x^a y^b to cover x^(a + l g) y^(b + m d)."""
+    base, cover = witness.base, witness.cover
+    rows = [0] * cover.ctx.dim
+    for mono in base.ctx.monomials():
+        j = base.ctx.index(mono.a, mono.b)
+        rows[cover.ctx.index(mono.a + base.l * g, mono.b + base.m * d)] |= 1 << j
+    return BinMatrix(cover.ctx.dim, base.ctx.dim, tuple(rows))
+
+
+def lift_check_matrix_reference(witness, w: BinMatrix) -> BinMatrix:
+    """Sheet-wise block lift of a base check map: repeat it on every sheet."""
+    base, cover = witness.base, witness.cover
+    l, m = base.l, base.m
+    lm_c = cover.ctx.dim
+    rows = [0] * lm_c
+    for mono in cover.ctx.monomials():
+        j = cover.ctx.index(mono.a, mono.b)
+        jb = base.ctx.index(mono.a % l, mono.b % m)
+        s1, s2 = mono.a // l, mono.b // m
+        x = w.column(jb)
+        while x:
+            a, b = divmod((x & -x).bit_length() - 1, m)
+            rows[cover.ctx.index(a + l * s1, b + m * s2)] |= 1 << j
+            x &= x - 1
+    return BinMatrix(lm_c, lm_c, tuple(rows))
+
+
+def lift_qubit_perm_reference(witness, f: tuple[int, ...]) -> tuple[int, ...]:
+    """Sheet-wise lift of a qubit permutation given as an image map."""
+    base, cover = witness.base, witness.cover
+    l, m = base.l, base.m
+    lm_b, lm_c = base.ctx.dim, cover.ctx.dim
+    out = [0] * (2 * lm_c)
+    for mono in cover.ctx.monomials():
+        j = cover.ctx.index(mono.a, mono.b)
+        jb = base.ctx.index(mono.a % l, mono.b % m)
+        s1, s2 = mono.a // l, mono.b // m
+        for block in (0, 1):
+            img_block, img_idx = divmod(f[block * lm_b + jb], lm_b)
+            a, b = divmod(img_idx, m)
+            out[block * lm_c + j] = img_block * lm_c + cover.ctx.index(a + l * s1, b + m * s2)
+    return tuple(out)

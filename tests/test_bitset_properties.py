@@ -1,4 +1,5 @@
-"""Properties of the bitset polynomials and of the integer-id cover graphs.
+"""Properties of the bitset polynomials, the integer-id cover graphs and the
+covering-map tables of CoverWitness.
 
 Small rings only.  The slow references are in oracles.py; networkx is an
 independent oracle for Tanner-graph connectivity.
@@ -8,6 +9,8 @@ import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bbcovers.autos import _lift_check_matrix, _lift_qubit_perm
+from bbcovers.chainmaps import constant_section, lift_poly, lifting_map, projection_map, projection_matrix
 from bbcovers.codes import BBCode, parse_code_spec
 from bbcovers.covers import (
     CoverWitness,
@@ -17,9 +20,18 @@ from bbcovers.covers import (
     is_connected,
     verify_cover_isomorphism,
 )
+from bbcovers.gf2 import BinMatrix
 from bbcovers.rings import Monomial, Poly, RingContext, parse_poly
 
-from oracles import to_matrix_reference, verify_cover_isomorphism_reference
+from oracles import (
+    lift_check_matrix_reference,
+    lift_poly_reference,
+    lift_qubit_perm_reference,
+    projection_matrix_reference,
+    section_matrix_reference,
+    to_matrix_reference,
+    verify_cover_isomorphism_reference,
+)
 
 BASES = [
     parse_code_spec("l=3 m=3 A=1+y+y^2 B=1+x+x^2"),
@@ -117,3 +129,37 @@ def test_translation_connectivity_matches_networkx(a, data):
     nxg.add_nodes_from(g.vertices)
     nxg.add_edges_from(tuple(e) for e in g.edges)
     assert _tanner_connected_by_translation(a, b) == nx.is_connected(nxg) == is_connected(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lifts(), st.data())
+def test_covering_map_tables_match_loop_oracles(lift, data):
+    base, cover, w = lift
+    p = projection_matrix_reference(w)
+    assert projection_matrix(w) == p
+    assert [p.column(j).bit_length() - 1 for j in range(cover.ctx.dim)] == list(w.projection)
+    poly = data.draw(polys(base.ctx))
+    assert lift_poly(w, poly) == lift_poly_reference(w, poly)
+    dim = base.ctx.dim
+    m = BinMatrix(dim, dim, tuple(data.draw(st.lists(st.integers(0, (1 << dim) - 1), min_size=dim, max_size=dim))))
+    assert _lift_check_matrix(w, m) == lift_check_matrix_reference(w, m)
+    f = tuple(data.draw(st.permutations(range(base.n))))
+    assert _lift_qubit_perm(w, f) == lift_qubit_perm_reference(w, f)
+    for g in range(-1, w.u + 1):  # sheet arguments reduce mod (u, t)
+        for d in range(-1, w.t + 1):
+            assert constant_section(w, g, d).deg0 == section_matrix_reference(w, g, d)
+
+
+@settings(max_examples=30, deadline=None)
+@given(lifts())
+def test_tau_is_p_transpose_and_every_constant_section_splits_p(lift):
+    base, cover, w = lift
+    pm, tm = projection_map(w), lifting_map(w)
+    for g in range(w.u):
+        for d in range(w.t):
+            sec = constant_section(w, g, d)
+            for p, tau, sigma in zip(
+                (pm.deg2, pm.deg1, pm.deg0), (tm.deg2, tm.deg1, tm.deg0), (sec.deg2, sec.deg1, sec.deg0)
+            ):
+                assert tau == p.transpose()
+                assert p @ sigma == BinMatrix.identity(sigma.n_cols)

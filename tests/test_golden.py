@@ -20,6 +20,7 @@ GROSS = "l=12 m=6 A=x^3+y+y^2 B=y^3+x+x^2"
 COVER_54 = "l=9 m=3 A=x^3+y+y^2 B=1+x+x^2"
 WEIGHT_8 = "l=6 m=2 A=1+x^5+x^3+x^5y B=y+x^2y+x^5y+x^3"
 COVER_W8 = "l=12 m=2 A=1+x^9+x^5+x^11y B=y+x^8y+x^5y+x^9"
+COVER_6X6 = "l=6 m=6 A=1+y+y^2 B=1+x+x^5y^3"
 
 CLI_GOLDEN = [
     (["info", CODE_18], 0, "43cdd0d5216446cd74da95e84987caff55c15ba782de5260753fd0961c750df6"),
@@ -93,6 +94,22 @@ CLI_GOLDEN = [
         ["check-cover", WEIGHT_8, COVER_W8, "--verify-graph"],
         0,
         "c108ac904703bf92447d9258be7585c0775c474782036f6bc43fa2eac0c56f85",
+    ),
+    # chain maps and sheet-wise lifts along both x and y (u = t = 2)
+    (
+        ["lift", CODE_18, COVER_6X6, "X(1+x|0)"],
+        0,
+        "0b0cfa4cc4b408b90bb7e63133ca02c1f3a3b2a03ce8f626c527d9e7515c4653",
+    ),
+    (
+        ["wpl-search", CODE_18, COVER_6X6, "X(1+x|0)"],
+        0,
+        "32960e0a78950b4ef6871fded9edbdbaf244b43b2fd8bac76fea2643d4e875c4",
+    ),
+    (
+        ["aut", CODE_18, "example-5-zx", "--lift-to", "l=6 m=6 A=1+y^2+y^4 B=1+x^2+x^4"],
+        0,
+        "892825c846213e05a7573227c776bb65a228a18c0e379280893139c9484919d1",
     ),
 ]
 

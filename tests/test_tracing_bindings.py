@@ -1,0 +1,42 @@
+"""The benchmark tracer can still bind every name it wraps.
+
+perfbench/tracing.py wraps bbcovers functions, methods and cached properties
+by name; a rename or removal in the package would make ``run.py --trace 1``
+fail.  This installs the tracer without running any workload and checks that
+every per-layer span of BENCHMARK.json is wired and every patch is undone.
+"""
+
+import importlib
+import importlib.util
+import json
+from pathlib import Path
+
+import bbcovers
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = ("gf2", "rings", "codes", "distance", "covers", "chainmaps", "autos", "tables", "cli")
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_tracer_binds_every_traced_name():
+    for name in MODULES:
+        importlib.import_module(f"bbcovers.{name}")
+    tracer = _load_tracing().Tracer(bbcovers)
+    try:
+        tracer.install()  # raises if any wrapped name is gone
+        patched = [(owner, attr, vars(owner)[attr], original) for owner, attr, original in tracer._patches]
+    finally:
+        tracer.uninstall()
+    assert patched
+    assert all(now is not original for _, _, now, original in patched)
+    assert all(vars(owner)[attr] is original for owner, attr, _, original in patched)
+    per_layer = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    spans = {m["name"].rsplit(".", 1)[0] for m in per_layer if m["name"].endswith((".calls", ".s"))}
+    counters = {name.rsplit(".", 1)[0] for name in tracer.counts}
+    assert spans <= set(tracer.spans) | counters
