@@ -1,94 +1,109 @@
 """CSS code automorphisms, ZX-dualities, their lifts, and logical actions.
 
-Automorphisms are supplied rather than discovered: verification, sheet-wise
-lifting along a cover witness, and logical-action computation are offered for
-given candidates, with the shift family and two worked constructions built in.
+Both are chain maps (W_Z, f, W_X) of a code's complex Z-checks -> qubits ->
+X-checks, into the complex itself or into its dual.  They are supplied rather
+than discovered: verification, sheet-wise lifting along a cover witness, and
+logical-action computation are offered for given candidates, with the shift
+family and two worked constructions built in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .codes import (
-    BBCode,
-    Classification,
-    InternalConsistencyError,
-    LogicalBasis,
-    PauliOp,
-    Refusal,
-    pairing_matrix,
-)
+from .codes import BBCode, Classification, InternalConsistencyError, LogicalBasis, Refusal, pairing_matrix
 from .covers import CoverWitness
-from .chainmaps import _block_diag, _boundaries, _class_matrix, _is_chain_map, lift_poly, projection_matrix
+from .chainmaps import ChainMap, _block_diag, _class_images, _class_matrix, _degreewise, _is_chain_map
+from .chainmaps import lift_logical, projection_matrix
 from .gf2 import BinMatrix
 from .rings import Monomial
 
 
 def _perm_matrix(perm: tuple[int, ...]) -> BinMatrix:
-    n = len(perm)
-    rows = [0] * n
-    for j, i in enumerate(perm):
-        rows[i] |= 1 << j
-    return BinMatrix(n, n, tuple(rows))
+    """Matrix of the permutation j -> perm[j]: column j is the unit vector perm[j]."""
+    return BinMatrix(len(perm), len(perm), tuple(1 << i for i in perm)).transpose()
+
+
+def _swap_blocks(w: BinMatrix) -> BinMatrix:
+    """Qubit map sending either block to the other through w: [[0, w], [w, 0]]."""
+    zero = BinMatrix.zeros(w.n_rows, w.n_cols)
+    return zero.hstack(w).vstack(w.hstack(zero))
 
 
 @dataclass(frozen=True)
-class CodeAutomorphism:
-    """Qubit permutation f with check transformations W_X, W_Z.
+class CodeAutomorphism(ChainMap):
+    """Chain map (deg2, deg1, deg0) = (W_Z, f, W_X) of a code's complex to itself.
 
-    Together they are a chain map (W_Z, f, W_X) of the complex Z-checks ->
-    qubits -> X-checks to itself.  The permutation is stored as an image map:
-    qubit j goes to qubit f[j].  Kind "tanner" additionally promises W_X and
-    W_Z are permutation matrices.
+    deg1 is the matrix of a qubit permutation, read back as the image map
+    ``f``.  Kind "tanner" additionally promises W_X and W_Z are permutation
+    matrices.  The JSON form is {"type", "kind", "f", "w_x", "w_z"}, with type
+    "automorphism" or "zx-duality".
     """
 
-    f: tuple[int, ...]
-    w_x: BinMatrix
-    w_z: BinMatrix
     kind: str = "general"
 
-    def f_matrix(self) -> BinMatrix:
-        return _perm_matrix(self.f)
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.kind not in ("general", "tanner"):
+            raise ValueError(f"unknown kind {self.kind!r}")
+
+    @cached_property
+    def f(self) -> tuple[int, ...]:
+        """The qubit permutation of deg1 as an image map: qubit j goes to qubit f[j]."""
+        if not self.deg1.is_permutation():
+            raise ValueError("the qubit degree is not a permutation matrix")
+        return tuple(c.bit_length() - 1 for c in self._columns)
 
     def to_json(self) -> dict:
         return {
+            "type": "zx-duality" if isinstance(self, ZXDuality) else "automorphism",
             "kind": self.kind,
             "f": list(self.f),
-            "w_x": self.w_x.to_text(),
-            "w_z": self.w_z.to_text(),
+            "w_x": self.deg0.to_text(),
+            "w_z": self.deg2.to_text(),
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "CodeAutomorphism":
-        return cls(
-            tuple(data["f"]),
-            BinMatrix.from_text(data["w_x"]),
-            BinMatrix.from_text(data["w_z"]),
-            data.get("kind", "general"),
-        )
+    @staticmethod
+    def from_json(data: dict, code: BBCode) -> "CodeAutomorphism":
+        """The map of ``code`` that ``to_json`` wrote, of the type it records
+        (an automorphism when none is); Refusal for a malformed form."""
+        try:
+            types = {"automorphism": CodeAutomorphism, "zx-duality": ZXDuality}
+            cls = types[data.get("type", "automorphism")]
+            f = tuple(data["f"])
+            w_x, w_z = BinMatrix.from_text(data["w_x"]), BinMatrix.from_text(data["w_z"])
+            if sorted(f) != list(range(code.n)):
+                raise ValueError(f"f is not a permutation of range({code.n})")
+            return cls(w_z, _perm_matrix(f), w_x, code, code, data.get("kind", "general"))
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+            raise Refusal(f"malformed automorphism JSON ({type(exc).__name__}: {exc})") from None
 
 
 class ZXDuality(CodeAutomorphism):
-    """Chain map from a code to its dual complex, swapping X and Z sectors.
+    """Chain map from a code's complex to its dual, swapping X and Z sectors.
 
     W_X maps the X-check space to the Z-check space and W_Z the Z-check space
-    to the X-check space.  Every function of this module that takes a
-    CodeAutomorphism reads the sector swap from this type.
+    to the X-check space.  Source and target are the same code: a self-dual
+    code (A = B^T) has H_X = H_Z, so only this type marks the sector swap, and
+    every function of this module reads it from here.
     """
 
 
 def _verify(code: BBCode, m: CodeAutomorphism) -> bool:
-    """Invertible W's and exact chain squares into the code's own or dual complex."""
-    lm = code.ctx.dim
-    if len(m.f) != code.n or m.w_x.n_cols != lm or m.w_z.n_cols != lm:
-        raise Refusal("map shapes do not match the code")
-    if m.kind == "tanner":
-        if not (m.w_x.is_permutation() and m.w_z.is_permutation()):
-            return False
-    elif m.w_x.rank() != lm or m.w_z.rank() != lm:
+    """A qubit permutation, invertible W's and exact chain squares into the
+    code's own or dual complex."""
+    if m.source != code or m.target != code:
+        raise Refusal("the map is not a map of this code")
+    if not m.deg1.is_permutation():
         return False
-    target = _boundaries(code, isinstance(m, ZXDuality))
-    return _is_chain_map((m.w_z, m.f_matrix(), m.w_x), _boundaries(code), target)
+    lm = code.ctx.dim
+    if m.kind == "tanner":
+        if not (m.deg0.is_permutation() and m.deg2.is_permutation()):
+            return False
+    elif m.deg0.rank() != lm or m.deg2.rank() != lm:
+        return False
+    return m.commutes(isinstance(m, ZXDuality))
 
 
 def verify_automorphism(code: BBCode, aut: CodeAutomorphism) -> bool:
@@ -106,13 +121,8 @@ def verify_zx_duality(code: BBCode, dual: ZXDuality) -> bool:
 def shift_automorphism(code: BBCode, mono: Monomial) -> CodeAutomorphism:
     """Shift all check and qubit labels by a monomial; works on every BB code."""
     ctx = code.ctx
-    lm = ctx.dim
-    table = [0] * lm
-    for m in ctx.monomials():
-        table[ctx.index(m.a, m.b)] = ctx.index(m.a + mono.a, m.b + mono.b)
-    perm = tuple(table) + tuple(lm + i for i in table)
-    w = _perm_matrix(tuple(table))
-    return CodeAutomorphism(perm, w, w, kind="tanner")
+    w = _perm_matrix(tuple(ctx.index(m.a + mono.a, m.b + mono.b) for m in ctx.monomials()))
+    return CodeAutomorphism(w, _block_diag(w), w, code, code, "tanner")
 
 
 def y_exponent_swap_automorphism(code: BBCode, b0: int = 0, b1: int = 1) -> CodeAutomorphism:
@@ -121,21 +131,9 @@ def y_exponent_swap_automorphism(code: BBCode, b0: int = 0, b1: int = 1) -> Code
     This is a Tanner-graph automorphism for codes whose polynomials make the
     two exponents interchangeable; callers should verify it.
     """
-    ctx = code.ctx
-    lm = ctx.dim
-
-    def sigma(b: int) -> int:
-        if b == b0:
-            return b1
-        if b == b1:
-            return b0
-        return b
-
-    table = [ctx.index(m.a, sigma(m.b)) for m in ctx.monomials()]
-    block = [table[ctx.index(m.a, m.b)] for m in ctx.monomials()]
-    perm = tuple(block) + tuple(lm + i for i in block)
-    w = _perm_matrix(tuple(block))
-    return CodeAutomorphism(perm, w, w, kind="tanner")
+    ctx, sigma = code.ctx, {b0: b1, b1: b0}
+    w = _perm_matrix(tuple(ctx.index(m.a, sigma.get(m.b, m.b)) for m in ctx.monomials()))
+    return CodeAutomorphism(w, _block_diag(w), w, code, code, "tanner")
 
 
 def block_swap_zx_duality(code: BBCode) -> ZXDuality:
@@ -143,67 +141,50 @@ def block_swap_zx_duality(code: BBCode) -> ZXDuality:
 
     A ZX-duality exactly when A and B are self-transpose; callers verify.
     """
-    lm = code.ctx.dim
-    perm = tuple(lm + i for i in range(lm)) + tuple(range(lm))
-    ident = BinMatrix.identity(lm)
-    return ZXDuality(perm, ident, ident)
+    ident = BinMatrix.identity(code.ctx.dim)
+    return ZXDuality(ident, _swap_blocks(ident), ident, code, code)
 
 
 def antipode_zx_duality(code: BBCode) -> ZXDuality:
     """Block swap composed with exponent negation; a duality of every BB code."""
     ctx = code.ctx
-    lm = ctx.dim
-    neg = [ctx.index(-m.a, -m.b) for m in ctx.monomials()]
-    perm = tuple(lm + neg[i] for i in range(lm)) + tuple(neg[i] for i in range(lm))
-    w = _perm_matrix(tuple(neg))
-    return ZXDuality(perm, w, w)
+    w = _perm_matrix(tuple(ctx.index(-m.a, -m.b) for m in ctx.monomials()))
+    return ZXDuality(w, _swap_blocks(w), w, code, code)
 
 
 # --- lifting along a cover -------------------------------------------------------
 
-def _lift_check_matrix(witness: CoverWitness, w: BinMatrix) -> BinMatrix:
-    """Sheet-wise block lift: repeat the base map on every sheet."""
-    rows = [0] * witness.cover.ctx.dim
-    for e, row in zip(witness.embedding, w.rows):
-        lifted = witness.embed(row)
-        for o in witness.sheet_offsets:
-            rows[e + o] = lifted << o
-    return BinMatrix(len(rows), len(rows), tuple(rows))
-
-
-def _lift_qubit_perm(witness: CoverWitness, f: tuple[int, ...]) -> tuple[int, ...]:
-    """Sheet-wise lift of a qubit permutation: each sheet maps to itself."""
+def _block_lift(witness: CoverWitness, w: BinMatrix) -> BinMatrix:
+    """Sheet-wise lift of a square base matrix of lm x lm blocks: every block
+    is repeated on every sheet, so each sheet maps to itself.  Check maps are
+    the one-block case and qubit maps the two-block case."""
     lm_b, lm_c = witness.base.ctx.dim, witness.cover.ctx.dim
-    emb = witness.embedding
-    out = [0] * (2 * lm_c)
-    for j, image in enumerate(f):
-        block, jb = divmod(j, lm_b)
-        img_block, ib = divmod(image, lm_b)
+    # cover index on sheet (0, 0) of every base index, block by block
+    index = [block * lm_c + e for block in range(w.n_rows // lm_b) for e in witness.embedding]
+    rows = [0] * (len(index) * witness.h)
+    for r, row in enumerate(w.rows):
+        lifted = 0
+        while row:
+            low = row & -row
+            lifted |= 1 << index[low.bit_length() - 1]
+            row ^= low
         for o in witness.sheet_offsets:
-            out[block * lm_c + emb[jb] + o] = img_block * lm_c + emb[ib] + o
-    return tuple(out)
+            rows[index[r] + o] = lifted << o
+    return BinMatrix(len(rows), len(rows), tuple(rows))
 
 
 def _lift(witness: CoverWitness, m: CodeAutomorphism) -> CodeAutomorphism:
     """Sheet-wise lift; verified on the cover and intertwining with p in every degree."""
     if not _verify(witness.base, m):
         raise Refusal("the supplied map does not verify on the base code")
-    lifted = type(m)(
-        _lift_qubit_perm(witness, m.f),
-        _lift_check_matrix(witness, m.w_x),
-        _lift_check_matrix(witness, m.w_z),
-        kind=m.kind,
-    )
-    if not _verify(witness.cover, lifted):
+    cover = witness.cover
+    lifted = type(m)(*(_block_lift(witness, d) for d in m.degrees), cover, cover, m.kind)
+    if not _verify(cover, lifted):
         raise Refusal("sheet-wise lift does not verify on the cover code")
-    # p . lifted = base . p says (lifted, base) is a chain map cover --p--> base
-    p = projection_matrix(witness)
-    squares = (
-        (_block_diag(p), lifted.f_matrix(), m.f_matrix()),
-        (p, lifted.w_x, m.w_x),
-        (p, lifted.w_z, m.w_z),
-    )
-    if not all(_is_chain_map((up, down), (q,), (q,)) for q, up, down in squares):
+    # p . lifted = m . p: in each degree, p is a chain map between one-step complexes
+    p = _degreewise(projection_matrix(witness), cover, witness.base)
+    squares = zip(p.degrees, lifted.degrees, m.degrees)
+    if not all(_is_chain_map((q, q), (up,), (down,)) for q, up, down in squares):
         raise InternalConsistencyError("lift does not intertwine with the projection")
     return lifted
 
@@ -240,15 +221,6 @@ class DualityAction:
     dz: BinMatrix  # Z basis -> X-class coordinates
 
 
-def _apply_perm_vec(perm: tuple[int, ...], v: int) -> int:
-    out = 0
-    while v:
-        j = (v & -v).bit_length() - 1
-        out |= 1 << perm[j]
-        v &= v - 1
-    return out
-
-
 def _class_action(code: BBCode, m: CodeAutomorphism, basis: LogicalBasis):
     """Images of the X and of the Z basis classes, in the given paired basis.
 
@@ -266,10 +238,7 @@ def _class_action(code: BBCode, m: CodeAutomorphism, basis: LogicalBasis):
     # (images, caller basis) per source sector, all classified before any inverse:
     # with every vector in its kernel, a paired basis has invertible coordinates
     parts = [
-        (
-            _class_matrix(code, side, [_apply_perm_vec(m.f, v) for v in vecs[src]]),
-            _class_matrix(code, side, vecs[side]),
-        )
+        (_class_images(m, side, vecs[src]), _class_matrix(code, side, vecs[side]))
         for src, side in zip("XZ", "ZX" if swap else "XZ")
     ]
     on_x, on_z = (images @ change.inverse() for images, change in parts)
@@ -294,31 +263,19 @@ def tau_lifted_basis(witness: CoverWitness, base_basis: LogicalBasis) -> Logical
     """Lift a paired base basis through tau; valid when h is odd and k_h = k."""
     if witness.h % 2 == 0:
         raise Refusal("tau-lifted bases exist for odd h only (pairing degenerates mod 2)")
-    cover = witness.cover
-    if cover.k != witness.base.k:
-        raise Refusal(f"k_h = {cover.k} != k = {witness.base.k}; lifted set is not a basis")
-    x_ops = tuple(
-        PauliOp("X", lift_poly(witness, op.left), lift_poly(witness, op.right))
-        for op in base_basis.x_ops
-    )
-    z_ops = tuple(
-        PauliOp("Z", lift_poly(witness, op.left), lift_poly(witness, op.right))
-        for op in base_basis.z_ops
-    )
-    lifted = LogicalBasis(x_ops, z_ops)
-    if pairing_matrix(x_ops, z_ops) != BinMatrix.identity(base_basis.k):
+    if witness.cover.k != witness.base.k:
+        raise Refusal(f"k_h = {witness.cover.k} != k = {witness.base.k}; lifted set is not a basis")
+    lifted = [lift_logical(witness, op) for op in base_basis.x_ops + base_basis.z_ops]
+    if any(c.classification != Classification.LOGICAL for c in lifted):
+        raise InternalConsistencyError("tau-lifted operator is not a nontrivial logical")
+    k = base_basis.k
+    x_ops, z_ops = tuple(c.op for c in lifted[:k]), tuple(c.op for c in lifted[k:])
+    if pairing_matrix(x_ops, z_ops) != BinMatrix.identity(k):
         raise InternalConsistencyError("tau-lifted basis does not pair as identity")
-    for op in x_ops + z_ops:
-        if cover.classify(op) != Classification.LOGICAL:
-            raise InternalConsistencyError("tau-lifted operator is not a nontrivial logical")
-    return lifted
+    return LogicalBasis(x_ops, z_ops)
 
 
 def _compare(witness, m, lifted, base_basis) -> bool:
-    if witness.h % 2 == 0:
-        raise Refusal("comparison hypothesis unmet: h must be odd")
-    if witness.cover.k != witness.base.k:
-        raise Refusal("comparison hypothesis unmet: k_h must equal k")
     basis = base_basis if base_basis is not None else witness.base.logical_basis
     lifted_basis = tau_lifted_basis(witness, basis)
     base_action = _class_action(witness.base, m, basis)

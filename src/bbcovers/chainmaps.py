@@ -11,25 +11,59 @@ on nontrivial logicals.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 from .codes import BBCode, Classification, InternalConsistencyError, PauliOp, Refusal
 from .covers import CoverWitness
 from .distance import DistanceResult
-from .gf2 import BinMatrix
+from .gf2 import BinMatrix, ShapeError
 from .rings import Poly
 
 
 @dataclass(frozen=True)
 class ChainMap:
     """Degreewise matrices of a map between two code complexes; a chain map
-    wherever its squares were checked (constant sections are not checked)."""
+    wherever its squares were checked (constant sections are not checked).
+    deg2 acts on Z-checks, deg1 on qubits and deg0 on X-checks."""
 
     deg2: BinMatrix
     deg1: BinMatrix
     deg0: BinMatrix
     source: BBCode
     target: BBCode
+
+    def __post_init__(self) -> None:
+        src, tgt = self.source, self.target
+        shapes = ((tgt.ctx.dim, src.ctx.dim), (tgt.n, src.n), (tgt.ctx.dim, src.ctx.dim))
+        for deg, shape in zip(self.degrees, shapes):
+            if (deg.n_rows, deg.n_cols) != shape:
+                raise ShapeError(f"a degree of shape {deg.n_rows}x{deg.n_cols}, expected {shape}")
+
+    @property
+    def degrees(self) -> tuple[BinMatrix, BinMatrix, BinMatrix]:
+        return (self.deg2, self.deg1, self.deg0)
+
+    @cached_property
+    def _columns(self) -> tuple[int, ...]:
+        """Columns of deg1: the image of every source qubit."""
+        return self.deg1.transpose().rows
+
+    def apply(self, v: int) -> int:
+        """deg1 applied to a qubit vector, in time proportional to its weight."""
+        cols = self._columns
+        out = 0
+        while v:
+            low = v & -v
+            out ^= cols[low.bit_length() - 1]
+            v ^= low
+        return out
+
+    def commutes(self, dual_target: bool = False) -> bool:
+        """Whether every chain square commutes exactly, into the target's complex
+        or, with ``dual_target``, into its dual complex (X and Z swapped)."""
+        target = _boundaries(self.target, dual_target)
+        return _is_chain_map(self.degrees, _boundaries(self.source), target)
 
 
 @dataclass(frozen=True)
@@ -70,26 +104,27 @@ def _is_chain_map(degs, source, target) -> bool:
 def _verify_squares(cm: ChainMap) -> None:
     """All four commuting squares, exactly: the chain squares of cm, and its
     cochain squares as the chain squares between the dual complexes."""
-    degs = (cm.deg2, cm.deg1, cm.deg0)
-    if not _is_chain_map(degs, _boundaries(cm.source), _boundaries(cm.target)):
+    if not cm.commutes():
         raise InternalConsistencyError("chain-map square failed")
-    if not _is_chain_map(degs[::-1], _boundaries(cm.source, True), _boundaries(cm.target, True)):
+    if not _is_chain_map(cm.degrees[::-1], _boundaries(cm.source, True), _boundaries(cm.target, True)):
         raise InternalConsistencyError("cochain-map square failed")
+
+
+def _degreewise(q: BinMatrix, source: BBCode, target: BBCode) -> ChainMap:
+    """The map (q, q (+) q, q) of a map q between monomial spaces."""
+    return ChainMap(q, _block_diag(q), q, source, target)
 
 
 def projection_map(witness: CoverWitness) -> ChainMap:
     """The chain map p_* : cover -> base, with commutativity verified."""
-    p = projection_matrix(witness)
-    cm = ChainMap(p, _block_diag(p), p, witness.cover, witness.base)
+    cm = _degreewise(projection_matrix(witness), witness.cover, witness.base)
     _verify_squares(cm)
     return cm
 
 
 def lifting_map(witness: CoverWitness) -> ChainMap:
     """The chain map tau_* : base -> cover; exactly the transpose of p_*."""
-    p = projection_matrix(witness)
-    tau = p.transpose()
-    cm = ChainMap(tau, _block_diag(tau), tau, witness.base, witness.cover)
+    cm = _degreewise(projection_matrix(witness).transpose(), witness.base, witness.cover)
     _verify_squares(cm)
     return cm
 
@@ -159,18 +194,25 @@ def induced_homology_map(cm: ChainMap, side: str = "Z") -> HomologyMap:
     Column j holds the coordinates of the image of the j-th source basis
     class; images are reduced modulo the target's stabilizers.
     """
-    src, tgt = cm.source, cm.target
+    src = cm.source
     ops = src.logical_basis.z_ops if side == "Z" else src.logical_basis.x_ops
-    images = [cm.deg1.mul_vec(op.support_vector()) for op in ops]
-    if any(tgt.syndrome_vector(side, image) for image in images):
-        raise InternalConsistencyError("chain-map image left the target kernel")
-    return HomologyMap(_class_matrix(tgt, side, images).transpose(), side, src, tgt)
+    try:
+        images = _class_images(cm, side, [op.support_vector() for op in ops])
+    except Refusal:
+        raise InternalConsistencyError("chain-map image left the target kernel") from None
+    return HomologyMap(images.transpose(), side, src, cm.target)
 
 
 def _class_matrix(code: BBCode, side: str, vectors: list[int]) -> BinMatrix:
     """Rows: coordinates of kernel vectors of one sector in the code's logical basis."""
     coords = code.x_class_coords if side == "X" else code.z_class_coords
     return BinMatrix(len(vectors), code.k, tuple(coords(v) for v in vectors))
+
+
+def _class_images(cm: ChainMap, side: str, vectors: list[int]) -> BinMatrix:
+    """Rows: target coordinates, in the ``side`` sector, of the deg1 images of
+    source kernel vectors; Refusal when an image leaves the target kernel."""
+    return _class_matrix(cm.target, side, [cm.apply(v) for v in vectors])
 
 
 # --- distance bounds -----------------------------------------------------------
@@ -234,8 +276,7 @@ def constant_section(witness: CoverWitness, g: int, d: int) -> ChainMap:
     rows = [0] * cover.ctx.dim
     for i, e in enumerate(witness.embedding):
         rows[e + o] = 1 << i
-    sigma = BinMatrix(cover.ctx.dim, base.ctx.dim, tuple(rows))
-    return ChainMap(sigma, _block_diag(sigma), sigma, base, cover)
+    return _degreewise(BinMatrix(cover.ctx.dim, base.ctx.dim, tuple(rows)), base, cover)
 
 
 def section_chain_map_commutes(witness: CoverWitness, g: int, d: int) -> bool:
@@ -245,8 +286,7 @@ def section_chain_map_commutes(witness: CoverWitness, g: int, d: int) -> bool:
     exponent embedding; they are the one family where commutativity is
     mechanically decidable, so only they are checked here.
     """
-    sec = constant_section(witness, g, d)
-    return _is_chain_map((sec.deg2, sec.deg1, sec.deg0), _boundaries(sec.source), _boundaries(sec.target))
+    return constant_section(witness, g, d).commutes()
 
 
 def weight_preserving_lift_search(

@@ -15,6 +15,7 @@ import json
 import sys
 
 from .autos import (
+    CodeAutomorphism,
     block_swap_zx_duality,
     antipode_zx_duality,
     duality_action,
@@ -241,10 +242,12 @@ def _builtin_aut(code: BBCode, name: str):
             raise Refusal("shift automorphism takes a single monomial")
         return shift_automorphism(code, mono.terms[0])
     if name.endswith(".json"):
-        from .autos import CodeAutomorphism
-
-        with open(name) as fh:
-            return CodeAutomorphism.from_json(json.load(fh))
+        try:
+            with open(name) as fh:
+                data = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise Refusal(f"cannot read automorphism file {name!r}: {exc}") from None
+        return CodeAutomorphism.from_json(data, code)
     raise Refusal(f"unknown automorphism name {name!r}")
 
 

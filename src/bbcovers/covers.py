@@ -357,9 +357,6 @@ class TannerGraph:
             frozenset((self.label(c), self.label(n + q))) for c, q in (divmod(e, n) for e in self.edge_ids)
         )
 
-    def neighbors(self, v: Vertex) -> set:
-        return {self.label(w) for w in self.adjacency[self._ids[v]]}
-
     @property
     def n_checks(self) -> int:
         return 2 * self.cells

@@ -5,6 +5,7 @@ import pytest
 
 from bbcovers.autos import (
     CodeAutomorphism,
+    ZXDuality,
     antipode_zx_duality,
     block_swap_zx_duality,
     compare_base_and_lifted_action,
@@ -19,6 +20,7 @@ from bbcovers.autos import (
     verify_zx_duality,
     y_exponent_swap_automorphism,
 )
+from bbcovers.chainmaps import ChainMap
 from bbcovers.codes import (
     Classification,
     LogicalBasis,
@@ -50,8 +52,8 @@ def paper_18_basis():
 
 
 def identity_automorphism(code):
-    lm = code.ctx.dim
-    return CodeAutomorphism(tuple(range(2 * lm)), BinMatrix.identity(lm), BinMatrix.identity(lm), "tanner")
+    ident = BinMatrix.identity(code.ctx.dim)
+    return CodeAutomorphism(ident, BinMatrix.identity(code.n), ident, code, code, "tanner")
 
 
 def cnot_circuit_matrices(k, gates):
@@ -211,11 +213,9 @@ def test_automorphism_preserves_min_weight_logicals():
     # relabeling by a verified automorphism maps the weight-d logical set to
     # itself, so the exact distance is invariant
     aut = y_exponent_swap_automorphism(BASE_18)
-    from bbcovers.autos import _apply_perm_vec
-
     for basis, weight in (("Z", 2), ("X", 2)):
         for v in logical_vectors_of_weight(BASE_18, basis, weight):
-            image = _apply_perm_vec(aut.f, v)
+            image = aut.apply(v)
             assert image.bit_count() == weight
             assert BASE_18.classify_vector(basis, image) == Classification.LOGICAL
 
@@ -223,9 +223,30 @@ def test_automorphism_preserves_min_weight_logicals():
 def test_automorphism_json_round_trip():
     aut = y_exponent_swap_automorphism(BASE_18)
     data = json.loads(json.dumps(aut.to_json()))
-    again = CodeAutomorphism.from_json(data)
-    assert again == aut
+    again = CodeAutomorphism.from_json(data, BASE_18)
+    assert again == aut and type(again) is CodeAutomorphism
     assert verify_automorphism(BASE_18, again)
+
+
+def test_automorphisms_and_dualities_are_chain_maps():
+    assert isinstance(shift_automorphism(BASE_18, Monomial(1, 2)), ChainMap)
+    dual = antipode_zx_duality(BASE_18)
+    assert isinstance(dual, ChainMap) and isinstance(dual, ZXDuality)
+    assert dual.source == dual.target == BASE_18
+
+
+def test_duality_json_round_trip_keeps_the_type():
+    dual = antipode_zx_duality(BASE_18)
+    again = CodeAutomorphism.from_json(json.loads(json.dumps(dual.to_json())), BASE_18)
+    assert type(again) is ZXDuality and again == dual
+    assert verify_zx_duality(BASE_18, again)
+
+
+def test_non_permutation_qubit_degree_does_not_verify():
+    ident = BinMatrix.identity(BASE_18.ctx.dim)
+    for deg1 in (BinMatrix.zeros(18, 18), BinMatrix(18, 18, (3,) + tuple(1 << j for j in range(1, 18)))):
+        assert not verify_automorphism(BASE_18, CodeAutomorphism(ident, deg1, ident, BASE_18, BASE_18))
+        assert not verify_zx_duality(BASE_18, ZXDuality(ident, deg1, ident, BASE_18, BASE_18))
 
 
 def test_shape_mismatch_refused():

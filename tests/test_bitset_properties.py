@@ -1,15 +1,26 @@
-"""Properties of the bitset polynomials, the integer-id cover graphs and the
-covering-map tables of CoverWitness.
+"""Properties of the bitset polynomials, the integer-id cover graphs, the
+covering-map tables of CoverWitness and the automorphisms built on them.
 
 Small rings only.  The slow references are in oracles.py; networkx is an
 independent oracle for Tanner-graph connectivity.
 """
 
+import json
+
 import networkx as nx
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bbcovers.autos import _lift_check_matrix, _lift_qubit_perm
+from bbcovers.autos import (
+    CodeAutomorphism,
+    _block_lift,
+    _perm_matrix,
+    antipode_zx_duality,
+    lift_automorphism,
+    shift_automorphism,
+    verify_automorphism,
+    verify_zx_duality,
+)
 from bbcovers.chainmaps import constant_section, lift_poly, lifting_map, projection_map, projection_matrix
 from bbcovers.codes import BBCode, parse_code_spec
 from bbcovers.covers import (
@@ -54,6 +65,15 @@ def polys(draw, ctx=None, min_terms=0, max_terms=6):
 def poly_pairs(draw):
     p = draw(polys())
     return p, draw(polys(p.ctx))
+
+
+@st.composite
+def codes(draw):
+    """A BB code over a random small ring."""
+    ctx = RingContext(draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+    a, b = draw(polys(ctx, min_terms=1, max_terms=4)), draw(polys(ctx, min_terms=1, max_terms=4))
+    assume(not a.is_zero() and not b.is_zero())  # repeated terms may cancel
+    return BBCode(a, b)
 
 
 @st.composite
@@ -140,11 +160,6 @@ def test_covering_map_tables_match_loop_oracles(lift, data):
     assert [p.column(j).bit_length() - 1 for j in range(cover.ctx.dim)] == list(w.projection)
     poly = data.draw(polys(base.ctx))
     assert lift_poly(w, poly) == lift_poly_reference(w, poly)
-    dim = base.ctx.dim
-    m = BinMatrix(dim, dim, tuple(data.draw(st.lists(st.integers(0, (1 << dim) - 1), min_size=dim, max_size=dim))))
-    assert _lift_check_matrix(w, m) == lift_check_matrix_reference(w, m)
-    f = tuple(data.draw(st.permutations(range(base.n))))
-    assert _lift_qubit_perm(w, f) == lift_qubit_perm_reference(w, f)
     for g in range(-1, w.u + 1):  # sheet arguments reduce mod (u, t)
         for d in range(-1, w.t + 1):
             assert constant_section(w, g, d).deg0 == section_matrix_reference(w, g, d)
@@ -163,3 +178,51 @@ def test_tau_is_p_transpose_and_every_constant_section_splits_p(lift):
             ):
                 assert tau == p.transpose()
                 assert p @ sigma == BinMatrix.identity(sigma.n_cols)
+
+
+def _random_matrix(data, n: int) -> BinMatrix:
+    return BinMatrix(n, n, tuple(data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(lifts(), st.data())
+def test_block_lift_matches_loop_oracles(lift, data):
+    base, cover, w = lift
+    dim = base.ctx.dim
+    m = _random_matrix(data, dim)
+    assert _block_lift(w, m) == lift_check_matrix_reference(w, m)
+    f = tuple(data.draw(st.permutations(range(base.n))))
+    assert _block_lift(w, _perm_matrix(f)) == _perm_matrix(lift_qubit_perm_reference(w, f))
+    # a general two-block matrix lifts block by block
+    m2 = _random_matrix(data, 2 * dim)
+    mask = (1 << dim) - 1
+    blocks = [
+        [BinMatrix(dim, dim, tuple(r >> (c * dim) & mask for r in m2.rows[i * dim : (i + 1) * dim])) for c in (0, 1)]
+        for i in (0, 1)
+    ]
+    top, bottom = ([lift_check_matrix_reference(w, b) for b in row] for row in blocks)
+    assert _block_lift(w, m2) == top[0].hstack(top[1]).vstack(bottom[0].hstack(bottom[1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(codes(), st.integers(-9, 9), st.integers(-9, 9))
+def test_shifts_and_antipode_dualities_verify_and_survive_json(code, a, b):
+    shift, dual = shift_automorphism(code, Monomial(a, b)), antipode_zx_duality(code)
+    assert verify_automorphism(code, shift)
+    assert verify_zx_duality(code, dual)
+    for m in (shift, dual):
+        again = CodeAutomorphism.from_json(json.loads(json.dumps(m.to_json())), code)
+        assert again == m and type(again) is type(m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lifts(), st.data())
+def test_lifted_base_shift_is_the_cover_shift(lift, data):
+    # the sheet-wise lift of x^a y^b is the cover shift when it carries into
+    # no other sheet: a = 0 or a single x-sheet (u = 1), likewise for y
+    base, cover, w = lift
+    a = data.draw(st.integers(0, base.l - 1)) if w.u == 1 else 0
+    b = data.draw(st.integers(0, base.m - 1)) if w.t == 1 else 0
+    lifted = lift_automorphism(w, shift_automorphism(base, Monomial(a, b)))
+    assert verify_automorphism(cover, lifted)
+    assert lifted.f == shift_automorphism(cover, Monomial(a, b)).f

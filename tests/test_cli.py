@@ -186,6 +186,60 @@ def test_aut_unknown_name_refused(capsys):
     assert main(["aut", CODE_18, "no-such-aut"]) == 2
 
 
+def test_aut_duality_file_matches_builtin(capsys, tmp_path):
+    from bbcovers.autos import antipode_zx_duality
+    from bbcovers.codes import parse_code_spec
+
+    path = tmp_path / "dual.json"
+    path.write_text(json.dumps(antipode_zx_duality(parse_code_spec(CODE_18)).to_json()))
+    code, builtin = run_json(capsys, ["aut", CODE_18, "antipode-zx"])
+    assert code == 0 and builtin[0]["verified"] is True
+    code, from_file = run_json(capsys, ["aut", CODE_18, str(path)])
+    assert code == 0
+    for key in ("verified", "dx", "dz"):
+        assert from_file[0][key] == builtin[0][key]
+
+
+def _aut_file_data(**changes):
+    """JSON of the y-swap automorphism of CODE_18 with some keys changed; None drops a key."""
+    from bbcovers.autos import y_exponent_swap_automorphism
+    from bbcovers.codes import parse_code_spec
+
+    data = y_exponent_swap_automorphism(parse_code_spec(CODE_18)).to_json()
+    data.update(changes)
+    return json.dumps({key: value for key, value in data.items() if value is not None})
+
+
+BAD_AUT_FILES = {
+    "missing-file": None,
+    "invalid-json": "{not json",
+    "missing-key": _aut_file_data(w_x=None),
+    "f-out-of-range": _aut_file_data(f=list(range(17)) + [18]),
+    "f-not-a-permutation": _aut_file_data(f=[0] * 18),
+    "f-wrong-length": _aut_file_data(f=list(range(12))),
+    "unknown-kind": _aut_file_data(kind="strange"),
+    "unknown-type": _aut_file_data(type="strange"),
+    "w-wrong-shape": _aut_file_data(w_x="8x8\n" + "\n".join(["00"] * 8)),
+    "not-an-object": json.dumps([1, 2]),
+}
+
+
+@pytest.mark.parametrize("text", BAD_AUT_FILES.values(), ids=BAD_AUT_FILES.keys())
+def test_aut_bad_file_refused(capsys, tmp_path, text):
+    path = tmp_path / "aut.json"
+    if text is not None:
+        path.write_text(text)
+    assert main(["aut", CODE_18, str(path)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_aut_file_round_trip_verifies(capsys, tmp_path):
+    path = tmp_path / "aut.json"
+    path.write_text(_aut_file_data())
+    code, recs = run_json(capsys, ["aut", CODE_18, str(path)])
+    assert code == 0 and recs[0]["verified"] is True
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "bbcovers.cli", "info", "l=1 m=1 A=1 B=1"],
