@@ -21,6 +21,10 @@ from functools import cached_property
 from .gf2 import BinMatrix, RowReducer
 from .rings import ContextMismatch, Poly, PolyParseError, RingContext, Monomial, parse_poly
 
+# Largest lattice l*m a code is built on: l = m = 64 builds in about 0.1 s
+# and 35 MB, and the dense check matrices grow as (l*m)^2 bits.
+MAX_LATTICE_CELLS = 4096
+
 
 class InternalConsistencyError(RuntimeError):
     """A structural identity that the construction guarantees has failed."""
@@ -91,6 +95,8 @@ class BBCode:
             raise ContextMismatch("A and B over different rings")
         if a.is_zero() or b.is_zero():
             raise Refusal("defining polynomials must be nonempty")
+        if a.ctx.dim > MAX_LATTICE_CELLS:
+            raise Refusal(f"lattice l*m = {a.ctx.dim} exceeds the budget of {MAX_LATTICE_CELLS} cells")
         self.ctx = a.ctx
         self.a = a
         self.b = b

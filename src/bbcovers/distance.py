@@ -1,34 +1,41 @@
-"""Exact minimum-distance search at desk scale.
+"""Exact minimum-distance search.
 
-Two exhaustive strategies, picked by code size:
+One exhaustive strategy, the cluster search of Dumer, Kovalev and Pryadko
+(arXiv:1611.07164), run for w = 1, 2, ... up to w_max on the check matrix a
+logical must commute with (H_X for Z logicals, H_Z for X logicals):
 
-* coset enumeration: walk the whole affine family (logical class + stabilizer
-  span) with a Gray code, one XOR and popcount per step.  Exact with no
-  weight cap; feasible while (n - k)/2 + k stays in the low twenties.
-* fixed-weight meet-in-the-middle: for each weight w <= w_max, find every
-  kernel vector of weight w from matching half-support syndromes, then keep
-  the ones outside the stabilizer row space.  Exact when it finds a hit at
-  some w (all lighter weights were exhausted), otherwise it certifies
-  d > w_max.
+* Pinning.  The lattice translations x^a y^b are code automorphisms with two
+  orbits on the qubits, the left and the right block, so some translate of
+  every minimum-weight logical contains qubit 0 or qubit lm.  Searching only
+  the sets that contain one of those two qubits loses no weight.
+* Branching.  If S is a minimum-weight nontrivial logical, no proper nonempty
+  subset T of S has zero syndrome: T or S \\ T would be a lighter nontrivial
+  logical.  So every check T leaves unsatisfied meets S \\ T, and growing T
+  only by the qubits of its lowest unsatisfied check still reaches S.  A
+  branch dies when its syndrome is zero before full weight, or when it has
+  more unsatisfied checks than the remaining qubits can reach (the largest
+  column weight times the qubits left).  A full-weight set with zero syndrome
+  counts when it is outside the stabilizer span.
+* Witness.  At the first weight with a hit, the witness is the hit first in
+  ascending support order.  Translation invariance puts that one among the
+  hits of pin 0 when there are any, otherwise among those of pin lm.  It is
+  re-checked with classify, and a failure is an InternalConsistencyError.
+* w_max.  The result is exact, with that witness, or a lower-bound-interval
+  (d > w_max) when no weight up to w_max has a hit; w_max is echoed as given.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterator
 
 from .codes import BBCode, Classification, InternalConsistencyError, PauliOp, Refusal
-
-COSET_MAX_STAB = 16
-COSET_MAX_K = 12
 
 
 @dataclass(frozen=True)
 class DistanceResult:
     kind: str  # "exact" | "upper-bound" | "lower-bound-interval"
     value: int | None
-    method: str  # "enumeration" | "coset" | "lift-derived"
+    method: str  # "enumeration" (the exhaustive search here) | "lift-derived" (chainmaps bounds)
     w_max: int
     witness: PauliOp | None = None
 
@@ -39,100 +46,74 @@ class DistanceResult:
         return d
 
 
-def _coset_minimum(code: BBCode, basis_ops) -> tuple[int, int]:
-    """Exact min weight over every nontrivial class; returns (weight, witness)."""
-    n = code.n
-    stab = code._z_stab_reducer if basis_ops[0].basis == "Z" else code._x_stab_reducer
-    stab_basis = stab.basis_rows()
-    reps = [op.support_vector() for op in basis_ops]
-    gens = reps + stab_basis
-    k = len(reps)
-    kmask = (1 << k) - 1
-    best = n + 1
-    best_vec = 0
-    cur = 0
-    for g in range(1, 1 << len(gens)):
-        bit = (g & -g).bit_length() - 1
-        cur ^= gens[bit]
-        if (g ^ (g >> 1)) & kmask:
-            w = cur.bit_count()
-            if w < best:
-                best = w
-                best_vec = cur
-    return best, best_vec
-
-
-def _mitm_weight_hits(cols: tuple[int, ...], n: int, w: int) -> set[tuple[int, ...]]:
-    """Supports of all weight-w vectors in the kernel (column sums to zero)."""
-    w1, w2 = w // 2, w - w // 2
-    table: dict[int, list[tuple[int, ...]]] = {}
-    for idxs in combinations(range(n), w1):
-        s = 0
-        for i in idxs:
-            s ^= cols[i]
-        table.setdefault(s, []).append(idxs)
-    hits: set[tuple[int, ...]] = set()
-    for idxs in combinations(range(n), w2):
-        s = 0
-        for i in idxs:
-            s ^= cols[i]
-        bucket = table.get(s)
-        if not bucket:
-            continue
-        right = set(idxs)
-        for left in bucket:
-            if right.isdisjoint(left):
-                hits.add(tuple(sorted(left + idxs)))
-    return hits
-
-
-def _support_vec(supp: tuple[int, ...]) -> int:
-    v = 0
-    for i in supp:
-        v |= 1 << i
-    return v
-
-
-def _logicals_of_weight(code: BBCode, basis: str, w: int) -> Iterator[int]:
-    """Weight-w nontrivial logicals of the given type, in ascending support order."""
-    cols = (code.hx_t if basis == "Z" else code.hz_t).rows  # the columns of H_X or H_Z
+def _cluster_search(code: BBCode, basis: str):
+    """logicals(root, w): the weight-w nontrivial logicals through `root`, when
+    no lighter nontrivial logical of the given type exists."""
+    h, h_t = (code.hx, code.hx_t) if basis == "Z" else (code.hz, code.hz_t)
+    checks, cols = h.rows, h_t.rows
+    reach = max(c.bit_count() for c in cols)
     stab = code._z_stab_reducer if basis == "Z" else code._x_stab_reducer
-    for supp in sorted(_mitm_weight_hits(cols, code.n, w)):
-        v = _support_vec(supp)
-        if not stab.contains(v):
-            yield v
+
+    def logicals(root: int, w: int) -> list[int]:
+        hits: set[int] = set()
+
+        def grow(v: int, syn: int, left: int) -> None:
+            if not syn:
+                if not left:
+                    hits.add(v)
+                return
+            if syn.bit_count() > reach * left:
+                return
+            free = checks[(syn & -syn).bit_length() - 1] & ~v
+            while free:
+                q = free & -free
+                grow(v | q, syn ^ cols[q.bit_length() - 1], left - 1)
+                free ^= q
+
+        grow(1 << root, cols[root], w - 1)
+        return [v for v in hits if not stab.contains(v)]
+
+    return logicals
 
 
-def logical_vectors_of_weight(code: BBCode, basis: str, w: int) -> list[int]:
-    """Every weight-w nontrivial logical of the given type, exhaustively."""
-    return list(_logicals_of_weight(code, basis, w))
+def _ascending_support(v: int) -> list[int]:
+    return [i for i in range(v.bit_length()) if v >> i & 1]
 
 
-def _mitm_minimum(code: BBCode, basis: str, w_max: int) -> tuple[int | None, int]:
-    for w in range(1, w_max + 1):
-        v = next(_logicals_of_weight(code, basis, w), None)
-        if v is not None:
-            return w, v
-    return None, 0
-
-
-def distance_one_side(code: BBCode, basis: str, w_max: int) -> DistanceResult:
-    """Exact d_X (basis='X') or d_Z (basis='Z'), or a d > w_max certificate."""
+def _lightest_logical(code: BBCode, basis: str, w_max: int) -> tuple[int, int] | None:
+    """(d, witness vector) of the given side, or None when d > w_max."""
     if w_max < 1:
         raise Refusal(f"w_max must be >= 1, got {w_max}")
     if code.k == 0:
         raise Refusal("distance undefined: the code has no logical qubits")
-    if (code.n - code.k) // 2 <= COSET_MAX_STAB and code.k <= COSET_MAX_K:
-        ops = code.logical_basis.z_ops if basis == "Z" else code.logical_basis.x_ops
-        w, vec = _coset_minimum(code, ops)
-        op = PauliOp.from_vector(basis, code.ctx, vec)
-        if code.classify(op) != Classification.LOGICAL:
-            raise InternalConsistencyError("coset witness failed classification")
-        return DistanceResult("exact", w, "coset", w_max=code.n, witness=op)
-    w, vec = _mitm_minimum(code, basis, w_max)
-    if w is None:
+    logicals = _cluster_search(code, basis)
+    for w in range(1, min(w_max, code.n) + 1):
+        for root in (0, code.ctx.dim):
+            found = logicals(root, w)
+            if found:
+                return w, min(found, key=_ascending_support)
+    return None
+
+
+def logical_vectors_of_weight(code: BBCode, basis: str, w: int) -> list[int]:
+    """Every nontrivial logical of the given type and weight w, in ascending
+    support order; w must be that side's minimum weight."""
+    found = _lightest_logical(code, basis, w)
+    if found is None or found[0] != w:
+        raise Refusal(f"w = {w} is not the minimum weight of a nontrivial {basis} logical")
+    logicals = _cluster_search(code, basis)
+    return sorted({v for root in range(code.n) for v in logicals(root, w)}, key=_ascending_support)
+
+
+def distance_one_side(code: BBCode, basis: str, w_max: int) -> DistanceResult:
+    """Exact d_X (basis='X') or d_Z (basis='Z'), or a d > w_max certificate."""
+    found = _lightest_logical(code, basis, w_max)
+    if found is None:
         return DistanceResult("lower-bound-interval", None, "enumeration", w_max=w_max)
+    w, vec = found
     op = PauliOp.from_vector(basis, code.ctx, vec)
+    if op.weight != w or code.classify(op) != Classification.LOGICAL:
+        raise InternalConsistencyError(f"distance witness {op} is not a weight-{w} nontrivial logical")
     return DistanceResult("exact", w, "enumeration", w_max=w_max, witness=op)
 
 
@@ -142,13 +123,7 @@ def exact_distance(code: BBCode, w_max: int, *, both_sides: bool = False) -> Dis
     if not both_sides:
         return dz
     dx = distance_one_side(code, "X", w_max)
-    if dz.kind == "exact" and dx.kind == "exact":
-        value = min(dz.value, dx.value)
-        pick = dz if dz.value <= dx.value else dx
-        return DistanceResult("exact", value, pick.method, w_max=w_max, witness=pick.witness)
-    if dz.kind == "exact":
-        return dz
-    if dx.kind == "exact":
+    if dx.kind == "exact" and (dz.kind != "exact" or dx.value < dz.value):
         return dx
     return dz
 

@@ -2,6 +2,7 @@
 
 from collections import Counter
 from functools import reduce
+from itertools import combinations
 
 from bbcovers.gf2 import BinMatrix
 from bbcovers.rings import Poly, RingContext
@@ -265,3 +266,71 @@ def lift_qubit_perm_reference(witness, f: tuple[int, ...]) -> tuple[int, ...]:
             a, b = divmod(img_idx, m)
             out[block * lm_c + j] = img_block * lm_c + cover.ctx.index(a + l * s1, b + m * s2)
     return tuple(out)
+
+
+# --- the two exhaustive distance strategies ------------------------------------
+#
+# The strategies distance.py used before the pinned cluster search: a Gray-code
+# walk over every nontrivial class plus the stabilizer span, and a fixed-weight
+# meet-in-the-middle search over half-support syndromes.  The first is exact
+# with no weight cap; the second yields in ascending support order, so its
+# first hit at the minimum weight is the witness the cluster search must give.
+
+
+def coset_minimum(code, basis: str) -> tuple[int, int]:
+    """Exact min weight over every nontrivial class; returns (weight, witness)."""
+    ops = code.logical_basis.z_ops if basis == "Z" else code.logical_basis.x_ops
+    stab = code._z_stab_reducer if basis == "Z" else code._x_stab_reducer
+    reps = [op.support_vector() for op in ops]
+    gens = reps + stab.basis_rows()
+    kmask = (1 << len(reps)) - 1
+    best = code.n + 1
+    best_vec = 0
+    cur = 0
+    for g in range(1, 1 << len(gens)):
+        bit = (g & -g).bit_length() - 1
+        cur ^= gens[bit]
+        if (g ^ (g >> 1)) & kmask:
+            w = cur.bit_count()
+            if w < best:
+                best = w
+                best_vec = cur
+    return best, best_vec
+
+
+def mitm_weight_hits(cols: tuple[int, ...], n: int, w: int) -> set[tuple[int, ...]]:
+    """Supports of all weight-w vectors in the kernel (column sums to zero)."""
+    w1, w2 = w // 2, w - w // 2
+    table: dict[int, list[tuple[int, ...]]] = {}
+    for idxs in combinations(range(n), w1):
+        s = 0
+        for i in idxs:
+            s ^= cols[i]
+        table.setdefault(s, []).append(idxs)
+    hits: set[tuple[int, ...]] = set()
+    for idxs in combinations(range(n), w2):
+        s = 0
+        for i in idxs:
+            s ^= cols[i]
+        right = set(idxs)
+        for left in table.get(s, ()):
+            if right.isdisjoint(left):
+                hits.add(tuple(sorted(left + idxs)))
+    return hits
+
+
+def mitm_logicals_of_weight(code, basis: str, w: int) -> list[int]:
+    """Every weight-w nontrivial logical of the given type, in ascending support order."""
+    cols = (code.hx_t if basis == "Z" else code.hz_t).rows  # the columns of H_X or H_Z
+    stab = code._z_stab_reducer if basis == "Z" else code._x_stab_reducer
+    vecs = [sum(1 << i for i in supp) for supp in sorted(mitm_weight_hits(cols, code.n, w))]
+    return [v for v in vecs if not stab.contains(v)]
+
+
+def mitm_minimum(code, basis: str, w_max: int) -> tuple[int | None, int]:
+    """(d, first hit in ascending support order), or (None, 0) when d > w_max."""
+    for w in range(1, w_max + 1):
+        vecs = mitm_logicals_of_weight(code, basis, w)
+        if vecs:
+            return w, vecs[0]
+    return None, 0

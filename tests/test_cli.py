@@ -26,12 +26,32 @@ def test_info_72(capsys):
     rec = recs[0]
     assert (rec["n"], rec["k"]) == (72, 12)
     assert rec["d"]["value"] == 6 and rec["d"]["kind"] == "exact"
+    jsonschema.validate(rec, record_schema())
+
+
+def test_info_distance_record_matches_schema(capsys):
+    code, recs = run_json(capsys, ["info", CODE_18, "--distance", "--wmax", "1"])
+    assert code == 0
+    assert recs[0]["d"] == {"kind": "lower-bound-interval", "value": None, "method": "enumeration", "w_max": 1}
+    jsonschema.validate(recs[0], record_schema())
 
 
 def test_info_degenerate(capsys):
     code, recs = run_json(capsys, ["info", "l=1 m=1 A=1 B=1"])
     assert code == 0
     assert (recs[0]["n"], recs[0]["k"]) == (2, 0)
+
+
+def test_info_oversized_lattice_is_refused_before_any_matrix(monkeypatch, capsys):
+    from bbcovers.codes import MAX_LATTICE_CELLS
+    from bbcovers.rings import Poly
+
+    def fail(self):
+        raise AssertionError("the refusal came too late: a matrix was built")
+
+    monkeypatch.setattr(Poly, "to_matrix", fail)
+    assert main(["info", "l=3000 m=3000 A=1+x B=1+y"]) == 2
+    assert f"budget of {MAX_LATTICE_CELLS}" in capsys.readouterr().err
 
 
 def test_info_malformed_poly_is_refused(capsys):
@@ -251,13 +271,14 @@ def test_console_entry_point():
 
 
 def test_distance_coset_witness_breach_exits_3(monkeypatch, capsys):
+    # the search's witness is re-checked with classify; a stabilizer fails it
     import bbcovers.distance as distance
 
-    def stabilizer_witness(code, basis_ops):
-        stab = code.hz if basis_ops[0].basis == "Z" else code.hx
+    def stabilizer_witness(code, basis, w_max):
+        stab = code.hz if basis == "Z" else code.hx
         return stab.rows[0].bit_count(), stab.rows[0]
 
-    monkeypatch.setattr(distance, "_coset_minimum", stabilizer_witness)
+    monkeypatch.setattr(distance, "_lightest_logical", stabilizer_witness)
     assert main(["distance", CODE_18, "--side", "z"]) == 3
     assert "internal invariant breach" in capsys.readouterr().err
 

@@ -1,10 +1,16 @@
 """Dual-route checks: independent strategies must agree on shared ground."""
 
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
 from bbcovers.chainmaps import projection_map
-from bbcovers.codes import Classification, parse_code_spec
+from bbcovers.codes import BBCode, Classification, parse_code_spec
 from bbcovers.covers import canonical_form, check_cover, enumerate_covers, lifts_of_poly
-from bbcovers.distance import _mitm_minimum, exact_distance
+from bbcovers.distance import distance_one_side, exact_distance, logical_vectors_of_weight
 from bbcovers.gf2 import RowReducer
+from bbcovers.rings import Poly, RingContext
+
+from oracles import coset_minimum, mitm_logicals_of_weight, mitm_minimum
 
 
 def brute_force_z_distance(code):
@@ -33,6 +39,9 @@ def test_distance_against_full_kernel_walk():
 
 
 def test_coset_and_mitm_strategies_agree():
+    # the cluster search against both strategies it replaced, on both sides:
+    # the same d as the coset walk, the meet-in-the-middle search's first hit
+    # as witness and its full list of minimum-weight logicals
     for spec in (
         "l=3 m=3 A=1+y+y^2 B=1+x+x^2",
         "l=7 m=1 A=1+x^2+x^3 B=1+x^2+x^3",
@@ -40,18 +49,48 @@ def test_coset_and_mitm_strategies_agree():
         "l=6 m=2 A=1+x^5+x^3+x^5y B=y+x^2y+x^5y+x^3",
     ):
         code = parse_code_spec(spec)
-        coset = exact_distance(code, 6)
-        assert coset.method == "coset"
-        mitm_w, _ = _mitm_minimum(code, "Z", coset.value)
-        assert mitm_w == coset.value
+        for side in "ZX":
+            res = distance_one_side(code, side, code.n)
+            assert res.kind == "exact" and res.method == "enumeration"
+            coset_w, _ = coset_minimum(code, side)
+            mitm_w, mitm_first = mitm_minimum(code, side, res.value)
+            assert res.value == coset_w == mitm_w
+            assert res.witness.support_vector() == mitm_first
+            d = res.value
+            assert logical_vectors_of_weight(code, side, d) == mitm_logicals_of_weight(code, side, d)
+
+
+@st.composite
+def weight3_codes(draw):
+    """A BB code with weight-3 A and B over a ring with l, m <= 4, and k > 0.
+
+    The kernel walk and the coset walk visit 2^((n + k)/2) vectors, so codes
+    past 2^18 are skipped to keep the oracles fast.
+    """
+    l, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    assume(l * m >= 3)
+    ctx = RingContext(l, m)
+    cells = st.tuples(st.integers(0, l - 1), st.integers(0, m - 1))
+    a, b = (Poly.make(ctx, draw(st.sets(cells, min_size=3, max_size=3))) for _ in "ab")
+    code = BBCode(a, b)
+    assume(code.k > 0 and (code.n + code.k) // 2 <= 18)
+    return code
+
+
+@settings(max_examples=100, deadline=None)
+@given(weight3_codes())
+def test_cluster_search_matches_oracles_on_random_codes(code):
+    for side in "ZX":
+        res = distance_one_side(code, side, code.n)
+        truth = brute_force_z_distance(code) if side == "Z" else coset_minimum(code, "X")[0]
+        assert res.kind == "exact" and res.value == truth
+        assert res.witness.support_vector() == mitm_minimum(code, side, truth)[1]
 
 
 def test_k_is_invariant_across_each_canonical_orbit():
     base = parse_code_spec("l=3 m=3 A=1+y+y^2 B=1+x+x^2")
     enum = enumerate_covers(base, 6, 3)
     by_rep = {(r.a.terms, r.b.terms): r.k for r in enum.records}
-    from bbcovers.codes import BBCode
-
     for at in lifts_of_poly(base.a, 2, 1):
         for bt in lifts_of_poly(base.b, 2, 1):
             rep = canonical_form(at, bt, base, 2, 1)

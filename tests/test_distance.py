@@ -15,7 +15,7 @@ from bbcovers.rings import Monomial
 def test_exact_distance_18():
     res = exact_distance(parse_code_spec("l=3 m=3 A=1+y+y^2 B=1+x+x^2"), 4, both_sides=True)
     assert res.kind == "exact" and res.value == 2
-    assert res.method == "coset"
+    assert res.method == "enumeration"
 
 
 def test_exact_distance_72():
@@ -38,6 +38,17 @@ def test_exact_distance_weight8_search():
     assert res.kind == "exact" and res.value == 8
 
 
+def test_exact_distance_beyond_the_old_exhaustive_regime():
+    # the published [[90,8,10]] row, past the d <= 8 of sequence --distance auto
+    code = parse_code_spec("l=15 m=3 A=x^9+y+y^2 B=1+x^2+x^7")
+    for side in "ZX":
+        res = distance_one_side(code, side, 10)
+        assert res.kind == "exact" and res.value == 10 and res.w_max == 10
+        assert res.witness.basis == side and res.witness.weight == 10
+        assert code.classify(res.witness) == Classification.LOGICAL
+    assert distance_one_side(code, "Z", 9).kind == "lower-bound-interval"
+
+
 def test_witness_is_minimum_weight_logical():
     code = parse_code_spec("l=9 m=3 A=x^3+y+y^2 B=1+x+x^2")
     res = distance_one_side(code, "Z", 6)
@@ -51,6 +62,15 @@ def test_wmax_too_small_reports_interval():
     res = distance_one_side(code, "Z", 4)
     assert res.kind == "lower-bound-interval"
     assert res.value is None and res.w_max == 4
+    assert res.method == "enumeration"
+
+
+def test_wmax_is_echoed_for_every_size():
+    code = parse_code_spec("l=3 m=3 A=1+y+y^2 B=1+x+x^2")
+    for w_max in (2, 4, 100):
+        res = distance_one_side(code, "Z", w_max)
+        assert (res.kind, res.value, res.w_max) == ("exact", 2, w_max)
+    assert distance_one_side(code, "Z", 1).kind == "lower-bound-interval"
 
 
 def test_dx_equals_dz():
@@ -79,6 +99,17 @@ def test_logical_vectors_of_weight_exhaustive():
     for v in vecs:
         assert v.bit_count() == 2
         assert code.classify_vector("Z", v) == Classification.LOGICAL
+    assert vecs == sorted(vecs, key=lambda v: [i for i in range(code.n) if v >> i & 1])
+    # Z(1 + y|0) and its y-translates
+    assert len(set(vecs)) == len(vecs)
+    assert {0b11, 0b110, 0b101} <= set(vecs)
+
+
+@pytest.mark.parametrize("w", [1, 3])
+def test_logical_vectors_of_weight_refuses_other_weights(w):
+    code = parse_code_spec("l=3 m=3 A=1+y+y^2 B=1+x+x^2")
+    with pytest.raises(Refusal):
+        logical_vectors_of_weight(code, "Z", w)
 
 
 def _shift_poly(p, mono):

@@ -24,7 +24,7 @@ COVER_6X6 = "l=6 m=6 A=1+y+y^2 B=1+x+x^5y^3"
 
 CLI_GOLDEN = [
     (["info", CODE_18], 0, "43cdd0d5216446cd74da95e84987caff55c15ba782de5260753fd0961c750df6"),
-    (["info", CODE_18, "--distance"], 0, "0df7852e54f03a682c2d8b1f563b145a19c86ce86fd1b177eea3cd04305f4ba7"),
+    (["info", CODE_18, "--distance"], 0, "ae18a0b72416ba6be0956b81582138c8d2865bf8ca600d10eb5249abd1666528"),
     (
         ["check-cover", CODE_72, GROSS, "--verify-graph"],
         0,
@@ -41,15 +41,21 @@ CLI_GOLDEN = [
         "81709dcacbe2c709e5e6ccb18c2f4853aeb8a685ccd6cbdba11a3acc0e546b36",
     ),
     (["sequence"], 0, "1097738b2047377afa90be87ca89f642596162f8ba3f67513d09c3db33651050"),
+    # 20 exact rows (n <= 100, d <= 8) and 41 rows of lift-derived bounds
+    (
+        ["sequence", "--distance", "auto"],
+        0,
+        "5c1eea6decf37155e339632e6613e474f5dd1d2c47f288dfee97fdf3f15a745b",
+    ),
     (
         ["distance", CODE_18, "--wmax", "4"],
         0,
-        "57e913f2f3fe6a7df7ba4e295fce7936c06b8cb7971b3a1f52d6925809d5518e",
+        "c62afc5ec45065cf4b17b6caf59ab8ab199478137642358d9239cb88fcca3fc6",
     ),
     (
         ["distance", CODE_18, "--wmax", "4", "--side", "z"],
         0,
-        "6f36b7d5f0007b333ef2918fe5396323aef8c2908f268d5443eae8f9dc2ba0b2",
+        "847e17212f6861f0a803c6f535c95161db2a0fc42f675a7ab483a655d965a8a5",
     ),
     (
         ["lift", CODE_18, COVER_54, "X(1+x|0)"],
