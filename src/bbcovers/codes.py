@@ -10,6 +10,9 @@ Poly.to_matrix: row r of H_X is the support (rA | rB) of the X-check
 labelled r, and row r of H_Z is (rB^T | rA^T).  Qubit index convention:
 left-block qubit x^a y^b sits at a*m + b, right-block qubits follow at
 lm + a*m + b.
+
+H_X and H_Z are each eliminated once, by the two stabilizer reducers: k,
+classification, logical representatives and class coordinates read them.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 from .gf2 import BinMatrix, RowReducer
 from .rings import ContextMismatch, Poly, PolyParseError, RingContext, Monomial, parse_poly
@@ -95,9 +99,7 @@ class BBCode:
             raise ContextMismatch("A and B over different rings")
         if a.is_zero() or b.is_zero():
             raise Refusal("defining polynomials must be nonempty")
-        if a.ctx.dim > MAX_LATTICE_CELLS:
-            raise Refusal(f"lattice l*m = {a.ctx.dim} exceeds the budget of {MAX_LATTICE_CELLS} cells")
-        self.ctx = a.ctx
+        self.ctx = _within_budget(a.ctx)
         self.a = a
         self.b = b
         ma, mb = a.to_matrix(), b.to_matrix()
@@ -150,8 +152,7 @@ class BBCode:
 
     @cached_property
     def rank_hz(self) -> int:
-        rz = self.hz.rank()
-        rx = self.hx.rank()
+        rx, rz = len(self._x_stab_reducer), len(self._z_stab_reducer)
         if rx != rz:
             raise InternalConsistencyError(f"rank H_X = {rx} != rank H_Z = {rz}")
         return rz
@@ -213,30 +214,26 @@ class BBCode:
     def logical_basis(self) -> "LogicalBasis":
         return _symplectic_basis(self)
 
-    @cached_property
-    def _x_class_reducer(self) -> RowReducer:
-        """Rows of H_X, then the X logical basis, tagged by insertion index."""
-        logicals = tuple(op.support_vector() for op in self.logical_basis.x_ops)
-        return RowReducer.with_tags(self.n, self.hx.rows + logicals)
-
-    @cached_property
-    def _z_class_reducer(self) -> RowReducer:
-        logicals = tuple(op.support_vector() for op in self.logical_basis.z_ops)
-        return RowReducer.with_tags(self.n, self.hz.rows + logicals)
-
     def x_class_coords(self, v: int) -> int:
         """Coordinates of an X-type kernel vector in the X logical basis."""
-        return self._class_coords(self._x_class_reducer, v)
+        return self._class_coords("X", v, self.logical_basis.z_ops)
 
     def z_class_coords(self, v: int) -> int:
-        return self._class_coords(self._z_class_reducer, v)
+        return self._class_coords("Z", v, self.logical_basis.x_ops)
 
-    def _class_coords(self, reducer: RowReducer, v: int) -> int:
-        combo = reducer.express(v)
-        if combo is None:
+    def _class_coords(self, basis: str, v: int, partners: tuple[PauliOp, ...]) -> int:
+        if self.syndrome_vector(basis, v):
             raise Refusal("vector is not in the kernel of the relevant check matrix")
-        # the first lm tags are the stabilizer rows, the rest the logical basis
-        return combo >> self.ctx.dim
+        # v is a sum of basis logicals and stabilizers; each partner pairs with
+        # one basis logical and commutes with everything else in that sum
+        return _overlap_parities(v, [op.support_vector() for op in partners])
+
+
+def _within_budget(ctx: RingContext) -> RingContext:
+    """ctx, or Refusal above MAX_LATTICE_CELLS cells: call it before parsing, as x^e holds e bits."""
+    if ctx.dim > MAX_LATTICE_CELLS:
+        raise Refusal(f"lattice l*m = {ctx.dim} exceeds the budget of {MAX_LATTICE_CELLS} cells")
+    return ctx
 
 
 def build_code(a: str | Poly, b: str | Poly, l: int | None = None, m: int | None = None) -> BBCode:
@@ -244,7 +241,7 @@ def build_code(a: str | Poly, b: str | Poly, l: int | None = None, m: int | None
     if isinstance(a, str) or isinstance(b, str):
         if l is None or m is None:
             raise Refusal("l and m are required when passing polynomial strings")
-        ctx = RingContext(l, m)
+        ctx = _within_budget(RingContext(l, m))
         a = parse_poly(a, ctx) if isinstance(a, str) else a
         b = parse_poly(b, ctx) if isinstance(b, str) else b
     return BBCode(a, b)
@@ -270,10 +267,10 @@ def parse_code_spec(line: str) -> BBCode:
         raise Refusal(f"code spec missing fields: {sorted(missing)}")
     try:
         l, m = int(fields["l"]), int(fields["m"])
-        ctx = RingContext(l, m)
+        RingContext(l, m)
     except ValueError as exc:
         raise Refusal(f"bad lattice parameter: {exc}") from exc
-    return BBCode(parse_poly(fields["A"], ctx), parse_poly(fields["B"], ctx))
+    return build_code(fields["A"], fields["B"], l, m)
 
 
 @dataclass(frozen=True)
@@ -291,40 +288,37 @@ class LogicalBasis:
         return pairing_matrix(self.x_ops, self.z_ops)
 
 
+def _overlap_parities(v: int, others: list[int]) -> int:
+    """Bit j is the parity of the overlap of v with others[j]."""
+    return sum(((v & w).bit_count() & 1) << j for j, w in enumerate(others))
+
+
 def pairing_matrix(x_ops, z_ops) -> BinMatrix:
     """Symplectic overlap parity matrix between two operator lists."""
     zv = [op.support_vector() for op in z_ops]
-    rows = []
-    for xop in x_ops:
-        x = xop.support_vector()
-        rows.append(sum(((x & z).bit_count() & 1) << j for j, z in enumerate(zv)))
-    return BinMatrix(len(rows), len(zv), tuple(rows))
+    rows = tuple(_overlap_parities(x.support_vector(), zv) for x in x_ops)
+    return BinMatrix(len(rows), len(zv), rows)
 
 
-def _coset_reps(kernel: BinMatrix, stab_rows, n: int, k: int) -> list[int]:
-    """First k kernel rows that are independent modulo the stabilizer span."""
-    red = RowReducer(n, stab_rows)
-    reps = []
-    for v in kernel.rows:
-        if red.add(v):
-            reps.append(v)
-            if len(reps) == k:
-                break
-    return reps
+def _coset_reps(checks: RowReducer, stabs: RowReducer, k: int) -> list[int]:
+    """First k kernel vectors of the checks that are independent modulo stabs."""
+    red = stabs.copy()
+    return list(islice((v for v in checks.kernel_vectors() if red.add(v)), k))
+
 
 def _symplectic_basis(code: BBCode) -> LogicalBasis:
     """Deterministic paired basis via symplectic Gram-Schmidt.
 
-    X representatives come from kernel_basis(H_Z) reduced modulo rows of H_X
-    (Z reps dually), taken in kernel order; pairs are then peeled off
-    front-first, correcting the remaining vectors so the pairing is exactly
-    I_k.
+    X representatives are the first k kernel vectors of H_Z, drawn lazily in
+    kernel order off the H_Z reducer, that are independent modulo the H_X
+    reducer (Z reps dually); pairs are then peeled off front-first,
+    correcting the remaining vectors so the pairing is exactly I_k.
     """
     k = code.k
     if k == 0:
         return LogicalBasis((), ())
-    x_reps = _coset_reps(code.hz.kernel_basis(), code.hx.rows, code.n, k)
-    z_reps = _coset_reps(code.hx.kernel_basis(), code.hz.rows, code.n, k)
+    x_reps = _coset_reps(code._z_stab_reducer, code._x_stab_reducer, k)
+    z_reps = _coset_reps(code._x_stab_reducer, code._z_stab_reducer, k)
     if len(x_reps) != k or len(z_reps) != k:
         raise InternalConsistencyError("logical representative count does not match k")
     xs: list[int] = []

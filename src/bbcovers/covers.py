@@ -252,6 +252,14 @@ def _record_of(args: tuple[Poly, Poly]) -> CoverRecord:
     return CoverRecord(a, b, code.k, _tanner_connected_by_translation(a, b))
 
 
+def _within_job_budget(n_a: int, n_b: int, bound: str = "") -> None:
+    if n_a * n_b > MAX_ENUMERATION_JOBS:
+        raise Refusal(
+            f"{bound}{n_a} A-classes x {n_b} B-classes = {n_a * n_b} codes "
+            f"exceed the enumeration budget of {MAX_ENUMERATION_JOBS}"
+        )
+
+
 def enumerate_covers(
     base: BBCode,
     lt: int,
@@ -266,7 +274,8 @@ def enumerate_covers(
     representatives first; class count is then at most h^4 for weight-6 codes
     and h^6 for weight-8 ones.  Refuses worker counts outside 1..cpu_count()
     and more than MAX_ENUMERATION_JOBS codes (A-classes x B-classes) before
-    building any of them.
+    building any of them, and already before generating any lift when a lower
+    bound on the class counts exceeds the budget.
     """
     if lt < base.l or mt < base.m or lt % base.l != 0 or mt % base.m != 0:
         raise Refusal(f"(l~, m~) = ({lt}, {mt}) not divisible by (l, m) = ({base.l}, {base.m})")
@@ -274,17 +283,19 @@ def enumerate_covers(
     if not 1 <= workers <= cpus:
         raise Refusal(f"workers must be between 1 and {cpus} (the CPU count), got {workers}")
     u, t = lt // base.l, mt // base.m
+    # a side of weight w has (u t)^w distinct lifts, and a class is an orbit of
+    # at most len(cover_multipliers) of them; ceiling division bounds the count
+    lower = [
+        -(-(u * t) ** p.weight // (len(cover_multipliers(p, u, t)) if dedup else 1)) for p in (base.a, base.b)
+    ]
+    _within_job_budget(*lower, "at least ")
     if dedup:
         a_side = _side_representatives(base.a, u, t)
         b_side = _side_representatives(base.b, u, t)
     else:
         a_side = lifts_of_poly(base.a, u, t)
         b_side = lifts_of_poly(base.b, u, t)
-    if len(a_side) * len(b_side) > MAX_ENUMERATION_JOBS:
-        raise Refusal(
-            f"{len(a_side)} A-classes x {len(b_side)} B-classes = {len(a_side) * len(b_side)} codes "
-            f"exceed the enumeration budget of {MAX_ENUMERATION_JOBS}"
-        )
+    _within_job_budget(len(a_side), len(b_side))
     jobs = [(a, b) for a in a_side for b in b_side]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -467,8 +478,8 @@ def verify_cover_isomorphism(base: BBCode, cover: BBCode, witness: CoverWitness)
     """
     if (cover.l, cover.m) != (base.l * witness.u, base.m * witness.t):
         return False
-    cover_edges = _edge_ids(cover)
-    if set(cover_edges) != set(_derived_edge_ids(base, witness)):
+    cover_edges = build_tanner_graph(cover).edge_ids
+    if cover_edges != build_derived_graph(base, witness).edge_ids:
         return False
     # cell projection; a check or qubit index is block * cells + cell in both codes
     proj = witness.projection

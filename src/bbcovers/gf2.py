@@ -8,13 +8,14 @@ the regime everything in this package lives in.
 All matrices are immutable after construction.  ``RowReducer`` is the one
 row reduction: it always pivots on the leftmost nonzero column, so ranks,
 kernels, inverses and membership certificates are deterministic functions of
-their inputs.
+their inputs.  Its kernel vectors are drawn lazily, so a caller that needs a
+few of them pays for the reduced form and those few alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class ShapeError(ValueError):
@@ -166,23 +167,9 @@ class BinMatrix:
         return len(RowReducer(self.n_cols, self.rows))
 
     def kernel_basis(self) -> "BinMatrix":
-        """Basis of the right kernel {v : self @ v^T = 0}, one vector per row.
-
-        Read off the reduced row echelon form (pivots leftmost-column first,
-        unique for the row space): one vector per free column, in ascending
-        free-column order, so the result is deterministic.
-        """
-        rref = RowReducer(self.n_cols, self.rows).reduced_rows()
-        pivots = 0
-        for c in rref:
-            pivots |= 1 << c
-        basis = {f: 1 << f for f in range(self.n_cols) if not (pivots >> f) & 1}
-        for c, row in rref.items():
-            x = row & ~pivots
-            while x:
-                basis[(x & -x).bit_length() - 1] |= 1 << c
-                x &= x - 1
-        return BinMatrix(len(basis), self.n_cols, tuple(basis.values()))
+        """Basis of the right kernel {v : self @ v^T = 0}, one vector per row,
+        in the order of ``RowReducer.kernel_vectors``."""
+        return BinMatrix.from_ints(RowReducer(self.n_cols, self.rows).kernel_vectors(), self.n_cols)
 
     def inverse(self) -> "BinMatrix":
         """The matrix inverse over GF(2); raises ValueError when singular."""
@@ -277,6 +264,12 @@ class RowReducer:
         r = self.reduce(v)
         return None if r & self._mask else r >> self.n_cols
 
+    def copy(self) -> "RowReducer":
+        """An independent reducer over the same stored rows."""
+        out = RowReducer(self.n_cols)
+        out._pivot_rows = dict(self._pivot_rows)
+        return out
+
     def basis_rows(self) -> list[int]:
         """Current echelon rows, ascending by pivot column."""
         return [row for _, row in sorted(self._pivot_rows.items())]
@@ -297,3 +290,12 @@ class RowReducer:
                 x &= x - 1
             out[c] = v
         return out
+
+    def kernel_vectors(self) -> Iterator[int]:
+        """Basis of the vectors orthogonal to every stored row, built as drawn:
+        for each free column f, ascending, bit f plus every pivot c whose reduced
+        row has bit f.  The reduced form is unique for the span, so is the basis."""
+        rref = self.reduced_rows()
+        for f in range(self.n_cols):
+            if f not in rref:
+                yield sum(1 << c for c, row in rref.items() if row >> f & 1) | 1 << f

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .codes import BBCode, parse_code_spec
-from .rings import RingContext, parse_poly
+from .codes import BBCode, build_code, parse_code_spec
 
 
 @dataclass(frozen=True)
@@ -37,8 +36,7 @@ class TableRow:
     b: str
 
     def code(self) -> BBCode:
-        ctx = RingContext(self.l, self.m)
-        return BBCode(parse_poly(self.a, ctx), parse_poly(self.b, ctx))
+        return build_code(self.a, self.b, self.l, self.m)
 
     def spec_line(self) -> str:
         return f"l={self.l} m={self.m} A={self.a} B={self.b}"

@@ -1,10 +1,15 @@
-"""Slow, obviously-correct reference implementations used only by the tests."""
+"""Slow, obviously-correct reference implementations used only by the tests,
+and the random-code strategy that property tests share."""
 
 from collections import Counter
 from functools import reduce
 from itertools import combinations
 
-from bbcovers.gf2 import BinMatrix
+from hypothesis import assume
+from hypothesis import strategies as st
+
+from bbcovers.codes import BBCode
+from bbcovers.gf2 import BinMatrix, RowReducer
 from bbcovers.rings import Poly, RingContext
 
 
@@ -334,3 +339,37 @@ def mitm_minimum(code, basis: str, w_max: int) -> tuple[int | None, int]:
         if vecs:
             return w, vecs[0]
     return None, 0
+
+
+def class_coords_reference(code, side: str, v: int) -> int | None:
+    """Coordinates of v in the code's ``side`` logical basis, None outside the kernel.
+
+    Eliminates the stabilizer rows followed by the basis logicals, each row
+    tagged by its insertion index, and reads the logical tags off the
+    combination that reproduces v.  BBCode computed class coordinates this way
+    before it read them as overlap parities with the paired basis.
+    """
+    basis = code.logical_basis
+    stabs, ops = (code.hx.rows, basis.x_ops) if side == "X" else (code.hz.rows, basis.z_ops)
+    combo = RowReducer.with_tags(code.n, stabs + tuple(op.support_vector() for op in ops)).express(v)
+    return None if combo is None else combo >> len(stabs)
+
+
+@st.composite
+def weight3_codes(draw):
+    """A BB code with weight-3 A and B over a ring with l, m <= 4, and k > 0.
+
+    The kernel walk and the coset walk visit 2^((n + k)/2) vectors, so codes
+    past 2^18 are skipped to keep the oracles fast.  About one random code in
+    five qualifies, so up to ten are drawn per example: rejecting each one
+    outright trips hypothesis's filter_too_much health check at random.
+    """
+    for _ in range(10):
+        l, m = draw(st.sampled_from([(l, m) for l in range(1, 5) for m in range(1, 5) if l * m >= 3]))
+        ctx = RingContext(l, m)
+        cells = st.tuples(st.integers(0, l - 1), st.integers(0, m - 1))
+        a, b = (Poly.make(ctx, draw(st.sets(cells, min_size=3, max_size=3))) for _ in "ab")
+        code = BBCode(a, b)
+        if code.k > 0 and (code.n + code.k) // 2 <= 18:
+            return code
+    assume(False)

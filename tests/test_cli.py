@@ -54,6 +54,34 @@ def test_info_oversized_lattice_is_refused_before_any_matrix(monkeypatch, capsys
     assert f"budget of {MAX_LATTICE_CELLS}" in capsys.readouterr().err
 
 
+def test_oversized_lattice_is_refused_before_any_parse(monkeypatch, capsys, tmp_path):
+    import bbcovers.codes as codes
+
+    def fail(*args):
+        raise AssertionError("the refusal came too late: a polynomial was parsed")
+
+    monkeypatch.setattr(codes, "parse_poly", fail)
+    assert main(["info", "l=400000000 m=1 A=x^399999999 B=1+x"]) == 2
+    assert f"budget of {codes.MAX_LATTICE_CELLS}" in capsys.readouterr().err
+    row = {"row": 1, "n": 800000000, "k": 2, "d": 2, "d_is_bound": False, "l": 400000000, "m": 1, "h": 1}
+    fixtures = {"sequences": [{"name": "huge", "rows": [dict(row, A="x^399999999", B="1+x")]}]}
+    path = tmp_path / "fixtures.json"
+    path.write_text(json.dumps(fixtures))
+    assert main(["sequence", "--fixtures", str(path)]) == 2
+    assert f"budget of {codes.MAX_LATTICE_CELLS}" in capsys.readouterr().err
+
+
+def test_enumerate_over_budget_is_refused_before_any_lift(monkeypatch, capsys):
+    import bbcovers.covers as covers
+
+    def fail(*args):
+        raise AssertionError("the refusal came too late: a lift was generated")
+
+    monkeypatch.setattr(covers, "lifts_of_poly", fail)
+    assert main(["enumerate", CODE_18, "--lt", "180", "--mt", "3"]) == 2
+    assert "enumeration budget" in capsys.readouterr().err
+
+
 def test_info_malformed_poly_is_refused(capsys):
     code = main(["info", "l=3 m=3 A=1+z B=1"])
     assert code == 2

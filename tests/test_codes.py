@@ -137,6 +137,23 @@ def test_logical_basis_pairs_as_identity():
             assert code.classify(op) == Classification.LOGICAL
 
 
+def test_codes_eliminate_each_check_matrix_only_in_the_stabilizer_reducers(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a second elimination of H_X or H_Z ran")
+
+    monkeypatch.setattr(BinMatrix, "rank", fail)
+    monkeypatch.setattr(BinMatrix, "kernel_basis", fail)
+    monkeypatch.setattr(RowReducer, "with_tags", classmethod(fail))
+    for spec in (CODE_72, GROSS):
+        code = parse_code_spec(spec)
+        assert code.k == 12
+        basis = code.logical_basis
+        for j, (x, z) in enumerate(zip(basis.x_ops, basis.z_ops)):
+            assert code.classify(x) == code.classify(z) == Classification.LOGICAL
+            assert code.x_class_coords(x.support_vector()) == 1 << j
+            assert code.z_class_coords(z.support_vector()) == 1 << j
+
+
 def paper_18_basis(code):
     ctx = code.ctx
     f, g = parse_poly("1+x", ctx), parse_poly("1+y", ctx)

@@ -339,6 +339,26 @@ def test_enumerate_refuses_jobs_over_budget(monkeypatch):
         enumerate_covers(base, 9, 6)
 
 
+def test_enumeration_budget_bounds_the_classes_before_lifting(monkeypatch):
+    import bbcovers.covers as covers
+
+    base = parse_code_spec(BASE_18)
+    # 6^3 lifts per side, orbits of at most 18: at least 12 x 12 of the 168 classes
+    assert [len(covers.cover_multipliers(p, 3, 2)) for p in (base.a, base.b)] == [18, 18]
+
+    def fail(*args, **kwargs):
+        raise AssertionError("work was done before the refusal")
+
+    monkeypatch.setattr(covers, "_record_of", fail)
+    monkeypatch.setattr(covers, "MAX_ENUMERATION_JOBS", 150)
+    with pytest.raises(Refusal, match=r"^\d+ A-classes x \d+ B-classes = 168 codes"):
+        enumerate_covers(base, 9, 6)  # the bound passes, the exact count does not
+    monkeypatch.setattr(covers, "lifts_of_poly", fail)
+    monkeypatch.setattr(covers, "MAX_ENUMERATION_JOBS", 143)
+    with pytest.raises(Refusal, match="^at least 12 A-classes x 12 B-classes = 144 codes"):
+        enumerate_covers(base, 9, 6)
+
+
 def test_tanner_graph_edges_are_the_check_supports():
     # build_tanner_graph reads H_X and H_Z; their rows are the stabilizer supports
     code = parse_code_spec(BASE_72)

@@ -1,16 +1,14 @@
 """Dual-route checks: independent strategies must agree on shared ground."""
 
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
+from hypothesis import given, settings
 
 from bbcovers.chainmaps import projection_map
 from bbcovers.codes import BBCode, Classification, parse_code_spec
 from bbcovers.covers import canonical_form, check_cover, enumerate_covers, lifts_of_poly
 from bbcovers.distance import distance_one_side, exact_distance, logical_vectors_of_weight
 from bbcovers.gf2 import RowReducer
-from bbcovers.rings import Poly, RingContext
 
-from oracles import coset_minimum, mitm_logicals_of_weight, mitm_minimum
+from oracles import coset_minimum, mitm_logicals_of_weight, mitm_minimum, weight3_codes
 
 
 def brute_force_z_distance(code):
@@ -58,23 +56,6 @@ def test_coset_and_mitm_strategies_agree():
             assert res.witness.support_vector() == mitm_first
             d = res.value
             assert logical_vectors_of_weight(code, side, d) == mitm_logicals_of_weight(code, side, d)
-
-
-@st.composite
-def weight3_codes(draw):
-    """A BB code with weight-3 A and B over a ring with l, m <= 4, and k > 0.
-
-    The kernel walk and the coset walk visit 2^((n + k)/2) vectors, so codes
-    past 2^18 are skipped to keep the oracles fast.
-    """
-    l, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    assume(l * m >= 3)
-    ctx = RingContext(l, m)
-    cells = st.tuples(st.integers(0, l - 1), st.integers(0, m - 1))
-    a, b = (Poly.make(ctx, draw(st.sets(cells, min_size=3, max_size=3))) for _ in "ab")
-    code = BBCode(a, b)
-    assume(code.k > 0 and (code.n + code.k) // 2 <= 18)
-    return code
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,13 +1,15 @@
 """Properties of the one GF(2) elimination (RowReducer) and what is built on it."""
 
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bbcovers.codes import Refusal, parse_code_spec
-from bbcovers.gf2 import BinMatrix, ShapeError
+from bbcovers.gf2 import BinMatrix, RowReducer, ShapeError
 
-from oracles import kernel, kernel_basis_reference, span
+from oracles import class_coords_reference, kernel, kernel_basis_reference, span, weight3_codes
 
 SMALL_CODES = [
     parse_code_spec("l=3 m=3 A=1+y+y^2 B=1+x+x^2"),
@@ -42,6 +44,12 @@ def test_kernel_basis_is_unchanged_by_row_operations(m, ops):
     assert BinMatrix.from_ints(rows, m.n_cols).kernel_basis() == m.kernel_basis()
 
 
+@given(matrices(), st.integers(0, 12))
+def test_every_prefix_of_the_lazy_kernel_is_a_prefix_of_the_basis(m, p):
+    drawn = list(islice(RowReducer(m.n_cols, m.rows).kernel_vectors(), p))
+    assert drawn == list(m.kernel_basis().rows[:p]) == list(kernel_basis_reference(m).rows[:p])
+
+
 @given(matrices(square=True))
 def test_inverse_or_singular_refusal(m):
     if m.rank() < m.n_rows:
@@ -63,23 +71,25 @@ def test_rank_equals_rank_of_transpose(m):
     assert m.rank() == m.transpose().rank()
 
 
-@settings(max_examples=50)
-@given(st.sampled_from(SMALL_CODES), st.sampled_from("XZ"), st.data())
-def test_class_coords_round_trip(code, side, data):
+@settings(max_examples=50, deadline=None)
+@given(st.one_of(st.sampled_from(SMALL_CODES), weight3_codes()), st.data())
+def test_class_coords_round_trip(code, data):
     basis = code.logical_basis
-    ops = basis.x_ops if side == "X" else basis.z_ops
-    stabs = code.hx.rows if side == "X" else code.hz.rows
-    coords = code.x_class_coords if side == "X" else code.z_class_coords
-    c = data.draw(st.integers(0, (1 << code.k) - 1))
-    s = data.draw(st.integers(0, (1 << len(stabs)) - 1))
-    v = 0
-    for i, op in enumerate(ops):
-        if (c >> i) & 1:
-            v ^= op.support_vector()
-    for i, row in enumerate(stabs):
-        if (s >> i) & 1:
-            v ^= row
-    assert coords(v) == c
-    if code.syndrome_vector(side, v ^ 1):
-        with pytest.raises(Refusal):
-            coords(v ^ 1)
+    for side in "XZ":
+        ops = basis.x_ops if side == "X" else basis.z_ops
+        stabs = code.hx.rows if side == "X" else code.hz.rows
+        coords = code.x_class_coords if side == "X" else code.z_class_coords
+        c = data.draw(st.integers(0, (1 << code.k) - 1))
+        s = data.draw(st.integers(0, (1 << len(stabs)) - 1))
+        v = 0
+        for i, op in enumerate(ops):
+            if (c >> i) & 1:
+                v ^= op.support_vector()
+        for i, row in enumerate(stabs):
+            if (s >> i) & 1:
+                v ^= row
+        assert coords(v) == c == class_coords_reference(code, side, v)
+        if code.syndrome_vector(side, v ^ 1):
+            with pytest.raises(Refusal):
+                coords(v ^ 1)
+            assert class_coords_reference(code, side, v ^ 1) is None

@@ -40,3 +40,20 @@ def test_tracer_binds_every_traced_name():
     spans = {m["name"].rsplit(".", 1)[0] for m in per_layer if m["name"].endswith((".calls", ".s"))}
     counters = {name.rsplit(".", 1)[0] for name in tracer.counts}
     assert spans <= set(tracer.spans) | counters
+
+
+def test_cover_verification_times_both_edge_sets():
+    from bbcovers.codes import parse_code_spec
+    from bbcovers.covers import check_cover
+
+    base = parse_code_spec("l=6 m=6 A=x^3+y+y^2 B=y^3+x+x^2")
+    cover = parse_code_spec("l=12 m=6 A=x^3+y+y^2 B=y^3+x+x^2")
+    witness = check_cover(base, cover)
+    tracer = _load_tracing().Tracer(bbcovers)
+    tracer.install()
+    try:
+        assert bbcovers.covers.verify_cover_isomorphism(base, cover, witness)
+    finally:
+        tracer.uninstall()
+    assert tracer.spans["covers.verify_iso"][0] == 1
+    assert tracer.spans["covers.tanner_graph"][0] == tracer.spans["covers.derived_graph"][0] == 1
