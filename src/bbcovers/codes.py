@@ -11,8 +11,10 @@ labelled r, and row r of H_Z is (rB^T | rA^T).  Qubit index convention:
 left-block qubit x^a y^b sits at a*m + b, right-block qubits follow at
 lm + a*m + b.
 
-H_X and H_Z are each eliminated once, by the two stabilizer reducers: k,
-classification, logical representatives and class coordinates read them.
+Row r of each check matrix is the r-translate of its row 0, so column 0 of
+H_X H_Z^T decides the product is zero.  As p^T has the transposed matrix,
+H_X^T = (A^T over B^T) and H_Z^T restack the halves of H_Z and H_X, and
+syndromes XOR their rows.  H_X and H_Z are each eliminated once, by a reducer.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from itertools import islice
 from .gf2 import BinMatrix, RowReducer
 from .rings import ContextMismatch, Poly, PolyParseError, RingContext, Monomial, parse_poly
 
-# Largest lattice l*m a code is built on: l = m = 64 builds in about 0.1 s
-# and 35 MB, and the dense check matrices grow as (l*m)^2 bits.
+# Largest lattice l*m a code is built on: l = m = 64 builds in about 0.03 s
+# (peak RSS 31 MB), and the dense check matrices grow as (l*m)^2 bits.
 MAX_LATTICE_CELLS = 4096
 
 
@@ -102,11 +104,11 @@ class BBCode:
         self.ctx = _within_budget(a.ctx)
         self.a = a
         self.b = b
-        ma, mb = a.to_matrix(), b.to_matrix()
-        mat, mbt = a.transpose().to_matrix(), b.transpose().to_matrix()
-        self.hx = ma.hstack(mb)
-        self.hz = mbt.hstack(mat)
-        if not self.hx.mul(self.hz.transpose()).is_zero():
+        self.hx = a.to_matrix().hstack(b.to_matrix())
+        self.hz = b.transpose().to_matrix().hstack(a.transpose().to_matrix())
+        # entry (r, s) of H_X H_Z^T pairs the r-translate of H_X's row 0 with the
+        # s-translate of H_Z's; translations permute qubits, so it is entry (r - s, 0)
+        if self.hx.mul_vec(self.hz.rows[0]):
             raise InternalConsistencyError("H_X H_Z^T != 0; construction is broken")
 
     # -- identity ------------------------------------------------------------
@@ -144,11 +146,13 @@ class BBCode:
 
     @cached_property
     def hx_t(self) -> BinMatrix:
-        return self.hx.transpose()
+        bt, at = self.hz.hsplit(self.ctx.dim)
+        return at.vstack(bt)  # (A | B)^T
 
     @cached_property
     def hz_t(self) -> BinMatrix:
-        return self.hz.transpose()
+        a, b = self.hx.hsplit(self.ctx.dim)
+        return b.vstack(a)  # (B^T | A^T)^T
 
     @cached_property
     def rank_hz(self) -> int:
@@ -187,13 +191,10 @@ class BBCode:
 
     def syndrome(self, op: PauliOp) -> int:
         """H_Z v for X-type ops, H_X v for Z-type; zero iff the op commutes."""
-        v = op.support_vector()
-        h = self.hz if op.basis == "X" else self.hx
-        return h.mul_vec(v)
+        return self.syndrome_vector(op.basis, op.support_vector())
 
     def syndrome_vector(self, basis: str, v: int) -> int:
-        h = self.hz if basis == "X" else self.hx
-        return h.mul_vec(v)
+        return (self.hz_t if basis == "X" else self.hx_t).vec_mul(v)
 
     def classify_vector(self, basis: str, v: int) -> Classification:
         if self.syndrome_vector(basis, v) != 0:
@@ -337,8 +338,7 @@ def _symplectic_basis(code: BBCode) -> LogicalBasis:
     x_ops = tuple(PauliOp.from_vector("X", code.ctx, v) for v in xs)
     z_ops = tuple(PauliOp.from_vector("Z", code.ctx, v) for v in zs)
     basis = LogicalBasis(x_ops, z_ops)
-    ident = BinMatrix.identity(k)
-    if basis.pairing_matrix() != ident:
+    if basis.pairing_matrix() != BinMatrix.identity(k):
         raise InternalConsistencyError("constructed basis does not pair as identity")
     for op in x_ops + z_ops:
         if code.classify(op) != Classification.LOGICAL:

@@ -24,7 +24,7 @@ from .rings import Monomial, Poly, RingContext
 # Codes one enumerate_covers call may build, one per (A-class, B-class) pair:
 # 64 times the 15,625 classes of the weight-8 base
 # l=6 m=2 A=1+x^3+x^5+x^5y B=y+x^2y+x^3+x^5y at (30, 2), whose codes build in
-# about 0.7 ms each on one core.
+# about 0.5 ms each on one core.
 MAX_ENUMERATION_JOBS = 1_000_000
 
 

@@ -132,6 +132,17 @@ class BinMatrix:
             out |= ((r & v).bit_count() & 1) << i
         return out
 
+    def vec_mul(self, v: int) -> int:
+        """Row vector times matrix: the XOR of the rows at the set bits of v, bits
+        from n_rows up ignored; returns int over n_cols.  Equals transpose().mul_vec(v)."""
+        v &= _mask(self.n_rows)
+        rows, out = self.rows, 0
+        while v:
+            low = v & -v
+            out ^= rows[low.bit_length() - 1]
+            v ^= low
+        return out
+
     def add(self, other: "BinMatrix") -> "BinMatrix":
         if (self.n_rows, self.n_cols) != (other.n_rows, other.n_cols):
             raise ShapeError("shape mismatch in add")
@@ -154,6 +165,14 @@ class BinMatrix:
             raise ShapeError(f"hstack row mismatch {self.n_rows} vs {other.n_rows}")
         rows = tuple(a | (b << self.n_cols) for a, b in zip(self.rows, other.rows))
         return BinMatrix(self.n_rows, self.n_cols + other.n_cols, rows)
+
+    def hsplit(self, at: int) -> tuple["BinMatrix", "BinMatrix"]:
+        """(left, right) with left of `at` columns: the inverse of hstack."""
+        if not 0 <= at <= self.n_cols:
+            raise ShapeError(f"cannot split {self.n_cols} columns at {at}")
+        low = _mask(at)
+        left = BinMatrix(self.n_rows, at, tuple(r & low for r in self.rows))
+        return left, BinMatrix(self.n_rows, self.n_cols - at, tuple(r >> at for r in self.rows))
 
     def vstack(self, other: "BinMatrix") -> "BinMatrix":
         if self.n_cols != other.n_cols:

@@ -8,7 +8,7 @@ independent oracle for Tanner-graph connectivity.
 import json
 
 import networkx as nx
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bbcovers.autos import (
@@ -114,6 +114,39 @@ def test_to_matrix_is_a_ring_homomorphism(pq):
     assert (p + q).to_matrix() == p.to_matrix().add(q.to_matrix())
     assert (p * q).to_matrix() == p.to_matrix() @ q.to_matrix()
     assert p.transpose().to_matrix() == p.to_matrix().transpose()
+
+
+# l = 1 and m = 1 lattices, where one translation generator is trivial
+THIN_CODES = [parse_code_spec("l=1 m=5 A=1+y B=y^2+y^3"), parse_code_spec("l=4 m=1 A=1+x B=1+x+x^3")]
+
+
+@settings(max_examples=60, deadline=None)
+@example(THIN_CODES[0]).via("l = 1")
+@example(THIN_CODES[1]).via("m = 1")
+@given(codes())
+def test_check_matrices_commute_and_their_rows_are_translates_of_row_0(code):
+    # the premise of the column-0 commutation check in BBCode.__init__
+    assert code.hx.mul(code.hz.transpose()).is_zero()
+    ctx, dim = code.ctx, code.ctx.dim
+    for h in (code.hx, code.hz):
+        left, right = h.rows[0] & ((1 << dim) - 1), h.rows[0] >> dim
+        for a in range(ctx.l):
+            for b in range(ctx.m):
+                row = h.rows[ctx.index(a, b)]
+                assert row == ctx.shift(left, a, b) | ctx.shift(right, a, b) << dim
+
+
+@settings(max_examples=60, deadline=None)
+@example(THIN_CODES[0], [3, 30]).via("l = 1")
+@example(THIN_CODES[1], [1, 255]).via("m = 1")
+@given(codes(), st.lists(st.integers(0, 2**50 - 1), min_size=1, max_size=8))
+def test_transposes_and_syndromes_match_the_dense_matrices(code, words):
+    assert code.hx_t == code.hx.transpose()
+    assert code.hz_t == code.hz.transpose()
+    for word in words:
+        v = word & ((1 << code.n) - 1)
+        assert code.syndrome_vector("X", v) == code.hz.mul_vec(v)
+        assert code.syndrome_vector("Z", v) == code.hx.mul_vec(v)
 
 
 @settings(max_examples=60, deadline=None)

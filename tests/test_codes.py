@@ -2,6 +2,7 @@ import pytest
 
 from bbcovers.codes import (
     Classification,
+    InternalConsistencyError,
     PauliOp,
     Refusal,
     build_code,
@@ -152,6 +153,31 @@ def test_codes_eliminate_each_check_matrix_only_in_the_stabilizer_reducers(monke
             assert code.classify(x) == code.classify(z) == Classification.LOGICAL
             assert code.x_class_coords(x.support_vector()) == 1 << j
             assert code.z_class_coords(z.support_vector()) == 1 << j
+
+
+def test_codes_never_multiply_or_transpose_a_dense_matrix(monkeypatch):
+    from bbcovers.covers import check_cover, verify_cover_isomorphism
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a dense product or bit transpose ran")
+
+    monkeypatch.setattr(BinMatrix, "mul", fail)
+    monkeypatch.setattr(BinMatrix, "transpose", fail)
+    for spec in (CODE_72, GROSS):
+        code = parse_code_spec(spec)
+        assert code.k == 12
+        assert code.hx_t.n_rows == code.hz_t.n_rows == code.n
+        assert code.classify(code.logical_basis.x_ops[0]) == Classification.LOGICAL
+    base, cover = parse_code_spec(CODE_72), parse_code_spec(GROSS)
+    assert verify_cover_isomorphism(base, cover, check_cover(base, cover))
+
+
+def test_untransposed_h_z_fails_the_column_0_check(monkeypatch):
+    # with B and A in place of B^T and A^T, H_X H_Z^T is the matrix of
+    # AB^T + BA^T, which is nonzero here; column 0 must see it
+    monkeypatch.setattr(Poly, "transpose", lambda self: self)
+    with pytest.raises(InternalConsistencyError):
+        parse_code_spec(CODE_72)
 
 
 def paper_18_basis(code):

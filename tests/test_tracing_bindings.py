@@ -57,3 +57,20 @@ def test_cover_verification_times_both_edge_sets():
         tracer.uninstall()
     assert tracer.spans["covers.verify_iso"][0] == 1
     assert tracer.spans["covers.tanner_graph"][0] == tracer.spans["covers.derived_graph"][0] == 1
+
+
+def test_enumeration_builds_codes_without_dense_products_or_transposes():
+    from bbcovers.codes import parse_code_spec
+    from bbcovers.tables import enumeration_cases
+
+    case = enumeration_cases()[0]
+    base = parse_code_spec(case.base_spec)
+    tracer = _load_tracing().Tracer(bbcovers)
+    tracer.install()
+    try:
+        bbcovers.covers.enumerate_covers(base, case.lt, case.mt)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    assert metrics["codes.build.calls"] > 0
+    assert metrics["gf2.mul.calls"] == metrics["gf2.transpose.calls"] == 0
