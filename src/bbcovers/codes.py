@@ -12,9 +12,11 @@ left-block qubit x^a y^b sits at a*m + b, right-block qubits follow at
 lm + a*m + b.
 
 Row r of each check matrix is the r-translate of its row 0, so column 0 of
-H_X H_Z^T decides the product is zero.  As p^T has the transposed matrix,
-H_X^T = (A^T over B^T) and H_Z^T restack the halves of H_Z and H_X, and
-syndromes XOR their rows.  H_X and H_Z are each eliminated once, by a reducer.
+H_X H_Z^T decides the product is zero; a code is built with H_X alone, and
+that check reads H_Z's row 0, (B^T | A^T), off the masks of the transposes.
+H_Z is built on demand.  As p^T has the transposed matrix, H_X^T =
+(A^T over B^T) and H_Z^T restack the halves of H_Z and H_X, and syndromes XOR
+their rows.  H_X and H_Z are each eliminated once, by a reducer.
 """
 
 from __future__ import annotations
@@ -105,10 +107,10 @@ class BBCode:
         self.a = a
         self.b = b
         self.hx = a.to_matrix().hstack(b.to_matrix())
-        self.hz = b.transpose().to_matrix().hstack(a.transpose().to_matrix())
         # entry (r, s) of H_X H_Z^T pairs the r-translate of H_X's row 0 with the
-        # s-translate of H_Z's; translations permute qubits, so it is entry (r - s, 0)
-        if self.hx.mul_vec(self.hz.rows[0]):
+        # s-translate of H_Z's; translations permute qubits, so it is entry (r - s, 0).
+        # Row 0 of a polynomial's matrix is its mask, so H_Z's row 0 is (B^T | A^T).
+        if self.hx.mul_vec(b.transpose().mask | a.transpose().mask << self.ctx.dim):
             raise InternalConsistencyError("H_X H_Z^T != 0; construction is broken")
 
     # -- identity ------------------------------------------------------------
@@ -143,6 +145,10 @@ class BBCode:
         return hash((self.ctx, self.a.mask, self.b.mask))
 
     # -- parameters ----------------------------------------------------------
+
+    @cached_property
+    def hz(self) -> BinMatrix:
+        return self.b.transpose().to_matrix().hstack(self.a.transpose().to_matrix())
 
     @cached_property
     def hx_t(self) -> BinMatrix:

@@ -163,6 +163,10 @@ class Poly:
 
     def transpose(self) -> "Poly":
         """Negate all exponents; matches transposing the circulant matrix."""
+        return self._transpose
+
+    @cached_property
+    def _transpose(self) -> "Poly":
         ctx = self.ctx
         # reversal sends index a*m + b to (l-1-a)*m + (m-1-b); x y then adds (1, 1)
         reversed_mask = int(format(self.mask, f"0{ctx.dim}b")[::-1], 2)

@@ -128,6 +128,7 @@ def test_check_matrices_commute_and_their_rows_are_translates_of_row_0(code):
     # the premise of the column-0 commutation check in BBCode.__init__
     assert code.hx.mul(code.hz.transpose()).is_zero()
     ctx, dim = code.ctx, code.ctx.dim
+    assert code.hz.rows[0] == code.b.transpose().mask | code.a.transpose().mask << dim
     for h in (code.hx, code.hz):
         left, right = h.rows[0] & ((1 << dim) - 1), h.rows[0] >> dim
         for a in range(ctx.l):

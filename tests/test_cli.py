@@ -338,13 +338,14 @@ def test_format_flags_only_on_streaming_subcommands(capsys):
 
 
 def _refuse_to_build(monkeypatch):
-    """Make building any enumeration job or worker pool fail the test."""
+    """Make building any enumeration job, side-class annihilator or worker pool fail the test."""
     import bbcovers.covers as covers
 
     def fail(*args, **kwargs):
-        raise AssertionError("the refusal came too late: a job or a worker pool was started")
+        raise AssertionError("the refusal came too late: a job, an annihilator or a worker pool was started")
 
     monkeypatch.setattr(covers, "_record_of", fail)
+    monkeypatch.setattr(covers, "_side_class", fail)
     monkeypatch.setattr(covers, "ProcessPoolExecutor", fail)
 
 
@@ -364,3 +365,19 @@ def test_enumerate_job_budget_exit_2(monkeypatch, capsys):
     _refuse_to_build(monkeypatch)
     assert main(["enumerate", CODE_18, "--lt", "33", "--mt", "3", "--no-dedup"]) == 2
     assert "enumeration budget" in capsys.readouterr().err
+
+
+def test_enumerate_k_routes_disagreeing_exit_3(monkeypatch, capsys):
+    import dataclasses
+
+    import bbcovers.covers as covers
+    from bbcovers.gf2 import RowReducer
+
+    side_class = covers._side_class
+    monkeypatch.setattr(
+        covers, "_side_class", lambda p: dataclasses.replace(side_class(p), ann_t=RowReducer(p.ctx.dim))
+    )
+    assert main(["enumerate", CODE_18, "--lt", "9", "--mt", "3"]) == 3
+    captured = capsys.readouterr()
+    assert "internal invariant breach" in captured.err and "rank H_X" in captured.err
+    assert not captured.out

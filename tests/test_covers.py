@@ -91,10 +91,12 @@ def test_enumerate_records_are_verified_covers():
 
 
 def test_enumerate_deterministic_across_workers():
-    base = parse_code_spec(BASE_18)
-    serial = enumerate_covers(base, 9, 3, workers=1)
-    parallel = enumerate_covers(base, 9, 3, workers=2)
-    assert serial == parallel
+    for spec, lt, mt in ((BASE_18, 9, 3), (BASE_72, 12, 6)):
+        base = parse_code_spec(spec)
+        serial = enumerate_covers(base, lt, mt, workers=1)
+        parallel = enumerate_covers(base, lt, mt, workers=2)
+        assert len(serial.records) >= 8  # chunks of len // 8 jobs: four or more per worker
+        assert serial == parallel
 
 
 def test_no_dedup_size():
@@ -330,6 +332,7 @@ def test_enumerate_refuses_jobs_over_budget(monkeypatch):
         raise AssertionError("jobs were built before the refusal")
 
     monkeypatch.setattr(covers, "_record_of", fail)
+    monkeypatch.setattr(covers, "_side_class", fail)
     monkeypatch.setattr(covers, "MAX_ENUMERATION_JOBS", 99)
     base = parse_code_spec(BASE_18)
     n_a = len(covers._side_representatives(base.a, 3, 2))
@@ -350,6 +353,7 @@ def test_enumeration_budget_bounds_the_classes_before_lifting(monkeypatch):
         raise AssertionError("work was done before the refusal")
 
     monkeypatch.setattr(covers, "_record_of", fail)
+    monkeypatch.setattr(covers, "_side_class", fail)
     monkeypatch.setattr(covers, "MAX_ENUMERATION_JOBS", 150)
     with pytest.raises(Refusal, match=r"^\d+ A-classes x \d+ B-classes = 168 codes"):
         enumerate_covers(base, 9, 6)  # the bound passes, the exact count does not
@@ -357,6 +361,34 @@ def test_enumeration_budget_bounds_the_classes_before_lifting(monkeypatch):
     monkeypatch.setattr(covers, "MAX_ENUMERATION_JOBS", 143)
     with pytest.raises(Refusal, match="^at least 12 A-classes x 12 B-classes = 144 codes"):
         enumerate_covers(base, 9, 6)
+
+
+def test_enumerate_refuses_a_cover_lattice_over_budget_before_any_annihilator(monkeypatch):
+    import bbcovers.covers as covers
+
+    def fail(*args, **kwargs):
+        raise AssertionError("an annihilator was built before the refusal")
+
+    monkeypatch.setattr(covers, "_side_class", fail)
+    base = build_code("1+x", "1+y", 64, 64)
+    with pytest.raises(Refusal, match="lattice l\\*m = 8192 exceeds"):
+        enumerate_covers(base, 128, 64)
+
+
+def test_enumerate_raises_when_the_two_k_routes_disagree(monkeypatch):
+    import dataclasses
+
+    import bbcovers.covers as covers
+    from bbcovers.codes import InternalConsistencyError
+    from bbcovers.gf2 import RowReducer
+
+    side_class = covers._side_class
+    # an empty Ann(p^T) makes the H_Z route read dim 0 while the H_X route reads k / 2
+    monkeypatch.setattr(
+        covers, "_side_class", lambda p: dataclasses.replace(side_class(p), ann_t=RowReducer(p.ctx.dim))
+    )
+    with pytest.raises(InternalConsistencyError, match="rank H_X = 23 != rank H_Z = 27"):
+        enumerate_covers(parse_code_spec(BASE_18), 9, 3)
 
 
 def test_tanner_graph_edges_are_the_check_supports():

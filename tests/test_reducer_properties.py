@@ -3,11 +3,13 @@
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from bbcovers.codes import Refusal, parse_code_spec
+from bbcovers.codes import BBCode, Refusal, parse_code_spec
+from bbcovers.covers import _meet_dim, _record_of, _side_class
 from bbcovers.gf2 import BinMatrix, RowReducer, ShapeError
+from bbcovers.rings import Poly, RingContext
 
 from oracles import class_coords_reference, kernel, kernel_basis_reference, span, weight3_codes
 
@@ -93,3 +95,26 @@ def test_class_coords_round_trip(code, data):
             with pytest.raises(Refusal):
                 coords(v ^ 1)
             assert class_coords_reference(code, side, v ^ 1) is None
+
+
+TERMS = st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), min_size=1, max_size=5)
+
+
+@settings(max_examples=80, deadline=None)
+@example(12, 6, [(3, 0), (0, 1), (0, 2)], [(0, 3), (1, 0), (2, 0)]).via("the gross code, k = 12")
+@example(1, 5, [(0, 0), (0, 1)], [(0, 2), (0, 3)]).via("l = 1")
+@example(7, 1, [(0, 0), (2, 0), (3, 0)], [(0, 0), (2, 0), (3, 0)]).via("m = 1, odd l")
+@given(st.integers(1, 12), st.integers(1, 12), TERMS, TERMS)
+def test_both_annihilator_routes_give_k(l, m, a_terms, b_terms):
+    # Lemma 1 of Bravyi et al.: k = 2 dim(Ann A & Ann B), read by enumerate_covers
+    ctx = RingContext(l, m)
+    a, b = Poly.make(ctx, a_terms), Poly.make(ctx, b_terms)
+    assume(not a.is_zero() and not b.is_zero())  # repeated terms may cancel
+    sa, sb = _side_class(a), _side_class(b)
+    for side, p in ((sa, a), (sb, b)):
+        assert len(side.ann) == len(side.ann_t) == ctx.dim - p.to_matrix().rank()
+        assert all((Poly(ctx, f) * p).is_zero() for f in side.ann.basis_rows())
+        assert all((Poly(ctx, f) * p.transpose()).is_zero() for f in side.ann_t.basis_rows())
+    k = BBCode(a, b).k
+    assert 2 * _meet_dim(sa.ann, sb.ann) == 2 * _meet_dim(sb.ann_t, sa.ann_t) == k
+    assert _record_of((sa, sb)).k == k

@@ -74,3 +74,5 @@ def test_enumeration_builds_codes_without_dense_products_or_transposes():
     metrics = tracer.metrics()
     assert metrics["codes.build.calls"] > 0
     assert metrics["gf2.mul.calls"] == metrics["gf2.transpose.calls"] == 0
+    # k comes from the side-class annihilators, not from rank_hz
+    assert metrics["codes.k.calls"] == 0
