@@ -13,12 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
+from typing import TYPE_CHECKING
 
 from .codes import BBCode, Classification, InternalConsistencyError, PauliOp, Refusal
 from .covers import CoverWitness
-from .distance import DistanceResult
 from .gf2 import BinMatrix, ShapeError
 from .rings import Poly
+
+if TYPE_CHECKING:  # distance imports autos, which imports this module
+    from .distance import DistanceResult
 
 
 @dataclass(frozen=True)
@@ -101,13 +104,15 @@ def _is_chain_map(degs, source, target) -> bool:
     return all(lo @ d == dt @ hi for hi, lo, d, dt in zip(degs, degs[1:], source, target))
 
 
-def _verify_squares(cm: ChainMap) -> None:
-    """All four commuting squares, exactly: the chain squares of cm, and its
-    cochain squares as the chain squares between the dual complexes."""
+def _verified_projection(witness: CoverWitness) -> ChainMap:
+    """p_* with all four commuting squares checked exactly: its chain squares, and
+    its cochain squares as the chain squares between the dual complexes."""
+    cm = _degreewise(projection_matrix(witness), witness.cover, witness.base)
     if not cm.commutes():
         raise InternalConsistencyError("chain-map square failed")
     if not _is_chain_map(cm.degrees[::-1], _boundaries(cm.source, True), _boundaries(cm.target, True)):
         raise InternalConsistencyError("cochain-map square failed")
+    return cm
 
 
 def _degreewise(q: BinMatrix, source: BBCode, target: BBCode) -> ChainMap:
@@ -117,16 +122,12 @@ def _degreewise(q: BinMatrix, source: BBCode, target: BBCode) -> ChainMap:
 
 def projection_map(witness: CoverWitness) -> ChainMap:
     """The chain map p_* : cover -> base, with commutativity verified."""
-    cm = _degreewise(projection_matrix(witness), witness.cover, witness.base)
-    _verify_squares(cm)
-    return cm
+    return _verified_projection(witness)
 
 
 def lifting_map(witness: CoverWitness) -> ChainMap:
-    """The chain map tau_* : base -> cover; exactly the transpose of p_*."""
-    cm = _degreewise(projection_matrix(witness).transpose(), witness.base, witness.cover)
-    _verify_squares(cm)
-    return cm
+    """The chain map tau_* : base -> cover; the transpose of p_*, so p_*'s squares verify it."""
+    return _degreewise(_verified_projection(witness).deg0.transpose(), witness.base, witness.cover)
 
 
 def compose_p_tau(witness: CoverWitness) -> str:

@@ -11,12 +11,12 @@ labelled r, and row r of H_Z is (rB^T | rA^T).  Qubit index convention:
 left-block qubit x^a y^b sits at a*m + b, right-block qubits follow at
 lm + a*m + b.
 
-Row r of each check matrix is the r-translate of its row 0, so column 0 of
-H_X H_Z^T decides the product is zero; a code is built with H_X alone, and
-that check reads H_Z's row 0, (B^T | A^T), off the masks of the transposes.
-H_Z is built on demand.  As p^T has the transposed matrix, H_X^T =
-(A^T over B^T) and H_Z^T restack the halves of H_Z and H_X, and syndromes XOR
-their rows.  H_X and H_Z are each eliminated once, by a reducer.
+As p^T has the transposed matrix, H_X^T = (A^T over B^T) and H_Z^T = (B over
+A): both check matrices and their transposes stack, on demand, the circulants
+of A, B, A^T and B^T that each polynomial builds once.  Row r of each check
+matrix is the r-translate of its row 0, so column 0 of H_X H_Z^T decides the
+product is zero; a code is built with that check alone.  Syndromes XOR rows
+of the transposes, and H_X and H_Z are each eliminated once, by a reducer.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from itertools import islice
 from .gf2 import BinMatrix, RowReducer
 from .rings import ContextMismatch, Poly, PolyParseError, RingContext, Monomial, parse_poly
 
-# Largest lattice l*m a code is built on: l = m = 64 builds in about 0.03 s
-# (peak RSS 31 MB), and the dense check matrices grow as (l*m)^2 bits.
+# Largest lattice l*m a code is built on: l = m = 64 builds in under 0.01 s on a
+# Xeon vCPU (peak RSS 20 MB), and the dense check matrices grow as (l*m)^2 bits.
 MAX_LATTICE_CELLS = 4096
 
 
@@ -106,11 +106,10 @@ class BBCode:
         self.ctx = _within_budget(a.ctx)
         self.a = a
         self.b = b
-        self.hx = a.to_matrix().hstack(b.to_matrix())
         # entry (r, s) of H_X H_Z^T pairs the r-translate of H_X's row 0 with the
         # s-translate of H_Z's; translations permute qubits, so it is entry (r - s, 0).
-        # Row 0 of a polynomial's matrix is its mask, so H_Z's row 0 is (B^T | A^T).
-        if self.hx.mul_vec(b.transpose().mask | a.transpose().mask << self.ctx.dim):
+        # H_Z's row 0 is (B^T | A^T) as masks, so column 0 is A (B^T mask) + B (A^T mask).
+        if a.to_matrix().mul_vec(b.transpose().mask) != b.to_matrix().mul_vec(a.transpose().mask):
             raise InternalConsistencyError("H_X H_Z^T != 0; construction is broken")
 
     # -- identity ------------------------------------------------------------
@@ -147,18 +146,20 @@ class BBCode:
     # -- parameters ----------------------------------------------------------
 
     @cached_property
+    def hx(self) -> BinMatrix:
+        return self.a.to_matrix().hstack(self.b.to_matrix())
+
+    @cached_property
     def hz(self) -> BinMatrix:
         return self.b.transpose().to_matrix().hstack(self.a.transpose().to_matrix())
 
     @cached_property
     def hx_t(self) -> BinMatrix:
-        bt, at = self.hz.hsplit(self.ctx.dim)
-        return at.vstack(bt)  # (A | B)^T
+        return self.a.transpose().to_matrix().vstack(self.b.transpose().to_matrix())
 
     @cached_property
     def hz_t(self) -> BinMatrix:
-        a, b = self.hx.hsplit(self.ctx.dim)
-        return b.vstack(a)  # (B^T | A^T)^T
+        return self.b.to_matrix().vstack(self.a.to_matrix())
 
     @cached_property
     def rank_hz(self) -> int:
@@ -197,6 +198,8 @@ class BBCode:
 
     def syndrome(self, op: PauliOp) -> int:
         """H_Z v for X-type ops, H_X v for Z-type; zero iff the op commutes."""
+        if op.ctx != self.ctx:
+            raise ContextMismatch("operator ring does not match code ring")
         return self.syndrome_vector(op.basis, op.support_vector())
 
     def syndrome_vector(self, basis: str, v: int) -> int:

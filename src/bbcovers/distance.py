@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .autos import antipode_zx_duality, verify_zx_duality
 from .codes import BBCode, Classification, InternalConsistencyError, PauliOp, Refusal
 
 
@@ -118,13 +119,11 @@ def distance_one_side(code: BBCode, basis: str, w_max: int) -> DistanceResult:
 
 
 def exact_distance(code: BBCode, w_max: int, *, both_sides: bool = False) -> DistanceResult:
-    """Code distance; Z side only unless both_sides (d_X = d_Z is a known identity)."""
+    """Code distance from the Z-side search; with both_sides, d_X = d_Z is certified by
+    the antipode ZX-duality, a verified qubit permutation of Z onto X logicals."""
     dz = distance_one_side(code, "Z", w_max)
-    if not both_sides:
-        return dz
-    dx = distance_one_side(code, "X", w_max)
-    if dx.kind == "exact" and (dz.kind != "exact" or dx.value < dz.value):
-        return dx
+    if both_sides and not verify_zx_duality(code, antipode_zx_duality(code)):
+        raise InternalConsistencyError("the antipode ZX-duality does not verify; d_X = d_Z is uncertified")
     return dz
 
 

@@ -166,14 +166,6 @@ class BinMatrix:
         rows = tuple(a | (b << self.n_cols) for a, b in zip(self.rows, other.rows))
         return BinMatrix(self.n_rows, self.n_cols + other.n_cols, rows)
 
-    def hsplit(self, at: int) -> tuple["BinMatrix", "BinMatrix"]:
-        """(left, right) with left of `at` columns: the inverse of hstack."""
-        if not 0 <= at <= self.n_cols:
-            raise ShapeError(f"cannot split {self.n_cols} columns at {at}")
-        low = _mask(at)
-        left = BinMatrix(self.n_rows, at, tuple(r & low for r in self.rows))
-        return left, BinMatrix(self.n_rows, self.n_cols - at, tuple(r >> at for r in self.rows))
-
     def vstack(self, other: "BinMatrix") -> "BinMatrix":
         if self.n_cols != other.n_cols:
             raise ShapeError(f"vstack column mismatch {self.n_cols} vs {other.n_cols}")

@@ -190,7 +190,7 @@ class Poly:
         return cls(ctx, v)
 
     def to_matrix(self) -> BinMatrix:
-        """The lm x lm matrix whose row r is the support of r * self.
+        """The lm x lm matrix whose row r is the support of r * self, built once.
 
         Equals the sum over terms of C_l^a (x) C_m^b in the a*m + b basis,
         with C_k oriented so that row i of C_k is the support of x^(i+1).
@@ -198,6 +198,10 @@ class Poly:
         labelled r, which is the convention the worked logical-operator
         examples in this package rely on.
         """
+        return self._matrix
+
+    @cached_property
+    def _matrix(self) -> BinMatrix:
         ctx = self.ctx
         l, m, n = ctx.l, ctx.m, ctx.dim
         full = (1 << n) - 1

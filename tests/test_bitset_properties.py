@@ -142,12 +142,16 @@ def test_check_matrices_commute_and_their_rows_are_translates_of_row_0(code):
 @example(THIN_CODES[1], [1, 255]).via("m = 1")
 @given(codes(), st.lists(st.integers(0, 2**50 - 1), min_size=1, max_size=8))
 def test_transposes_and_syndromes_match_the_dense_matrices(code, words):
-    assert code.hx_t == code.hx.transpose()
-    assert code.hz_t == code.hz.transpose()
+    # H_X = (A | B) and H_Z = (B^T | A^T) from the loop-built circulants and bit transposes
+    a, b = to_matrix_reference(code.a), to_matrix_reference(code.b)
+    hx, hz = a.hstack(b), b.transpose().hstack(a.transpose())
+    assert (code.hx, code.hz) == (hx, hz)
+    assert code.hx_t == hx.transpose()
+    assert code.hz_t == hz.transpose()
     for word in words:
         v = word & ((1 << code.n) - 1)
-        assert code.syndrome_vector("X", v) == code.hz.mul_vec(v)
-        assert code.syndrome_vector("Z", v) == code.hx.mul_vec(v)
+        assert code.syndrome_vector("X", v) == hz.mul_vec(v)
+        assert code.syndrome_vector("Z", v) == hx.mul_vec(v)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,5 +1,6 @@
 import pytest
 
+import bbcovers.chainmaps as chainmaps
 from bbcovers.chainmaps import (
     classical_inherited_check,
     compose_p_tau,
@@ -15,11 +16,11 @@ from bbcovers.chainmaps import (
     section_chain_map_commutes,
     weight_preserving_lift_search,
 )
-from bbcovers.codes import Classification, PauliOp, Refusal, parse_code_spec, parse_pauli
+from bbcovers.codes import Classification, InternalConsistencyError, PauliOp, Refusal, parse_code_spec, parse_pauli
 from bbcovers.covers import check_cover
 from bbcovers.distance import exact_distance
 from bbcovers.gf2 import BinMatrix
-from bbcovers.rings import Poly, parse_poly
+from bbcovers.rings import ContextMismatch, Poly, parse_poly
 
 BASE_18 = parse_code_spec("l=3 m=3 A=1+y+y^2 B=1+x+x^2")
 BASE_72 = parse_code_spec("l=6 m=6 A=x^3+y+y^2 B=y^3+x+x^2")
@@ -68,6 +69,14 @@ def test_chain_maps_commute_and_are_transposes():
         assert tm.deg2 == pm.deg2.transpose()
         assert tm.deg1 == pm.deg1.transpose()
         assert tm.deg0 == pm.deg0.transpose()
+
+
+def test_a_failing_square_fails_both_chain_maps(monkeypatch):
+    # tau is read off the verified p, so p's squares guard both
+    monkeypatch.setattr(chainmaps, "_is_chain_map", lambda *args: False)
+    for build in (projection_map, lifting_map):
+        with pytest.raises(InternalConsistencyError):
+            build(W_54)
 
 
 def test_compose_p_tau():
@@ -124,6 +133,14 @@ def test_lift_weight_is_h_times_base():
     for op in basis.x_ops + basis.z_ops:
         out = lift_logical(W_54, op)
         assert out.op.weight == 3 * op.weight
+
+
+def test_lift_refuses_an_operator_over_the_cover_ring():
+    for text in ("X(x^8y^2|0)", "X(1+x|0)"):
+        with pytest.raises(ContextMismatch):
+            lift_logical(W_54, parse_pauli(text, COVER_54.ctx))
+    with pytest.raises(ContextMismatch):
+        project_logical(W_54, parse_pauli("X(1+x|0)", BASE_18.ctx))
 
 
 def test_lift_refuses_non_kernel_input():

@@ -329,6 +329,15 @@ def test_distance_both_sides_searches_each_side_once(monkeypatch, capsys):
     assert sorted(calls) == ["X", "Z"]
 
 
+def test_info_distance_exits_3_when_the_duality_fails(monkeypatch, capsys):
+    # both_sides certifies d_X = d_Z with the antipode duality instead of an X search
+    import bbcovers.distance as distance
+
+    monkeypatch.setattr(distance, "verify_zx_duality", lambda code, dual: False)
+    assert main(["info", CODE_18, "--distance", "--wmax", "4"]) == 3
+    assert "internal invariant breach" in capsys.readouterr().err
+
+
 def test_format_flags_only_on_streaming_subcommands(capsys):
     for argv in (["info", CODE_18, "--csv"], ["info", CODE_18, "--json"], ["sequence", "--json"]):
         with pytest.raises(SystemExit) as exc:

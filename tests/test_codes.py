@@ -11,7 +11,7 @@ from bbcovers.codes import (
     parse_pauli,
 )
 from bbcovers.gf2 import BinMatrix, RowReducer
-from bbcovers.rings import Monomial, Poly, RingContext, parse_poly
+from bbcovers.rings import ContextMismatch, Monomial, Poly, RingContext, parse_poly
 
 CODE_72 = "l=6 m=6 A=x^3+y+y^2 B=y^3+x+x^2"
 CODE_18 = "l=3 m=3 A=1+y+y^2 B=1+x+x^2"
@@ -170,6 +170,23 @@ def test_codes_never_multiply_or_transpose_a_dense_matrix(monkeypatch):
         assert code.classify(code.logical_basis.x_ops[0]) == Classification.LOGICAL
     base, cover = parse_code_spec(CODE_72), parse_code_spec(GROSS)
     assert verify_cover_isomorphism(base, cover, check_cover(base, cover))
+
+
+def test_construction_stacks_no_matrix(monkeypatch):
+    def fail(*args):
+        raise AssertionError("a check matrix was stacked while building the code")
+
+    monkeypatch.setattr(BinMatrix, "hstack", fail)
+    monkeypatch.setattr(BinMatrix, "vstack", fail)
+    for spec in (CODE_72, GROSS, CODE_24_W8):
+        parse_code_spec(spec)
+
+
+def test_syndrome_refuses_an_operator_over_another_ring():
+    code = parse_code_spec(CODE_18)
+    op = parse_pauli("X(1+x|0)", RingContext(9, 3))
+    with pytest.raises(ContextMismatch):
+        code.syndrome(op)
 
 
 def test_untransposed_h_z_fails_the_column_0_check(monkeypatch):

@@ -17,12 +17,31 @@ from bbcovers.covers import (
     verify_cover_isomorphism,
     _tanner_connected_by_translation,
 )
-from bbcovers.rings import Monomial, parse_poly
+from bbcovers.rings import Monomial, Poly, parse_poly
 
 BASE_18 = "l=3 m=3 A=1+y+y^2 B=1+x+x^2"
 BASE_72 = "l=6 m=6 A=x^3+y+y^2 B=y^3+x+x^2"
 BASE_14 = "l=7 m=1 A=1+x^2+x^3 B=1+x^2+x^3"
 GROSS = "l=12 m=6 A=x^3+y+y^2 B=y^3+x+x^2"
+
+
+def test_enumeration_builds_each_side_class_circulant_once(monkeypatch):
+    # every job's code reads the circulants its side classes built
+    requested: dict[int, tuple[Poly, list]] = {}  # id -> (poly, matrices), polys kept alive
+    to_matrix = Poly.to_matrix
+
+    def spy(self):
+        m = to_matrix(self)
+        requested.setdefault(id(self), (self, []))[1].append(m)
+        return m
+
+    monkeypatch.setattr(Poly, "to_matrix", spy)
+    enum = enumerate_covers(parse_code_spec(BASE_18), 6, 3)
+    sides = {id(p) for r in enum.records for q in (r.a, r.b) for p in (q, q.transpose())}
+    assert sides <= requested.keys()
+    assert max(len(ms) for _, ms in requested.values()) > 1
+    for _, matrices in requested.values():
+        assert all(m is matrices[0] for m in matrices)
 
 
 def test_gross_is_double_cover():

@@ -25,6 +25,23 @@ def test_exact_distance_72():
     assert res.method == "enumeration"
 
 
+def test_both_sides_searches_the_z_side_only(monkeypatch):
+    import bbcovers.distance as distance
+
+    calls = []
+    original = distance.distance_one_side
+
+    def counting(code, basis, w_max):
+        calls.append(basis)
+        return original(code, basis, w_max)
+
+    monkeypatch.setattr(distance, "distance_one_side", counting)
+    for spec, w_max in (("l=3 m=3 A=1+y+y^2 B=1+x+x^2", 4), ("l=6 m=6 A=x^3+y+y^2 B=y^3+x+x^2", 6)):
+        calls.clear()
+        exact_distance(parse_code_spec(spec), w_max, both_sides=True)
+        assert calls == ["Z"]
+
+
 def test_exact_distance_42():
     code = parse_code_spec("l=7 m=3 A=1+x^2+x^3y B=1+x^2+x^3y^2")
     res = exact_distance(code, 6)

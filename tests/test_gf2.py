@@ -122,16 +122,6 @@ def test_stack_shape_errors():
         BinMatrix.zeros(2, 2).hstack(BinMatrix.zeros(3, 2))
     with pytest.raises(ShapeError):
         BinMatrix.zeros(2, 2).vstack(BinMatrix.zeros(2, 3))
-    with pytest.raises(ShapeError):
-        BinMatrix.zeros(2, 2).hsplit(3)
-
-
-def test_hsplit_inverts_hstack():
-    rng = random.Random(37)
-    for _ in range(20):
-        left = random_matrix(rng, rng.randint(0, 7), rng.randint(0, 9))
-        right = random_matrix(rng, left.n_rows, rng.randint(0, 9))
-        assert left.hstack(right).hsplit(left.n_cols) == (left, right)
 
 
 def test_vec_mul_is_mul_vec_of_the_transpose():
