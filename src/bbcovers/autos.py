@@ -5,6 +5,13 @@ X-checks, into the complex itself or into its dual.  They are supplied rather
 than discovered: verification, sheet-wise lifting along a cover witness, and
 logical-action computation are offered for given candidates, with the shift
 family and two worked constructions built in.
+
+Like every ChainMap they are column tables: the built-in constructions and
+the sheet-wise lift write the image of each cell directly, and a degree whose
+columns are distinct single bits is a permutation with no rank to compute.
+Shifts, the antipode and block swap, and lifts of base shifts that are cover
+shifts are affine cell maps, so their squares are decided on the generator
+columns (see chainmaps).
 """
 
 from __future__ import annotations
@@ -12,33 +19,38 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .codes import BBCode, Classification, InternalConsistencyError, LogicalBasis, Refusal, pairing_matrix
+from .codes import BBCode, Classification, InternalConsistencyError, LogicalBasis, Refusal
+from .codes import _overlap_matrix, pairing_matrix
 from .covers import CoverWitness
-from .chainmaps import ChainMap, _block_diag, _class_images, _class_matrix, _degreewise, _is_chain_map
-from .chainmaps import lift_logical, projection_matrix
+from .chainmaps import ChainMap, _block_diag, _cell_map, _class_images, _class_matrix, _compose, _mark_verified
+from .chainmaps import _projection_columns, _translation, lift_logical
 from .gf2 import BinMatrix
 from .rings import Monomial
 
 
-def _perm_matrix(perm: tuple[int, ...]) -> BinMatrix:
-    """Matrix of the permutation j -> perm[j]: column j is the unit vector perm[j]."""
-    return BinMatrix(len(perm), len(perm), tuple(1 << i for i in perm)).transpose()
+def _perm_columns(perm) -> tuple[int, ...]:
+    """Columns of the permutation j -> perm[j]: column j is the unit vector perm[j]."""
+    return tuple(1 << i for i in perm)
 
 
-def _swap_blocks(w: BinMatrix) -> BinMatrix:
-    """Qubit map sending either block to the other through w: [[0, w], [w, 0]]."""
-    zero = BinMatrix.zeros(w.n_rows, w.n_cols)
-    return zero.hstack(w).vstack(w.hstack(zero))
+def _is_permutation(cols: tuple[int, ...]) -> bool:
+    """Whether square columns are distinct single bits: a permutation matrix."""
+    return _cell_map(cols) and len(set(cols)) == len(cols)
+
+
+def _swap_blocks(w: tuple[int, ...]) -> tuple[int, ...]:
+    """Columns of the qubit map sending either block to the other through w: [[0, w], [w, 0]]."""
+    return tuple(c << len(w) for c in w) + w
 
 
 @dataclass(frozen=True)
 class CodeAutomorphism(ChainMap):
     """Chain map (deg2, deg1, deg0) = (W_Z, f, W_X) of a code's complex to itself.
 
-    deg1 is the matrix of a qubit permutation, read back as the image map
-    ``f``.  Kind "tanner" additionally promises W_X and W_Z are permutation
-    matrices.  The JSON form is {"type", "kind", "f", "w_x", "w_z"}, with type
-    "automorphism" or "zx-duality".
+    deg1 is the matrix of a qubit permutation, whose columns are read back as
+    the image map ``f``.  Kind "tanner" additionally promises W_X and W_Z are
+    permutation matrices.  The JSON form is {"type", "kind", "f", "w_x",
+    "w_z"}, with type "automorphism" or "zx-duality".
     """
 
     kind: str = "general"
@@ -51,9 +63,9 @@ class CodeAutomorphism(ChainMap):
     @cached_property
     def f(self) -> tuple[int, ...]:
         """The qubit permutation of deg1 as an image map: qubit j goes to qubit f[j]."""
-        if not self.deg1.is_permutation():
+        if not _is_permutation(self.cols1):
             raise ValueError("the qubit degree is not a permutation matrix")
-        return tuple(c.bit_length() - 1 for c in self._columns)
+        return tuple(c.bit_length() - 1 for c in self.cols1)
 
     def to_json(self) -> dict:
         return {
@@ -75,7 +87,7 @@ class CodeAutomorphism(ChainMap):
             w_x, w_z = BinMatrix.from_text(data["w_x"]), BinMatrix.from_text(data["w_z"])
             if sorted(f) != list(range(code.n)):
                 raise ValueError(f"f is not a permutation of range({code.n})")
-            return cls(w_z, _perm_matrix(f), w_x, code, code, data.get("kind", "general"))
+            return cls(w_z, _perm_columns(f), w_x, code, code, data.get("kind", "general"))
         except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
             raise Refusal(f"malformed automorphism JSON ({type(exc).__name__}: {exc})") from None
 
@@ -92,18 +104,22 @@ class ZXDuality(CodeAutomorphism):
 
 def _verify(code: BBCode, m: CodeAutomorphism) -> bool:
     """A qubit permutation, invertible W's and exact chain squares into the
-    code's own or dual complex."""
+    code's own or dual complex; marks m as verified when it passes."""
     if m.source != code or m.target != code:
         raise Refusal("the map is not a map of this code")
-    if not m.deg1.is_permutation():
+    if not _is_permutation(m.cols1):
         return False
     lm = code.ctx.dim
-    if m.kind == "tanner":
-        if not (m.deg0.is_permutation() and m.deg2.is_permutation()):
+    for w in (m.cols0, m.cols2):
+        # a permutation is invertible; other W's are ranked (a matrix and its
+        # transpose, whose rows are the columns, have one rank)
+        if not _is_permutation(w) and (m.kind == "tanner" or BinMatrix(lm, lm, w).rank() != lm):
             return False
-    elif m.deg0.rank() != lm or m.deg2.rank() != lm:
+    dual = isinstance(m, ZXDuality)
+    if not m.commutes(dual):
         return False
-    return m.commutes(isinstance(m, ZXDuality))
+    _mark_verified(m, dual)
+    return True
 
 
 def verify_automorphism(code: BBCode, aut: CodeAutomorphism) -> bool:
@@ -120,9 +136,8 @@ def verify_zx_duality(code: BBCode, dual: ZXDuality) -> bool:
 
 def shift_automorphism(code: BBCode, mono: Monomial) -> CodeAutomorphism:
     """Shift all check and qubit labels by a monomial; works on every BB code."""
-    ctx = code.ctx
-    w = _perm_matrix(tuple(ctx.index(m.a + mono.a, m.b + mono.b) for m in ctx.monomials()))
-    return CodeAutomorphism(w, _block_diag(w), w, code, code, "tanner")
+    w = _perm_columns(_translation(code.ctx, mono.a % code.l, mono.b % code.m))
+    return CodeAutomorphism(w, _block_diag(w, code.ctx.dim), w, code, code, "tanner")
 
 
 def y_exponent_swap_automorphism(code: BBCode, b0: int = 0, b1: int = 1) -> CodeAutomorphism:
@@ -132,8 +147,8 @@ def y_exponent_swap_automorphism(code: BBCode, b0: int = 0, b1: int = 1) -> Code
     two exponents interchangeable; callers should verify it.
     """
     ctx, sigma = code.ctx, {b0: b1, b1: b0}
-    w = _perm_matrix(tuple(ctx.index(m.a, sigma.get(m.b, m.b)) for m in ctx.monomials()))
-    return CodeAutomorphism(w, _block_diag(w), w, code, code, "tanner")
+    w = _perm_columns(ctx.index(m.a, sigma.get(m.b, m.b)) for m in ctx.monomials())
+    return CodeAutomorphism(w, _block_diag(w, ctx.dim), w, code, code, "tanner")
 
 
 def block_swap_zx_duality(code: BBCode) -> ZXDuality:
@@ -141,36 +156,36 @@ def block_swap_zx_duality(code: BBCode) -> ZXDuality:
 
     A ZX-duality exactly when A and B are self-transpose; callers verify.
     """
-    ident = BinMatrix.identity(code.ctx.dim)
+    ident = _perm_columns(range(code.ctx.dim))
     return ZXDuality(ident, _swap_blocks(ident), ident, code, code)
 
 
 def antipode_zx_duality(code: BBCode) -> ZXDuality:
     """Block swap composed with exponent negation; a duality of every BB code."""
     ctx = code.ctx
-    w = _perm_matrix(tuple(ctx.index(-m.a, -m.b) for m in ctx.monomials()))
+    w = _perm_columns(ctx.index(-a, -b) for a in range(ctx.l) for b in range(ctx.m))
     return ZXDuality(w, _swap_blocks(w), w, code, code)
 
 
 # --- lifting along a cover -------------------------------------------------------
 
-def _block_lift(witness: CoverWitness, w: BinMatrix) -> BinMatrix:
-    """Sheet-wise lift of a square base matrix of lm x lm blocks: every block
-    is repeated on every sheet, so each sheet maps to itself.  Check maps are
-    the one-block case and qubit maps the two-block case."""
+def _block_lift(witness: CoverWitness, w: tuple[int, ...]) -> tuple[int, ...]:
+    """Sheet-wise lift of the columns of a square base map of lm x lm blocks:
+    every block is repeated on every sheet, so each sheet maps to itself.
+    Check maps are the one-block case and qubit maps the two-block case."""
     lm_b, lm_c = witness.base.ctx.dim, witness.cover.ctx.dim
     # cover index on sheet (0, 0) of every base index, block by block
-    index = [block * lm_c + e for block in range(w.n_rows // lm_b) for e in witness.embedding]
-    rows = [0] * (len(index) * witness.h)
-    for r, row in enumerate(w.rows):
+    index = [block * lm_c + e for block in range(len(w) // lm_b) for e in witness.embedding]
+    cols = [0] * (len(index) * witness.h)
+    for j, col in enumerate(w):
         lifted = 0
-        while row:
-            low = row & -row
+        while col:
+            low = col & -col
             lifted |= 1 << index[low.bit_length() - 1]
-            row ^= low
+            col ^= low
         for o in witness.sheet_offsets:
-            rows[index[r] + o] = lifted << o
-    return BinMatrix(len(rows), len(rows), tuple(rows))
+            cols[index[j] + o] = lifted << o
+    return tuple(cols)
 
 
 def _lift(witness: CoverWitness, m: CodeAutomorphism) -> CodeAutomorphism:
@@ -178,13 +193,13 @@ def _lift(witness: CoverWitness, m: CodeAutomorphism) -> CodeAutomorphism:
     if not _verify(witness.base, m):
         raise Refusal("the supplied map does not verify on the base code")
     cover = witness.cover
-    lifted = type(m)(*(_block_lift(witness, d) for d in m.degrees), cover, cover, m.kind)
+    lifted = type(m)(*(_block_lift(witness, cols) for cols in m.columns), cover, cover, m.kind)
     if not _verify(cover, lifted):
         raise Refusal("sheet-wise lift does not verify on the cover code")
-    # p . lifted = m . p: in each degree, p is a chain map between one-step complexes
-    p = _degreewise(projection_matrix(witness), cover, witness.base)
-    squares = zip(p.degrees, lifted.degrees, m.degrees)
-    if not all(_is_chain_map((q, q), (up,), (down,)) for q, up, down in squares):
+    # p . lifted = m . p in every degree, column by column
+    p = _projection_columns(witness)
+    ps = (p, _block_diag(p, witness.base.ctx.dim), p)
+    if any(_compose(q, up) != _compose(down, q) for q, up, down in zip(ps, lifted.columns, m.columns)):
         raise InternalConsistencyError("lift does not intertwine with the projection")
     return lifted
 
@@ -228,21 +243,20 @@ def _class_action(code: BBCode, m: CodeAutomorphism, basis: LogicalBasis):
     classes and Z classes to X classes.
     """
     k = basis.k
-    if k != code.k or pairing_matrix(basis.x_ops, basis.z_ops) != BinMatrix.identity(k):
+    own = basis is code.logical_basis  # paired as I_k when it was built
+    if not own and (k != code.k or basis.pairing_matrix() != BinMatrix.identity(k)):
         raise Refusal("logical action needs a symplectically paired basis of the code")
     swap = isinstance(m, ZXDuality)
-    vecs = {
-        "X": [op.support_vector() for op in basis.x_ops],
-        "Z": [op.support_vector() for op in basis.z_ops],
-    }
-    # (images, caller basis) per source sector, all classified before any inverse:
-    # with every vector in its kernel, a paired basis has invertible coordinates
-    parts = [
-        (_class_images(m, side, vecs[src]), _class_matrix(code, side, vecs[side]))
-        for src, side in zip("XZ", "ZX" if swap else "XZ")
-    ]
-    on_x, on_z = (images @ change.inverse() for images, change in parts)
-    if on_x @ on_z.transpose() != BinMatrix.identity(k):
+    vecs = {"X": basis.x_vectors, "Z": basis.z_vectors}
+    sectors = list(zip("XZ", "ZX" if swap else "XZ"))
+    images = [_class_images(m, src, side, vecs[src]) for src, side in sectors]
+    if not own:
+        # coordinates of the caller's basis, all classified before any inverse:
+        # with every vector in its kernel, a paired basis has invertible coordinates
+        changes = [_class_matrix(code, side, vecs[side]) for _, side in sectors]
+        images = [im @ change.inverse() for im, change in zip(images, changes)]
+    on_x, on_z = images
+    if _overlap_matrix(on_x.rows, on_z.rows) != BinMatrix.identity(k):
         raise InternalConsistencyError("action does not preserve the symplectic pairing")
     return DualityAction(on_x, on_z) if swap else LogicalAction(on_x, on_z)
 

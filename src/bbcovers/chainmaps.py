@@ -6,19 +6,33 @@ Both extend to chain maps of the code complexes (degreewise p, p(+)p, p) and
 therefore act on logical operators.  Sections of the covering give
 weight-preserving lifts, which certify distance upper bounds when they land
 on nontrivial logicals.
+
+A chain map is stored degreewise as column tables: column j of a degree is
+the image of basis vector j, a mask over the target basis.  Applying a map
+XORs columns, and a square deg_(i-1) . d_i = d'_i . deg_i is compared column
+by column, column j of d_i being row j of H_Z, H_X^T, H_X or H_Z^T.  Most maps
+here send each cell to one cell and are affine on the lattice with one common
+lattice homomorphism phi: f(g + v) = f(g) + phi(v), in every degree (p,
+shifts, the antipode, block swaps, lifts of base shifts).  The boundaries are
+translation-equivariant, so both sides of each square of such a map are
+twisted-equivariant maps out of a free module over the group algebra (rank 1
+on checks, rank 2 on qubits), fixed by their values on its generators: column
+0 on checks, columns 0 and lm on qubits decide the square.  An O(n) comparison
+on the generators x and y certifies the premise; any other map, such as a
+constant section or a matrix read from JSON, is compared on every column.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
+from itertools import product, repeat
 from typing import TYPE_CHECKING
 
 from .codes import BBCode, Classification, InternalConsistencyError, PauliOp, Refusal
 from .covers import CoverWitness
 from .gf2 import BinMatrix, ShapeError
-from .rings import Poly
+from .rings import Poly, RingContext
 
 if TYPE_CHECKING:  # distance imports autos, which imports this module
     from .distance import DistanceResult
@@ -26,47 +40,77 @@ if TYPE_CHECKING:  # distance imports autos, which imports this module
 
 @dataclass(frozen=True)
 class ChainMap:
-    """Degreewise matrices of a map between two code complexes; a chain map
-    wherever its squares were checked (constant sections are not checked).
-    deg2 acts on Z-checks, deg1 on qubits and deg0 on X-checks."""
+    """Degreewise column tables of a map between two code complexes; a chain
+    map wherever its squares were checked (constant sections are not checked).
+    cols2 acts on Z-checks, cols1 on qubits and cols0 on X-checks.  A degree
+    may be given as a BinMatrix, which is transposed once into its columns;
+    the matrices deg2, deg1 and deg0 are built when read."""
 
-    deg2: BinMatrix
-    deg1: BinMatrix
-    deg0: BinMatrix
+    cols2: tuple[int, ...]
+    cols1: tuple[int, ...]
+    cols0: tuple[int, ...]
     source: BBCode
     target: BBCode
+    # "own" or "dual", set once every square into that complex of the target was
+    # checked: the map then sends the kernel vectors of each sector into the same
+    # sector ("own") or the other one ("dual"), and class images of that sector
+    # pairing skip the kernel test
+    _verified_into: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         src, tgt = self.source, self.target
-        shapes = ((tgt.ctx.dim, src.ctx.dim), (tgt.n, src.n), (tgt.ctx.dim, src.ctx.dim))
-        for deg, shape in zip(self.degrees, shapes):
-            if (deg.n_rows, deg.n_cols) != shape:
-                raise ShapeError(f"a degree of shape {deg.n_rows}x{deg.n_cols}, expected {shape}")
+        shapes = ((src.ctx.dim, tgt.ctx.dim), (src.n, tgt.n), (src.ctx.dim, tgt.ctx.dim))
+        for name, (n_src, n_tgt) in zip(("cols2", "cols1", "cols0"), shapes):
+            deg = getattr(self, name)
+            if isinstance(deg, BinMatrix):
+                if (deg.n_rows, deg.n_cols) != (n_tgt, n_src):
+                    raise ShapeError(f"a degree of shape {deg.n_rows}x{deg.n_cols}, expected {(n_tgt, n_src)}")
+                object.__setattr__(self, name, deg.transpose().rows)
+            elif len(deg) != n_src or (deg and (min(deg) < 0 or max(deg) >> n_tgt)):
+                raise ShapeError(f"a degree of {len(deg)} columns, expected {n_src} over {n_tgt} rows")
+            else:
+                object.__setattr__(self, name, tuple(deg))
 
     @property
-    def degrees(self) -> tuple[BinMatrix, BinMatrix, BinMatrix]:
-        return (self.deg2, self.deg1, self.deg0)
+    def columns(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        return (self.cols2, self.cols1, self.cols0)
 
     @cached_property
-    def _columns(self) -> tuple[int, ...]:
-        """Columns of deg1: the image of every source qubit."""
-        return self.deg1.transpose().rows
+    def deg2(self) -> BinMatrix:
+        return _matrix(self.cols2, self.target.ctx.dim)
+
+    @cached_property
+    def deg1(self) -> BinMatrix:
+        return _matrix(self.cols1, self.target.n)
+
+    @cached_property
+    def deg0(self) -> BinMatrix:
+        return _matrix(self.cols0, self.target.ctx.dim)
 
     def apply(self, v: int) -> int:
         """deg1 applied to a qubit vector, in time proportional to its weight."""
-        cols = self._columns
-        out = 0
-        while v:
-            low = v & -v
-            out ^= cols[low.bit_length() - 1]
-            v ^= low
-        return out
+        if v < 0 or v >> self.source.n:
+            raise ShapeError(f"vector has bits beyond qubit {self.source.n - 1}")
+        return _apply(self.cols1, v)
+
+    @cached_property
+    def _step(self) -> int:
+        """Stride of the source columns that decide every square: lm when every
+        degree is a cell map, affine with one phi, else 1 (all columns)."""
+        return self.source.ctx.dim if _affine(self.columns, self.source.ctx, self.target.ctx) else 1
 
     def commutes(self, dual_target: bool = False) -> bool:
         """Whether every chain square commutes exactly, into the target's complex
         or, with ``dual_target``, into its dual complex (X and Z swapped)."""
         target = _boundaries(self.target, dual_target)
-        return _is_chain_map(self.degrees, _boundaries(self.source), target)
+        return _is_chain_map(self.columns, _boundaries(self.source), target, self._step)
+
+
+def _mark_verified(cm: ChainMap, dual_target: bool = False) -> ChainMap:
+    """Mark cm as a map whose squares into the target's own or, with
+    ``dual_target``, dual complex were all checked; returns it."""
+    object.__setattr__(cm, "_verified_into", "dual" if dual_target else "own")
+    return cm
 
 
 @dataclass(frozen=True)
@@ -84,40 +128,112 @@ def projection_matrix(witness: CoverWitness) -> BinMatrix:
     return BinMatrix(witness.base.ctx.dim, witness.cover.ctx.dim, witness.fibres)
 
 
-def _block_diag(p: BinMatrix) -> BinMatrix:
-    zero_tr = BinMatrix.zeros(p.n_rows, p.n_cols)
-    return p.hstack(zero_tr).vstack(zero_tr.hstack(p))
+def _projection_columns(witness: CoverWitness) -> tuple[int, ...]:
+    """Columns of p: every cover cell goes to the base cell below it."""
+    return tuple(1 << i for i in witness.projection)
 
 
-def _boundaries(code: BBCode, dual: bool = False) -> tuple[BinMatrix, BinMatrix]:
-    """(d2, d1) of the complex Z-checks -> qubits -> X-checks; the dual
-    complex X-checks -> qubits -> Z-checks swaps the X and Z sectors."""
-    return (code.hx_t, code.hz) if dual else (code.hz_t, code.hx)
+def _matrix(cols: tuple[int, ...], n_rows: int) -> BinMatrix:
+    return BinMatrix(len(cols), n_rows, cols).transpose()
 
 
-def _is_chain_map(degs, source, target) -> bool:
-    """Whether degs = (deg_top, ..., deg_0) commute with the boundary maps.
+def _apply(cols: tuple[int, ...], v: int) -> int:
+    """The XOR of the columns at the set bits of v."""
+    out = 0
+    while v:
+        low = v & -v
+        out ^= cols[low.bit_length() - 1]
+        v ^= low
+    return out
 
-    ``source`` and ``target`` list the boundaries (d_top, ..., d_1) of the two
-    complexes; square i is deg_(i-1) . d_i == d'_i . deg_i, checked exactly.
+
+def _compose(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
+    """Columns of f . g."""
+    return tuple(_apply(f, c) for c in g)
+
+
+def _block_diag(q: tuple[int, ...], shift: int) -> tuple[int, ...]:
+    """Columns of q (+) q, for q with ``shift`` rows."""
+    return q + tuple(c << shift for c in q)
+
+
+def _boundaries(code: BBCode, dual: bool = False) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Columns of (d2, d1) of the complex Z-checks -> qubits -> X-checks, that is
+    of (H_Z^T, H_X); the dual complex X-checks -> qubits -> Z-checks swaps the X
+    and Z sectors.  Column j of a matrix is row j of its transpose."""
+    return (code.hx.rows, code.hz_t.rows) if dual else (code.hz.rows, code.hx_t.rows)
+
+
+def _square_commutes(lo, hi, d, dt, index) -> bool:
+    """Whether column j of lo . d equals column j of dt . hi for every j in index."""
+    return all(_apply(lo, d[j]) == _apply(dt, hi[j]) for j in index)
+
+
+def _is_chain_map(degs, source, target, step: int) -> bool:
+    """Whether column tables degs = (deg_top, ..., deg_0) commute with the boundaries.
+
+    ``source`` and ``target`` list the boundary columns (d_top, ..., d_1) of the
+    two complexes; square i, deg_(i-1) . d_i == d'_i . deg_i, is compared on
+    every ``step``-th source column of deg_i.
     """
-    return all(lo @ d == dt @ hi for hi, lo, d, dt in zip(degs, degs[1:], source, target))
+    return all(
+        _square_commutes(lo, hi, d, dt, range(0, len(hi), step))
+        for hi, lo, d, dt in zip(degs, degs[1:], source, target)
+    )
+
+
+def _translation(ctx: RingContext, a: int, b: int) -> tuple[int, ...]:
+    """Index table of multiplication by x^a y^b on the lattice cells."""
+    l, m = ctx.l, ctx.m
+    return tuple(((i // m + a) % l) * m + (i + b) % m for i in range(ctx.dim))
+
+
+def _cell_map(cols: tuple[int, ...]) -> bool:
+    """Whether every column is a single bit: each cell goes to one cell."""
+    return 0 not in cols and sum(map(int.bit_count, cols)) == len(cols)
+
+
+def _affine(degs, src: RingContext, tgt: RingContext) -> bool:
+    """Whether every degree is a cell map that sends each lattice block into one
+    target block with f(g + v) = f(g) + phi(v), for the generators v = x, y and
+    one phi read off the check degree degs[0]."""
+    if not all(map(_cell_map, degs)):
+        return False
+    lm, lm_t = src.dim, tgt.dim
+    blocks = []  # target cells of every lattice block of every degree
+    for cols in dict.fromkeys(degs):
+        for start in range(0, len(cols), lm):
+            # bit_length is the 1-based index; offset by the block of the first image
+            offset = (cols[start].bit_length() - 1) // lm_t * lm_t + 1
+            cells = list(map(int.__sub__, map(int.bit_length, cols[start : start + lm]), repeat(offset)))
+            if min(cells) < 0 or max(cells) >= lm_t:
+                return False
+            blocks.append(cells)
+    checks = blocks[0]
+    for v in ((1, 0), (0, 1)):
+        move = _translation(src, *v)
+        (a0, b0), (a1, b1) = divmod(checks[0], tgt.m), divmod(checks[move[0]], tgt.m)
+        phi = _translation(tgt, (a1 - a0) % tgt.l, (b1 - b0) % tgt.m)
+        if any(list(map(f.__getitem__, move)) != list(map(phi.__getitem__, f)) for f in blocks):
+            return False
+    return True
 
 
 def _verified_projection(witness: CoverWitness) -> ChainMap:
     """p_* with all four commuting squares checked exactly: its chain squares, and
     its cochain squares as the chain squares between the dual complexes."""
-    cm = _degreewise(projection_matrix(witness), witness.cover, witness.base)
+    cm = _degreewise(_projection_columns(witness), witness.cover, witness.base)
     if not cm.commutes():
         raise InternalConsistencyError("chain-map square failed")
-    if not _is_chain_map(cm.degrees[::-1], _boundaries(cm.source, True), _boundaries(cm.target, True)):
+    dual = (_boundaries(cm.source, True), _boundaries(cm.target, True))
+    if not _is_chain_map(cm.columns[::-1], *dual, cm._step):
         raise InternalConsistencyError("cochain-map square failed")
-    return cm
+    return _mark_verified(cm)
 
 
-def _degreewise(q: BinMatrix, source: BBCode, target: BBCode) -> ChainMap:
-    """The map (q, q (+) q, q) of a map q between monomial spaces."""
-    return ChainMap(q, _block_diag(q), q, source, target)
+def _degreewise(q: tuple[int, ...], source: BBCode, target: BBCode) -> ChainMap:
+    """The map (q, q (+) q, q) of a map q between monomial spaces, given by its columns."""
+    return ChainMap(q, _block_diag(q, target.ctx.dim), q, source, target)
 
 
 def projection_map(witness: CoverWitness) -> ChainMap:
@@ -126,17 +242,22 @@ def projection_map(witness: CoverWitness) -> ChainMap:
 
 
 def lifting_map(witness: CoverWitness) -> ChainMap:
-    """The chain map tau_* : base -> cover; the transpose of p_*, so p_*'s squares verify it."""
-    return _degreewise(_verified_projection(witness).deg0.transpose(), witness.base, witness.cover)
+    """The chain map tau_* : base -> cover; the transpose of p_*, so p_*'s squares
+    verify it.  Its columns are the rows of p: the fibres."""
+    _verified_projection(witness)
+    return _mark_verified(_degreewise(witness.fibres, witness.base, witness.cover))
 
 
 def compose_p_tau(witness: CoverWitness) -> str:
-    """p . tau equals the identity for odd h and zero for even h."""
-    p = projection_matrix(witness)
-    prod = p @ p.transpose()
-    if prod == BinMatrix.identity(witness.base.ctx.dim):
+    """p . tau equals the identity for odd h and zero for even h.
+
+    Column i of p . tau is the p-image of the fibre over i: h times e_i.
+    """
+    p = _projection_columns(witness)
+    cols = [_apply(p, fibre) for fibre in witness.fibres]
+    if all(c == 1 << i for i, c in enumerate(cols)):
         result = "identity"
-    elif prod.is_zero():
+    elif not any(cols):
         result = "zero"
     else:
         raise InternalConsistencyError("p . tau is neither identity nor zero")
@@ -196,24 +317,28 @@ def induced_homology_map(cm: ChainMap, side: str = "Z") -> HomologyMap:
     class; images are reduced modulo the target's stabilizers.
     """
     src = cm.source
-    ops = src.logical_basis.z_ops if side == "Z" else src.logical_basis.x_ops
+    basis = src.logical_basis
     try:
-        images = _class_images(cm, side, [op.support_vector() for op in ops])
+        images = _class_images(cm, side, side, basis.z_vectors if side == "Z" else basis.x_vectors)
     except Refusal:
         raise InternalConsistencyError("chain-map image left the target kernel") from None
     return HomologyMap(images.transpose(), side, src, cm.target)
 
 
-def _class_matrix(code: BBCode, side: str, vectors: list[int]) -> BinMatrix:
+def _class_matrix(code: BBCode, side: str, vectors, check: bool = True) -> BinMatrix:
     """Rows: coordinates of kernel vectors of one sector in the code's logical basis."""
-    coords = code.x_class_coords if side == "X" else code.z_class_coords
-    return BinMatrix(len(vectors), code.k, tuple(coords(v) for v in vectors))
+    return BinMatrix(len(vectors), code.k, tuple(code._class_coords(side, v, check) for v in vectors))
 
 
-def _class_images(cm: ChainMap, side: str, vectors: list[int]) -> BinMatrix:
-    """Rows: target coordinates, in the ``side`` sector, of the deg1 images of
-    source kernel vectors; Refusal when an image leaves the target kernel."""
-    return _class_matrix(cm.target, side, [cm.apply(v) for v in vectors])
+def _class_images(cm: ChainMap, src_side: str, side: str, vectors) -> BinMatrix:
+    """Rows: target coordinates, in the ``side`` sector, of the qubit images of
+    kernel vectors of the source's ``src_side`` sector.  A map verified into the
+    complex that pairs these sectors (its own for equal sides, the dual for
+    swapped ones) sends them into the target kernel; the images of any other
+    map are tested, with Refusal when one leaves the target kernel."""
+    images = [_apply(cm.cols1, v) for v in vectors]
+    trusted = cm._verified_into == ("own" if src_side == side else "dual")
+    return _class_matrix(cm.target, side, images, check=not trusted)
 
 
 # --- distance bounds -----------------------------------------------------------
@@ -274,10 +399,7 @@ def constant_section(witness: CoverWitness, g: int, d: int) -> ChainMap:
     cell on sheet (g mod u, d mod t); p . sigma is the identity in each degree."""
     base, cover = witness.base, witness.cover
     o = witness.sheet_offsets[(g % witness.u) * witness.t + d % witness.t]
-    rows = [0] * cover.ctx.dim
-    for i, e in enumerate(witness.embedding):
-        rows[e + o] = 1 << i
-    return _degreewise(BinMatrix(cover.ctx.dim, base.ctx.dim, tuple(rows)), base, cover)
+    return _degreewise(tuple(1 << (e + o) for e in witness.embedding), base, cover)
 
 
 def section_chain_map_commutes(witness: CoverWitness, g: int, d: int) -> bool:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 
-from .gf2 import BinMatrix, RowReducer
+from .gf2 import BinMatrix, RowReducer, ShapeError
 from .rings import ContextMismatch, Poly, PolyParseError, RingContext, Monomial, parse_poly
 
 # Largest lattice l*m a code is built on: l = m = 64 builds in under 0.01 s on a
@@ -226,17 +226,22 @@ class BBCode:
 
     def x_class_coords(self, v: int) -> int:
         """Coordinates of an X-type kernel vector in the X logical basis."""
-        return self._class_coords("X", v, self.logical_basis.z_ops)
+        return self._class_coords("X", v)
 
     def z_class_coords(self, v: int) -> int:
-        return self._class_coords("Z", v, self.logical_basis.x_ops)
+        return self._class_coords("Z", v)
 
-    def _class_coords(self, basis: str, v: int, partners: tuple[PauliOp, ...]) -> int:
-        if self.syndrome_vector(basis, v):
+    def _class_coords(self, basis: str, v: int, check: bool = True) -> int:
+        """Class coordinates of a kernel vector; ``check=False`` skips the kernel
+        test, for images of kernel vectors under a verified chain map."""
+        if v < 0 or v >> self.n:
+            raise ShapeError(f"vector has bits beyond qubit {self.n - 1}")
+        if check and self.syndrome_vector(basis, v):
             raise Refusal("vector is not in the kernel of the relevant check matrix")
         # v is a sum of basis logicals and stabilizers; each partner pairs with
         # one basis logical and commutes with everything else in that sum
-        return _overlap_parities(v, [op.support_vector() for op in partners])
+        logicals = self.logical_basis
+        return _overlap_parities(v, logicals.z_vectors if basis == "X" else logicals.x_vectors)
 
 
 def _within_budget(ctx: RingContext) -> RingContext:
@@ -294,20 +299,32 @@ class LogicalBasis:
     def k(self) -> int:
         return len(self.x_ops)
 
+    @cached_property
+    def x_vectors(self) -> tuple[int, ...]:
+        """Support vectors of the X representatives."""
+        return tuple(op.support_vector() for op in self.x_ops)
+
+    @cached_property
+    def z_vectors(self) -> tuple[int, ...]:
+        return tuple(op.support_vector() for op in self.z_ops)
+
     def pairing_matrix(self) -> BinMatrix:
-        return pairing_matrix(self.x_ops, self.z_ops)
+        return _overlap_matrix(self.x_vectors, self.z_vectors)
 
 
-def _overlap_parities(v: int, others: list[int]) -> int:
+def _overlap_parities(v: int, others) -> int:
     """Bit j is the parity of the overlap of v with others[j]."""
     return sum(((v & w).bit_count() & 1) << j for j, w in enumerate(others))
 
 
+def _overlap_matrix(xs, zs) -> BinMatrix:
+    """Entry (i, j) is the overlap parity of xs[i] and zs[j]: the product xs zs^T."""
+    return BinMatrix(len(xs), len(zs), tuple(_overlap_parities(x, zs) for x in xs))
+
+
 def pairing_matrix(x_ops, z_ops) -> BinMatrix:
     """Symplectic overlap parity matrix between two operator lists."""
-    zv = [op.support_vector() for op in z_ops]
-    rows = tuple(_overlap_parities(x.support_vector(), zv) for x in x_ops)
-    return BinMatrix(len(rows), len(zv), rows)
+    return _overlap_matrix([x.support_vector() for x in x_ops], [z.support_vector() for z in z_ops])
 
 
 def _coset_reps(checks: RowReducer, stabs: RowReducer, k: int) -> list[int]:

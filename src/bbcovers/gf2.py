@@ -92,17 +92,6 @@ class BinMatrix:
     def is_zero(self) -> bool:
         return not any(self.rows)
 
-    def is_permutation(self) -> bool:
-        """True iff the matrix is square with exactly one 1 per row and column."""
-        if self.n_rows != self.n_cols:
-            return False
-        seen = 0
-        for r in self.rows:
-            if r.bit_count() != 1 or seen & r:
-                return False
-            seen |= r
-        return seen == _mask(self.n_cols)
-
     # -- arithmetic --------------------------------------------------------
 
     def mul(self, other: "BinMatrix") -> "BinMatrix":

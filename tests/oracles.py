@@ -273,6 +273,29 @@ def lift_qubit_perm_reference(witness, f: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
+# --- chain-map squares by dense products ----------------------------------------
+#
+# How ChainMap.commutes decided a square before it compared column tables on
+# generator columns: as an equation of matrix products.
+
+
+def boundaries_reference(code, dual: bool = False) -> tuple[BinMatrix, BinMatrix]:
+    """(d2, d1) as matrices: (H_Z^T, H_X), or (H_X^T, H_Z) for the dual complex."""
+    return (code.hx_t, code.hz) if dual else (code.hz_t, code.hx)
+
+
+def squares_commute_reference(degs, source, target) -> bool:
+    """Whether matrices degs = (deg_top, ..., deg_0) commute with the boundary
+    matrices (d_top, ..., d_1) of two complexes: deg_(i-1) d_i == d'_i deg_i."""
+    return all(lo @ d == dt @ hi for hi, lo, d, dt in zip(degs, degs[1:], source, target))
+
+
+def chain_map_commutes_reference(cm, dual_target: bool = False) -> bool:
+    """ChainMap.commutes by dense products of its degree matrices."""
+    degs = (cm.deg2, cm.deg1, cm.deg0)
+    return squares_commute_reference(degs, boundaries_reference(cm.source), boundaries_reference(cm.target, dual_target))
+
+
 # --- the two exhaustive distance strategies ------------------------------------
 #
 # The strategies distance.py used before the pinned cluster search: a Gray-code

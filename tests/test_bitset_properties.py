@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from bbcovers.autos import (
     CodeAutomorphism,
     _block_lift,
-    _perm_matrix,
+    _perm_columns,
     antipode_zx_duality,
     lift_automorphism,
     shift_automorphism,
@@ -222,15 +222,21 @@ def _random_matrix(data, n: int) -> BinMatrix:
     return BinMatrix(n, n, tuple(data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))))
 
 
+def _columns(m: BinMatrix) -> tuple[int, ...]:
+    return m.transpose().rows
+
+
 @settings(max_examples=60, deadline=None)
 @given(lifts(), st.data())
 def test_block_lift_matches_loop_oracles(lift, data):
+    # _block_lift lifts column tables; the oracles lift matrices
     base, cover, w = lift
     dim = base.ctx.dim
     m = _random_matrix(data, dim)
-    assert _block_lift(w, m) == lift_check_matrix_reference(w, m)
+    assert _block_lift(w, _columns(m)) == _columns(lift_check_matrix_reference(w, m))
     f = tuple(data.draw(st.permutations(range(base.n))))
-    assert _block_lift(w, _perm_matrix(f)) == _perm_matrix(lift_qubit_perm_reference(w, f))
+    assert _perm_columns(f) == _columns(BinMatrix.from_rows([[int(f[j] == i) for j in range(base.n)] for i in range(base.n)]))
+    assert _block_lift(w, _perm_columns(f)) == _perm_columns(lift_qubit_perm_reference(w, f))
     # a general two-block matrix lifts block by block
     m2 = _random_matrix(data, 2 * dim)
     mask = (1 << dim) - 1
@@ -239,7 +245,7 @@ def test_block_lift_matches_loop_oracles(lift, data):
         for i in (0, 1)
     ]
     top, bottom = ([lift_check_matrix_reference(w, b) for b in row] for row in blocks)
-    assert _block_lift(w, m2) == top[0].hstack(top[1]).vstack(bottom[0].hstack(bottom[1]))
+    assert _block_lift(w, _columns(m2)) == _columns(top[0].hstack(top[1]).vstack(bottom[0].hstack(bottom[1])))
 
 
 @settings(max_examples=60, deadline=None)

@@ -16,11 +16,19 @@ from bbcovers.chainmaps import (
     section_chain_map_commutes,
     weight_preserving_lift_search,
 )
+from bbcovers.autos import (
+    antipode_zx_duality,
+    block_swap_zx_duality,
+    lift_zx_duality,
+    shift_automorphism,
+    verify_automorphism,
+    verify_zx_duality,
+)
 from bbcovers.codes import Classification, InternalConsistencyError, PauliOp, Refusal, parse_code_spec, parse_pauli
 from bbcovers.covers import check_cover
 from bbcovers.distance import exact_distance
-from bbcovers.gf2 import BinMatrix
-from bbcovers.rings import ContextMismatch, Poly, parse_poly
+from bbcovers.gf2 import BinMatrix, ShapeError
+from bbcovers.rings import ContextMismatch, Monomial, Poly, parse_poly
 
 BASE_18 = parse_code_spec("l=3 m=3 A=1+y+y^2 B=1+x+x^2")
 BASE_72 = parse_code_spec("l=6 m=6 A=x^3+y+y^2 B=y^3+x+x^2")
@@ -72,11 +80,62 @@ def test_chain_maps_commute_and_are_transposes():
 
 
 def test_a_failing_square_fails_both_chain_maps(monkeypatch):
-    # tau is read off the verified p, so p's squares guard both
-    monkeypatch.setattr(chainmaps, "_is_chain_map", lambda *args: False)
+    # tau is read off the verified p, so p's squares guard both; p is an affine
+    # cell map, so its squares are compared on the generator columns alone
+    seen = []
+
+    def failing(lo, hi, d, dt, index):
+        seen.append(list(index))
+        return False
+
+    monkeypatch.setattr(chainmaps, "_square_commutes", failing)
     for build in (projection_map, lifting_map):
         with pytest.raises(InternalConsistencyError):
             build(W_54)
+    lm = COVER_54.ctx.dim
+    assert seen == [[0], [0]]  # each build stops at its first square, on Z-checks
+    seen.clear()
+    monkeypatch.setattr(chainmaps, "_square_commutes", lambda lo, hi, d, dt, index: seen.append(list(index)) or True)
+    projection_map(W_54)
+    assert seen == [[0], [0, lm], [0], [0, lm]]  # chain, then cochain squares
+
+
+def test_compose_p_tau_refuses_a_corrupted_fibre():
+    for moved in (False, True):
+        w = check_cover(BASE_18, COVER_54)
+        fibres = list(w.fibres)
+        low = fibres[0] & -fibres[0]
+        fibres[0] ^= low  # the fibre over 0 loses a sheet ...
+        if moved:
+            fibres[1] |= low  # ... to the fibre over 1
+        w.__dict__["fibres"] = tuple(fibres)
+        with pytest.raises(InternalConsistencyError, match="neither identity nor zero"):
+            compose_p_tau(w)
+
+
+def test_apply_refuses_bits_beyond_the_source_qubits():
+    pm = projection_map(W_54)
+    assert pm.apply(1 << (COVER_54.n - 1)) == 1 << (BASE_18.n - 1)
+    for bad in (1 << COVER_54.n, -1):
+        with pytest.raises(ShapeError):
+            pm.apply(bad)
+
+
+def test_class_images_keep_the_kernel_test_unless_the_sectors_were_verified():
+    # a verified duality sends Z-type vectors to X-type ones and back, so the
+    # same-side images of induced_homology_map are tested and leave the kernel;
+    # an unverified constant section is tested too
+    dual, swap = antipode_zx_duality(BASE_18), block_swap_zx_duality(BASE_18)
+    assert verify_zx_duality(BASE_18, dual) and verify_zx_duality(BASE_18, swap)
+    lifted = lift_zx_duality(check_cover(BASE_18, parse_code_spec("l=9 m=3 A=1+y+y^2 B=1+x^4+x^5")), swap)
+    for cm in (dual, swap, lifted, constant_section(W_54, 0, 0)):
+        for side in "XZ":
+            with pytest.raises(InternalConsistencyError, match="left the target kernel"):
+                induced_homology_map(cm, side)
+    shift = shift_automorphism(BASE_18, Monomial(1, 0))
+    assert verify_automorphism(BASE_18, shift)
+    for side in "XZ":
+        assert induced_homology_map(shift, side).matrix.rank() == BASE_18.k
 
 
 def test_compose_p_tau():

@@ -10,7 +10,7 @@ from bbcovers.codes import (
     parse_code_spec,
     parse_pauli,
 )
-from bbcovers.gf2 import BinMatrix, RowReducer
+from bbcovers.gf2 import BinMatrix, RowReducer, ShapeError
 from bbcovers.rings import ContextMismatch, Monomial, Poly, RingContext, parse_poly
 
 CODE_72 = "l=6 m=6 A=x^3+y+y^2 B=y^3+x+x^2"
@@ -187,6 +187,19 @@ def test_syndrome_refuses_an_operator_over_another_ring():
     op = parse_pauli("X(1+x|0)", RingContext(9, 3))
     with pytest.raises(ContextMismatch):
         code.syndrome(op)
+
+
+def test_class_coords_refuse_bits_beyond_the_last_qubit():
+    # the syndrome ignores bits from n up, so the kernel test alone would pass them
+    code = parse_code_spec(CODE_18)
+    x, z = code.logical_basis.x_ops[0].support_vector(), code.logical_basis.z_ops[0].support_vector()
+    for coords, v in ((code.x_class_coords, x), (code.z_class_coords, z)):
+        assert coords(v) == 1
+        for bad in (1 << code.n, v | 1 << code.n, -1):
+            with pytest.raises(ShapeError):
+                coords(bad)
+    with pytest.raises(ShapeError):
+        code.classify_vector("X", 1 << code.n)
 
 
 def test_untransposed_h_z_fails_the_column_0_check(monkeypatch):

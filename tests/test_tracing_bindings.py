@@ -76,3 +76,32 @@ def test_enumeration_builds_codes_without_dense_products_or_transposes():
     assert metrics["gf2.mul.calls"] == metrics["gf2.transpose.calls"] == 0
     # k comes from the side-class annihilators, not from rank_hz
     assert metrics["codes.k.calls"] == 0
+
+
+def test_chain_maps_and_automorphisms_run_without_dense_products_transposes_or_ranks():
+    # every square of these affine cell maps is decided on generator columns
+    from bbcovers.codes import parse_code_spec
+    from bbcovers.covers import check_cover
+    from bbcovers.rings import Monomial
+
+    base = parse_code_spec("l=3 m=3 A=1+y+y^2 B=1+x+x^2")
+    cover = parse_code_spec("l=9 m=3 A=x^3+y+y^2 B=1+x+x^2")
+    witness = check_cover(base, cover)
+    chainmaps, autos = bbcovers.chainmaps, bbcovers.autos
+    tracer = _load_tracing().Tracer(bbcovers)
+    tracer.install()
+    try:
+        chainmaps.projection_map(witness)
+        chainmaps.lifting_map(witness)
+        assert autos.verify_automorphism(cover, autos.shift_automorphism(cover, Monomial(4, 2)))
+        assert autos.verify_zx_duality(cover, autos.antipode_zx_duality(cover))
+        lifted = autos.lift_automorphism(witness, autos.shift_automorphism(base, Monomial(0, 1)))
+    finally:
+        tracer.uninstall()
+    assert lifted.f == bbcovers.autos.shift_automorphism(cover, Monomial(0, 1)).f
+    metrics = tracer.metrics()
+    for name in ("projection_map", "lifting_map"):
+        assert metrics[f"chainmaps.{name}.calls"] == 1
+    for name in ("verify_automorphism", "verify_zx_duality", "lift_automorphism"):
+        assert metrics[f"autos.{name}.calls"] == 1
+    assert metrics["gf2.mul.calls"] == metrics["gf2.transpose.calls"] == metrics["gf2.rank.calls"] == 0
