@@ -222,12 +222,14 @@ def _affine(degs, src: RingContext, tgt: RingContext) -> bool:
 def _verified_projection(witness: CoverWitness) -> ChainMap:
     """p_* with all four commuting squares checked exactly: its chain squares, and
     its cochain squares as the chain squares between the dual complexes."""
+    object.__setattr__(witness, "_projection_verified", False)
     cm = _degreewise(_projection_columns(witness), witness.cover, witness.base)
     if not cm.commutes():
         raise InternalConsistencyError("chain-map square failed")
     dual = (_boundaries(cm.source, True), _boundaries(cm.target, True))
     if not _is_chain_map(cm.columns[::-1], *dual, cm._step):
         raise InternalConsistencyError("cochain-map square failed")
+    object.__setattr__(witness, "_projection_verified", True)
     return _mark_verified(cm)
 
 
@@ -243,8 +245,10 @@ def projection_map(witness: CoverWitness) -> ChainMap:
 
 def lifting_map(witness: CoverWitness) -> ChainMap:
     """The chain map tau_* : base -> cover; the transpose of p_*, so p_*'s squares
-    verify it.  Its columns are the rows of p: the fibres."""
-    _verified_projection(witness)
+    verify it, checked here unless their last check on this witness passed.
+    Its columns are the rows of p: the fibres."""
+    if not witness._projection_verified:
+        _verified_projection(witness)
     return _mark_verified(_degreewise(witness.fibres, witness.base, witness.cover))
 
 

@@ -15,8 +15,9 @@ As p^T has the transposed matrix, H_X^T = (A^T over B^T) and H_Z^T = (B over
 A): both check matrices and their transposes stack, on demand, the circulants
 of A, B, A^T and B^T that each polynomial builds once.  Row r of each check
 matrix is the r-translate of its row 0, so column 0 of H_X H_Z^T decides the
-product is zero; a code is built with that check alone.  Syndromes XOR rows
-of the transposes, and H_X and H_Z are each eliminated once, by a reducer.
+product is zero; a code is built with that check alone, which XORs w rows once
+each polynomial has certified M(p)^T = M(p^T).  Syndromes XOR rows of the
+transposes, and H_X and H_Z are each eliminated once, by a reducer.
 """
 
 from __future__ import annotations
@@ -106,10 +107,7 @@ class BBCode:
         self.ctx = _within_budget(a.ctx)
         self.a = a
         self.b = b
-        # entry (r, s) of H_X H_Z^T pairs the r-translate of H_X's row 0 with the
-        # s-translate of H_Z's; translations permute qubits, so it is entry (r - s, 0).
-        # H_Z's row 0 is (B^T | A^T) as masks, so column 0 is A (B^T mask) + B (A^T mask).
-        if a.to_matrix().mul_vec(b.transpose().mask) != b.to_matrix().mul_vec(a.transpose().mask):
+        if _column_0(a, b):
             raise InternalConsistencyError("H_X H_Z^T != 0; construction is broken")
 
     # -- identity ------------------------------------------------------------
@@ -244,6 +242,18 @@ class BBCode:
         return _overlap_parities(v, logicals.z_vectors if basis == "X" else logicals.x_vectors)
 
 
+def _column_0(a: Poly, b: Poly) -> int:
+    """Column 0 of H_X H_Z^T, zero exactly when the product is: entry (r, s)
+    pairs the r-translate of H_X's row 0 with the s-translate of H_Z's row 0,
+    (B^T | A^T) as masks, so it is entry (r - s, 0).  Once both polynomials have
+    certified M(p)^T = M(p^T), M(p) mask(q) XORs w rows of M(p^T), not lm parities.
+    """
+    at, bt = a.transpose(), b.transpose()
+    if a._column_0_is_transpose and b._column_0_is_transpose:
+        return at.to_matrix().vec_mul(bt.mask) ^ bt.to_matrix().vec_mul(at.mask)
+    return a.to_matrix().mul_vec(bt.mask) ^ b.to_matrix().mul_vec(at.mask)
+
+
 def _within_budget(ctx: RingContext) -> RingContext:
     """ctx, or Refusal above MAX_LATTICE_CELLS cells: call it before parsing, as x^e holds e bits."""
     if ctx.dim > MAX_LATTICE_CELLS:
@@ -339,7 +349,9 @@ def _symplectic_basis(code: BBCode) -> LogicalBasis:
     X representatives are the first k kernel vectors of H_Z, drawn lazily in
     kernel order off the H_Z reducer, that are independent modulo the H_X
     reducer (Z reps dually); pairs are then peeled off front-first,
-    correcting the remaining vectors so the pairing is exactly I_k.
+    correcting the remaining vectors so the pairing is exactly I_k.  A zero
+    syndrome of each vector and a pairing of I_k rule out stabilizers with no
+    membership test: they overlap evenly with every kernel vector of the other sector.
     """
     k = code.k
     if k == 0:
@@ -364,10 +376,9 @@ def _symplectic_basis(code: BBCode) -> LogicalBasis:
     x_ops = tuple(PauliOp.from_vector("X", code.ctx, v) for v in xs)
     z_ops = tuple(PauliOp.from_vector("Z", code.ctx, v) for v in zs)
     basis = LogicalBasis(x_ops, z_ops)
+    if any(code.syndrome_vector("X", v) for v in xs) or any(code.syndrome_vector("Z", v) for v in zs):
+        raise InternalConsistencyError("basis operator is not in the kernel")
     if basis.pairing_matrix() != BinMatrix.identity(k):
         raise InternalConsistencyError("constructed basis does not pair as identity")
-    for op in x_ops + z_ops:
-        if code.classify(op) != Classification.LOGICAL:
-            raise InternalConsistencyError("basis operator is not a nontrivial logical")
     return basis
 

@@ -213,6 +213,13 @@ class Poly:
             rows[b::m] = [(doubled >> (n - a * m)) & full for a in range(l)]
         return BinMatrix(n, n, tuple(rows))
 
+    @cached_property
+    def _column_0_is_transpose(self) -> bool:
+        """Whether column 0 of the matrix is the mask of transpose().  Both
+        matrices are circulants, so is the transpose of one, and circulants with
+        equal row 0 are equal: this certifies M(p)^T = M(p^T)."""
+        return self._matrix.column(0) == self.transpose().mask
+
     def render(self) -> str:
         if not self.terms:
             return "0"

@@ -9,6 +9,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from bbcovers.codes import BBCode
+from bbcovers.covers import build_tanner_graph, is_connected
 from bbcovers.gf2 import BinMatrix, RowReducer
 from bbcovers.rings import Poly, RingContext
 
@@ -99,6 +100,14 @@ def to_matrix_reference(p: Poly) -> BinMatrix:
             for b in range(m):
                 rows[a * m + b] |= 1 << (((a + t.a) % l) * m + (b + t.b) % m)
     return BinMatrix(ctx.dim, ctx.dim, tuple(rows))
+
+
+def cover_record_reference(a: Poly, b: Poly) -> tuple[int, bool]:
+    """(k, connected) of one enumeration job, shared with no other job: k from
+    the stabilizer reducers of a code built from fresh copies of a and b, and
+    connectivity by a breadth-first search of its Tanner graph."""
+    code = BBCode(Poly(a.ctx, a.mask), Poly(b.ctx, b.mask))
+    return code.k, is_connected(build_tanner_graph(code))
 
 
 # --- cover certification over labelled vertices and frozenset edges ------------

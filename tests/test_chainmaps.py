@@ -100,6 +100,24 @@ def test_a_failing_square_fails_both_chain_maps(monkeypatch):
     assert seen == [[0], [0, lm], [0], [0, lm]]  # chain, then cochain squares
 
 
+def test_lifting_map_checks_p_unless_projection_map_passed_it_on_the_witness(monkeypatch):
+    runs = []
+    square = chainmaps._square_commutes
+    monkeypatch.setattr(chainmaps, "_square_commutes", lambda *args: runs.append(1) or square(*args))
+    lifting_map(check_cover(BASE_18, COVER_54))  # alone: p's four squares
+    assert len(runs) == 4
+    w = check_cover(BASE_18, COVER_54)
+    projection_map(w)
+    lifting_map(w)
+    lifting_map(w)
+    assert len(runs) == 8  # the squares of projection_map, none of lifting_map
+    # a failed check leaves no verification behind
+    monkeypatch.setattr(chainmaps, "_square_commutes", lambda *args: False)
+    for build in (projection_map, lifting_map):
+        with pytest.raises(InternalConsistencyError):
+            build(w)
+
+
 def test_compose_p_tau_refuses_a_corrupted_fibre():
     for moved in (False, True):
         w = check_cover(BASE_18, COVER_54)

@@ -210,6 +210,26 @@ def test_untransposed_h_z_fails_the_column_0_check(monkeypatch):
         parse_code_spec(CODE_72)
 
 
+@pytest.mark.parametrize("swap", ["stabilizer", "vector outside the kernel"])
+def test_symplectic_basis_refuses_a_stabilizer_or_a_vector_outside_the_kernel(monkeypatch, swap):
+    import bbcovers.codes as codes
+
+    code = parse_code_spec(CODE_72)
+    coset_reps = codes._coset_reps
+
+    def swapped(checks, stabs, k):
+        reps = coset_reps(checks, stabs, k)
+        if stabs is code._x_stab_reducer:  # the X representatives
+            reps[0] = code.hx.rows[1] if swap == "stabilizer" else reps[0] ^ 1
+        return reps
+
+    monkeypatch.setattr(codes, "_coset_reps", swapped)
+    # a stabilizer pairs evenly with every Z representative, so the pairing fails
+    match = "pairing" if swap == "stabilizer" else "not in the kernel"
+    with pytest.raises(InternalConsistencyError, match=match):
+        code.logical_basis
+
+
 def paper_18_basis(code):
     ctx = code.ctx
     f, g = parse_poly("1+x", ctx), parse_poly("1+y", ctx)

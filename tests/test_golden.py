@@ -90,6 +90,12 @@ CLI_GOLDEN = [
         0,
         "bf4f0f40e8454dcd15fe846afb0440c2f09104904bacdebad15ef297d2d02558",
     ),
+    # the largest enumeration: 15,625 weight-8 classes at h = 5
+    (
+        ["enumerate", WEIGHT_8, "--lt", "30", "--mt", "2"],
+        0,
+        "fd7eee4a6ad2abdb4c518e0f0dae75a6ebdde38da12a5cf0c0394dddfd0ae825",
+    ),
     # both x and y lifted
     (
         ["enumerate", CODE_18, "--lt", "9", "--mt", "6"],

@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bbcovers.codes import BBCode, Refusal, parse_code_spec
-from bbcovers.covers import _meet_dim, _record_of, _side_class
+from bbcovers.covers import _meet_dim, _records, _side_class
 from bbcovers.gf2 import BinMatrix, RowReducer, ShapeError
 from bbcovers.rings import Poly, RingContext
 
@@ -117,4 +117,4 @@ def test_both_annihilator_routes_give_k(l, m, a_terms, b_terms):
         assert all((Poly(ctx, f) * p.transpose()).is_zero() for f in side.ann_t.basis_rows())
     k = BBCode(a, b).k
     assert 2 * _meet_dim(sa.ann, sb.ann) == 2 * _meet_dim(sb.ann_t, sa.ann_t) == k
-    assert _record_of((sa, sb)).k == k
+    assert [r.k for r in _records([sa], [sb])] == [k]
