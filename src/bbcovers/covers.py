@@ -4,8 +4,9 @@ A candidate code Q~(A~, B~, l~, m~) covers a base Q(A, B, l, m) when l | l~,
 m | m~ and each defining term of the candidate reduces, exponentwise modulo
 (l, m), to a distinct term of the corresponding base polynomial.  This module
 decides and certifies that relation, enumerates all covers for given target
-lattice parameters with canonical deduplication, and cross-validates the
-algebra against an explicit derived-graph construction.
+lattice parameters up to orbit-minimal support masks, and cross-validates the
+algebra against the derived graph built by voltage arithmetic: both graphs are
+check rows over qubit masks, compared as one tuple.
 """
 
 from __future__ import annotations
@@ -135,7 +136,7 @@ def check_cover(base: BBCode, cand: BBCode) -> CoverWitness:
 def poly_stabilizer_monomials(p: Poly) -> list[Monomial]:
     """Monomials mu with mu * p == p (always contains 1)."""
     ctx = p.ctx
-    return [mu for mu in ctx.monomials() if p.shift(mu) == p]
+    return [mu for mu in ctx.monomials() if ctx.shift(p.mask, mu.a, mu.b) == p.mask]
 
 
 def cover_multipliers(base_poly: Poly, u: int, t: int) -> list[Monomial]:
@@ -146,16 +147,23 @@ def cover_multipliers(base_poly: Poly, u: int, t: int) -> list[Monomial]:
     monomial that stabilizes base_poly.
     """
     l, m = base_poly.ctx.l, base_poly.ctx.m
-    out = []
-    for mu in poly_stabilizer_monomials(base_poly):
-        for i in range(u):
-            for j in range(t):
-                out.append(Monomial(mu.a + l * i, mu.b + m * j))
-    return out
+    stab = poly_stabilizer_monomials(base_poly)
+    return [Monomial(mu.a + l * i, mu.b + m * j) for mu in stab for i in range(u) for j in range(t)]
+
+
+def _least(masks: list[int]) -> int:
+    """The mask whose ``Poly.terms`` sort first among masks of one weight:
+    x sorts before y exactly when the lowest set bit of x ^ y lies in x."""
+    best = masks[0]
+    for x in masks:
+        d = x ^ best
+        if x & d & -d:
+            best = x
+    return best
 
 
 def _orbit_min(p: Poly, multipliers: list[Monomial]) -> Poly:
-    return min((p.shift(mu) for mu in multipliers), key=lambda q: q.terms)
+    return Poly(p.ctx, _least([p.ctx.shift(p.mask, mu.a, mu.b) for mu in multipliers]))
 
 
 def canonical_form(a_t: Poly, b_t: Poly, base: BBCode, u: int, t: int) -> tuple[Poly, Poly]:
@@ -170,27 +178,34 @@ def canonical_form(a_t: Poly, b_t: Poly, base: BBCode, u: int, t: int) -> tuple[
     )
 
 
+def _lift_masks(p: Poly, ctx: RingContext) -> list[int]:
+    """The masks of every lift of p into the cover ring ctx, the last term's sheet varying fastest."""
+    l, m = p.ctx.l, p.ctx.m
+    sheets = [(l * i, m * j) for i in range(ctx.l // l) for j in range(ctx.m // m)]
+    options = [[1 << ctx.index(x.a + i, x.b + j) for i, j in sheets] for x in p.terms]  # a bit per sheet
+    return [sum(bits) for bits in product(*options)]
+
+
 def lifts_of_poly(p: Poly, u: int, t: int) -> list[Poly]:
     """All u*t-per-term exponent lifts of p into the (u*l, t*m) ring."""
     ctx = RingContext(p.ctx.l * u, p.ctx.m * t)
-    l, m = p.ctx.l, p.ctx.m
-    out = []
-    for choice in product(range(u * t), repeat=p.weight):
-        terms = []
-        for term, c in zip(p.terms, choice):
-            i, j = divmod(c, t)
-            terms.append((term.a + l * i, term.b + m * j))
-        out.append(Poly.make(ctx, terms))
-    return out
+    return [Poly(ctx, v) for v in _lift_masks(p, ctx)]
 
 
 def _side_representatives(base_poly: Poly, u: int, t: int) -> list[Poly]:
+    """The orbit minimum of every class of lifts, in ``terms`` order.  The
+    multipliers form a group (the preimage of base_poly's stabilizer), so an
+    orbit is a whole class and each class is shifted once."""
+    ctx = RingContext(base_poly.ctx.l * u, base_poly.ctx.m * t)
     mults = cover_multipliers(base_poly, u, t)
-    reps = {}
-    for cand in lifts_of_poly(base_poly, u, t):
-        rep = _orbit_min(cand, mults)
-        reps[rep.terms] = rep
-    return sorted(reps.values(), key=lambda q: q.terms)
+    seen: set[int] = set()
+    reps = []
+    for v in _lift_masks(base_poly, ctx):
+        if v not in seen:
+            orbit = [ctx.shift(v, mu.a, mu.b) for mu in mults]
+            seen.update(orbit)
+            reps.append(Poly(ctx, _least(orbit)))
+    return sorted(reps, key=lambda q: q.terms)
 
 
 @dataclass(frozen=True)
@@ -369,16 +384,13 @@ def enumerate_covers(
         -(-(u * t) ** p.weight // (len(cover_multipliers(p, u, t)) if dedup else 1)) for p in (base.a, base.b)
     ]
     _within_job_budget(*lower, "at least ")
-    if dedup:
-        a_side = _side_representatives(base.a, u, t)
-        b_side = _side_representatives(base.b, u, t)
-    else:
-        a_side = lifts_of_poly(base.a, u, t)
-        b_side = lifts_of_poly(base.b, u, t)
+    sides = _side_representatives if dedup else lifts_of_poly
+    a_side, b_side = sides(base.a, u, t), sides(base.b, u, t)
     _within_job_budget(len(a_side), len(b_side))
     _within_budget(RingContext(lt, mt))  # before any matrix of the cover lattice
     records = _records([_side_class(p) for p in a_side], [_side_class(p) for p in b_side], workers)
-    records.sort(key=lambda r: (r.a.terms, r.b.terms))
+    if not dedup:  # with dedup both sides are sorted and the jobs run A-major
+        records.sort(key=lambda r: (r.a.terms, r.b.terms))
     return CoverEnumeration(base, lt, mt, tuple(records), deduplicated=dedup)
 
 
@@ -391,19 +403,20 @@ CLASSES = ("X", "Z", "L", "R")
 
 @dataclass(frozen=True)
 class TannerGraph:
-    """Bipartite check/qubit graph on integer vertex ids.
+    """Bipartite check/qubit graph stored as its check rows.
 
     Vertex id class * cells + a * mt + b names the vertex of class X, Z, L or
     R (in that order) at cell x^a y^b of an lt x mt lattice, cells = lt * mt.
-    An edge is the id check * 2cells + (qubit - 2cells): the entry (row, column)
-    of the stacked check matrix (H_X ; H_Z).  A derived graph carries its
+    ``rows[c]`` is the mask of the qubits adjacent to check c, qubit id
+    2cells + q at bit q: the rows of the stacked check matrix (H_X ; H_Z).
+    Edge id c * 2cells + q is the entry (c, q).  A derived graph carries its
     ``sheets`` (u, t) and uses the ids of the cover lattice (lt, mt) =
     (u l, t m); its labels name the base cell and the sheet instead.
     """
 
     lt: int
     mt: int
-    edge_ids: frozenset
+    rows: tuple[int, ...]
     sheets: tuple[int, int] | None = None
 
     @property
@@ -423,9 +436,14 @@ class TannerGraph:
         return {self.label(v): v for v in range(4 * self.cells)}
 
     @cached_property
+    def edge_ids(self) -> frozenset:
+        n = self.n_checks
+        return frozenset(c * n + q for c, row in enumerate(self.rows) for q in range(n) if row >> q & 1)
+
+    @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Neighbour ids of every vertex id."""
-        n = 2 * self.cells
+        n = self.n_checks
         adj: list[list[int]] = [[] for _ in range(2 * n)]
         for e in self.edge_ids:
             c, q = divmod(e, n)
@@ -439,7 +457,7 @@ class TannerGraph:
 
     @cached_property
     def edges(self) -> frozenset:
-        n = 2 * self.cells
+        n = self.n_checks
         return frozenset(
             frozenset((self.label(c), self.label(n + q))) for c, q in (divmod(e, n) for e in self.edge_ids)
         )
@@ -456,26 +474,9 @@ class TannerGraph:
         return len(self.adjacency[self._ids[v]])
 
 
-def _edge_ids(code: BBCode) -> list[int]:
-    """Edge ids of the Tanner graph: the set bits of the rows of (H_X ; H_Z).
-
-    Row r of H_X (H_Z) is the support of the X (Z) check labelled r, the same
-    vector stabilizer_support returns, so the rows are the check neighbourhoods.
-    """
-    n = code.n
-    out = []
-    for c, row in enumerate(code.hx.rows + code.hz.rows):
-        first = c * n
-        while row:
-            low = row & -row
-            out.append(first + low.bit_length() - 1)
-            row ^= low
-    return out
-
-
 def build_tanner_graph(code: BBCode) -> TannerGraph:
-    """Explicit Tanner graph, read off the rows of H_X and H_Z."""
-    return TannerGraph(code.l, code.m, frozenset(_edge_ids(code)))
+    """Explicit Tanner graph: the rows of (H_X ; H_Z) are the check neighbourhoods."""
+    return TannerGraph(code.l, code.m, code.hx.rows + code.hz.rows)
 
 
 def _derived_edge_generators(witness: CoverWitness):
@@ -494,90 +495,82 @@ def _derived_edge_generators(witness: CoverWitness):
         yield ("L", "Z", cover_term)
 
 
-def _derived_edge_ids(base: BBCode, witness: CoverWitness) -> list[int]:
-    """Edges of the right-derived graph over Gamma = Z_u x Z_t, in cover ids.
+def build_derived_graph(base: BBCode, witness: CoverWitness) -> TannerGraph:
+    """Right-derived graph of the base Tanner graph over Gamma = Z_u x Z_t,
+    with voltages read off the witness's lifted exponents, in cover ids.
 
     Base vertex v at sheet g gets the cover id of v + (l g1, m g2).  The edge
     of a generator with cover exponent e runs from tail v at sheet g to head
     (v + e) mod (l, m) at sheet g + voltage, the voltage being the carry
-    ((v1 + e1) // l, (v2 + e2) // m) mod (u, t).
+    ((v1 + e1) // l, (v2 + e2) // m) mod (u, t), setting a bit of a check row.
     """
     l, m, u, t = base.l, base.m, witness.u, witness.t
     cells = base.ctx.dim * witness.h
-    n = 2 * cells
     offset, embedding = witness.sheet_offsets, witness.embedding
-    sheets = [(g1, g2) for g1 in range(u) for g2 in range(t)]
-    # voltage -> the head sheet offset of each tail sheet
-    moved = {
-        (s1, s2): [offset[((g1 + s1) % u) * t + (g2 + s2) % t] for g1, g2 in sheets]
-        for s1, s2 in sheets
-    }
-    out: list[int] = []
+    gs = [(g1, g2) for g1 in range(u) for g2 in range(t)]  # the sheets
+    # voltage s1 * t + s2 -> (tail, head) sheet offsets of every tail sheet
+    moved = [list(zip(offset, [offset[(g1 + s1) % u * t + (g2 + s2) % t] for g1, g2 in gs])) for s1, s2 in gs]
+    rows = [0] * (2 * cells)
     for tail_cls, head_cls, exp in _derived_edge_generators(witness):
-        tail_first, head_first = CLASSES.index(tail_cls) * cells, CLASSES.index(head_cls) * cells
-        tail_is_check = tail_first < n
+        # the row of check class X or Z, the column of qubit class L or R
+        tail_first, head_first = CLASSES.index(tail_cls) % 2 * cells, CLASSES.index(head_cls) % 2 * cells
+        check_tail = tail_cls == "X"
         for v1 in range(l):
             s1, h1 = divmod(v1 + exp.a, l)
             for v2 in range(m):
                 s2, h2 = divmod(v2 + exp.b, m)
                 tail = tail_first + embedding[v1 * m + v2]
                 head = head_first + embedding[h1 * m + h2]
-                heads = moved[(s1 % u, s2 % t)]
-                if tail_is_check:
-                    first = tail * n + head - n
-                    out.extend(first + o * n + p for o, p in zip(offset, heads))
+                if check_tail:
+                    for o, p in moved[s1 % u * t + s2 % t]:
+                        rows[tail + o] |= 1 << (head + p)
                 else:
-                    first = head * n + tail - n
-                    out.extend(first + p * n + o for o, p in zip(offset, heads))
-    return out
-
-
-def build_derived_graph(base: BBCode, witness: CoverWitness) -> TannerGraph:
-    """Right-derived graph of the base Tanner graph over Gamma = Z_u x Z_t,
-    with voltages read off the witness's lifted exponents."""
-    return TannerGraph(
-        base.l * witness.u, base.m * witness.t, frozenset(_derived_edge_ids(base, witness)), (witness.u, witness.t)
-    )
+                    for o, p in moved[s1 % u * t + s2 % t]:
+                        rows[head + p] |= 1 << (tail + o)
+    return TannerGraph(base.l * u, base.m * t, tuple(rows), (u, t))
 
 
 def verify_cover_isomorphism(base: BBCode, cover: BBCode, witness: CoverWitness) -> bool:
     """Cross-validate the algebraic witness against explicit graphs.
 
-    Cover vertex (cls, (a, b)) corresponds to derived vertex
-    (cls, (a mod l, b mod m), (a // l, b // m)); both graphs number their
-    vertices by the cover id, so this is a bijection exactly when the cover
-    lattice is (u l, t m), and the bijection maps edges onto edges exactly
-    when the two edge-id sets are equal.  Then checks that projection fibers
-    all have size h and that projection restricts to a bijection from every
-    cover neighbourhood onto the neighbourhood in the base graph, which is
-    read off the rows and columns of the base H_X and H_Z.
+    Both graphs number vertices by the cover id, a bijection onto the derived
+    vertices (cls, (a mod l, b mod m), (a // l, b // m)) exactly when the
+    cover lattice is (u l, t m); it maps edges onto edges exactly when the
+    check rows agree.  Then the projection fibres must have size h, and the
+    projection must map every cover neighbourhood bijectively onto the base
+    one (the rows and columns of the base H_X and H_Z).  That is decided once
+    per base vertex: the neighbours of derived vertex (v, g) are one head
+    (v + e, g + s) or tail (v - e, g - s) per distinct generator e, so if
+    ``projection`` sends embedding[i] + sheet_offsets[g] to i for all i and g
+    (an O(cells) table test), they project to v + e and v - e for every g:
+    the translate by v of the generators' neighbourhood at base cell 0.
     """
     if (cover.l, cover.m) != (base.l * witness.u, base.m * witness.t):
         return False
-    cover_edges = build_tanner_graph(cover).edge_ids
-    if cover_edges != build_derived_graph(base, witness).edge_ids:
+    if build_tanner_graph(cover).rows != build_derived_graph(base, witness).rows:
         return False
-    # cell projection; a check or qubit index is block * cells + cell in both codes
     proj = witness.projection
     if set(Counter(proj).values()) != {witness.h}:
         return False
-    n = cover.n
-    proj = proj + tuple(base.ctx.dim + p for p in proj)
-    check_nbrs = [0] * n  # projected qubit neighbours of each cover check
-    qubit_nbrs = [0] * n  # projected check neighbours of each cover qubit
-    for e in cover_edges:
-        c, q = divmod(e, n)
-        pq, pc = 1 << proj[q], 1 << proj[c]
-        if check_nbrs[c] & pq or qubit_nbrs[q] & pc:
-            return False  # two neighbours in one fiber
-        check_nbrs[c] |= pq
-        qubit_nbrs[q] |= pc
-    base_rows = base.hx.rows + base.hz.rows
-    dim = base.ctx.dim
+    if any(proj[e + o] != i for i, e in enumerate(witness.embedding) for o in witness.sheet_offsets):
+        return False
+    # the projected neighbourhood of every class at base cell 0, over the qubit
+    # columns for a check and the check rows for a qubit: e off a tail, -e off a head
+    ctx, dim = base.ctx, base.ctx.dim
+    at_0 = [0] * 4
+    generators = {(c, d, e.a % cover.l, e.b % cover.m) for c, d, e in _derived_edge_generators(witness)}
+    for tail_cls, head_cls, ea, eb in generators:
+        tail, head = CLASSES.index(tail_cls), CLASSES.index(head_cls)
+        for x, y, sign in ((tail, head, 1), (head, tail, -1)):
+            bit = 1 << (y % 2 * dim + ctx.index(sign * ea, sign * eb))
+            if at_0[x] & bit:
+                return False  # two generators reach one fibre, at every base cell
+            at_0[x] |= bit
+    # at base cell x^a y^b it is the translate by x^a y^b, block by block
+    low, exps = (1 << dim) - 1, [divmod(v, base.m) for v in range(dim)]
+    nbrs = [ctx.shift(p & low, a, b) | ctx.shift(p >> dim, a, b) << dim for p in at_0 for a, b in exps]
     base_cols = [x | z << dim for x, z in zip(base.hx_t.rows, base.hz_t.rows)]
-    return all(nb == base_rows[proj[c]] for c, nb in enumerate(check_nbrs)) and all(
-        nb == base_cols[proj[q]] for q, nb in enumerate(qubit_nbrs)
-    )
+    return nbrs == [*base.hx.rows, *base.hz.rows, *base_cols]
 
 
 def is_connected(g: TannerGraph) -> bool:

@@ -43,6 +43,9 @@ class RingContext:
         if self.l < 1 or self.m < 1:
             raise ValueError(f"ring orders must be positive, got l={self.l}, m={self.m}")
 
+    def __reduce__(self):
+        return (RingContext, (self.l, self.m))  # without the cached block mask
+
     @property
     def dim(self) -> int:
         return self.l * self.m
@@ -118,6 +121,10 @@ class Poly:
             a, b = (t.a, t.b) if isinstance(t, Monomial) else t
             v ^= 1 << ((a % l) * m + b % m)
         return cls(ctx, v)
+
+    def __reduce__(self):
+        """Pickle the ring and the mask, not the cached terms and circulant."""
+        return (Poly, (self.ctx, self.mask))
 
     @classmethod
     def zero(cls, ctx: RingContext) -> "Poly":

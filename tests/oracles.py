@@ -209,6 +209,67 @@ def verify_cover_isomorphism_reference(base, cover, witness) -> bool:
     return True
 
 
+# --- Tanner and derived graphs as integer edge ids, edge by edge -----------------
+#
+# How covers built both graphs before TannerGraph stored check rows: one edge
+# id check * 2cells + (qubit - 2cells) per edge, X, Z, L, R vertex classes of
+# cells ids each.
+
+
+def edge_ids_reference(code) -> list[int]:
+    """Edge ids of the Tanner graph: the set bits of the rows of (H_X ; H_Z)."""
+    n = code.n
+    out = []
+    for c, row in enumerate(code.hx.rows + code.hz.rows):
+        first = c * n
+        while row:
+            low = row & -row
+            out.append(first + low.bit_length() - 1)
+            row ^= low
+    return out
+
+
+def derived_edge_ids_reference(base, witness) -> list[int]:
+    """Edges of the right-derived graph over Gamma = Z_u x Z_t, in cover ids.
+
+    Base vertex v at sheet g gets the cover id of v + (l g1, m g2).  The edge
+    of a generator with cover exponent e runs from tail v at sheet g to head
+    (v + e) mod (l, m) at sheet g + voltage, the voltage being the carry
+    ((v1 + e1) // l, (v2 + e2) // m) mod (u, t).
+    """
+    l, m, u, t = base.l, base.m, witness.u, witness.t
+    cells = base.ctx.dim * witness.h
+    n = 2 * cells
+    offset, embedding = witness.sheet_offsets, witness.embedding
+    sheets = [(g1, g2) for g1 in range(u) for g2 in range(t)]
+    # voltage -> the head sheet offset of each tail sheet
+    moved = {
+        (s1, s2): [offset[((g1 + s1) % u) * t + (g2 + s2) % t] for g1, g2 in sheets]
+        for s1, s2 in sheets
+    }
+    first = {cls: i * cells for i, cls in enumerate("XZLR")}
+    generators = [("X", "L", c) for c, _ in witness.a_matching] + [("R", "Z", c) for c, _ in witness.a_matching]
+    generators += [("X", "R", c) for c, _ in witness.b_matching] + [("L", "Z", c) for c, _ in witness.b_matching]
+    out: list[int] = []
+    for tail_cls, head_cls, exp in generators:
+        tail_first, head_first = first[tail_cls], first[head_cls]
+        tail_is_check = tail_first < n
+        for v1 in range(l):
+            s1, h1 = divmod(v1 + exp.a, l)
+            for v2 in range(m):
+                s2, h2 = divmod(v2 + exp.b, m)
+                tail = tail_first + embedding[v1 * m + v2]
+                head = head_first + embedding[h1 * m + h2]
+                heads = moved[(s1 % u, s2 % t)]
+                if tail_is_check:
+                    base_id = tail * n + head - n
+                    out.extend(base_id + o * n + p for o, p in zip(offset, heads))
+                else:
+                    base_id = head * n + tail - n
+                    out.extend(base_id + p * n + o for o, p in zip(offset, heads))
+    return out
+
+
 # --- the covering map by loops over monomials -----------------------------------
 #
 # The constructions chainmaps and autos used before they read the index tables

@@ -1,4 +1,4 @@
-"""Properties of the bitset polynomials, the integer-id cover graphs, the
+"""Properties of the bitset polynomials, the check-row cover graphs, the
 covering-map tables of CoverWitness and the automorphisms built on them.
 
 Small rings only.  The slow references are in oracles.py; networkx is an
@@ -6,6 +6,7 @@ independent oracle for Tanner-graph connectivity.
 """
 
 import json
+from dataclasses import replace
 
 import networkx as nx
 from hypothesis import assume, example, given, settings
@@ -25,16 +26,23 @@ from bbcovers.chainmaps import constant_section, lift_poly, lifting_map, project
 from bbcovers.codes import BBCode, parse_code_spec
 from bbcovers.covers import (
     CoverWitness,
+    _orbit_min,
+    _side_representatives,
     _tanner_connected_by_translation,
+    build_derived_graph,
     build_tanner_graph,
     check_cover,
+    cover_multipliers,
     is_connected,
+    lifts_of_poly,
     verify_cover_isomorphism,
 )
 from bbcovers.gf2 import BinMatrix
 from bbcovers.rings import Monomial, Poly, RingContext, parse_poly
 
 from oracles import (
+    derived_edge_ids_reference,
+    edge_ids_reference,
     lift_check_matrix_reference,
     lift_poly_reference,
     lift_qubit_perm_reference,
@@ -174,6 +182,47 @@ def test_verify_cover_isomorphism_matches_oracle_on_perturbed_witnesses(lift, si
     else:
         bad = CoverWitness(w.base, w.cover, w.u, w.t, w.a_matching, tuple(matching))
     assert verify_cover_isomorphism(base, cover, bad) == verify_cover_isomorphism_reference(base, cover, bad)
+
+
+@settings(max_examples=60, deadline=None)
+@given(codes())
+def test_tanner_graph_edge_ids_match_the_per_edge_oracle(code):
+    g = build_tanner_graph(code)
+    assert g.edge_ids == frozenset(edge_ids_reference(code))
+    assert sum(map(len, g.adjacency)) == 2 * len(g.edge_ids) == 2 * len(g.edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lifts(), st.booleans(), st.integers(0, 3), st.integers(-30, 30), st.integers(-30, 30))
+def test_derived_graph_edge_ids_match_the_per_edge_oracle(lift, side, index, da, db):
+    base, cover, w = lift
+    derived = build_derived_graph(base, w)
+    assert derived.edge_ids == frozenset(derived_edge_ids_reference(base, w))
+    assert derived.rows == build_tanner_graph(cover).rows
+    # a witness whose exponents carry voltages of any sign and size
+    matching = list(w.a_matching if side else w.b_matching)
+    c, b = matching[index % len(matching)]
+    matching[index % len(matching)] = (Monomial(c.a + da, c.b + db), b)
+    bad = replace(w, **{"a_matching" if side else "b_matching": tuple(matching)})
+    assert build_derived_graph(base, bad).edge_ids == frozenset(derived_edge_ids_reference(base, bad))
+
+
+@settings(deadline=None)
+@given(polys(min_terms=1), st.data())
+def test_mask_orbit_minimum_matches_the_sort_by_terms(p, data):
+    exps = st.tuples(st.integers(-20, 20), st.integers(-20, 20))
+    mults = [Monomial(a, b) for a, b in data.draw(st.lists(exps, min_size=1, max_size=8))]
+    assert _orbit_min(p, mults) == min((p.shift(mu) for mu in mults), key=lambda q: q.terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(max_terms=3), st.integers(1, 3), st.integers(1, 2))
+def test_side_representatives_are_the_orbit_minima_of_every_lift(p, u, t):
+    # one minimum per class, each class shifted once, against every lift's own minimum
+    mults = cover_multipliers(p, u, t)
+    minima = (min((c.shift(mu) for mu in mults), key=lambda q: q.terms) for c in lifts_of_poly(p, u, t))
+    reps = {q.mask: q for q in minima}
+    assert _side_representatives(p, u, t) == sorted(reps.values(), key=lambda q: q.terms)
 
 
 @settings(deadline=None)

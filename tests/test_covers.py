@@ -19,6 +19,8 @@ from bbcovers.covers import (
 )
 from bbcovers.rings import Monomial, Poly, parse_poly
 
+from oracles import verify_cover_isomorphism_reference
+
 BASE_18 = "l=3 m=3 A=1+y+y^2 B=1+x+x^2"
 BASE_72 = "l=6 m=6 A=x^3+y+y^2 B=y^3+x+x^2"
 BASE_14 = "l=7 m=1 A=1+x^2+x^3 B=1+x^2+x^3"
@@ -122,6 +124,14 @@ def test_no_dedup_size():
     base = parse_code_spec(BASE_18)
     enum = enumerate_covers(base, 6, 3, dedup=False)
     assert len(enum.records) == 2**6
+
+
+def test_no_dedup_records_are_in_terms_order_although_the_lifts_are_not():
+    base = parse_code_spec(BASE_18)
+    lifts = lifts_of_poly(base.a, 2, 2)
+    assert [q.terms for q in lifts] != sorted(q.terms for q in lifts)
+    keys = [(r.a.terms, r.b.terms) for r in enumerate_covers(base, 6, 6, dedup=False).records]
+    assert len(keys) == 64 * 64 and keys == sorted(keys)
 
 
 def test_canonical_form_absorbs_deck_monomials():
@@ -417,3 +427,33 @@ def test_tanner_graph_edges_are_the_check_supports():
         i = code.ctx.index(r.a, r.b)
         assert code.hx.rows[i] == code.stabilizer_support(r, "X").support_vector()
         assert code.hz.rows[i] == code.stabilizer_support(r, "Z").support_vector()
+
+
+def test_cover_isomorphism_refuses_an_inconsistent_projection_table():
+    # the per-base-vertex bijection test rests on projection[embedding[i] + sheet_offsets[g]] == i
+    base = parse_code_spec(BASE_18)
+    c36 = parse_code_spec("l=6 m=3 A=x^3+y+y^2 B=1+x+x^2")
+    w = check_cover(base, c36)
+    assert verify_cover_isomorphism(base, c36, w)
+    proj = list(w.projection)
+    i, j = w.embedding[0], w.embedding[1] + w.sheet_offsets[1]  # over base cells 0 and 1
+    proj[i], proj[j] = proj[j], proj[i]  # every fibre keeps its size h
+    skewed = CoverWitness(w.base, w.cover, w.u, w.t, w.a_matching, w.b_matching)
+    skewed.__dict__["projection"] = tuple(proj)  # the slot of the cached property
+    assert not verify_cover_isomorphism(base, c36, skewed)
+
+
+def test_cover_isomorphism_refuses_generator_heads_that_collide_on_a_base_vertex():
+    # 1 and x^3 both reduce to 1: the graphs agree and every projected
+    # neighbourhood equals the base one as a set, but each X-check meets two
+    # left qubits over one base qubit
+    base = parse_code_spec(BASE_18)
+    cover = parse_code_spec("l=6 m=3 A=1+x^3+y+y^2 B=1+x+x^2")
+    with pytest.raises(CoverRefusal):
+        check_cover(base, cover)
+    one, x3, y, y2 = Monomial(0, 0), Monomial(3, 0), Monomial(0, 1), Monomial(0, 2)
+    b_matching = tuple((t, t) for t in base.b.terms)
+    bad = CoverWitness(base, cover, 2, 1, ((one, one), (x3, one), (y, y), (y2, y2)), b_matching)
+    assert build_tanner_graph(cover).rows == build_derived_graph(base, bad).rows
+    assert not verify_cover_isomorphism(base, cover, bad)
+    assert not verify_cover_isomorphism_reference(base, cover, bad)

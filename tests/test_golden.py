@@ -96,6 +96,12 @@ CLI_GOLDEN = [
         0,
         "fd7eee4a6ad2abdb4c518e0f0dae75a6ebdde38da12a5cf0c0394dddfd0ae825",
     ),
+    # every lift, not one per class: records sorted by (A terms, B terms)
+    (
+        ["enumerate", CODE_18, "--lt", "6", "--mt", "3", "--no-dedup"],
+        0,
+        "507b5f0689d1f8f010bbce7aea52b7aa082ae70583791999ef2cbe78b69c4344",
+    ),
     # both x and y lifted
     (
         ["enumerate", CODE_18, "--lt", "9", "--mt", "6"],

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -189,3 +190,14 @@ def test_vector_round_trip():
         ctx = RingContext(rng.randint(1, 6), rng.randint(1, 6))
         p = random_poly(rng, ctx)
         assert Poly.from_vector(ctx, p.to_vector()) == p
+
+
+def test_pickle_carries_the_ring_and_mask_but_no_cached_circulant():
+    # a CoverRecord crosses process boundaries under enumerate --workers
+    p = parse_poly("1 + x^5 + x^3 + x^5y", RingContext(30, 2))
+    before = pickle.dumps(p)
+    p.to_matrix()
+    assert p.terms and p.transpose().to_matrix()
+    assert pickle.dumps(p) == before
+    q = pickle.loads(before)
+    assert q == p and q.to_matrix() == p.to_matrix()
