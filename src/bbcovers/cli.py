@@ -96,9 +96,7 @@ def cmd_check_cover(args) -> int:
 
 def cmd_enumerate(args) -> int:
     base = parse_code_spec(args.base)
-    enum = enumerate_covers(
-        base, args.lt, args.mt, dedup=not args.no_dedup, workers=args.workers
-    )
+    enum = enumerate_covers(base, args.lt, args.mt, dedup=not args.no_dedup)
     first = True
     for rec in enum.records:
         if args.connected_only and not rec.connected:
@@ -149,11 +147,13 @@ def _sequence_distance(row, code: BBCode, witness, base_d, mode: str, wmax: int)
 
 def cmd_sequence(args) -> int:
     tables = sequence_tables(args.fixtures)
+    if args.set and args.set not in tables:
+        raise Refusal(f"unknown sequence set {args.set!r}; known sets: {', '.join(sorted(tables))}")
     names = [args.set] if args.set else sorted(tables)
+    base_specs = [base_row(tables[name]) for name in names]  # every set checked before any code is built
     first = True
-    for name in names:
+    for name, base_spec in zip(names, base_specs):
         rows = tables[name]
-        base_spec = base_row(rows)
         base = base_spec.code()
         base_d = None
         if args.distance != "none":
@@ -310,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mt", type=int, required=True)
     p.add_argument("--no-dedup", action="store_true")
     p.add_argument("--connected-only", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
     csv_flag(p)
     p.set_defaults(func=cmd_enumerate)
 

@@ -11,9 +11,7 @@ check rows over qubit masks, compared as one tuple.
 
 from __future__ import annotations
 
-import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import product
@@ -296,23 +294,12 @@ def _meet_dim(u: RowReducer, v: RowReducer) -> int:
     return len(u) + len(v) - len(both)
 
 
-def _record_of(job: tuple[Poly, Poly, int, int, bool]) -> CoverRecord:
-    """The record of one job: (A, B, the H_X and H_Z routes to k / 2, connectivity).
+def _records(a_classes: list[_SideClass], b_classes: list[_SideClass]) -> list[CoverRecord]:
+    """The record of every (A-class, B-class) job, A-major.
 
     k = 2 dim(Ann A & Ann B) (Bravyi et al., Lemma 1).  Ann A & Ann B is the
     left kernel of H_X = (A | B), and Ann B^T & Ann A^T that of H_Z = (B^T |
     A^T); the two routes agreeing is rank H_X = rank H_Z.
-    """
-    a, b, x_half, z_half, connected = job
-    BBCode(a, b)  # the lattice budget and the H_X H_Z^T check
-    if x_half != z_half:
-        dim = a.ctx.dim
-        raise InternalConsistencyError(f"rank H_X = {dim - x_half} != rank H_Z = {dim - z_half}")
-    return CoverRecord(a, b, 2 * x_half, connected)
-
-
-def _records(a_classes: list[_SideClass], b_classes: list[_SideClass], workers: int = 1) -> list[CoverRecord]:
-    """The record of every (A-class, B-class) job, in job order.
 
     Jobs share few annihilator spans (19 per side among the 125 classes of the
     weight-8 base at (30, 2)) and difference subgroups, so dim(U & V) is
@@ -330,15 +317,15 @@ def _records(a_classes: list[_SideClass], b_classes: list[_SideClass], workers: 
     ctx = a_classes[0].poly.ctx
     connected = cache(lambda s, t: _closure(ctx, s, t) == (1 << ctx.dim) - 1)
     a_reps, b_reps = ([(c, span(c.ann), span(c.ann_t)) for c in side] for side in (a_classes, b_classes))
-    jobs = [
-        (a.poly, b.poly, meet(ax, bx), meet(bz, az), connected(a.group, b.group))
-        for a, ax, az in a_reps
-        for b, bx, bz in b_reps
-    ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_record_of, jobs, chunksize=max(1, len(jobs) // (4 * workers))))
-    return [_record_of(j) for j in jobs]
+    records = []
+    for a, ax, az in a_reps:
+        for b, bx, bz in b_reps:
+            BBCode(a.poly, b.poly)  # the lattice budget and the H_X H_Z^T check
+            x_half, z_half = meet(ax, bx), meet(bz, az)
+            if x_half != z_half:
+                raise InternalConsistencyError(f"rank H_X = {ctx.dim - x_half} != rank H_Z = {ctx.dim - z_half}")
+            records.append(CoverRecord(a.poly, b.poly, 2 * x_half, connected(a.group, b.group)))
+    return records
 
 
 def _within_job_budget(n_a: int, n_b: int, bound: str = "") -> None:
@@ -361,10 +348,11 @@ def enumerate_covers(
 
     With dedup (the default), candidates are reduced to canonical orbit
     representatives first; class count is then at most h^4 for weight-6 codes
-    and h^6 for weight-8 ones.  Refuses worker counts outside 1..cpu_count()
-    and more than MAX_ENUMERATION_JOBS codes (A-classes x B-classes) before
-    building any of them, and already before generating any lift when a lower
-    bound on the class counts exceeds the budget.
+    and h^6 for weight-8 ones.  Refuses more than MAX_ENUMERATION_JOBS codes
+    (A-classes x B-classes) before building any of them, and already before
+    generating any lift when a lower bound on the class counts exceeds the
+    budget.  Enumeration runs in one process: ``workers`` accepts only 1 and
+    goes when the benchmark scripts stop passing it.
 
     k is read by Lemma 1 of Bravyi et al. (arXiv:2308.07915), k = 2 dim(Ann A~
     & Ann B~): after the refusals the two annihilators of every side class are
@@ -374,9 +362,8 @@ def enumerate_covers(
     """
     if lt < base.l or mt < base.m or lt % base.l != 0 or mt % base.m != 0:
         raise Refusal(f"(l~, m~) = ({lt}, {mt}) not divisible by (l, m) = ({base.l}, {base.m})")
-    cpus = os.cpu_count() or 1
-    if not 1 <= workers <= cpus:
-        raise Refusal(f"workers must be between 1 and {cpus} (the CPU count), got {workers}")
+    if workers != 1:
+        raise Refusal(f"enumeration runs in one process: workers must be 1, got {workers}")
     u, t = lt // base.l, mt // base.m
     # a side of weight w has (u t)^w distinct lifts, and a class is an orbit of
     # at most len(cover_multipliers) of them; ceiling division bounds the count
@@ -388,7 +375,7 @@ def enumerate_covers(
     a_side, b_side = sides(base.a, u, t), sides(base.b, u, t)
     _within_job_budget(len(a_side), len(b_side))
     _within_budget(RingContext(lt, mt))  # before any matrix of the cover lattice
-    records = _records([_side_class(p) for p in a_side], [_side_class(p) for p in b_side], workers)
+    records = _records([_side_class(p) for p in a_side], [_side_class(p) for p in b_side])
     if not dedup:  # with dedup both sides are sorted and the jobs run A-major
         records.sort(key=lambda r: (r.a.terms, r.b.terms))
     return CoverEnumeration(base, lt, mt, tuple(records), deduplicated=dedup)

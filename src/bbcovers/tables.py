@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .codes import BBCode, build_code, parse_code_spec
+from .codes import BBCode, Refusal, build_code, parse_code_spec
 
 
 @dataclass(frozen=True)
@@ -56,33 +56,38 @@ class EnumerationCase:
 
 def _load(fixtures_path: str | Path | None = None) -> dict:
     if fixtures_path is not None:
-        return json.loads(Path(fixtures_path).read_text())
+        try:
+            return json.loads(Path(fixtures_path).read_text())
+        except (OSError, ValueError) as exc:
+            raise Refusal(f"cannot read fixtures file {str(fixtures_path)!r}: {exc}") from None
     ref = resources.files("bbcovers.fixtures").joinpath("sequence_tables.json")
     return json.loads(ref.read_text())
 
 
+# The keys of a fixture row in TableRow field order (after ``sequence``), with their JSON types.
+_ROW_FIELDS = {
+    "row": int, "n": int, "k": int, "d": int, "d_is_bound": bool, "l": int, "m": int, "h": int, "A": str, "B": str
+}
+
+
+def _sequence_rows(seq: dict) -> list[TableRow]:
+    name = seq["name"]
+    if type(name) is not str:
+        raise TypeError(f"sequence name {name!r} is not a string")
+    rows = [[r[key] for key in _ROW_FIELDS] for r in seq["rows"]]
+    for values in rows:
+        wrong = [key for key, v in zip(_ROW_FIELDS, values) if type(v) is not _ROW_FIELDS[key]]
+        if wrong:
+            raise TypeError(f"a row of sequence {name!r} has {', '.join(wrong)} of the wrong type")
+    return [TableRow(name, *values) for values in rows]
+
+
 def sequence_tables(fixtures_path: str | Path | None = None) -> dict[str, list[TableRow]]:
     data = _load(fixtures_path)
-    out: dict[str, list[TableRow]] = {}
-    for seq in data["sequences"]:
-        rows = [
-            TableRow(
-                sequence=seq["name"],
-                row=r["row"],
-                n=r["n"],
-                k=r["k"],
-                d=r["d"],
-                d_is_bound=r["d_is_bound"],
-                l=r["l"],
-                m=r["m"],
-                h=r["h"],
-                a=r["A"],
-                b=r["B"],
-            )
-            for r in seq["rows"]
-        ]
-        out[seq["name"]] = rows
-    return out
+    try:
+        return {seq["name"]: _sequence_rows(seq) for seq in data["sequences"]}
+    except (KeyError, TypeError) as exc:
+        raise Refusal(f"sequence tables have the wrong shape: {type(exc).__name__}: {exc}") from None
 
 
 def all_rows(fixtures_path: str | Path | None = None) -> list[TableRow]:
@@ -92,7 +97,7 @@ def all_rows(fixtures_path: str | Path | None = None) -> list[TableRow]:
 def base_row(rows: list[TableRow]) -> TableRow:
     ones = [r for r in rows if r.h == 1]
     if len(ones) != 1:
-        raise ValueError(f"sequence needs exactly one h=1 row, found {len(ones)}")
+        raise Refusal(f"sequence needs exactly one h=1 row, found {len(ones)}")
     return ones[0]
 
 

@@ -128,12 +128,6 @@ def test_enumerate_round_trips_specs(capsys):
         assert parsed.k == rec["k"]
 
 
-def test_enumerate_worker_determinism(capsys):
-    _, one = run_json(capsys, ["enumerate", CODE_18, "--lt", "9", "--mt", "3"])
-    _, two = run_json(capsys, ["enumerate", CODE_18, "--lt", "9", "--mt", "3", "--workers", "2"])
-    assert one == two
-
-
 def test_enumerate_connected_only(capsys):
     _, recs = run_json(capsys, ["enumerate", CODE_18, "--lt", "6", "--mt", "3", "--connected-only"])
     assert all(r["connected"] for r in recs[:-1])
@@ -166,6 +160,66 @@ def test_sequence_k6_distance_run(capsys):
     assert all(by_h[h]["mode"] == "exact" for h in (1, 2, 3, 4, 5))
     assert by_h[6]["kind"] == "upper-bound" and by_h[6]["method"] == "lift-derived"
     assert by_h[7]["lower_bound"] == 2  # odd h with k_h = k
+
+
+def _fail_on_code_build(monkeypatch):
+    import bbcovers.tables as tables
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the refusal came too late: a code was built")
+
+    monkeypatch.setattr(tables, "build_code", fail)
+
+
+def test_sequence_unknown_set_refused(monkeypatch, capsys):
+    _fail_on_code_build(monkeypatch)
+    assert main(["sequence", "--set", "nope"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown sequence set 'nope'" in err and "weight6-k12" in err and "Traceback" not in err
+
+
+_ROW = {"row": 0, "n": 18, "k": 8, "d": 2, "d_is_bound": False, "l": 3, "m": 3, "A": "1+y+y^2", "B": "1+x+x^2"}
+BAD_FIXTURES = {
+    "missing": None,
+    "not-json": "{sequences: ",
+    "wrong-shape": json.dumps({"sequences": 5}),
+    "wrong-field-type": json.dumps({"sequences": [{"name": "a", "rows": [dict(_ROW, h=1, l="3")]}]}),
+    # a good first set, so the second one's missing base row must be found before it runs
+    "no-base-row": json.dumps(
+        {"sequences": [{"name": "a", "rows": [dict(_ROW, h=1)]}, {"name": "b", "rows": [dict(_ROW, h=2)]}]}
+    ),
+    "two-base-rows": json.dumps({"sequences": [{"name": "a", "rows": [dict(_ROW, h=1), dict(_ROW, h=1)]}]}),
+}
+
+
+@pytest.mark.parametrize("text", BAD_FIXTURES.values(), ids=BAD_FIXTURES.keys())
+def test_sequence_bad_fixtures_refused(monkeypatch, capsys, tmp_path, text):
+    path = tmp_path / "fixtures.json"
+    if text is not None:
+        path.write_text(text)
+    _fail_on_code_build(monkeypatch)
+    assert main(["sequence", "--fixtures", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("refused: ") and "Traceback" not in captured.err
+    assert not captured.out
+
+
+def _readme_examples() -> list[list[str]]:
+    """The argument lists of the bbcovers lines in the README's command-line block."""
+    import shlex
+    from pathlib import Path
+
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(c)[1:] for c in commands if c.startswith("bbcovers ")]
+
+
+def test_readme_command_line_examples_exit_0(capsys):
+    examples = _readme_examples()
+    assert len(examples) == 8
+    for argv in examples:
+        assert main(argv) == 0, argv
 
 
 def test_distance_cli(capsys):
@@ -347,26 +401,14 @@ def test_format_flags_only_on_streaming_subcommands(capsys):
 
 
 def _refuse_to_build(monkeypatch):
-    """Make building any enumeration job, side-class annihilator or worker pool fail the test."""
+    """Make building any enumeration job or side-class annihilator fail the test."""
     import bbcovers.covers as covers
 
     def fail(*args, **kwargs):
-        raise AssertionError("the refusal came too late: a job, an annihilator or a worker pool was started")
+        raise AssertionError("the refusal came too late: a job or an annihilator was started")
 
-    monkeypatch.setattr(covers, "_record_of", fail)
+    monkeypatch.setattr(covers, "_records", fail)
     monkeypatch.setattr(covers, "_side_class", fail)
-    monkeypatch.setattr(covers, "ProcessPoolExecutor", fail)
-
-
-@pytest.mark.parametrize("workers", ["0", "-1", "cpu_count+1"])
-def test_enumerate_workers_outside_cpu_count_exit_2(monkeypatch, capsys, workers):
-    import os
-
-    _refuse_to_build(monkeypatch)
-    if workers == "cpu_count+1":
-        workers = str((os.cpu_count() or 1) + 1)
-    assert main(["enumerate", CODE_18, "--lt", "6", "--mt", "3", "--workers", workers]) == 2
-    assert "workers" in capsys.readouterr().err
 
 
 def test_enumerate_job_budget_exit_2(monkeypatch, capsys):

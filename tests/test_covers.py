@@ -111,15 +111,6 @@ def test_enumerate_records_are_verified_covers():
         assert w.h == 2
 
 
-def test_enumerate_deterministic_across_workers():
-    for spec, lt, mt in ((BASE_18, 9, 3), (BASE_72, 12, 6)):
-        base = parse_code_spec(spec)
-        serial = enumerate_covers(base, lt, mt, workers=1)
-        parallel = enumerate_covers(base, lt, mt, workers=2)
-        assert len(serial.records) >= 8  # chunks of len // 8 jobs: four or more per worker
-        assert serial == parallel
-
-
 def test_no_dedup_size():
     base = parse_code_spec(BASE_18)
     enum = enumerate_covers(base, 6, 3, dedup=False)
@@ -360,7 +351,7 @@ def test_enumerate_refuses_jobs_over_budget(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("jobs were built before the refusal")
 
-    monkeypatch.setattr(covers, "_record_of", fail)
+    monkeypatch.setattr(covers, "_records", fail)
     monkeypatch.setattr(covers, "_side_class", fail)
     monkeypatch.setattr(covers, "MAX_ENUMERATION_JOBS", 99)
     base = parse_code_spec(BASE_18)
@@ -381,7 +372,7 @@ def test_enumeration_budget_bounds_the_classes_before_lifting(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("work was done before the refusal")
 
-    monkeypatch.setattr(covers, "_record_of", fail)
+    monkeypatch.setattr(covers, "_records", fail)
     monkeypatch.setattr(covers, "_side_class", fail)
     monkeypatch.setattr(covers, "MAX_ENUMERATION_JOBS", 150)
     with pytest.raises(Refusal, match=r"^\d+ A-classes x \d+ B-classes = 168 codes"):
@@ -402,6 +393,17 @@ def test_enumerate_refuses_a_cover_lattice_over_budget_before_any_annihilator(mo
     base = build_code("1+x", "1+y", 64, 64)
     with pytest.raises(Refusal, match="lattice l\\*m = 8192 exceeds"):
         enumerate_covers(base, 128, 64)
+
+
+def test_enumerate_refuses_more_than_one_worker_before_any_annihilator(monkeypatch):
+    import bbcovers.covers as covers
+
+    def fail(*args, **kwargs):
+        raise AssertionError("an annihilator was built before the refusal")
+
+    monkeypatch.setattr(covers, "_side_class", fail)
+    with pytest.raises(Refusal, match="workers must be 1, got 2"):
+        enumerate_covers(parse_code_spec(BASE_18), 9, 3, workers=2)
 
 
 def test_enumerate_raises_when_the_two_k_routes_disagree(monkeypatch):
