@@ -266,7 +266,11 @@ def build_code(a: str | Poly, b: str | Poly, l: int | None = None, m: int | None
     if isinstance(a, str) or isinstance(b, str):
         if l is None or m is None:
             raise Refusal("l and m are required when passing polynomial strings")
-        ctx = _within_budget(RingContext(l, m))
+        try:
+            ctx = RingContext(l, m)
+        except ValueError as exc:
+            raise Refusal(f"bad lattice parameter: {exc}") from exc
+        ctx = _within_budget(ctx)
         a = parse_poly(a, ctx) if isinstance(a, str) else a
         b = parse_poly(b, ctx) if isinstance(b, str) else b
     return BBCode(a, b)
@@ -292,7 +296,6 @@ def parse_code_spec(line: str) -> BBCode:
         raise Refusal(f"code spec missing fields: {sorted(missing)}")
     try:
         l, m = int(fields["l"]), int(fields["m"])
-        RingContext(l, m)
     except ValueError as exc:
         raise Refusal(f"bad lattice parameter: {exc}") from exc
     return build_code(fields["A"], fields["B"], l, m)

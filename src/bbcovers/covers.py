@@ -17,7 +17,7 @@ from functools import cache, cached_property
 from itertools import product
 
 from .codes import BBCode, InternalConsistencyError, Refusal, _within_budget
-from .gf2 import BinMatrix, RowReducer
+from .gf2 import RowReducer
 from .rings import Monomial, Poly, RingContext
 
 
@@ -261,19 +261,10 @@ def _tanner_connected_by_translation(a: Poly, b: Poly) -> bool:
     return _closure(a.ctx, _difference_group(a), _difference_group(b)) == (1 << a.ctx.dim) - 1
 
 
-def _kernel_reducer(matrix: BinMatrix) -> RowReducer:
-    """Reducer over the right kernel of matrix: its kernel vectors fed into a second one."""
-    return RowReducer(matrix.n_cols, RowReducer(matrix.n_cols, matrix.rows).kernel_vectors())
-
-
 @dataclass(frozen=True)
 class _SideClass:
-    """A side class p with the annihilators Ann(p) = {f : f p = 0} and Ann(p^T),
-    and its difference subgroup S_p.
-
-    f p is the XOR of the rows of p's matrix at the set bits of f, so Ann(p) is
-    the kernel of the transposed matrix, which is the matrix of p^T.
-    """
+    """A side class p with Ann(p) = {f : f p = 0}, the left kernel of M(p) (f p is
+    the XOR of its rows at the set bits of f), Ann(p^T) and the subgroup S_p."""
 
     poly: Poly
     ann: RowReducer
@@ -282,8 +273,13 @@ class _SideClass:
 
 
 def _side_class(p: Poly) -> _SideClass:
-    ann = _kernel_reducer(p.transpose().to_matrix())
-    return _SideClass(p, ann, _kernel_reducer(p.to_matrix()), _difference_group(p))
+    """Ann(p) from one tagged elimination of M(p); Ann(p^T) as its image under the antipode,
+    a ring automorphism sending p to p^T, certified by membership and M(p)^T = M(p^T)."""
+    ctx, ann = p.ctx, p.to_matrix().left_kernel_basis().rows
+    images = [ctx.antipode(f) for f in ann]
+    if not p._column_0_is_transpose or any(p.transpose().to_matrix().vec_mul(g) for g in images):
+        raise InternalConsistencyError(f"the antipode image of Ann(p) is not Ann(p^T) for p = {p}")
+    return _SideClass(p, RowReducer(ctx.dim, ann), RowReducer(ctx.dim, images), _difference_group(p))
 
 
 def _meet_dim(u: RowReducer, v: RowReducer) -> int:
@@ -355,8 +351,8 @@ def enumerate_covers(
     goes when the benchmark scripts stop passing it.
 
     k is read by Lemma 1 of Bravyi et al. (arXiv:2308.07915), k = 2 dim(Ann A~
-    & Ann B~): after the refusals the two annihilators of every side class are
-    eliminated once, and each distinct pair of spans is met once.  The Z route,
+    & Ann B~): after the refusals each side class's matrix is eliminated once,
+    and each distinct pair of annihilator spans is met once.  The Z route,
     dim(Ann B~^T & Ann A~^T), certifies every job's k (rank H_X = rank H_Z), and
     each job still builds its BBCode, so every construction check runs on it.
     """

@@ -171,6 +171,13 @@ class BinMatrix:
         in the order of ``RowReducer.kernel_vectors``."""
         return BinMatrix.from_ints(RowReducer(self.n_cols, self.rows).kernel_vectors(), self.n_cols)
 
+    def left_kernel_basis(self) -> "BinMatrix":
+        """Basis of {f : f @ self = 0}: the tags left by the rows that cancel in one reducer, tagged
+        as by ``RowReducer.with_tags``.  Each has its own row as highest bit, so they are independent."""
+        n, red = self.n_cols, RowReducer(self.n_cols)
+        residuals = [red.add(r | 1 << (n + i)) for i, r in enumerate(self.rows)]
+        return BinMatrix.from_ints((v >> n for v in residuals if not v & _mask(n)), self.n_rows)
+
     def inverse(self) -> "BinMatrix":
         """The matrix inverse over GF(2); raises ValueError when singular."""
         if self.n_rows != self.n_cols:
@@ -245,12 +252,12 @@ class RowReducer:
         return 0
 
     def add(self, v: int) -> int:
-        """Insert v; returns its residual (0 if it was already in the span)."""
+        """Insert v; returns its residual, which has no bit below n_cols exactly when v was
+        already in the span: then only tag bits are left, none in a reducer without tags."""
         v = self.reduce(v)
         if v & self._mask:
             self._pivot_rows[(v & -v).bit_length() - 1] = v
-            return v
-        return 0
+        return v
 
     def contains(self, v: int) -> bool:
         """True iff v (a vector of n_cols bits) is in the span of the inserted rows."""

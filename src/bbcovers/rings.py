@@ -69,6 +69,11 @@ class RingContext:
             v = ((v & low) << b) | ((v & ~low) >> (m - b))
         return _rotate(v, (a % self.l) * m, self.dim)
 
+    def antipode(self, v: int) -> int:
+        """The image of v under the antipode x^a y^b -> x^-a y^-b, a ring automorphism: bit
+        reversal sends index a*m + b to (l-1-a)*m + (m-1-b), then x y adds (1, 1)."""
+        return self.shift(int(format(v, f"0{self.dim}b")[::-1], 2), 1, 1)
+
     def monomials(self) -> Iterator["Monomial"]:
         for a in range(self.l):
             for b in range(self.m):
@@ -167,10 +172,7 @@ class Poly:
 
     @cached_property
     def _transpose(self) -> "Poly":
-        ctx = self.ctx
-        # reversal sends index a*m + b to (l-1-a)*m + (m-1-b); x y then adds (1, 1)
-        reversed_mask = int(format(self.mask, f"0{ctx.dim}b")[::-1], 2)
-        return Poly(ctx, ctx.shift(reversed_mask, 1, 1))
+        return Poly(self.ctx, self.ctx.antipode(self.mask))
 
     @property
     def weight(self) -> int:

@@ -102,6 +102,23 @@ def to_matrix_reference(p: Poly) -> BinMatrix:
     return BinMatrix(ctx.dim, ctx.dim, tuple(rows))
 
 
+def annihilator_spans_reference(p: Poly) -> tuple[list[int], list[int]]:
+    """Ann(p) and Ann(p^T), each as the sorted reduced rows of its span, by two
+    eliminations: f p is the XOR of the rows of M(p) at the set bits of f, so
+    Ann(p) is the right kernel of M(p)^T and Ann(p^T) that of M(p).
+
+    This is the construction covers._side_class used before it read Ann(p)
+    off one tagged elimination and Ann(p^T) as its antipode image, with M(p)^T
+    taken as the dense transpose, so that it rests on no antipode formula.
+    """
+
+    def kernel_span(m: BinMatrix) -> list[int]:
+        kernel_red = RowReducer(m.n_cols, RowReducer(m.n_cols, m.rows).kernel_vectors())
+        return sorted(kernel_red.reduced_rows().values())
+
+    return kernel_span(p.to_matrix().transpose()), kernel_span(p.to_matrix())
+
+
 def cover_record_reference(a: Poly, b: Poly) -> tuple[int, bool]:
     """(k, connected) of one enumeration job, shared with no other job: k from
     the stabilizer reducers of a code built from fresh copies of a and b, and

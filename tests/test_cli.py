@@ -204,6 +204,15 @@ def test_sequence_bad_fixtures_refused(monkeypatch, capsys, tmp_path, text):
     assert not captured.out
 
 
+def test_sequence_refuses_a_row_with_a_lattice_order_below_1(capsys, tmp_path):
+    path = tmp_path / "fixtures.json"
+    path.write_text(json.dumps({"sequences": [{"name": "a", "rows": [dict(_ROW, h=1, l=0, n=0)]}]}))
+    assert main(["sequence", "--fixtures", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("refused: bad lattice parameter: ring orders must be positive, got l=0, m=3")
+    assert "Traceback" not in captured.err
+
+
 def _readme_examples() -> list[list[str]]:
     """The argument lists of the bbcovers lines in the README's command-line block."""
     import shlex

@@ -262,6 +262,14 @@ def test_parse_code_spec_errors():
         parse_code_spec("junk")
 
 
+def test_build_code_refuses_lattice_orders_below_1():
+    for l, m in ((0, 3), (3, 0), (-1, 2)):
+        with pytest.raises(Refusal, match=f"^bad lattice parameter: ring orders must be positive, got l={l}, m={m}$"):
+            build_code("1", "1", l, m)
+        with pytest.raises(Refusal, match="^bad lattice parameter: ring orders must be positive"):
+            parse_code_spec(f"l={l} m={m} A=1 B=1")
+
+
 def test_parse_pauli_round_trip():
     ctx = RingContext(4, 4)
     op = parse_pauli("X(1+xy|y^3)", ctx)

@@ -17,6 +17,7 @@ from bbcovers.covers import (
     verify_cover_isomorphism,
     _tanner_connected_by_translation,
 )
+from bbcovers.gf2 import RowReducer
 from bbcovers.rings import Monomial, Poly, parse_poly
 
 from oracles import verify_cover_isomorphism_reference
@@ -44,6 +45,26 @@ def test_enumeration_builds_each_side_class_circulant_once(monkeypatch):
     assert max(len(ms) for _, ms in requested.values()) > 1
     for _, matrices in requested.values():
         assert all(m is matrices[0] for m in matrices)
+
+
+def test_enumeration_eliminates_each_side_class_circulant_once_and_draws_no_kernel(monkeypatch):
+    # Ann(p) is read off the rows of M(p) that cancel, Ann(p^T) as its antipode image
+    inserted: dict[int, tuple[RowReducer, list[int]]] = {}  # id -> (reducer, rows), reducers kept alive
+    add = RowReducer.add
+
+    def spy(self, v):
+        inserted.setdefault(id(self), (self, []))[1].append(v & ((1 << self.n_cols) - 1))
+        return add(self, v)
+
+    def fail(self):
+        raise AssertionError("a kernel was drawn from a reduced form")
+
+    monkeypatch.setattr(RowReducer, "add", spy)
+    monkeypatch.setattr(RowReducer, "kernel_vectors", fail)
+    enum = enumerate_covers(parse_code_spec(BASE_18), 9, 3)
+    sides = [*dict.fromkeys(r.a for r in enum.records), *dict.fromkeys(r.b for r in enum.records)]
+    circulants = sorted(tuple(rows) for _, rows in inserted.values() if len(rows) == 27)
+    assert circulants == sorted(p.to_matrix().rows for p in sides)
 
 
 def test_gross_is_double_cover():
@@ -420,6 +441,43 @@ def test_enumerate_raises_when_the_two_k_routes_disagree(monkeypatch):
     )
     with pytest.raises(InternalConsistencyError, match="rank H_X = 23 != rank H_Z = 27"):
         enumerate_covers(parse_code_spec(BASE_18), 9, 3)
+
+
+def _fail_on_records(monkeypatch):
+    import bbcovers.covers as covers
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a record was made before the annihilators were certified")
+
+    monkeypatch.setattr(covers, "CoverRecord", fail)
+
+
+def test_enumerate_refuses_antipode_images_outside_ann_p_transpose(monkeypatch):
+    from bbcovers.codes import InternalConsistencyError
+    from bbcovers.rings import RingContext
+
+    from oracles import annihilator_spans_reference
+
+    base = parse_code_spec(BASE_14)
+    ann, ann_t = annihilator_spans_reference(base.a)
+    assert ann != ann_t  # 1 + x^2 + x^3 and its reciprocal are distinct factors of x^7 - 1
+    # transposes stay right; only the images of Ann(p) go wrong
+    antipode = RingContext.antipode
+    monkeypatch.setattr(Poly, "transpose", lambda p: Poly(p.ctx, antipode(p.ctx, p.mask)))
+    monkeypatch.setattr(RingContext, "antipode", lambda ctx, v: v)
+    _fail_on_records(monkeypatch)
+    with pytest.raises(InternalConsistencyError, match=r"antipode image of Ann\(p\) is not Ann\(p\^T\)"):
+        enumerate_covers(base, 7, 1)
+
+
+def test_enumerate_refuses_an_uncertified_transpose_circulant(monkeypatch):
+    from bbcovers.codes import InternalConsistencyError
+
+    base = parse_code_spec(BASE_18)
+    monkeypatch.setattr(Poly, "_column_0_is_transpose", property(lambda p: False))
+    _fail_on_records(monkeypatch)
+    with pytest.raises(InternalConsistencyError, match=r"antipode image of Ann\(p\) is not Ann\(p\^T\)"):
+        enumerate_covers(base, 9, 3)
 
 
 def test_tanner_graph_edges_are_the_check_supports():

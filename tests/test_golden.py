@@ -21,6 +21,7 @@ COVER_54 = "l=9 m=3 A=x^3+y+y^2 B=1+x+x^2"
 WEIGHT_8 = "l=6 m=2 A=1+x^5+x^3+x^5y B=y+x^2y+x^5y+x^3"
 COVER_W8 = "l=12 m=2 A=1+x^9+x^5+x^11y B=y+x^8y+x^5y+x^9"
 COVER_6X6 = "l=6 m=6 A=1+y+y^2 B=1+x+x^5y^3"
+WEIGHT_6_K10 = "l=31 m=1 A=1+x^6+x^27 B=1+x^15+x^24"
 
 CLI_GOLDEN = [
     (["info", CODE_18], 0, "43cdd0d5216446cd74da95e84987caff55c15ba782de5260753fd0961c750df6"),
@@ -95,6 +96,13 @@ CLI_GOLDEN = [
         ["enumerate", WEIGHT_8, "--lt", "30", "--mt", "2"],
         0,
         "fd7eee4a6ad2abdb4c518e0f0dae75a6ebdde38da12a5cf0c0394dddfd0ae825",
+    ),
+    # 2,401 classes of the weight6-k10 base at (31, 7): 49 side classes per side,
+    # each eliminating a 217 x 217 circulant for its annihilators
+    (
+        ["enumerate", WEIGHT_6_K10, "--lt", "31", "--mt", "7"],
+        0,
+        "38ef1c2911e5bfad3dd30a311f88dc94b491389e8f423020a545532db9ced653",
     ),
     # every lift, not one per class: records sorted by (A terms, B terms)
     (

@@ -11,7 +11,14 @@ from bbcovers.covers import _meet_dim, _records, _side_class
 from bbcovers.gf2 import BinMatrix, RowReducer, ShapeError
 from bbcovers.rings import Poly, RingContext
 
-from oracles import class_coords_reference, kernel, kernel_basis_reference, span, weight3_codes
+from oracles import (
+    annihilator_spans_reference,
+    class_coords_reference,
+    kernel,
+    kernel_basis_reference,
+    span,
+    weight3_codes,
+)
 
 SMALL_CODES = [
     parse_code_spec("l=3 m=3 A=1+y+y^2 B=1+x+x^2"),
@@ -33,6 +40,14 @@ def test_kernel_basis_is_the_brute_force_kernel(m):
     assert ker.rank() == ker.n_rows
     assert span(ker.rows) == kernel(m)
     assert ker == kernel_basis_reference(m)
+
+
+@given(matrices())
+def test_left_kernel_basis_is_the_brute_force_left_kernel(m):
+    left = m.left_kernel_basis()
+    assert left.n_cols == m.n_rows
+    assert left.rank() == left.n_rows == m.n_rows - m.rank()
+    assert span(left.rows) == kernel(m.transpose())
 
 
 @given(matrices(), st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=20))
@@ -118,3 +133,17 @@ def test_both_annihilator_routes_give_k(l, m, a_terms, b_terms):
     k = BBCode(a, b).k
     assert 2 * _meet_dim(sa.ann, sb.ann) == 2 * _meet_dim(sb.ann_t, sa.ann_t) == k
     assert [r.k for r in _records([sa], [sb])] == [k]
+
+
+@settings(max_examples=80, deadline=None)
+@example(1, 5, [(0, 1), (0, 2)]).via("l = 1")
+@example(7, 1, [(0, 0), (2, 0), (3, 0)]).via("m = 1, Ann(p) != Ann(p^T)")
+@example(6, 4, [(0, 0), (1, 0), (0, 1), (3, 2)]).via("even l and m")
+@example(5, 3, [(0, 0)]).via("p = 1")
+@given(st.integers(1, 12), st.integers(1, 12), TERMS)
+def test_side_class_annihilators_match_the_two_elimination_oracle(l, m, terms):
+    p = Poly.make(RingContext(l, m), terms)
+    assume(not p.is_zero())
+    side = _side_class(p)
+    spans = [sorted(red.reduced_rows().values()) for red in (side.ann, side.ann_t)]
+    assert spans == list(annihilator_spans_reference(p))
