@@ -359,17 +359,6 @@ class BoundReport:
     lower_bound: int | None  # d when h is odd and k_h = k
     conjectural: bool  # even h: the bounds are observed, not proven
 
-    def as_dict(self) -> dict:
-        return {
-            "h": self.h,
-            "base_distance": self.base_distance,
-            "upper_bound": self.upper_bound,
-            "upper_witness": str(self.upper_witness),
-            "upper_witness_classification": self.upper_witness_classification.value,
-            "lower_bound": self.lower_bound,
-            "conjectural": self.conjectural,
-        }
-
 
 def distance_bounds(witness: CoverWitness, base_d: DistanceResult, cover_k: int) -> BoundReport:
     """Bounds on the cover distance from the base distance.

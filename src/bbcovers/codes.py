@@ -276,6 +276,9 @@ def build_code(a: str | Poly, b: str | Poly, l: int | None = None, m: int | None
     return BBCode(a, b)
 
 
+SPEC_KEYS = ("l", "m", "A", "B")
+
+
 def parse_code_spec(line: str) -> BBCode:
     """Parse the one-line format 'l=<uint> m=<uint> A=<poly> B=<poly>'."""
     fields: dict[str, str] = {}
@@ -289,9 +292,13 @@ def parse_code_spec(line: str) -> BBCode:
             fields[last_key] += chunk
             continue
         key, _, val = chunk.partition("=")
+        if key not in SPEC_KEYS:
+            raise Refusal(f"unknown key {key!r} in code spec; keys are {', '.join(SPEC_KEYS)}")
+        if key in fields:
+            raise Refusal(f"repeated key {key!r} in code spec")
         last_key = key
         fields[key] = val
-    missing = {"l", "m", "A", "B"} - fields.keys()
+    missing = set(SPEC_KEYS) - fields.keys()
     if missing:
         raise Refusal(f"code spec missing fields: {sorted(missing)}")
     try:

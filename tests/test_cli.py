@@ -1,6 +1,10 @@
+import csv
+import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -12,6 +16,14 @@ CODE_72 = "l=6 m=6 A=x^3+y+y^2 B=y^3+x+x^2"
 CODE_18 = "l=3 m=3 A=1+y+y^2 B=1+x+x^2"
 GROSS = "l=12 m=6 A=x^3+y+y^2 B=y^3+x+x^2"
 COVER_54 = "l=9 m=3 A=x^3+y+y^2 B=1+x+x^2"
+
+
+def _src_env() -> dict:
+    """The environment with src/ first on PYTHONPATH, so a subprocess imports this checkout."""
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    return env
 
 
 def run_json(capsys, argv):
@@ -82,6 +94,19 @@ def test_enumerate_over_budget_is_refused_before_any_lift(monkeypatch, capsys):
     assert "enumeration budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "spec,message",
+    [
+        ("l=3 m=3 A=1+y+y^2 B=1+x+x^2 C=1", "unknown key 'C'"),
+        ("l=3 l=4 m=3 A=1+y+y^2 B=1+x+x^2", "repeated key 'l'"),
+        ("l=3 m=3 A=1+y+y^2 B=1+x+x^2 A=1", "repeated key 'A'"),
+    ],
+)
+def test_info_spec_with_unknown_or_repeated_key_is_refused(capsys, spec, message):
+    assert main(["info", spec]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_info_malformed_poly_is_refused(capsys):
     code = main(["info", "l=3 m=3 A=1+z B=1"])
     assert code == 2
@@ -140,6 +165,15 @@ def test_enumerate_csv(capsys):
     assert code == 0
     assert out[0].startswith("l,m,A,B,n,k,h,connected,canonical")
     assert len(out) == 1 + 4
+
+
+def test_sequence_csv_record_cells_are_json(capsys):
+    assert main(["sequence", "--set", "weight6-k8", "--csv", "--distance", "auto"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == 11
+    for row in rows:
+        assert json.loads(row["d"])["mode"] in ("exact", "bounds-only")
+        assert row["k_ok"] == "True" and row["n"].isdigit()
 
 
 def test_sequence_k12(capsys):
@@ -356,9 +390,27 @@ def test_console_entry_point():
         [sys.executable, "-m", "bbcovers.cli", "info", "l=1 m=1 A=1 B=1"],
         capture_output=True,
         text=True,
+        env=_src_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["n"] == 2
+
+
+def test_reader_closing_the_pipe_early_exits_0_quietly():
+    # about 0.5 MB of records, far more than a pipe buffer holds, so the
+    # writer is still writing when the reader leaves
+    argv = ["enumerate", CODE_18, "--lt", "6", "--mt", "6", "--no-dedup"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "bbcovers.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_src_env(),
+    ) as proc:
+        assert json.loads(proc.stdout.readline())["l"] == 6
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+    assert err == b""
 
 
 def test_distance_coset_witness_breach_exits_3(monkeypatch, capsys):

@@ -137,6 +137,22 @@ CLI_GOLDEN = [
         0,
         "892825c846213e05a7573227c776bb65a228a18c0e379280893139c9484919d1",
     ),
+    # the CSV header comes from the first row that survives the filter
+    (
+        ["enumerate", CODE_18, "--lt", "6", "--mt", "3", "--csv", "--connected-only"],
+        0,
+        "a0acb0da3ce29d24955eed58696dac8017d67bb29961a3140cfd0062a4516be9",
+    ),
+    (
+        ["sequence", "--set", "weight6-k8", "--csv"],
+        0,
+        "10138aeaf684780243173180ae075633462970c4637c48dce9b16c0e028434f7",
+    ),
+    (
+        ["sequence", "--set", "weight6-k12", "--distance", "bounds-only"],
+        0,
+        "69d7803ed98f03608e8bc8becbf12aa74dadc7620390f781272d7505737ed6fd",
+    ),
 ]
 
 LOGICAL_BASIS_SHA = "e2f4603cd48b0960f918b08667169bf0d94ac7c6dbcfe322ba3821f5f2499991"
