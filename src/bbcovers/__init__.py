@@ -52,8 +52,6 @@ from .chainmaps import (
     project_logical,
     project_poly,
     projection_map,
-    projection_matrix,
-    section_chain_map_commutes,
     weight_preserving_lift_search,
 )
 from .autos import (

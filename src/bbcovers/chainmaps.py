@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 from .codes import BBCode, Classification, InternalConsistencyError, PauliOp, Refusal
 from .covers import CoverWitness
 from .gf2 import BinMatrix, ShapeError
-from .rings import Poly, RingContext
+from .rings import ContextMismatch, Poly, RingContext
 
 if TYPE_CHECKING:  # distance imports autos, which imports this module
     from .distance import DistanceResult
@@ -121,11 +121,6 @@ class HomologyMap:
     side: str  # "Z" (homology) or "X" (cohomology)
     source: BBCode
     target: BBCode
-
-
-def projection_matrix(witness: CoverWitness) -> BinMatrix:
-    """p: F2^(l~ m~) -> F2^(lm) on check/monomial spaces; row i is the fibre over i."""
-    return BinMatrix(witness.base.ctx.dim, witness.cover.ctx.dim, witness.fibres)
 
 
 def _projection_columns(witness: CoverWitness) -> tuple[int, ...]:
@@ -273,19 +268,22 @@ def compose_p_tau(witness: CoverWitness) -> str:
 
 # --- polynomials under p and tau ---------------------------------------------
 
+def _over(ctx: RingContext, p: Poly) -> Poly:
+    """p, or ContextMismatch when p is not a polynomial over ctx."""
+    if p.ctx != ctx:
+        raise ContextMismatch(f"ring mismatch: {p.ctx} vs {ctx}")
+    return p
+
+
 def project_poly(witness: CoverWitness, p: Poly) -> Poly:
-    """Termwise exponent reduction into the base ring."""
-    base = witness.base
-    return Poly.make(base.ctx, [(t.a, t.b) for t in p.terms])
+    """Termwise exponent reduction of a cover polynomial into the base ring."""
+    return Poly.make(witness.base.ctx, _over(witness.cover.ctx, p).terms)
 
 
 def lift_poly(witness: CoverWitness, p: Poly) -> Poly:
-    """Termwise fiber sum into the cover ring; weight multiplies by h."""
-    v = witness.embed(p.mask)
-    out = 0
-    for o in witness.sheet_offsets:
-        out |= v << o
-    return Poly(witness.cover.ctx, out)
+    """tau of a base polynomial: the XOR of tau's columns, the fibres, at the set
+    bits of p, in time proportional to its weight; weight multiplies by h."""
+    return Poly(witness.cover.ctx, _apply(witness.fibres, _over(witness.base.ctx, p).mask))
 
 
 @dataclass(frozen=True)
@@ -393,16 +391,6 @@ def constant_section(witness: CoverWitness, g: int, d: int) -> ChainMap:
     base, cover = witness.base, witness.cover
     o = witness.sheet_offsets[(g % witness.u) * witness.t + d % witness.t]
     return _degreewise(tuple(1 << (e + o) for e in witness.embedding), base, cover)
-
-
-def section_chain_map_commutes(witness: CoverWitness, g: int, d: int) -> bool:
-    """Whether the constant-offset section forms a chain map base -> cover.
-
-    Constant sections are multiplication by x^(lg) y^(md) composed with the
-    exponent embedding; they are the one family where commutativity is
-    mechanically decidable, so only they are checked here.
-    """
-    return constant_section(witness, g, d).commutes()
 
 
 def weight_preserving_lift_search(

@@ -73,7 +73,7 @@ class PauliOp:
 
     def support_vector(self) -> int:
         """Bitmask over 2lm qubits, right block shifted by lm."""
-        return self.left.to_vector() | (self.right.to_vector() << self.ctx.dim)
+        return self.left.mask | (self.right.mask << self.ctx.dim)
 
     @classmethod
     def from_vector(cls, basis: str, ctx: RingContext, v: int) -> "PauliOp":
@@ -280,7 +280,7 @@ SPEC_KEYS = ("l", "m", "A", "B")
 
 
 def parse_code_spec(line: str) -> BBCode:
-    """Parse the one-line format 'l=<uint> m=<uint> A=<poly> B=<poly>'."""
+    """Parse the one-line format 'l=<uint> m=<uint> A=<poly> B=<poly>', uint := [0-9]+."""
     fields: dict[str, str] = {}
     last_key: str | None = None
     for chunk in line.split():
@@ -301,9 +301,12 @@ def parse_code_spec(line: str) -> BBCode:
     missing = set(SPEC_KEYS) - fields.keys()
     if missing:
         raise Refusal(f"code spec missing fields: {sorted(missing)}")
+    for key in "lm":  # a minus sign passes, for the ring's own refusal of orders below 1
+        if not (fields[key].isascii() and fields[key].removeprefix("-").isdigit()):
+            raise Refusal(f"bad lattice parameter: {key}={fields[key]!r} is not ASCII digits")
     try:
         l, m = int(fields["l"]), int(fields["m"])
-    except ValueError as exc:
+    except ValueError as exc:  # more digits than int() converts
         raise Refusal(f"bad lattice parameter: {exc}") from exc
     return build_code(fields["A"], fields["B"], l, m)
 

@@ -84,10 +84,6 @@ class CoverWitness:
         sheets = sum(1 << o for o in self.sheet_offsets)
         return tuple(sheets << e for e in self.embedding)
 
-    def embed(self, v: int) -> int:
-        """Cover mask of base mask v on sheet (0, 0)."""
-        return sum(1 << e for i, e in enumerate(self.embedding) if v >> i & 1)
-
 
 def _match_terms(cand: Poly, base: Poly, l: int, m: int) -> tuple[tuple[Monomial, Monomial], ...]:
     """Pair each candidate term with the base term it reduces to, or raise.
@@ -97,15 +93,13 @@ def _match_terms(cand: Poly, base: Poly, l: int, m: int) -> tuple[tuple[Monomial
     """
     if cand.weight != base.weight:
         raise ValueError(f"term counts differ ({cand.weight} vs {base.weight})")
-    by_value = {term: term for term in base.terms}
+    unmatched = set(base.terms)
     matching = []
-    hit = set()
     for ct in cand.terms:
-        reduced = Monomial(ct.a % l, ct.b % m)
-        bt = by_value.get(reduced)
-        if bt is None or bt in hit:
-            raise ValueError(f"term {ct.render()} reduces to {reduced.render()}, not a base term")
-        hit.add(bt)
+        bt = Monomial(ct.a % l, ct.b % m)
+        if bt not in unmatched:
+            raise ValueError(f"term {ct.render()} reduces to {bt.render()}, not a base term")
+        unmatched.remove(bt)
         matching.append((ct, bt))
     return tuple(matching)
 
@@ -131,22 +125,16 @@ def check_cover(base: BBCode, cand: BBCode) -> CoverWitness:
 
 # --- canonical forms and enumeration -----------------------------------------
 
-def poly_stabilizer_monomials(p: Poly) -> list[Monomial]:
-    """Monomials mu with mu * p == p (always contains 1)."""
-    ctx = p.ctx
-    return [mu for mu in ctx.monomials() if ctx.shift(p.mask, mu.a, mu.b) == p.mask]
-
-
 def cover_multipliers(base_poly: Poly, u: int, t: int) -> list[Monomial]:
     """Cover monomials whose projection multiplies the base polynomial trivially.
 
     These are exactly the monomial multipliers that keep a lifted polynomial a
     valid lift of base_poly: all x^{il} y^{jm}, plus the lifts of any base
-    monomial that stabilizes base_poly.
+    monomial mu with mu * base_poly == base_poly (mu = 1 always is one).
     """
-    l, m = base_poly.ctx.l, base_poly.ctx.m
-    stab = poly_stabilizer_monomials(base_poly)
-    return [Monomial(mu.a + l * i, mu.b + m * j) for mu in stab for i in range(u) for j in range(t)]
+    ctx, v = base_poly.ctx, base_poly.mask
+    stab = [mu for mu in ctx.monomials() if ctx.shift(v, *mu) == v]
+    return [Monomial(a + ctx.l * i, b + ctx.m * j) for a, b in stab for i in range(u) for j in range(t)]
 
 
 def _least(masks: list[int]) -> int:
@@ -161,7 +149,7 @@ def _least(masks: list[int]) -> int:
 
 
 def _orbit_min(p: Poly, multipliers: list[Monomial]) -> Poly:
-    return Poly(p.ctx, _least([p.ctx.shift(p.mask, mu.a, mu.b) for mu in multipliers]))
+    return Poly(p.ctx, _least([p.ctx.shift(p.mask, *mu) for mu in multipliers]))
 
 
 def canonical_form(a_t: Poly, b_t: Poly, base: BBCode, u: int, t: int) -> tuple[Poly, Poly]:
@@ -200,7 +188,7 @@ def _side_representatives(base_poly: Poly, u: int, t: int) -> list[Poly]:
     reps = []
     for v in _lift_masks(base_poly, ctx):
         if v not in seen:
-            orbit = [ctx.shift(v, mu.a, mu.b) for mu in mults]
+            orbit = [ctx.shift(v, *mu) for mu in mults]
             seen.update(orbit)
             reps.append(Poly(ctx, _least(orbit)))
     return sorted(reps, key=lambda q: q.terms)

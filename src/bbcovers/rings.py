@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .gf2 import BinMatrix
 
@@ -80,15 +80,11 @@ class RingContext:
                 yield Monomial(a, b)
 
 
-@dataclass(frozen=True, order=True)
-class Monomial:
-    """x^a y^b with exponents stored reduced."""
+class Monomial(NamedTuple):
+    """x^a y^b as its exponent pair, stored reduced."""
 
     a: int
     b: int
-
-    def mul(self, other: "Monomial", ctx: RingContext) -> "Monomial":
-        return Monomial((self.a + other.a) % ctx.l, (self.b + other.b) % ctx.m)
 
     def render(self) -> str:
         if self.a == 0 and self.b == 0:
@@ -115,12 +111,11 @@ class Poly:
     mask: int
 
     @classmethod
-    def make(cls, ctx: RingContext, terms: Iterable[tuple[int, int] | Monomial]) -> "Poly":
-        """Reduce exponents mod (l, m) and cancel repeated terms pairwise."""
+    def make(cls, ctx: RingContext, terms: Iterable[tuple[int, int]]) -> "Poly":
+        """Reduce exponent pairs mod (l, m) and cancel repeated terms pairwise."""
         l, m = ctx.l, ctx.m
         v = 0
-        for t in terms:
-            a, b = (t.a, t.b) if isinstance(t, Monomial) else t
+        for a, b in terms:
             v ^= 1 << ((a % l) * m + b % m)
         return cls(ctx, v)
 
@@ -164,7 +159,7 @@ class Poly:
 
     def shift(self, mono: Monomial) -> "Poly":
         """Multiply by a single monomial."""
-        return Poly(self.ctx, self.ctx.shift(self.mask, mono.a, mono.b))
+        return Poly(self.ctx, self.ctx.shift(self.mask, *mono))
 
     def transpose(self) -> "Poly":
         """Negate all exponents; matches transposing the circulant matrix."""
@@ -180,10 +175,6 @@ class Poly:
 
     def is_zero(self) -> bool:
         return not self.mask
-
-    def to_vector(self) -> int:
-        """Support bitmask over the lm-dimensional monomial basis."""
-        return self.mask
 
     @classmethod
     def from_vector(cls, ctx: RingContext, v: int) -> "Poly":
@@ -233,87 +224,54 @@ class Poly:
 
 # --- parsing ----------------------------------------------------------------
 
+def _exponent(rest: str, end: int) -> tuple[int, str]:
+    """The exponent of the x or y just read, 1 when no "^" follows, and the text
+    after it; ``rest`` is a suffix of the text ending at offset ``end``."""
+    head = rest.lstrip()
+    if not head.startswith("^"):
+        return 1, rest
+    digits = head[1:].lstrip()
+    if digits.startswith("-"):
+        raise PolyParseError("negative exponent rejected", end - len(digits))
+    after = digits.lstrip("0123456789")
+    if len(after) == len(digits):
+        raise PolyParseError("expected unsigned integer exponent", end - len(digits))
+    return int(digits[: len(digits) - len(after)]), after
+
+
 def parse_poly(text: str, ctx: RingContext) -> Poly:
     """Parse the ASCII polynomial grammar.
 
     poly := term ("+" term)* ; term := "0" | "1" | xfac [ "*"? yfac ] | yfac ;
-    xfac := "x" ["^" uint] ; yfac := "y" ["^" uint].  Whitespace is
-    insignificant and exponents may exceed l or m (they reduce on parse).
+    xfac := "x" ["^" uint] ; yfac := "y" ["^" uint] ; uint := [0-9]+.
+    Whitespace is insignificant between tokens and exponents may exceed l or m
+    (they reduce on parse).  Terms are read one "+"-separated chunk at a time;
+    every rest of a chunk is a suffix of it, so its offset is ``end - len(rest)``.
     """
-    pos = 0
-    n = len(text)
-
-    def skip_ws() -> None:
-        nonlocal pos
-        while pos < n and text[pos].isspace():
-            pos += 1
-
-    def parse_uint() -> int:
-        nonlocal pos
-        start = pos
-        while pos < n and text[pos].isdigit():
-            pos += 1
-        if pos == start:
-            raise PolyParseError("expected unsigned integer exponent", start)
-        return int(text[start:pos])
-
-    def parse_exponent() -> int:
-        nonlocal pos
-        mark = pos
-        skip_ws()
-        if pos < n and text[pos] == "^":
-            pos += 1
-            skip_ws()
-            if pos < n and text[pos] == "-":
-                raise PolyParseError("negative exponent rejected", pos)
-            return parse_uint()
-        pos = mark
-        return 1
-
-    def parse_term() -> tuple[int, int] | None:
-        nonlocal pos
-        skip_ws()
-        if pos >= n:
-            raise PolyParseError("expected term", pos)
-        ch = text[pos]
-        if ch == "0":
-            pos += 1
-            return None
-        if ch == "1":
-            pos += 1
-            return (0, 0)
-        a = b = 0
-        seen = False
-        if ch == "x":
-            pos += 1
-            a = parse_exponent()
-            seen = True
-            skip_ws()
-            if pos < n and text[pos] == "*":
-                pos += 1
-                skip_ws()
-                if pos >= n or text[pos] != "y":
-                    raise PolyParseError("expected y factor after '*'", pos)
-            ch = text[pos] if pos < n else ""
-        if ch == "y":
-            pos += 1
-            b = parse_exponent()
-            seen = True
-        if not seen:
-            raise PolyParseError(f"unexpected character {text[pos]!r}", pos)
-        return (a, b)
-
-    terms: list[tuple[int, int]] = []
-    t = parse_term()
-    if t is not None:
-        terms.append(t)
-    skip_ws()
-    while pos < n:
-        if text[pos] != "+":
-            raise PolyParseError(f"unexpected character {text[pos]!r}", pos)
-        pos += 1
-        t = parse_term()
-        if t is not None:
-            terms.append(t)
-        skip_ws()
+    terms = []
+    end = -1
+    for chunk in text.split("+"):
+        end += len(chunk) + 1  # the offset of the "+" after the chunk, or len(text)
+        rest = chunk.lstrip()
+        if not rest:
+            raise PolyParseError("expected term" if end == len(text) else "unexpected character '+'", end)
+        if rest[0] in "01":
+            if rest[0] == "1":
+                terms.append((0, 0))
+            rest = rest[1:]
+        elif rest[0] in "xy":
+            a = b = 0
+            if rest[0] == "x":
+                a, rest = _exponent(rest[1:], end)
+                rest = rest.lstrip()
+                if rest.startswith("*"):
+                    rest = rest[1:].lstrip()
+                    if not rest.startswith("y"):
+                        raise PolyParseError("expected y factor after '*'", end - len(rest))
+            if rest.startswith("y"):
+                b, rest = _exponent(rest[1:], end)
+            terms.append((a, b))
+        rest = rest.lstrip()
+        if rest:
+            raise PolyParseError(f"unexpected character {rest[0]!r}", end - len(rest))
     return Poly.make(ctx, terms)

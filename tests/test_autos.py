@@ -156,6 +156,14 @@ def test_tau_lifted_basis_valid_for_odd_h():
         assert COVER_54.classify(op) == Classification.LOGICAL
 
 
+def test_tau_lifted_basis_refuses_when_k_grows():
+    base = parse_code_spec("l=2 m=1 A=1+x B=1+x")
+    w = check_cover(base, parse_code_spec("l=6 m=1 A=1+x^3 B=1+x^3"))
+    assert (w.h, base.k, w.cover.k) == (3, 2, 6)
+    with pytest.raises(Refusal, match="k_h = 6 != k = 2"):
+        tau_lifted_basis(w, base.logical_basis)
+
+
 def test_block_swap_duality_verifies_on_18():
     assert verify_zx_duality(BASE_18, block_swap_zx_duality(BASE_18))
 

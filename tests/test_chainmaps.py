@@ -13,7 +13,6 @@ from bbcovers.chainmaps import (
     project_logical,
     project_poly,
     projection_map,
-    section_chain_map_commutes,
     weight_preserving_lift_search,
 )
 from bbcovers.autos import (
@@ -68,6 +67,13 @@ def test_lift_of_published_polynomials():
         F_12, GROSS.ctx
     )
     assert lift_poly(W_54, Poly.zero(BASE_18.ctx)).is_zero()
+
+
+def test_project_and_lift_refuse_a_polynomial_over_the_wrong_ring():
+    with pytest.raises(ContextMismatch):
+        project_poly(W_54, parse_poly("1+x", BASE_18.ctx))
+    with pytest.raises(ContextMismatch):
+        lift_poly(W_54, parse_poly("1+x", COVER_54.ctx))
 
 
 def test_chain_maps_commute_and_are_transposes():
@@ -251,6 +257,13 @@ def test_distance_bounds_even_h_tagged_conjectural():
     assert rep.lower_bound is None
 
 
+def test_distance_bounds_refuse_a_base_distance_that_is_not_exact():
+    base_d = exact_distance(BASE_18, 1)
+    assert base_d.kind == "lower-bound-interval"
+    with pytest.raises(Refusal, match="exact base distance"):
+        distance_bounds(W_54, base_d, COVER_54.k)
+
+
 def test_distance_bounds_h1():
     trivial = check_cover(BASE_18, BASE_18)
     base_d = exact_distance(BASE_18, 4)
@@ -297,6 +310,18 @@ def test_classical_inherited_check():
         )
 
 
+def test_classical_inherited_check_reads_z_blocks_against_the_transposes():
+    # on BASE_72, A^T p = 0 but A p != 0 and B^T q = 0 but B q != 0
+    p = parse_poly("1 + y + y^4 + y^5 + x^3 + x^3y^2", BASE_72.ctx)
+    q = parse_poly("y^3 + xy^3 + x^2 + x^2y^3 + x^3y^3 + x^4", BASE_72.ctx)
+    zero = Poly.zero(BASE_72.ctx)
+    assert not (BASE_72.a * p).is_zero() and not (BASE_72.b * q).is_zero()
+    assert classical_inherited_check(BASE_72, PauliOp("Z", p, zero))
+    assert classical_inherited_check(BASE_72, PauliOp("Z", zero, q))
+    for op in (PauliOp("Z", p, zero), PauliOp("Z", zero, q), PauliOp("Z", q, zero), PauliOp("Z", zero, p)):
+        assert classical_inherited_check(BASE_72, op) == (BASE_72.syndrome(op) == 0)
+
+
 def test_constant_section_composes_to_identity():
     pm = projection_map(W_54)
     for g in range(-1, 4):  # sheet arguments reduce mod u = 3
@@ -311,7 +336,7 @@ def test_section_chain_map_commutes_detects():
     # the trivial cover's identity section is a genuine chain map; on real
     # covers the exponent wraparound breaks every constant section
     trivial = check_cover(BASE_18, BASE_18)
-    assert section_chain_map_commutes(trivial, 0, 0)
-    assert all(not section_chain_map_commutes(W_54, g, 0) for g in range(3))
+    assert constant_section(trivial, 0, 0).commutes()
+    assert all(not constant_section(W_54, g, 0).commutes() for g in range(3))
     split = check_cover(BASE_18, parse_code_spec("l=6 m=3 A=1+y+y^2 B=1+x^2+x^4"))
-    assert not section_chain_map_commutes(split, 0, 0)
+    assert not constant_section(split, 0, 0).commutes()

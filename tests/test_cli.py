@@ -113,6 +113,23 @@ def test_info_malformed_poly_is_refused(capsys):
     assert "offset" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "spec,message",
+    [
+        ("l=3 m=3 A=x^² B=1+x", "expected unsigned integer exponent (at offset 2)"),
+        ("l=3 m=3 A=1+y B=x^٣", "expected unsigned integer exponent (at offset 2)"),
+        ("l=٣ m=3 A=1+y B=1+x", "bad lattice parameter: l='٣'"),
+        ("l=1_0 m=3 A=1+y B=1+x", "bad lattice parameter: l='1_0'"),
+        ("l=+6 m=3 A=1+y B=1+x", "bad lattice parameter: l='+6'"),
+        ("l=x m=3 A=1+y B=1+x", "bad lattice parameter: l='x'"),
+    ],
+)
+def test_info_spec_takes_ascii_digits_only(capsys, spec, message):
+    assert main(["info", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
 def test_check_cover_gross(capsys):
     code, recs = run_json(capsys, ["check-cover", CODE_72, GROSS, "--verify-graph"])
     assert code == 0
@@ -325,6 +342,12 @@ def test_aut_cli_zx_with_lift(capsys):
 def test_aut_cli_shift(capsys):
     code, recs = run_json(capsys, ["aut", CODE_72, "shift:x^2y"])
     assert code == 0 and recs[0]["verified"] is True
+
+
+def test_aut_lift_of_a_map_that_fails_on_the_base_is_refused(capsys):
+    assert main(["aut", CODE_72, "example-5-cnot", "--lift-to", GROSS]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "does not verify on the base code" in captured.err
 
 
 def test_aut_unknown_name_refused(capsys):

@@ -12,6 +12,7 @@ from bbcovers.codes import (
 )
 from bbcovers.gf2 import BinMatrix, RowReducer, ShapeError
 from bbcovers.rings import ContextMismatch, Monomial, Poly, RingContext, parse_poly
+from bbcovers.tables import all_rows
 
 CODE_72 = "l=6 m=6 A=x^3+y+y^2 B=y^3+x+x^2"
 CODE_18 = "l=3 m=3 A=1+y+y^2 B=1+x+x^2"
@@ -260,6 +261,13 @@ def test_parse_code_spec_errors():
         parse_code_spec("l=3 m=3 A=1+y+y^2")
     with pytest.raises(Refusal):
         parse_code_spec("junk")
+
+
+def test_published_spec_lines_parse_back_to_their_codes():
+    rows = all_rows()
+    assert len(rows) == 61
+    for row in rows:
+        assert parse_code_spec(row.spec_line()) == row.code()
 
 
 def test_build_code_refuses_lattice_orders_below_1():

@@ -104,6 +104,14 @@ def test_refusal_names_first_condition():
     assert err.value.condition == 4
 
 
+def test_refusal_when_two_terms_reduce_to_one_base_term():
+    # 1 and x^3 both reduce to 1 at l = 3: equal term counts, but no bijection
+    base = parse_code_spec(BASE_18)
+    with pytest.raises(CoverRefusal, match=r"term x\^3 reduces to 1, not a base term") as err:
+        check_cover(base, parse_code_spec("l=6 m=3 A=1+x^3+y B=1+x+x^2"))
+    assert err.value.condition == 3
+
+
 def test_enumerate_18_h2():
     enum = enumerate_covers(parse_code_spec(BASE_18), 6, 3)
     assert enum.k_histogram == {8: 3, 16: 1}

@@ -68,6 +68,18 @@ CLI_GOLDEN = [
         2,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
+    # h = 3: the fibre of 1 + x projects back onto it
+    (
+        ["project", CODE_18, COVER_54, "X(1+x+x^3+x^4+x^6+x^7|0)"],
+        0,
+        "ba044b1177af729a485dbf77fa7a60d06b5959df9a9a0cdfd2bc52be7a438ae2",
+    ),
+    # h = 4: the terms cancel in pairs, leaving X(0|0)
+    (
+        ["project", CODE_18, COVER_6X6, "X(1 + y^3 + x + xy^3 + x^3 + x^3y^3 + x^4 + x^4y^3|0)"],
+        0,
+        "23124fd9791a2202cdda505d9f8369c77cabe4d3bf32d0c778fb6fce22facf0e",
+    ),
     (
         ["wpl-search", CODE_18, "l=6 m=3 A=1+y+y^2 B=1+x^2+x^4", "X(0|1+y)"],
         0,

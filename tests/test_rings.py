@@ -2,6 +2,8 @@ import pickle
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from bbcovers.gf2 import BinMatrix
 from bbcovers.rings import (
@@ -23,17 +25,17 @@ def random_poly(rng, ctx, max_terms=4):
 
 def test_mono_mul_inverse_pair():
     ctx = RingContext(5, 3)
-    assert Monomial(1, 0).mul(Monomial(4, 0), ctx) == Monomial(0, 0)
+    assert Poly.make(ctx, [Monomial(1, 0)]).shift(Monomial(4, 0)).terms == (Monomial(0, 0),)
 
 
 def test_mono_mul_wraps_to_one():
     ctx = RingContext(6, 6)
-    assert Monomial(3, 1).mul(Monomial(3, 5), ctx) == Monomial(0, 0)
+    assert Poly.make(ctx, [Monomial(3, 1)]).shift(Monomial(3, 5)).terms == (Monomial(0, 0),)
 
 
 def test_mono_mul_mixed_orders():
     ctx = RingContext(12, 6)
-    assert Monomial(9, 2).mul(Monomial(5, 5), ctx) == Monomial(2, 1)
+    assert Poly.make(ctx, [Monomial(9, 2)]).shift(Monomial(5, 5)).terms == (Monomial(2, 1),)
 
 
 def test_poly_mul_by_one():
@@ -163,10 +165,74 @@ def test_parse_error_carries_position():
     assert err.value.position == 6
 
 
+@pytest.mark.parametrize(
+    "text,message,offset",
+    [
+        ("x^-1", "negative exponent rejected", 2),
+        ("x^", "expected unsigned integer exponent", 2),
+        ("x*", "expected y factor after '*'", 2),
+        ("x * x", "expected y factor after '*'", 4),
+        ("1+", "expected term", 2),
+        ("", "expected term", 0),
+        ("1x", "unexpected character 'x'", 1),
+        ("y x", "unexpected character 'x'", 2),
+        ("x^2^3", "unexpected character '^'", 3),
+        ("x^2 + z", "unexpected character 'z'", 6),
+        ("1++x", "unexpected character '+'", 2),
+        ("1 + + x", "unexpected character '+'", 4),
+    ],
+)
+def test_parse_error_message_and_offset(text, message, offset):
+    with pytest.raises(PolyParseError) as err:
+        parse_poly(text, RingContext(3, 3))
+    assert str(err.value) == f"{message} (at offset {offset})"
+    assert err.value.position == offset
+
+
 def test_parse_rejects_negative_exponent():
     ctx = RingContext(3, 3)
     with pytest.raises(PolyParseError, match="negative"):
         parse_poly("x^-1", ctx)
+
+
+@example("x^²")
+@example("x^٣")
+@given(st.text(alphabet=list("xy^*+-0129²٣_z \t")))
+def test_any_text_parses_or_raises_an_error_within_it(text):
+    try:
+        p = parse_poly(text, RingContext(4, 3))
+    except PolyParseError as err:
+        assert 0 <= err.position <= len(text)
+    else:
+        assert isinstance(p, Poly)
+
+
+@st.composite
+def spelled_terms(draw):
+    """Exponent pairs, repeats included, and a spelling of their sum: random
+    whitespace between tokens, an optional '*', explicit ^1 and ^0, and
+    exponents at or above l and m."""
+    l, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    pairs = draw(st.lists(st.tuples(st.integers(0, 3 * l), st.integers(0, 3 * m)), min_size=1, max_size=6))
+    pairs += draw(st.lists(st.sampled_from(pairs), max_size=3))
+    ws = st.sampled_from(["", "", " ", "\t", "  "])
+
+    def factor(var, e):
+        spellings = [f"{var}{draw(ws)}^{draw(ws)}{e}"] + ([var] if e == 1 else []) + ([""] if e == 0 else [])
+        return draw(st.sampled_from(spellings))
+
+    terms = []
+    for a, b in pairs:
+        x, y = factor("x", a), factor("y", b)
+        star = f"{draw(ws)}*{draw(ws)}" if x and y and draw(st.booleans()) else draw(ws)
+        terms.append(draw(ws) + (x + star + y if x or y else "1") + draw(ws))
+    return RingContext(l, m), pairs, "+".join(terms)
+
+
+@given(spelled_terms())
+def test_spelled_exponent_pairs_parse_to_their_poly(case):
+    ctx, pairs, text = case
+    assert parse_poly(text, ctx) == Poly.make(ctx, pairs)
 
 
 def test_render_conventions():
@@ -189,7 +255,7 @@ def test_vector_round_trip():
     for _ in range(30):
         ctx = RingContext(rng.randint(1, 6), rng.randint(1, 6))
         p = random_poly(rng, ctx)
-        assert Poly.from_vector(ctx, p.to_vector()) == p
+        assert Poly.from_vector(ctx, p.mask) == p
 
 
 def test_pickle_carries_the_ring_and_mask_but_no_cached_circulant():
