@@ -388,6 +388,8 @@ BAD_AUT_FILES = {
     "unknown-kind": _aut_file_data(kind="strange"),
     "unknown-type": _aut_file_data(type="strange"),
     "w-wrong-shape": _aut_file_data(w_x="8x8\n" + "\n".join(["00"] * 8)),
+    "general-w-8x9": _aut_file_data(kind="general", w_x="8x9\n" + "\n".join(["000"] * 8)),
+    "general-w-9x8": _aut_file_data(kind="general", w_x="9x8\n" + "\n".join(["00"] * 9)),
     "not-an-object": json.dumps([1, 2]),
 }
 

@@ -8,10 +8,14 @@ unchanged.
 """
 
 import hashlib
+import json
 
 import pytest
 
+from bbcovers.autos import antipode_zx_duality, y_exponent_swap_automorphism
 from bbcovers.cli import main
+from bbcovers.codes import parse_code_spec
+from bbcovers.gf2 import BinMatrix
 from bbcovers.tables import all_rows
 
 CODE_18 = "l=3 m=3 A=1+y+y^2 B=1+x+x^2"
@@ -167,6 +171,34 @@ CLI_GOLDEN = [
     ),
 ]
 
+
+def _general_automorphism_json(code) -> dict:
+    """f = id, W_Z = I and W_X = I + e_0 g^T, for g = e_1 + e_2 + e_4 + e_5: a nonzero
+    vector with g H_X = 0 and g_0 = 0, so W_X H_X = H_X and W_X is invertible but
+    no permutation, which sends it down the rank path of the verifier."""
+    g = 0b110110
+    assert g & 1 == 0 and code.hx.vec_mul(g) == 0
+    w_x = BinMatrix(9, 9, (1 | g,) + BinMatrix.identity(9).rows[1:])
+    ident = BinMatrix.identity(9).to_text()
+    return {"type": "automorphism", "kind": "general", "f": list(range(18)), "w_x": w_x.to_text(), "w_z": ident}
+
+
+# `aut` on JSON files, each written as aut.json in the working directory, so
+# that the "name" field of the record is the same in every run
+AUT_FILE_GOLDEN = [
+    (
+        lambda code: y_exponent_swap_automorphism(code).to_json(),
+        ["--lift-to", COVER_54],
+        "75a6dc71adebbbbb89624a52452897ad98087b68fefb8fa5b5cbff240ea51427",
+    ),
+    (
+        lambda code: antipode_zx_duality(code).to_json(),
+        [],
+        "b6ed32790ab14af76b3aa33eb681b8daca8e671576c3b04aa4e10f75de437f31",
+    ),
+    (_general_automorphism_json, [], "fc50fa1f13ff046502739b526d97c8a634d52e7aa4a305e5b886b99ad90ff6f3"),
+]
+
 LOGICAL_BASIS_SHA = "e2f4603cd48b0960f918b08667169bf0d94ac7c6dbcfe322ba3821f5f2499991"
 KERNEL_BASIS_SHA = "773b7022f7f331d04e420f45bde9a5cbc87f69238a4ab16a943098ebbcb2bb55"
 CHECK_MATRIX_SHA = "930fca6bd800b5333ebea3722673a239dc37059cd196e80b72ec7b7fb258bdfa"
@@ -177,6 +209,17 @@ CHECK_MATRIX_SHA = "930fca6bd800b5333ebea3722673a239dc37059cd196e80b72ec7b7fb258
 )
 def test_cli_stdout_is_golden(capsys, argv, exit_code, stdout_sha):
     assert main(argv) == exit_code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha, out
+
+
+@pytest.mark.parametrize(
+    "to_json,options,stdout_sha", AUT_FILE_GOLDEN, ids=["example-5-cnot", "antipode-zx", "general"]
+)
+def test_aut_file_stdout_is_golden(capsys, tmp_path, monkeypatch, to_json, options, stdout_sha):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "aut.json").write_text(json.dumps(to_json(parse_code_spec(CODE_18))))
+    assert main(["aut", CODE_18, "aut.json", *options]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha, out
 
