@@ -23,14 +23,9 @@ from .codes import BBCode, Classification, InternalConsistencyError, LogicalBasi
 from .codes import _overlap_matrix, pairing_matrix
 from .covers import CoverWitness
 from .chainmaps import ChainMap, _block_diag, _cell_map, _class_images, _class_matrix, _compose, _mark_verified
-from .chainmaps import _projection_columns, _translation, lift_logical
-from .gf2 import BinMatrix
+from .chainmaps import _translation, _unit_columns, lift_logical
+from .gf2 import BinMatrix, xor_rows
 from .rings import Monomial
-
-
-def _perm_columns(perm) -> tuple[int, ...]:
-    """Columns of the permutation j -> perm[j]: column j is the unit vector perm[j]."""
-    return tuple(1 << i for i in perm)
 
 
 def _is_permutation(cols: tuple[int, ...]) -> bool:
@@ -38,27 +33,15 @@ def _is_permutation(cols: tuple[int, ...]) -> bool:
     return _cell_map(cols) and len(set(cols)) == len(cols)
 
 
-def _swap_blocks(w: tuple[int, ...]) -> tuple[int, ...]:
-    """Columns of the qubit map sending either block to the other through w: [[0, w], [w, 0]]."""
-    return tuple(c << len(w) for c in w) + w
-
-
 @dataclass(frozen=True)
 class CodeAutomorphism(ChainMap):
     """Chain map (deg2, deg1, deg0) = (W_Z, f, W_X) of a code's complex to itself.
 
     deg1 is the matrix of a qubit permutation, whose columns are read back as
-    the image map ``f``.  Kind "tanner" additionally promises W_X and W_Z are
-    permutation matrices.  The JSON form is {"type", "kind", "f", "w_x",
-    "w_z"}, with type "automorphism" or "zx-duality".
+    the image map ``f``.  The JSON form is {"type", "kind", "f", "w_x",
+    "w_z"}, with type "automorphism" or "zx-duality" and kind "tanner" when
+    W_X and W_Z are permutation matrices, else "general".
     """
-
-    kind: str = "general"
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.kind not in ("general", "tanner"):
-            raise ValueError(f"unknown kind {self.kind!r}")
 
     @cached_property
     def f(self) -> tuple[int, ...]:
@@ -70,7 +53,7 @@ class CodeAutomorphism(ChainMap):
     def to_json(self) -> dict:
         return {
             "type": "zx-duality" if isinstance(self, ZXDuality) else "automorphism",
-            "kind": self.kind,
+            "kind": _kind(self),
             "f": list(self.f),
             "w_x": self.deg0.to_text(),
             "w_z": self.deg2.to_text(),
@@ -79,15 +62,22 @@ class CodeAutomorphism(ChainMap):
     @staticmethod
     def from_json(data: dict, code: BBCode) -> "CodeAutomorphism":
         """The map of ``code`` that ``to_json`` wrote, of the type it records
-        (an automorphism when none is); Refusal for a malformed form."""
+        (an automorphism when none is); Refusal for a malformed form, or for a
+        kind that is neither "general" nor the one read off its W's."""
         try:
             types = {"automorphism": CodeAutomorphism, "zx-duality": ZXDuality}
             cls = types[data.get("type", "automorphism")]
             f = tuple(data["f"])
             w_x, w_z = BinMatrix.from_text(data["w_x"]), BinMatrix.from_text(data["w_z"])
+            lm = code.ctx.dim
+            if any((w.n_rows, w.n_cols) != (lm, lm) for w in (w_x, w_z)):
+                raise ValueError(f"W_X and W_Z must be {lm}x{lm}")
             if sorted(f) != list(range(code.n)):
                 raise ValueError(f"f is not a permutation of range({code.n})")
-            return cls(w_z, _perm_columns(f), w_x, code, code, data.get("kind", "general"))
+            m = cls(w_z.transpose().rows, _unit_columns(f), w_x.transpose().rows, code, code)
+            if (kind := data.get("kind", "general")) not in ("general", _kind(m)):
+                raise ValueError(f"kind {kind!r} for W's of kind {_kind(m)!r}")
+            return m
         except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
             raise Refusal(f"malformed automorphism JSON ({type(exc).__name__}: {exc})") from None
 
@@ -102,6 +92,11 @@ class ZXDuality(CodeAutomorphism):
     """
 
 
+def _kind(m: CodeAutomorphism) -> str:
+    """"tanner" when W_X and W_Z are permutation matrices, else "general"."""
+    return "tanner" if _is_permutation(m.cols0) and _is_permutation(m.cols2) else "general"
+
+
 def _verify(code: BBCode, m: CodeAutomorphism) -> bool:
     """A qubit permutation, invertible W's and exact chain squares into the
     code's own or dual complex; marks m as verified when it passes."""
@@ -111,9 +106,9 @@ def _verify(code: BBCode, m: CodeAutomorphism) -> bool:
         return False
     lm = code.ctx.dim
     for w in (m.cols0, m.cols2):
-        # a permutation is invertible; other W's are ranked (a matrix and its
+        # a permutation is invertible; any other W is ranked (a matrix and its
         # transpose, whose rows are the columns, have one rank)
-        if not _is_permutation(w) and (m.kind == "tanner" or BinMatrix(lm, lm, w).rank() != lm):
+        if not _is_permutation(w) and BinMatrix(lm, lm, w).rank() != lm:
             return False
     dual = isinstance(m, ZXDuality)
     if not m.commutes(dual):
@@ -134,10 +129,17 @@ def verify_zx_duality(code: BBCode, dual: ZXDuality) -> bool:
 
 # --- built-in constructions -----------------------------------------------------
 
+def _from_cells(code: BBCode, cells, dual: bool = False) -> CodeAutomorphism:
+    """The map sending cell j to cells[j] on both check spaces and within each
+    qubit block, or, as a ZX-duality (``dual``), across the blocks."""
+    w = _unit_columns(cells)
+    up = tuple(c << code.ctx.dim for c in w)
+    return (ZXDuality if dual else CodeAutomorphism)(w, up + w if dual else w + up, w, code, code)
+
+
 def shift_automorphism(code: BBCode, mono: Monomial) -> CodeAutomorphism:
     """Shift all check and qubit labels by a monomial; works on every BB code."""
-    w = _perm_columns(_translation(code.ctx, mono.a % code.l, mono.b % code.m))
-    return CodeAutomorphism(w, _block_diag(w, code.ctx.dim), w, code, code, "tanner")
+    return _from_cells(code, _translation(code.ctx, *mono))
 
 
 def y_exponent_swap_automorphism(code: BBCode, b0: int = 0, b1: int = 1) -> CodeAutomorphism:
@@ -147,8 +149,7 @@ def y_exponent_swap_automorphism(code: BBCode, b0: int = 0, b1: int = 1) -> Code
     two exponents interchangeable; callers should verify it.
     """
     ctx, sigma = code.ctx, {b0: b1, b1: b0}
-    w = _perm_columns(ctx.index(m.a, sigma.get(m.b, m.b)) for m in ctx.monomials())
-    return CodeAutomorphism(w, _block_diag(w, ctx.dim), w, code, code, "tanner")
+    return _from_cells(code, (ctx.index(m.a, sigma.get(m.b, m.b)) for m in ctx.monomials()))
 
 
 def block_swap_zx_duality(code: BBCode) -> ZXDuality:
@@ -156,15 +157,13 @@ def block_swap_zx_duality(code: BBCode) -> ZXDuality:
 
     A ZX-duality exactly when A and B are self-transpose; callers verify.
     """
-    ident = _perm_columns(range(code.ctx.dim))
-    return ZXDuality(ident, _swap_blocks(ident), ident, code, code)
+    return _from_cells(code, range(code.ctx.dim), dual=True)
 
 
 def antipode_zx_duality(code: BBCode) -> ZXDuality:
     """Block swap composed with exponent negation; a duality of every BB code."""
     ctx = code.ctx
-    w = _perm_columns(ctx.index(-a, -b) for a in range(ctx.l) for b in range(ctx.m))
-    return ZXDuality(w, _swap_blocks(w), w, code, code)
+    return _from_cells(code, (ctx.index(-a, -b) for a in range(ctx.l) for b in range(ctx.m)), dual=True)
 
 
 # --- lifting along a cover -------------------------------------------------------
@@ -176,13 +175,9 @@ def _block_lift(witness: CoverWitness, w: tuple[int, ...]) -> tuple[int, ...]:
     lm_b, lm_c = witness.base.ctx.dim, witness.cover.ctx.dim
     # cover index on sheet (0, 0) of every base index, block by block
     index = [block * lm_c + e for block in range(len(w) // lm_b) for e in witness.embedding]
-    cols = [0] * (len(index) * witness.h)
+    units, cols = _unit_columns(index), [0] * (len(index) * witness.h)
     for j, col in enumerate(w):
-        lifted = 0
-        while col:
-            low = col & -col
-            lifted |= 1 << index[low.bit_length() - 1]
-            col ^= low
+        lifted = xor_rows(units, col)
         for o in witness.sheet_offsets:
             cols[index[j] + o] = lifted << o
     return tuple(cols)
@@ -193,11 +188,11 @@ def _lift(witness: CoverWitness, m: CodeAutomorphism) -> CodeAutomorphism:
     if not _verify(witness.base, m):
         raise Refusal("the supplied map does not verify on the base code")
     cover = witness.cover
-    lifted = type(m)(*(_block_lift(witness, cols) for cols in m.columns), cover, cover, m.kind)
+    lifted = type(m)(*(_block_lift(witness, cols) for cols in m.columns), cover, cover)
     if not _verify(cover, lifted):
         raise Refusal("sheet-wise lift does not verify on the cover code")
     # p . lifted = m . p in every degree, column by column
-    p = _projection_columns(witness)
+    p = _unit_columns(witness.projection)
     ps = (p, _block_diag(p, witness.base.ctx.dim), p)
     if any(_compose(q, up) != _compose(down, q) for q, up, down in zip(ps, lifted.columns, m.columns)):
         raise InternalConsistencyError("lift does not intertwine with the projection")

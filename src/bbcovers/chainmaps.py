@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING
 
 from .codes import BBCode, Classification, InternalConsistencyError, PauliOp, Refusal
 from .covers import CoverWitness
-from .gf2 import BinMatrix, ShapeError
+from .gf2 import BinMatrix, ShapeError, xor_rows
 from .rings import ContextMismatch, Poly, RingContext
 
 if TYPE_CHECKING:  # distance imports autos, which imports this module
@@ -42,9 +42,8 @@ if TYPE_CHECKING:  # distance imports autos, which imports this module
 class ChainMap:
     """Degreewise column tables of a map between two code complexes; a chain
     map wherever its squares were checked (constant sections are not checked).
-    cols2 acts on Z-checks, cols1 on qubits and cols0 on X-checks.  A degree
-    may be given as a BinMatrix, which is transposed once into its columns;
-    the matrices deg2, deg1 and deg0 are built when read."""
+    cols2 acts on Z-checks, cols1 on qubits and cols0 on X-checks; the
+    matrices deg2, deg1 and deg0 are built when read."""
 
     cols2: tuple[int, ...]
     cols1: tuple[int, ...]
@@ -62,14 +61,8 @@ class ChainMap:
         shapes = ((src.ctx.dim, tgt.ctx.dim), (src.n, tgt.n), (src.ctx.dim, tgt.ctx.dim))
         for name, (n_src, n_tgt) in zip(("cols2", "cols1", "cols0"), shapes):
             deg = getattr(self, name)
-            if isinstance(deg, BinMatrix):
-                if (deg.n_rows, deg.n_cols) != (n_tgt, n_src):
-                    raise ShapeError(f"a degree of shape {deg.n_rows}x{deg.n_cols}, expected {(n_tgt, n_src)}")
-                object.__setattr__(self, name, deg.transpose().rows)
-            elif len(deg) != n_src or (deg and (min(deg) < 0 or max(deg) >> n_tgt)):
+            if len(deg) != n_src or (deg and (min(deg) < 0 or max(deg) >> n_tgt)):
                 raise ShapeError(f"a degree of {len(deg)} columns, expected {n_src} over {n_tgt} rows")
-            else:
-                object.__setattr__(self, name, tuple(deg))
 
     @property
     def columns(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
@@ -91,7 +84,7 @@ class ChainMap:
         """deg1 applied to a qubit vector, in time proportional to its weight."""
         if v < 0 or v >> self.source.n:
             raise ShapeError(f"vector has bits beyond qubit {self.source.n - 1}")
-        return _apply(self.cols1, v)
+        return xor_rows(self.cols1, v)
 
     @cached_property
     def _step(self) -> int:
@@ -123,28 +116,18 @@ class HomologyMap:
     target: BBCode
 
 
-def _projection_columns(witness: CoverWitness) -> tuple[int, ...]:
-    """Columns of p: every cover cell goes to the base cell below it."""
-    return tuple(1 << i for i in witness.projection)
+def _unit_columns(table) -> tuple[int, ...]:
+    """Columns of the cell map j -> table[j]: column j is the unit vector table[j]."""
+    return tuple(1 << i for i in table)
 
 
 def _matrix(cols: tuple[int, ...], n_rows: int) -> BinMatrix:
     return BinMatrix(len(cols), n_rows, cols).transpose()
 
 
-def _apply(cols: tuple[int, ...], v: int) -> int:
-    """The XOR of the columns at the set bits of v."""
-    out = 0
-    while v:
-        low = v & -v
-        out ^= cols[low.bit_length() - 1]
-        v ^= low
-    return out
-
-
 def _compose(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
     """Columns of f . g."""
-    return tuple(_apply(f, c) for c in g)
+    return tuple(xor_rows(f, c) for c in g)
 
 
 def _block_diag(q: tuple[int, ...], shift: int) -> tuple[int, ...]:
@@ -161,7 +144,7 @@ def _boundaries(code: BBCode, dual: bool = False) -> tuple[tuple[int, ...], tupl
 
 def _square_commutes(lo, hi, d, dt, index) -> bool:
     """Whether column j of lo . d equals column j of dt . hi for every j in index."""
-    return all(_apply(lo, d[j]) == _apply(dt, hi[j]) for j in index)
+    return all(xor_rows(lo, d[j]) == xor_rows(dt, hi[j]) for j in index)
 
 
 def _is_chain_map(degs, source, target, step: int) -> bool:
@@ -218,7 +201,7 @@ def _verified_projection(witness: CoverWitness) -> ChainMap:
     """p_* with all four commuting squares checked exactly: its chain squares, and
     its cochain squares as the chain squares between the dual complexes."""
     object.__setattr__(witness, "_projection_verified", False)
-    cm = _degreewise(_projection_columns(witness), witness.cover, witness.base)
+    cm = _degreewise(_unit_columns(witness.projection), witness.cover, witness.base)
     if not cm.commutes():
         raise InternalConsistencyError("chain-map square failed")
     dual = (_boundaries(cm.source, True), _boundaries(cm.target, True))
@@ -252,8 +235,8 @@ def compose_p_tau(witness: CoverWitness) -> str:
 
     Column i of p . tau is the p-image of the fibre over i: h times e_i.
     """
-    p = _projection_columns(witness)
-    cols = [_apply(p, fibre) for fibre in witness.fibres]
+    p = _unit_columns(witness.projection)
+    cols = [xor_rows(p, fibre) for fibre in witness.fibres]
     if all(c == 1 << i for i, c in enumerate(cols)):
         result = "identity"
     elif not any(cols):
@@ -283,7 +266,7 @@ def project_poly(witness: CoverWitness, p: Poly) -> Poly:
 def lift_poly(witness: CoverWitness, p: Poly) -> Poly:
     """tau of a base polynomial: the XOR of tau's columns, the fibres, at the set
     bits of p, in time proportional to its weight; weight multiplies by h."""
-    return Poly(witness.cover.ctx, _apply(witness.fibres, _over(witness.base.ctx, p).mask))
+    return Poly(witness.cover.ctx, xor_rows(witness.fibres, _over(witness.base.ctx, p).mask))
 
 
 @dataclass(frozen=True)
@@ -338,7 +321,7 @@ def _class_images(cm: ChainMap, src_side: str, side: str, vectors) -> BinMatrix:
     complex that pairs these sectors (its own for equal sides, the dual for
     swapped ones) sends them into the target kernel; the images of any other
     map are tested, with Refusal when one leaves the target kernel."""
-    images = [_apply(cm.cols1, v) for v in vectors]
+    images = [xor_rows(cm.cols1, v) for v in vectors]
     trusted = cm._verified_into == ("own" if src_side == side else "dual")
     return _class_matrix(cm.target, side, images, check=not trusted)
 

@@ -44,6 +44,13 @@ DEFAULT_EXACT_N = 100
 DEFAULT_EXACT_D = 8
 
 
+def _digits(text: str) -> int:
+    """The argparse type of counts and bounds: ASCII [0-9]+ only, unlike int()."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected ASCII digits, got {text!r}")
+    return int(text)
+
+
 def _write(records, as_csv: bool) -> None:
     """Print each record as a JSON line, or as CSV rows under a header of the first record's keys."""
     if not as_csv:
@@ -246,8 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
 
     flag = {"action": "store_true"}
-    wmax = {"type": int, "default": DEFAULT_EXACT_D}
-    order = {"type": int, "required": True}
+    wmax = {"type": _digits, "default": DEFAULT_EXACT_D}
+    order = {"type": _digits, "required": True}
     carry = ("base", "cover", "op")
     command("info", cmd_info, "parameters of a code spec", "spec", distance=flag, wmax=wmax)
     command("check-cover", cmd_check_cover, "decide the h-cover relation", "base", "candidate", verify_graph=flag)
@@ -261,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     command("project", cmd_carry, "project a cover logical to the base", *carry)
     command("lift", cmd_carry, "lift a base logical to the cover", *carry)
     command("wpl-search", cmd_wpl, "weight-preserving lift search", *carry,
-            limit={"type": int, "default": 1 << 20})
+            limit={"type": _digits, "default": 1 << 20})
     command("aut", cmd_aut, "verify and apply a named automorphism", "spec", "name", lift_to={"default": None})
     return ap
 

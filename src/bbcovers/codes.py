@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 
-from .gf2 import BinMatrix, RowReducer, ShapeError
+from .gf2 import BinMatrix, RowReducer, ShapeError, parities
 from .rings import ContextMismatch, Poly, PolyParseError, RingContext, Monomial, parse_poly
 
 # Largest lattice l*m a code is built on: l = m = 64 builds in under 0.01 s on a
@@ -239,7 +239,7 @@ class BBCode:
         # v is a sum of basis logicals and stabilizers; each partner pairs with
         # one basis logical and commutes with everything else in that sum
         logicals = self.logical_basis
-        return _overlap_parities(v, logicals.z_vectors if basis == "X" else logicals.x_vectors)
+        return parities(logicals.z_vectors if basis == "X" else logicals.x_vectors, v)
 
 
 def _column_0(a: Poly, b: Poly) -> int:
@@ -261,19 +261,14 @@ def _within_budget(ctx: RingContext) -> RingContext:
     return ctx
 
 
-def build_code(a: str | Poly, b: str | Poly, l: int | None = None, m: int | None = None) -> BBCode:
-    """Build Q(A, B, l, m); string polynomials are parsed over (l, m)."""
-    if isinstance(a, str) or isinstance(b, str):
-        if l is None or m is None:
-            raise Refusal("l and m are required when passing polynomial strings")
-        try:
-            ctx = RingContext(l, m)
-        except ValueError as exc:
-            raise Refusal(f"bad lattice parameter: {exc}") from exc
-        ctx = _within_budget(ctx)
-        a = parse_poly(a, ctx) if isinstance(a, str) else a
-        b = parse_poly(b, ctx) if isinstance(b, str) else b
-    return BBCode(a, b)
+def build_code(a: str, b: str, l: int, m: int) -> BBCode:
+    """Build Q(A, B, l, m), the polynomial strings parsed over (l, m)."""
+    try:
+        ctx = RingContext(l, m)
+    except ValueError as exc:
+        raise Refusal(f"bad lattice parameter: {exc}") from exc
+    ctx = _within_budget(ctx)
+    return BBCode(parse_poly(a, ctx), parse_poly(b, ctx))
 
 
 SPEC_KEYS = ("l", "m", "A", "B")
@@ -335,14 +330,9 @@ class LogicalBasis:
         return _overlap_matrix(self.x_vectors, self.z_vectors)
 
 
-def _overlap_parities(v: int, others) -> int:
-    """Bit j is the parity of the overlap of v with others[j]."""
-    return sum(((v & w).bit_count() & 1) << j for j, w in enumerate(others))
-
-
 def _overlap_matrix(xs, zs) -> BinMatrix:
     """Entry (i, j) is the overlap parity of xs[i] and zs[j]: the product xs zs^T."""
-    return BinMatrix(len(xs), len(zs), tuple(_overlap_parities(x, zs) for x in xs))
+    return BinMatrix(len(xs), len(zs), tuple(parities(zs, x) for x in xs))
 
 
 def pairing_matrix(x_ops, z_ops) -> BinMatrix:

@@ -26,6 +26,24 @@ def _mask(n_cols: int) -> int:
     return (1 << n_cols) - 1
 
 
+def xor_rows(rows: Sequence[int], v: int) -> int:
+    """v M for the matrix M with these rows: the XOR of the rows at the set bits of v."""
+    out = 0
+    while v:
+        low = v & -v
+        out ^= rows[low.bit_length() - 1]
+        v ^= low
+    return out
+
+
+def parities(rows: Iterable[int], v: int) -> int:
+    """M v for the matrix M with these rows: bit i is the parity of rows[i] & v."""
+    out = 0
+    for i, r in enumerate(rows):
+        out |= ((r & v).bit_count() & 1) << i
+    return out
+
+
 @dataclass(frozen=True)
 class BinMatrix:
     """An n_rows x n_cols matrix over GF(2), one int per row."""
@@ -100,37 +118,19 @@ class BinMatrix:
             raise ShapeError(
                 f"cannot multiply {self.n_rows}x{self.n_cols} by {other.n_rows}x{other.n_cols}"
             )
-        out = []
-        orows = other.rows
-        for r in self.rows:
-            acc = 0
-            while r:
-                low = r & -r
-                acc ^= orows[low.bit_length() - 1]
-                r ^= low
-            out.append(acc)
-        return BinMatrix(self.n_rows, other.n_cols, tuple(out))
+        return BinMatrix(self.n_rows, other.n_cols, tuple(xor_rows(other.rows, r) for r in self.rows))
 
     def __matmul__(self, other: "BinMatrix") -> "BinMatrix":
         return self.mul(other)
 
     def mul_vec(self, v: int) -> int:
         """Apply to a column vector (int over self.n_cols bits); returns int over n_rows."""
-        out = 0
-        for i, r in enumerate(self.rows):
-            out |= ((r & v).bit_count() & 1) << i
-        return out
+        return parities(self.rows, v)
 
     def vec_mul(self, v: int) -> int:
-        """Row vector times matrix: the XOR of the rows at the set bits of v, bits
-        from n_rows up ignored; returns int over n_cols.  Equals transpose().mul_vec(v)."""
-        v &= _mask(self.n_rows)
-        rows, out = self.rows, 0
-        while v:
-            low = v & -v
-            out ^= rows[low.bit_length() - 1]
-            v ^= low
-        return out
+        """Row vector times matrix, bits from n_rows up ignored; returns int over n_cols.
+        Equals transpose().mul_vec(v)."""
+        return xor_rows(self.rows, v & _mask(self.n_rows))
 
     def add(self, other: "BinMatrix") -> "BinMatrix":
         if (self.n_rows, self.n_cols) != (other.n_rows, other.n_cols):

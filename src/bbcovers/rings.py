@@ -224,9 +224,10 @@ class Poly:
 
 # --- parsing ----------------------------------------------------------------
 
-def _exponent(rest: str, end: int) -> tuple[int, str]:
-    """The exponent of the x or y just read, 1 when no "^" follows, and the text
-    after it; ``rest`` is a suffix of the text ending at offset ``end``."""
+def _exponent(rest: str, end: int, order: int) -> tuple[int, str]:
+    """The exponent of the x or y just read, 1 when no "^" follows, else reduced mod
+    its ``order``, and the text after it; ``rest`` is a suffix of the text ending
+    at offset ``end``."""
     head = rest.lstrip()
     if not head.startswith("^"):
         return 1, rest
@@ -236,7 +237,11 @@ def _exponent(rest: str, end: int) -> tuple[int, str]:
     after = digits.lstrip("0123456789")
     if len(after) == len(digits):
         raise PolyParseError("expected unsigned integer exponent", end - len(digits))
-    return int(digits[: len(digits) - len(after)]), after
+    number, value = digits[: len(digits) - len(after)], 0
+    for i in range(0, len(number), 4000):  # Horner's rule on chunks: int() converts at most 4,300 digits
+        chunk = number[i : i + 4000]
+        value = (value * pow(10, len(chunk), order) + int(chunk)) % order
+    return value, after
 
 
 def parse_poly(text: str, ctx: RingContext) -> Poly:
@@ -262,14 +267,14 @@ def parse_poly(text: str, ctx: RingContext) -> Poly:
         elif rest[0] in "xy":
             a = b = 0
             if rest[0] == "x":
-                a, rest = _exponent(rest[1:], end)
+                a, rest = _exponent(rest[1:], end, ctx.l)
                 rest = rest.lstrip()
                 if rest.startswith("*"):
                     rest = rest[1:].lstrip()
                     if not rest.startswith("y"):
                         raise PolyParseError("expected y factor after '*'", end - len(rest))
             if rest.startswith("y"):
-                b, rest = _exponent(rest[1:], end)
+                b, rest = _exponent(rest[1:], end, ctx.m)
             terms.append((a, b))
         rest = rest.lstrip()
         if rest:

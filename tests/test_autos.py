@@ -25,8 +25,8 @@ from bbcovers.codes import (
     Classification,
     LogicalBasis,
     PauliOp,
+    BBCode,
     Refusal,
-    build_code,
     parse_code_spec,
 )
 from bbcovers.covers import check_cover
@@ -52,8 +52,8 @@ def paper_18_basis():
 
 
 def identity_automorphism(code):
-    ident = BinMatrix.identity(code.ctx.dim)
-    return CodeAutomorphism(ident, BinMatrix.identity(code.n), ident, code, code, "tanner")
+    ident = BinMatrix.identity(code.ctx.dim).rows  # its own columns
+    return CodeAutomorphism(ident, BinMatrix.identity(code.n).rows, ident, code, code)
 
 
 def cnot_circuit_matrices(k, gates):
@@ -85,7 +85,7 @@ def test_shift_automorphism_on_random_codes():
         b = Poly.make(ctx, [(rng.randrange(l), rng.randrange(m)) for _ in range(3)])
         if a.is_zero() or b.is_zero():
             continue
-        code = build_code(a, b)
+        code = BBCode(a, b)
         mono = Monomial(rng.randrange(l), rng.randrange(m))
         assert verify_automorphism(code, shift_automorphism(code, mono))
         built += 1
@@ -212,7 +212,7 @@ def test_antipode_duality_is_universal():
         b = Poly.make(ctx, [(rng.randrange(l), rng.randrange(m)) for _ in range(3)])
         if a.is_zero() or b.is_zero():
             continue
-        code = build_code(a, b)
+        code = BBCode(a, b)
         assert verify_zx_duality(code, antipode_zx_duality(code))
         built += 1
 
@@ -250,9 +250,23 @@ def test_duality_json_round_trip_keeps_the_type():
     assert verify_zx_duality(BASE_18, again)
 
 
+def test_kind_is_read_off_the_ws():
+    # every built-in map has permutation W's; the JSON kind says so
+    for m in (y_exponent_swap_automorphism(BASE_18), antipode_zx_duality(BASE_18), block_swap_zx_duality(BASE_18)):
+        assert m.to_json()["kind"] == "tanner"
+    ident = BinMatrix.identity(9).rows
+    general = CodeAutomorphism(ident, BinMatrix.identity(18).rows, (1, 3) + ident[2:], BASE_18, BASE_18)
+    data = general.to_json()
+    assert data["kind"] == "general"
+    assert CodeAutomorphism.from_json(data, BASE_18) == general
+    with pytest.raises(Refusal, match="kind 'tanner'"):
+        CodeAutomorphism.from_json({**data, "kind": "tanner"}, BASE_18)
+
+
 def test_non_permutation_qubit_degree_does_not_verify():
-    ident = BinMatrix.identity(BASE_18.ctx.dim)
+    ident = BinMatrix.identity(BASE_18.ctx.dim).rows
     for deg1 in (BinMatrix.zeros(18, 18), BinMatrix(18, 18, (3,) + tuple(1 << j for j in range(1, 18)))):
+        deg1 = deg1.transpose().rows
         assert not verify_automorphism(BASE_18, CodeAutomorphism(ident, deg1, ident, BASE_18, BASE_18))
         assert not verify_zx_duality(BASE_18, ZXDuality(ident, deg1, ident, BASE_18, BASE_18))
 

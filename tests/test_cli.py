@@ -130,6 +130,31 @@ def test_info_spec_takes_ascii_digits_only(capsys, spec, message):
     assert captured.out == "" and message in captured.err
 
 
+def test_info_reduces_an_exponent_of_5000_digits(capsys):
+    # past the 4,300 digits int() converts; the repunit is 2 mod 3, as its digit sum is
+    code, recs = run_json(capsys, ["info", "l=3 m=3 A=x^" + "1" * 5000 + " B=1+x"])
+    assert code == 0 and recs[0]["A"] == "x^2"
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        ["enumerate", CODE_18, "--lt", "٦", "--mt", "3"],
+        ["enumerate", CODE_18, "--lt", "6", "--mt", "1_0"],
+        ["enumerate", CODE_18, "--lt", "+6", "--mt", "3"],
+        ["distance", CODE_18, "--wmax", "+3"],
+        ["info", CODE_18, "--distance", "--wmax", "٣"],
+        ["wpl-search", CODE_18, COVER_54, "X(1+x|0)", "--limit", "-1"],
+        ["wpl-search", CODE_18, COVER_54, "X(1+x|0)", "--limit", "1_000"],
+    ],
+)
+def test_counts_and_bounds_take_ascii_digits_only(capsys, options):
+    with pytest.raises(SystemExit) as exc:
+        main(options)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == "" and "expected ASCII digits" in captured.err
+
+
 def test_check_cover_gross(capsys):
     code, recs = run_json(capsys, ["check-cover", CODE_72, GROSS, "--verify-graph"])
     assert code == 0
@@ -390,6 +415,8 @@ BAD_AUT_FILES = {
     "w-wrong-shape": _aut_file_data(w_x="8x8\n" + "\n".join(["00"] * 8)),
     "general-w-8x9": _aut_file_data(kind="general", w_x="8x9\n" + "\n".join(["000"] * 8)),
     "general-w-9x8": _aut_file_data(kind="general", w_x="9x8\n" + "\n".join(["00"] * 9)),
+    # a declared "tanner" kind that the W's contradict
+    "tanner-w-not-a-permutation": _aut_file_data(kind="tanner", w_x="9x9\n" + "\n".join(["000"] * 9)),
     "not-an-object": json.dumps([1, 2]),
 }
 

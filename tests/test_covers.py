@@ -2,10 +2,12 @@ import random
 
 import pytest
 
-from bbcovers.codes import Refusal, build_code, parse_code_spec
+from bbcovers.codes import BBCode, Refusal, build_code, parse_code_spec
 from bbcovers.covers import (
     CoverRefusal,
     CoverWitness,
+    _closure,
+    _difference_group,
     build_derived_graph,
     build_tanner_graph,
     canonical_form,
@@ -15,7 +17,6 @@ from bbcovers.covers import (
     is_connected,
     lifts_of_poly,
     verify_cover_isomorphism,
-    _tanner_connected_by_translation,
 )
 from bbcovers.gf2 import RowReducer
 from bbcovers.rings import Monomial, Poly, parse_poly
@@ -173,8 +174,8 @@ def test_published_two_covers_share_a_class():
     a1 = parse_poly("x^3+y+y^2", ctx)
     a2 = parse_poly("x^3+x^3y+y^2", ctx)
     b = parse_poly("1+x+x^2", ctx)
-    assert check_cover(base, build_code(a1, b)).h == 2
-    assert check_cover(base, build_code(a2, b)).h == 2
+    assert check_cover(base, BBCode(a1, b)).h == 2
+    assert check_cover(base, BBCode(a2, b)).h == 2
     assert a1.shift(Monomial(3, 2)) == a2
     assert canonical_form(a1, b, base, 2, 1) == canonical_form(a2, b, base, 2, 1)
 
@@ -289,7 +290,9 @@ def test_translation_connectivity_matches_bfs():
     base = parse_code_spec(BASE_18)
     for rec in enumerate_covers(base, 6, 3).records:
         assert rec.connected == is_connected(build_tanner_graph(rec.code()))
-        assert rec.connected == _tanner_connected_by_translation(rec.a, rec.b)
+        # the test of covers._records: S_A + S_B is all of Z_l x Z_m
+        groups = _difference_group(rec.a), _difference_group(rec.b)
+        assert rec.connected == (_closure(rec.a.ctx, *groups) == (1 << rec.a.ctx.dim) - 1)
 
 
 def test_class_counts_with_both_factors_lifted():
@@ -345,11 +348,11 @@ def test_random_lifts_always_verify_as_covers():
         b = Poly.make(ctx, [(rng.randrange(l), rng.randrange(m)) for _ in range(3)])
         if a.is_zero() or b.is_zero():
             continue
-        base = build_code(a, b)
+        base = BBCode(a, b)
         u, t = rng.randint(1, 2), rng.randint(1, 2)
         at = rng.choice(lifts_of_poly(a, u, t))
         bt = rng.choice(lifts_of_poly(b, u, t))
-        cover = build_code(at, bt)
+        cover = BBCode(at, bt)
         w = check_cover(base, cover)
         assert w.h == u * t
         assert verify_cover_isomorphism(base, cover, w)

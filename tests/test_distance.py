@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from bbcovers.codes import Classification, Refusal, build_code, parse_code_spec
+from bbcovers.codes import BBCode, Classification, Refusal, build_code, parse_code_spec
 from bbcovers.distance import (
     distance_one_side,
     exact_distance,
@@ -140,7 +140,7 @@ def test_monomial_shift_invariance_same_multiplier():
     d0 = exact_distance(base, 4).value
     for _ in range(4):
         mono = Monomial(rng.randrange(3), rng.randrange(3))
-        shifted = build_code(_shift_poly(base.a, mono), _shift_poly(base.b, mono))
+        shifted = BBCode(_shift_poly(base.a, mono), _shift_poly(base.b, mono))
         assert (shifted.n, shifted.k) == (base.n, base.k)
         assert exact_distance(shifted, 4).value == d0
 
@@ -152,6 +152,6 @@ def test_monomial_shift_invariance_different_multipliers():
     for _ in range(4):
         ma = Monomial(rng.randrange(7), rng.randrange(2))
         mb = Monomial(rng.randrange(7), rng.randrange(2))
-        shifted = build_code(_shift_poly(base.a, ma), _shift_poly(base.b, mb))
+        shifted = BBCode(_shift_poly(base.a, ma), _shift_poly(base.b, mb))
         assert (shifted.n, shifted.k) == (base.n, base.k)
         assert exact_distance(shifted, 6).value == d0

@@ -1,8 +1,11 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bbcovers.gf2 import BinMatrix, RowReducer, ShapeError
+from bbcovers.gf2 import BinMatrix, RowReducer, ShapeError, parities, xor_rows
 
 from oracles import kron, span
 
@@ -130,6 +133,40 @@ def test_vec_mul_is_mul_vec_of_the_transpose():
         m = random_matrix(rng, rng.randint(0, 9), rng.randint(0, 9))
         v = rng.getrandbits(m.n_rows + 3) - rng.randint(0, 1) * (1 << (m.n_rows + 3))
         assert m.vec_mul(v) == m.transpose().mul_vec(v)
+
+
+@st.composite
+def rows_and_vector(draw, width_of_v):
+    """Rows of a random n_rows x n_cols matrix and a vector over n_rows or n_cols bits."""
+    n_rows, n_cols = draw(st.integers(0, 70)), draw(st.integers(0, 70))
+    rows = draw(st.lists(st.integers(0, (1 << n_cols) - 1), min_size=n_rows, max_size=n_rows))
+    n_v = n_rows if width_of_v == "rows" else n_cols
+    return BinMatrix(n_rows, n_cols, tuple(rows)), draw(st.integers(0, (1 << n_v) - 1))
+
+
+def _dense(m: BinMatrix) -> np.ndarray:
+    return np.array([[m.get(i, j) for j in range(m.n_cols)] for i in range(m.n_rows)], dtype=np.int64).reshape(
+        m.n_rows, m.n_cols
+    )
+
+
+def _bits(v: int, n: int) -> np.ndarray:
+    return np.array([v >> j & 1 for j in range(n)], dtype=np.int64)
+
+
+@settings(deadline=None)
+@given(rows_and_vector("rows"))
+def test_xor_rows_is_mul_vec_of_the_transpose(case):
+    m, v = case
+    assert xor_rows(m.rows, v) == m.transpose().mul_vec(v) == m.vec_mul(v)
+
+
+@settings(deadline=None)
+@given(rows_and_vector("cols"))
+def test_parities_agree_with_a_dense_product(case):
+    m, v = case
+    product = _dense(m) @ _bits(v, m.n_cols) % 2
+    assert parities(m.rows, v) == sum(int(b) << i for i, b in enumerate(product)) == m.mul_vec(v)
 
 
 def test_text_round_trip():

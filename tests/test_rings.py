@@ -1,8 +1,9 @@
 import pickle
 import random
+import sys
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bbcovers.gf2 import BinMatrix
@@ -205,6 +206,19 @@ def test_any_text_parses_or_raises_an_error_within_it(text):
         assert 0 <= err.position <= len(text)
     else:
         assert isinstance(p, Poly)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.text(alphabet="0123456789", min_size=1, max_size=8), st.integers(1, 5000))
+def test_exponents_of_any_length_reduce_on_parse(l, m, chunk, repeats):
+    digits = chunk * repeats  # often past the 4,300 digits int() converts
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # only for the reference value
+    try:
+        a = int(digits) % l
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert parse_poly(f"x^{digits}", RingContext(l, m)) == Poly.make(RingContext(l, m), [(a, 0)])
 
 
 @st.composite
