@@ -126,6 +126,22 @@ CLI_GOLDEN = [
         0,
         "507b5f0689d1f8f010bbce7aea52b7aa082ae70583791999ef2cbe78b69c4344",
     ),
+    # 4,096 lifts with both x and y lifted, and weight-8 lifts, each its own class
+    (
+        ["enumerate", CODE_18, "--lt", "6", "--mt", "6", "--no-dedup"],
+        0,
+        "2640b9063b371458074f2a99a9d2fb66b36ab739faf8a0864c139a832aeb68a1",
+    ),
+    (
+        ["enumerate", WEIGHT_8, "--lt", "12", "--mt", "2", "--no-dedup"],
+        0,
+        "8a8ad1c0d9bf6bcdbb0d2c4a1485422663a442b66a33bb441a2aa2f57ba0befc",
+    ),
+    (
+        ["enumerate", CODE_18, "--lt", "9", "--mt", "3", "--no-dedup", "--csv", "--connected-only"],
+        0,
+        "19306f70c4e257bcf355b0160fd0688c83a396a083fbe9d72665602975a5928c",
+    ),
     # both x and y lifted
     (
         ["enumerate", CODE_18, "--lt", "9", "--mt", "6"],
