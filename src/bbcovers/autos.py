@@ -72,7 +72,7 @@ class CodeAutomorphism(ChainMap):
             lm = code.ctx.dim
             if any((w.n_rows, w.n_cols) != (lm, lm) for w in (w_x, w_z)):
                 raise ValueError(f"W_X and W_Z must be {lm}x{lm}")
-            if sorted(f) != list(range(code.n)):
+            if any(type(i) is not int for i in f) or sorted(f) != list(range(code.n)):
                 raise ValueError(f"f is not a permutation of range({code.n})")
             m = cls(w_z.transpose().rows, _unit_columns(f), w_x.transpose().rows, code, code)
             if (kind := data.get("kind", "general")) not in ("general", _kind(m)):
@@ -284,13 +284,6 @@ def tau_lifted_basis(witness: CoverWitness, base_basis: LogicalBasis) -> Logical
     return LogicalBasis(x_ops, z_ops)
 
 
-def _compare(witness, m, lifted, base_basis) -> bool:
-    basis = base_basis if base_basis is not None else witness.base.logical_basis
-    lifted_basis = tau_lifted_basis(witness, basis)
-    base_action = _class_action(witness.base, m, basis)
-    return base_action == _class_action(witness.cover, lifted, lifted_basis)
-
-
 def compare_base_and_lifted_action(
     witness: CoverWitness,
     aut: CodeAutomorphism,
@@ -300,9 +293,11 @@ def compare_base_and_lifted_action(
     """Base action in a base basis equals the lifted action in the tau-lifted basis.
 
     Requires odd h and k_h = k, the hypothesis under which the lifted basis is
-    a basis at all; refuses otherwise.
+    a basis at all; refuses otherwise.  ZX-dualities are compared the same way.
     """
-    return _compare(witness, aut, lifted_aut, base_basis)
+    basis = base_basis if base_basis is not None else witness.base.logical_basis
+    lifted_basis = tau_lifted_basis(witness, basis)
+    return _class_action(witness.base, aut, basis) == _class_action(witness.cover, lifted_aut, lifted_basis)
 
 
 def compare_base_and_lifted_duality_action(
@@ -312,4 +307,4 @@ def compare_base_and_lifted_duality_action(
     base_basis: LogicalBasis | None = None,
 ) -> bool:
     """Duality counterpart of compare_base_and_lifted_action."""
-    return _compare(witness, dual, lifted_dual, base_basis)
+    return compare_base_and_lifted_action(witness, dual, lifted_dual, base_basis)

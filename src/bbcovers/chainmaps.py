@@ -197,9 +197,10 @@ def _affine(degs, src: RingContext, tgt: RingContext) -> bool:
     return True
 
 
-def _verified_projection(witness: CoverWitness) -> ChainMap:
-    """p_* with all four commuting squares checked exactly: its chain squares, and
-    its cochain squares as the chain squares between the dual complexes."""
+def projection_map(witness: CoverWitness) -> ChainMap:
+    """The chain map p_* : cover -> base, with all four commuting squares checked
+    exactly: its chain squares, and its cochain squares as the chain squares
+    between the dual complexes."""
     object.__setattr__(witness, "_projection_verified", False)
     cm = _degreewise(_unit_columns(witness.projection), witness.cover, witness.base)
     if not cm.commutes():
@@ -216,17 +217,12 @@ def _degreewise(q: tuple[int, ...], source: BBCode, target: BBCode) -> ChainMap:
     return ChainMap(q, _block_diag(q, target.ctx.dim), q, source, target)
 
 
-def projection_map(witness: CoverWitness) -> ChainMap:
-    """The chain map p_* : cover -> base, with commutativity verified."""
-    return _verified_projection(witness)
-
-
 def lifting_map(witness: CoverWitness) -> ChainMap:
     """The chain map tau_* : base -> cover; the transpose of p_*, so p_*'s squares
     verify it, checked here unless their last check on this witness passed.
     Its columns are the rows of p: the fibres."""
     if not witness._projection_verified:
-        _verified_projection(witness)
+        projection_map(witness)
     return _mark_verified(_degreewise(witness.fibres, witness.base, witness.cover))
 
 

@@ -28,7 +28,7 @@ from functools import cached_property
 from itertools import islice
 
 from .gf2 import BinMatrix, RowReducer, ShapeError, parities
-from .rings import ContextMismatch, Poly, PolyParseError, RingContext, Monomial, parse_poly
+from .rings import ContextMismatch, Poly, PolyParseError, RingContext, parse_poly
 
 # Largest lattice l*m a code is built on: l = m = 64 builds in under 0.01 s on a
 # Xeon vCPU (peak RSS 20 MB), and the dense check matrices grow as (l*m)^2 bits.
@@ -184,15 +184,6 @@ class BBCode:
     @cached_property
     def _z_stab_reducer(self) -> RowReducer:
         return RowReducer(self.n, self.hz.rows)
-
-    def stabilizer_support(self, r: Monomial, basis: str) -> PauliOp:
-        """Support of the X or Z check labelled by the monomial r."""
-        rp = Poly.make(self.ctx, [r])
-        if basis == "X":
-            return PauliOp("X", rp * self.a, rp * self.b)
-        if basis == "Z":
-            return PauliOp("Z", rp * self.b.transpose(), rp * self.a.transpose())
-        raise ValueError(f"basis must be X or Z, got {basis!r}")
 
     def syndrome(self, op: PauliOp) -> int:
         """H_Z v for X-type ops, H_X v for Z-type; zero iff the op commutes."""

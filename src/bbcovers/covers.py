@@ -15,6 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import product
+from typing import NamedTuple
 
 from .codes import BBCode, InternalConsistencyError, Refusal, _within_budget
 from .gf2 import RowReducer
@@ -172,18 +173,12 @@ def _lift_masks(p: Poly, ctx: RingContext) -> list[int]:
     return [sum(bits) for bits in product(*options)]
 
 
-def lifts_of_poly(p: Poly, u: int, t: int) -> list[Poly]:
-    """All u*t-per-term exponent lifts of p into the (u*l, t*m) ring."""
-    ctx = RingContext(p.ctx.l * u, p.ctx.m * t)
-    return [Poly(ctx, v) for v in _lift_masks(p, ctx)]
-
-
-def _side_representatives(base_poly: Poly, u: int, t: int) -> list[Poly]:
-    """The orbit minimum of every class of lifts, in ``terms`` order.  The
-    multipliers form a group (the preimage of base_poly's stabilizer), so an
-    orbit is a whole class and each class is shifted once."""
+def _side_representatives(base_poly: Poly, u: int, t: int, mults: list[Monomial]) -> list[Poly]:
+    """The orbit minimum of every class of lifts under the group mults, in ``terms``
+    order: ``cover_multipliers`` (the preimage of base_poly's stabilizer), or the
+    identity alone, under which every lift is its own class.  An orbit is a whole
+    class, so each class is shifted once."""
     ctx = RingContext(base_poly.ctx.l * u, base_poly.ctx.m * t)
-    mults = cover_multipliers(base_poly, u, t)
     seen: set[int] = set()
     reps = []
     for v in _lift_masks(base_poly, ctx):
@@ -242,15 +237,19 @@ def _difference_group(p: Poly) -> int:
     return _closure(p.ctx, 1, p.ctx.shift(p.mask, -p0.a, -p0.b))
 
 
-@dataclass(frozen=True)
-class _SideClass:
+class _SideClass(NamedTuple):
     """A side class p with Ann(p) = {f : f p = 0}, the left kernel of M(p) (f p is
-    the XOR of its rows at the set bits of f), Ann(p^T) and the subgroup S_p."""
+    the XOR of its rows at the set bits of f), Ann(p^T) and the subgroup S_p.  Each
+    span is held as its sorted reduced rows, unique to the span."""
 
     poly: Poly
-    ann: RowReducer
-    ann_t: RowReducer
+    ann: tuple[int, ...]
+    ann_t: tuple[int, ...]
     group: int
+
+
+def _span(dim: int, rows: list[int]) -> tuple[int, ...]:
+    return tuple(sorted(RowReducer(dim, rows).reduced_rows().values()))
 
 
 def _side_class(p: Poly) -> _SideClass:
@@ -260,15 +259,7 @@ def _side_class(p: Poly) -> _SideClass:
     images = [ctx.antipode(f) for f in ann]
     if not p._column_0_is_transpose or any(p.transpose().to_matrix().vec_mul(g) for g in images):
         raise InternalConsistencyError(f"the antipode image of Ann(p) is not Ann(p^T) for p = {p}")
-    return _SideClass(p, RowReducer(ctx.dim, ann), RowReducer(ctx.dim, images), _difference_group(p))
-
-
-def _meet_dim(u: RowReducer, v: RowReducer) -> int:
-    """dim(U & V) = dim U + dim V - dim(U + V) for the spans of two reducers."""
-    both = u.copy()
-    for row in v.basis_rows():
-        both.add(row)
-    return len(u) + len(v) - len(both)
+    return _SideClass(p, _span(ctx.dim, ann), _span(ctx.dim, images), _difference_group(p))
 
 
 def _records(a_classes: list[_SideClass], b_classes: list[_SideClass]) -> list[CoverRecord]:
@@ -279,26 +270,18 @@ def _records(a_classes: list[_SideClass], b_classes: list[_SideClass]) -> list[C
     A^T); the two routes agreeing is rank H_X = rank H_Z.
 
     Jobs share few annihilator spans (19 per side among the 125 classes of the
-    weight-8 base at (30, 2)) and difference subgroups, so dim(U & V) is
-    computed once per pair of spans, keyed by their sorted reduced rows (unique
-    to a span), and connectivity once per pair of subgroups.
+    weight-8 base at (30, 2)) and difference subgroups, so dim(U & V) = dim U +
+    dim V - dim(U + V) is computed once per pair of span keys, from the keys
+    alone, and connectivity once per pair of subgroups.
     """
-    spans: dict[tuple[int, ...], RowReducer] = {}
-
-    def span(red: RowReducer) -> tuple[int, ...]:
-        key = tuple(sorted(red.reduced_rows().values()))
-        spans.setdefault(key, red)
-        return key
-
-    meet = cache(lambda u, v: _meet_dim(spans[u], spans[v]))
     ctx = a_classes[0].poly.ctx
+    meet = cache(lambda u, v: len(u) + len(v) - len(RowReducer(ctx.dim, u + v)))
     connected = cache(lambda s, t: _closure(ctx, s, t) == (1 << ctx.dim) - 1)
-    a_reps, b_reps = ([(c, span(c.ann), span(c.ann_t)) for c in side] for side in (a_classes, b_classes))
     records = []
-    for a, ax, az in a_reps:
-        for b, bx, bz in b_reps:
+    for a in a_classes:
+        for b in b_classes:
             BBCode(a.poly, b.poly)  # the lattice budget and the H_X H_Z^T check
-            x_half, z_half = meet(ax, bx), meet(bz, az)
+            x_half, z_half = meet(a.ann, b.ann), meet(b.ann_t, a.ann_t)
             if x_half != z_half:
                 raise InternalConsistencyError(f"rank H_X = {ctx.dim - x_half} != rank H_Z = {ctx.dim - z_half}")
             records.append(CoverRecord(a.poly, b.poly, 2 * x_half, connected(a.group, b.group)))
@@ -325,7 +308,8 @@ def enumerate_covers(
 
     With dedup (the default), candidates are reduced to canonical orbit
     representatives first; class count is then at most h^4 for weight-6 codes
-    and h^6 for weight-8 ones.  Refuses more than MAX_ENUMERATION_JOBS codes
+    and h^6 for weight-8 ones.  Without it the group is the identity alone, and
+    every lift is its own class.  Refuses more than MAX_ENUMERATION_JOBS codes
     (A-classes x B-classes) before building any of them, and already before
     generating any lift when a lower bound on the class counts exceeds the
     budget.  Enumeration runs in one process: ``workers`` accepts only 1 and
@@ -343,24 +327,18 @@ def enumerate_covers(
         raise Refusal(f"enumeration runs in one process: workers must be 1, got {workers}")
     u, t = lt // base.l, mt // base.m
     # a side of weight w has (u t)^w distinct lifts, and a class is an orbit of
-    # at most len(cover_multipliers) of them; ceiling division bounds the count
-    lower = [
-        -(-(u * t) ** p.weight // (len(cover_multipliers(p, u, t)) if dedup else 1)) for p in (base.a, base.b)
-    ]
-    _within_job_budget(*lower, "at least ")
-    sides = _side_representatives if dedup else lifts_of_poly
-    a_side, b_side = sides(base.a, u, t), sides(base.b, u, t)
+    # at most len(g) of them; ceiling division bounds the count
+    groups = [(p, cover_multipliers(p, u, t) if dedup else [Monomial(0, 0)]) for p in (base.a, base.b)]
+    _within_job_budget(*(-(-(u * t) ** p.weight // len(g)) for p, g in groups), "at least ")
+    a_side, b_side = (_side_representatives(p, u, t, g) for p, g in groups)
     _within_job_budget(len(a_side), len(b_side))
     _within_budget(RingContext(lt, mt))  # before any matrix of the cover lattice
+    # both sides are sorted by terms, so the A-major records are in (A terms, B terms) order
     records = _records([_side_class(p) for p in a_side], [_side_class(p) for p in b_side])
-    if not dedup:  # with dedup both sides are sorted and the jobs run A-major
-        records.sort(key=lambda r: (r.a.terms, r.b.terms))
     return CoverEnumeration(base, lt, mt, tuple(records), deduplicated=dedup)
 
 
 # --- Tanner graphs and derived graphs ----------------------------------------
-
-Vertex = tuple  # (class, (a, b)), or (class, (a, b), (g1, g2)) in a derived graph
 
 CLASSES = ("X", "Z", "L", "R")
 
@@ -383,17 +361,14 @@ class TannerGraph:
     rows: tuple[int, ...]
     sheets: tuple[int, int] | None = None
 
-    def label(self, v: int) -> Vertex:
+    def label(self, v: int) -> tuple:
+        """(class, (a, b)), or (class, (a, b), (g1, g2)) in a derived graph."""
         cls, cell = divmod(v, self.lt * self.mt)
         a, b = divmod(cell, self.mt)
         if self.sheets is None:
             return (CLASSES[cls], (a, b))
         l, m = self.lt // self.sheets[0], self.mt // self.sheets[1]
         return (CLASSES[cls], (a % l, b % m), (a // l, b // m))
-
-    @cached_property
-    def _ids(self) -> dict:
-        return {self.label(v): v for v in range(2 * self.n_checks)}
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -404,7 +379,7 @@ class TannerGraph:
 
     @cached_property
     def vertices(self) -> frozenset:
-        return frozenset(self._ids)
+        return frozenset(map(self.label, range(2 * self.n_checks)))
 
     @cached_property
     def edges(self) -> frozenset:
@@ -418,9 +393,6 @@ class TannerGraph:
     @property
     def n_qubits(self) -> int:
         return self.n_checks
-
-    def degree(self, v: Vertex) -> int:
-        return len(self.adjacency[self._ids[v]])
 
 
 def build_tanner_graph(code: BBCode) -> TannerGraph:

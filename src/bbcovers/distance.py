@@ -96,16 +96,6 @@ def _lightest_logical(code: BBCode, basis: str, w_max: int) -> tuple[int, int] |
     return None
 
 
-def logical_vectors_of_weight(code: BBCode, basis: str, w: int) -> list[int]:
-    """Every nontrivial logical of the given type and weight w, in ascending
-    support order; w must be that side's minimum weight."""
-    found = _lightest_logical(code, basis, w)
-    if found is None or found[0] != w:
-        raise Refusal(f"w = {w} is not the minimum weight of a nontrivial {basis} logical")
-    logicals = _cluster_search(code, basis)
-    return sorted({v for root in range(code.n) for v in logicals(root, w)}, key=_ascending_support)
-
-
 def distance_one_side(code: BBCode, basis: str, w_max: int) -> DistanceResult:
     """Exact d_X (basis='X') or d_Z (basis='Z'), or a d > w_max certificate."""
     found = _lightest_logical(code, basis, w_max)

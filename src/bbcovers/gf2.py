@@ -14,6 +14,7 @@ few of them pays for the reduced form and those few alone.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -172,8 +173,8 @@ class BinMatrix:
         return BinMatrix.from_ints(RowReducer(self.n_cols, self.rows).kernel_vectors(), self.n_cols)
 
     def left_kernel_basis(self) -> "BinMatrix":
-        """Basis of {f : f @ self = 0}: the tags left by the rows that cancel in one reducer, tagged
-        as by ``RowReducer.with_tags``.  Each has its own row as highest bit, so they are independent."""
+        """Basis of {f : f @ self = 0}: the tags left by the rows that cancel in one reducer, row i
+        tagged with bit n_cols + i.  Each has its own row as highest bit, so they are independent."""
         n, red = self.n_cols, RowReducer(self.n_cols)
         residuals = [red.add(r | 1 << (n + i)) for i, r in enumerate(self.rows)]
         return BinMatrix.from_ints((v >> n for v in residuals if not v & _mask(n)), self.n_rows)
@@ -182,11 +183,11 @@ class BinMatrix:
         """The matrix inverse over GF(2); raises ValueError when singular."""
         if self.n_rows != self.n_cols:
             raise ShapeError(f"cannot invert a non-square {self.n_rows}x{self.n_cols} matrix")
-        red = RowReducer.with_tags(self.n_cols, self.rows)
-        if len(red) != self.n_rows:
+        n = self.n_cols  # row i carries the tag bit n + i; the reduced form of (M | I) is (I | M^-1)
+        rref = RowReducer(n, (r | 1 << (n + i) for i, r in enumerate(self.rows))).reduced_rows()
+        if len(rref) != n:
             raise ValueError("matrix is singular over GF(2)")
-        rows = tuple(red.express(1 << i) for i in range(self.n_cols))
-        return BinMatrix(self.n_rows, self.n_cols, rows)
+        return BinMatrix(n, n, tuple(rref[c] >> n for c in range(n)))
 
     # -- debug serialization ------------------------------------------------
 
@@ -204,10 +205,15 @@ class BinMatrix:
 
     @classmethod
     def from_text(cls, text: str) -> "BinMatrix":
-        lines = [ln.strip() for ln in text.strip().splitlines()]
-        n_rows, n_cols = (int(p) for p in lines[0].split("x"))
-        rows = tuple(int(ln[::-1], 16) for ln in lines[1 : 1 + n_rows])
-        return cls(n_rows, n_cols, rows)
+        """Read what ``to_text`` writes: an ASCII '<rows>x<cols>' header and exactly that
+        many rows, each of the ASCII hex digits it writes for cols; ValueError for anything else."""
+        header, *lines = [ln.strip() for ln in text.strip().splitlines()]
+        shape = re.fullmatch("([0-9]+)x([0-9]+)", header)
+        n_rows, n_cols = map(int, shape.groups()) if shape else (-1, 0)
+        width = max((n_cols + 3) // 4, 1)
+        if len(lines) != n_rows or not all(len(ln) == width and re.fullmatch("[0-9a-fA-F]+", ln) for ln in lines):
+            raise ValueError("matrix text is not an ASCII <rows>x<cols> header and exactly that many hex rows")
+        return cls(n_rows, n_cols, tuple(int(ln[::-1], 16) for ln in lines))
 
     def __str__(self) -> str:
         return "\n".join(
@@ -221,8 +227,8 @@ class RowReducer:
     Each stored row has its lowest set bit at a distinct pivot column below
     ``n_cols``, which makes ``reduce`` a loop over set bits instead of a full
     elimination.  Bits at ``n_cols`` and above are carried along but never
-    become pivots: ``with_tags`` uses them to record which inserted rows each
-    stored row combines, so ``express`` can solve for combinations.
+    become pivots: a tag bit per inserted row records which rows each stored
+    row combines.
     """
 
     def __init__(self, n_cols: int, rows: Iterable[int] = ()) -> None:
@@ -231,11 +237,6 @@ class RowReducer:
         self._pivot_rows: dict[int, int] = {}
         for r in rows:
             self.add(r)
-
-    @classmethod
-    def with_tags(cls, n_cols: int, rows: Iterable[int]) -> "RowReducer":
-        """Reducer whose i-th inserted row carries the unit tag bit n_cols + i."""
-        return cls(n_cols, (r | (1 << (n_cols + i)) for i, r in enumerate(rows)))
 
     def __len__(self) -> int:
         return len(self._pivot_rows)
@@ -265,21 +266,11 @@ class RowReducer:
             raise ShapeError(f"vector has bits beyond column {self.n_cols - 1}")
         return not self.reduce(v) & self._mask
 
-    def express(self, v: int) -> int | None:
-        """Combination of inserted rows reproducing v, as a mask over insertion
-        indices, or None outside the span; needs a reducer built by ``with_tags``."""
-        r = self.reduce(v)
-        return None if r & self._mask else r >> self.n_cols
-
     def copy(self) -> "RowReducer":
         """An independent reducer over the same stored rows."""
         out = RowReducer(self.n_cols)
         out._pivot_rows = dict(self._pivot_rows)
         return out
-
-    def basis_rows(self) -> list[int]:
-        """Current echelon rows, ascending by pivot column."""
-        return [row for _, row in sorted(self._pivot_rows.items())]
 
     def reduced_rows(self) -> dict[int, int]:
         """Reduced row echelon form: pivot column -> row with every other pivot

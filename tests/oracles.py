@@ -8,10 +8,37 @@ from itertools import combinations
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from bbcovers.codes import BBCode
-from bbcovers.covers import build_tanner_graph, is_connected
+from bbcovers.codes import BBCode, PauliOp, Refusal
+from bbcovers.covers import _lift_masks, build_tanner_graph, is_connected
+from bbcovers.distance import _ascending_support, _cluster_search, _lightest_logical
 from bbcovers.gf2 import BinMatrix, RowReducer
 from bbcovers.rings import Poly, RingContext
+
+
+def lifts_of_poly(p: Poly, u: int, t: int) -> list[Poly]:
+    """All u*t-per-term exponent lifts of p into the (u*l, t*m) ring."""
+    ctx = RingContext(p.ctx.l * u, p.ctx.m * t)
+    return [Poly(ctx, v) for v in _lift_masks(p, ctx)]
+
+
+def stabilizer_support(code, r, basis: str) -> PauliOp:
+    """Support of the X or Z check of code labelled by the monomial r, by Poly products."""
+    rp = Poly.make(code.ctx, [r])
+    if basis == "X":
+        return PauliOp("X", rp * code.a, rp * code.b)
+    if basis == "Z":
+        return PauliOp("Z", rp * code.b.transpose(), rp * code.a.transpose())
+    raise ValueError(f"basis must be X or Z, got {basis!r}")
+
+
+def logical_vectors_of_weight(code, basis: str, w: int) -> list[int]:
+    """Every nontrivial logical of the given type and weight w, by the cluster search
+    from every root, in ascending support order; w must be that side's minimum weight."""
+    found = _lightest_logical(code, basis, w)
+    if found is None or found[0] != w:
+        raise Refusal(f"w = {w} is not the minimum weight of a nontrivial {basis} logical")
+    logicals = _cluster_search(code, basis)
+    return sorted({v for root in range(code.n) for v in logicals(root, w)}, key=_ascending_support)
 
 
 def kron(a: BinMatrix, b: BinMatrix) -> BinMatrix:
@@ -131,7 +158,7 @@ def cover_record_reference(a: Poly, b: Poly) -> tuple[int, bool]:
 #
 # verify_cover_isomorphism_reference is the check covers.verify_cover_isomorphism
 # made before the graphs became integer edge-id sets: the cover Tanner graph is
-# built through Poly products (stabilizer_support), the derived graph over
+# built through Poly products (stabilizer_support above), the derived graph over
 # labelled (class, base cell, sheet) vertices, and the base neighbourhoods from
 # a rebuilt base graph.
 
@@ -152,7 +179,7 @@ def tanner_graph_reference(code):
     for mono in code.ctx.monomials():
         c = (mono.a, mono.b)
         for basis in "XZ":
-            supp = code.stabilizer_support(mono, basis)
+            supp = stabilizer_support(code, mono, basis)
             for block, poly in (("L", supp.left), ("R", supp.right)):
                 for term in poly.terms:
                     edges.add(frozenset(((basis, c), (block, (term.a, term.b)))))
@@ -397,7 +424,7 @@ def coset_minimum(code, basis: str) -> tuple[int, int]:
     ops = code.logical_basis.z_ops if basis == "Z" else code.logical_basis.x_ops
     stab = code._z_stab_reducer if basis == "Z" else code._x_stab_reducer
     reps = [op.support_vector() for op in ops]
-    gens = reps + stab.basis_rows()
+    gens = reps + [row for _, row in sorted(stab._pivot_rows.items())]
     kmask = (1 << len(reps)) - 1
     best = code.n + 1
     best_vec = 0
@@ -461,8 +488,9 @@ def class_coords_reference(code, side: str, v: int) -> int | None:
     """
     basis = code.logical_basis
     stabs, ops = (code.hx.rows, basis.x_ops) if side == "X" else (code.hz.rows, basis.z_ops)
-    combo = RowReducer.with_tags(code.n, stabs + tuple(op.support_vector() for op in ops)).express(v)
-    return None if combo is None else combo >> len(stabs)
+    rows, n = stabs + tuple(op.support_vector() for op in ops), code.n
+    r = RowReducer(n, (row | 1 << (n + i) for i, row in enumerate(rows))).reduce(v)
+    return None if r & ((1 << n) - 1) else r >> (n + len(stabs))
 
 
 @st.composite

@@ -37,11 +37,12 @@ from bbcovers.distance import (
     _sides_agree,
     distance_one_side,
     exact_distance,
-    logical_vectors_of_weight,
 )
 from bbcovers.gf2 import BinMatrix
 from bbcovers.rings import Poly, RingContext, parse_poly
 from bbcovers.tables import all_rows, enumeration_cases
+
+from oracles import logical_vectors_of_weight
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:

@@ -30,9 +30,10 @@ from bbcovers.codes import (
     parse_code_spec,
 )
 from bbcovers.covers import check_cover
-from bbcovers.distance import logical_vectors_of_weight
 from bbcovers.gf2 import BinMatrix
 from bbcovers.rings import Monomial, Poly, parse_poly
+
+from oracles import logical_vectors_of_weight
 
 BASE_18 = parse_code_spec("l=3 m=3 A=1+y+y^2 B=1+x+x^2")
 COVER_54 = parse_code_spec("l=9 m=3 A=x^3+y+y^2 B=1+x+x^2")

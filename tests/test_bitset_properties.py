@@ -34,7 +34,6 @@ from bbcovers.covers import (
     check_cover,
     cover_multipliers,
     is_connected,
-    lifts_of_poly,
     verify_cover_isomorphism,
 )
 from bbcovers.gf2 import BinMatrix
@@ -44,6 +43,7 @@ from oracles import (
     derived_edge_ids_reference,
     edge_ids_reference,
     lift_check_matrix_reference,
+    lifts_of_poly,
     lift_poly_reference,
     lift_qubit_perm_reference,
     projection_matrix_reference,
@@ -226,9 +226,12 @@ def test_mask_orbit_minimum_matches_the_sort_by_terms(p, data):
 def test_side_representatives_are_the_orbit_minima_of_every_lift(p, u, t):
     # one minimum per class, each class shifted once, against every lift's own minimum
     mults = cover_multipliers(p, u, t)
-    minima = (min((c.shift(mu) for mu in mults), key=lambda q: q.terms) for c in lifts_of_poly(p, u, t))
+    lifts = lifts_of_poly(p, u, t)
+    minima = (min((c.shift(mu) for mu in mults), key=lambda q: q.terms) for c in lifts)
     reps = {q.mask: q for q in minima}
-    assert _side_representatives(p, u, t) == sorted(reps.values(), key=lambda q: q.terms)
+    assert _side_representatives(p, u, t, mults) == sorted(reps.values(), key=lambda q: q.terms)
+    # under the identity alone every lift is its own class
+    assert _side_representatives(p, u, t, [Monomial(0, 0)]) == sorted(lifts, key=lambda q: q.terms)
 
 
 @settings(deadline=None)

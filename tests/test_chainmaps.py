@@ -29,6 +29,8 @@ from bbcovers.distance import exact_distance
 from bbcovers.gf2 import BinMatrix, ShapeError
 from bbcovers.rings import ContextMismatch, Monomial, Poly, parse_poly
 
+from oracles import stabilizer_support
+
 BASE_18 = parse_code_spec("l=3 m=3 A=1+y+y^2 B=1+x+x^2")
 BASE_72 = parse_code_spec("l=6 m=6 A=x^3+y+y^2 B=y^3+x+x^2")
 GROSS = parse_code_spec("l=12 m=6 A=x^3+y+y^2 B=y^3+x+x^2")
@@ -235,7 +237,7 @@ def test_lift_refuses_non_kernel_input():
 
 def test_projection_sends_stabilizers_to_stabilizers():
     for mono in COVER_54.ctx.monomials():
-        supp = COVER_54.stabilizer_support(mono, "X")
+        supp = stabilizer_support(COVER_54, mono, "X")
         out = project_logical(W_54, supp)
         assert out.classification in (Classification.STABILIZER,)
 

@@ -89,7 +89,7 @@ def test_enumerate_over_budget_is_refused_before_any_lift(monkeypatch, capsys):
     def fail(*args):
         raise AssertionError("the refusal came too late: a lift was generated")
 
-    monkeypatch.setattr(covers, "lifts_of_poly", fail)
+    monkeypatch.setattr(covers, "_lift_masks", fail)
     assert main(["enumerate", CODE_18, "--lt", "180", "--mt", "3"]) == 2
     assert "enumeration budget" in capsys.readouterr().err
 
@@ -394,12 +394,13 @@ def test_aut_duality_file_matches_builtin(capsys, tmp_path):
 
 
 def _aut_file_data(**changes):
-    """JSON of the y-swap automorphism of CODE_18 with some keys changed; None drops a key."""
+    """JSON of the y-swap automorphism of CODE_18 with some keys changed: None drops a
+    key, and a function maps its value."""
     from bbcovers.autos import y_exponent_swap_automorphism
     from bbcovers.codes import parse_code_spec
 
     data = y_exponent_swap_automorphism(parse_code_spec(CODE_18)).to_json()
-    data.update(changes)
+    data.update({key: value(data[key]) if callable(value) else value for key, value in changes.items()})
     return json.dumps({key: value for key, value in data.items() if value is not None})
 
 
@@ -410,11 +411,18 @@ BAD_AUT_FILES = {
     "f-out-of-range": _aut_file_data(f=list(range(17)) + [18]),
     "f-not-a-permutation": _aut_file_data(f=[0] * 18),
     "f-wrong-length": _aut_file_data(f=list(range(12))),
+    # JSON booleans sort as 0 and 1, but f holds qubit indices, JSON integers only
+    "f-booleans": _aut_file_data(f=[False, True, *range(2, 18)]),
     "unknown-kind": _aut_file_data(kind="strange"),
     "unknown-type": _aut_file_data(type="strange"),
     "w-wrong-shape": _aut_file_data(w_x="8x8\n" + "\n".join(["00"] * 8)),
     "general-w-8x9": _aut_file_data(kind="general", w_x="8x9\n" + "\n".join(["000"] * 8)),
     "general-w-9x8": _aut_file_data(kind="general", w_x="9x8\n" + "\n".join(["00"] * 9)),
+    # W text is what to_text writes: an ASCII <rows>x<cols> header and exactly that many hex rows
+    "w-header-arabic-indic-digits": _aut_file_data(w_x=lambda w: w.replace("9x9", "\u0669x\u0669", 1)),
+    "w-header-sign-and-underscore": _aut_file_data(w_x=lambda w: w.replace("9x9", "+9x0_9", 1)),
+    "w-line-after-the-last-row": _aut_file_data(w_x=lambda w: w + "\nzz"),
+    "w-row-of-more-digits-than-to-text-writes": _aut_file_data(w_x=lambda w: w + "0"),
     # a declared "tanner" kind that the W's contradict
     "tanner-w-not-a-permutation": _aut_file_data(kind="tanner", w_x="9x9\n" + "\n".join(["000"] * 9)),
     "not-an-object": json.dumps([1, 2]),
@@ -532,15 +540,10 @@ def test_enumerate_job_budget_exit_2(monkeypatch, capsys):
 
 
 def test_enumerate_k_routes_disagreeing_exit_3(monkeypatch, capsys):
-    import dataclasses
-
     import bbcovers.covers as covers
-    from bbcovers.gf2 import RowReducer
 
     side_class = covers._side_class
-    monkeypatch.setattr(
-        covers, "_side_class", lambda p: dataclasses.replace(side_class(p), ann_t=RowReducer(p.ctx.dim))
-    )
+    monkeypatch.setattr(covers, "_side_class", lambda p: side_class(p)._replace(ann_t=()))
     assert main(["enumerate", CODE_18, "--lt", "9", "--mt", "3"]) == 3
     captured = capsys.readouterr()
     assert "internal invariant breach" in captured.err and "rank H_X" in captured.err

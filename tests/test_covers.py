@@ -15,13 +15,12 @@ from bbcovers.covers import (
     cover_multipliers,
     enumerate_covers,
     is_connected,
-    lifts_of_poly,
     verify_cover_isomorphism,
 )
 from bbcovers.gf2 import RowReducer
 from bbcovers.rings import Monomial, Poly, parse_poly
 
-from oracles import verify_cover_isomorphism_reference
+from oracles import lifts_of_poly, stabilizer_support, verify_cover_isomorphism_reference
 
 BASE_18 = "l=3 m=3 A=1+y+y^2 B=1+x+x^2"
 BASE_72 = "l=6 m=6 A=x^3+y+y^2 B=y^3+x+x^2"
@@ -221,7 +220,7 @@ def test_tanner_graph_18():
 def test_tanner_graph_check_degree():
     code = parse_code_spec(BASE_72)
     g = build_tanner_graph(code)
-    assert g.degree(("X", (0, 0))) == code.a.weight + code.b.weight
+    assert len(g.adjacency[0]) == code.a.weight + code.b.weight  # check X at cell 0 has id 0
 
 
 def test_tanner_graph_two_qubit_code():
@@ -387,8 +386,7 @@ def test_enumerate_refuses_jobs_over_budget(monkeypatch):
     monkeypatch.setattr(covers, "_side_class", fail)
     monkeypatch.setattr(covers, "MAX_ENUMERATION_JOBS", 99)
     base = parse_code_spec(BASE_18)
-    n_a = len(covers._side_representatives(base.a, 3, 2))
-    n_b = len(covers._side_representatives(base.b, 3, 2))
+    n_a, n_b = (len(covers._side_representatives(p, 3, 2, cover_multipliers(p, 3, 2))) for p in (base.a, base.b))
     assert n_a * n_b == 168 > 99
     with pytest.raises(Refusal, match="enumeration budget"):
         enumerate_covers(base, 9, 6)
@@ -409,7 +407,7 @@ def test_enumeration_budget_bounds_the_classes_before_lifting(monkeypatch):
     monkeypatch.setattr(covers, "MAX_ENUMERATION_JOBS", 150)
     with pytest.raises(Refusal, match=r"^\d+ A-classes x \d+ B-classes = 168 codes"):
         enumerate_covers(base, 9, 6)  # the bound passes, the exact count does not
-    monkeypatch.setattr(covers, "lifts_of_poly", fail)
+    monkeypatch.setattr(covers, "_lift_masks", fail)
     monkeypatch.setattr(covers, "MAX_ENUMERATION_JOBS", 143)
     with pytest.raises(Refusal, match="^at least 12 A-classes x 12 B-classes = 144 codes"):
         enumerate_covers(base, 9, 6)
@@ -439,17 +437,12 @@ def test_enumerate_refuses_more_than_one_worker_before_any_annihilator(monkeypat
 
 
 def test_enumerate_raises_when_the_two_k_routes_disagree(monkeypatch):
-    import dataclasses
-
     import bbcovers.covers as covers
     from bbcovers.codes import InternalConsistencyError
-    from bbcovers.gf2 import RowReducer
 
     side_class = covers._side_class
     # an empty Ann(p^T) makes the H_Z route read dim 0 while the H_X route reads k / 2
-    monkeypatch.setattr(
-        covers, "_side_class", lambda p: dataclasses.replace(side_class(p), ann_t=RowReducer(p.ctx.dim))
-    )
+    monkeypatch.setattr(covers, "_side_class", lambda p: side_class(p)._replace(ann_t=()))
     with pytest.raises(InternalConsistencyError, match="rank H_X = 23 != rank H_Z = 27"):
         enumerate_covers(parse_code_spec(BASE_18), 9, 3)
 
@@ -496,8 +489,8 @@ def test_tanner_graph_edges_are_the_check_supports():
     code = parse_code_spec(BASE_72)
     for r in code.ctx.monomials():
         i = code.ctx.index(r.a, r.b)
-        assert code.hx.rows[i] == code.stabilizer_support(r, "X").support_vector()
-        assert code.hz.rows[i] == code.stabilizer_support(r, "Z").support_vector()
+        assert code.hx.rows[i] == stabilizer_support(code, r, "X").support_vector()
+        assert code.hz.rows[i] == stabilizer_support(code, r, "Z").support_vector()
 
 
 def test_cover_isomorphism_refuses_an_inconsistent_projection_table():

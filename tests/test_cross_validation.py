@@ -4,11 +4,18 @@ from hypothesis import given, settings
 
 from bbcovers.chainmaps import projection_map
 from bbcovers.codes import BBCode, Classification, parse_code_spec
-from bbcovers.covers import canonical_form, check_cover, enumerate_covers, lifts_of_poly
-from bbcovers.distance import distance_one_side, exact_distance, logical_vectors_of_weight
+from bbcovers.covers import canonical_form, check_cover, enumerate_covers
+from bbcovers.distance import distance_one_side, exact_distance
 from bbcovers.gf2 import RowReducer
 
-from oracles import coset_minimum, mitm_logicals_of_weight, mitm_minimum, weight3_codes
+from oracles import (
+    coset_minimum,
+    lifts_of_poly,
+    logical_vectors_of_weight,
+    mitm_logicals_of_weight,
+    mitm_minimum,
+    weight3_codes,
+)
 
 
 def brute_force_z_distance(code):

@@ -6,10 +6,11 @@ from bbcovers.codes import BBCode, Classification, Refusal, build_code, parse_co
 from bbcovers.distance import (
     distance_one_side,
     exact_distance,
-    logical_vectors_of_weight,
     verify_dx_equals_dz,
 )
 from bbcovers.rings import Monomial
+
+from oracles import logical_vectors_of_weight
 
 
 def test_exact_distance_18():

@@ -12,10 +12,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bbcovers.codes import BBCode, _column_0
-from bbcovers.covers import enumerate_covers, lifts_of_poly
+from bbcovers.covers import enumerate_covers
 from bbcovers.rings import Monomial, Poly, RingContext
 
-from oracles import cover_record_reference
+from oracles import cover_record_reference, lifts_of_poly
 
 SHEETS = [(1, 1), (2, 1), (1, 2), (3, 1), (1, 3), (2, 2)]
 R33, R21 = RingContext(3, 3), RingContext(2, 1)
