@@ -43,9 +43,9 @@ from oracles import (
     derived_edge_ids_reference,
     edge_ids_reference,
     lift_check_matrix_reference,
-    lifts_of_poly,
     lift_poly_reference,
     lift_qubit_perm_reference,
+    lifts_of_poly,
     projection_matrix_reference,
     section_matrix_reference,
     to_matrix_reference,

@@ -418,7 +418,7 @@ BAD_AUT_FILES = {
     "w-wrong-shape": _aut_file_data(w_x="8x8\n" + "\n".join(["00"] * 8)),
     "general-w-8x9": _aut_file_data(kind="general", w_x="8x9\n" + "\n".join(["000"] * 8)),
     "general-w-9x8": _aut_file_data(kind="general", w_x="9x8\n" + "\n".join(["00"] * 9)),
-    # W text is what to_text writes: an ASCII <rows>x<cols> header and exactly that many hex rows
+    # W text is what to_text writes: an ASCII <rows>x<cols> header and that many rows of its hex width
     "w-header-arabic-indic-digits": _aut_file_data(w_x=lambda w: w.replace("9x9", "\u0669x\u0669", 1)),
     "w-header-sign-and-underscore": _aut_file_data(w_x=lambda w: w.replace("9x9", "+9x0_9", 1)),
     "w-line-after-the-last-row": _aut_file_data(w_x=lambda w: w + "\nzz"),
