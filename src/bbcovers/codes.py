@@ -17,7 +17,10 @@ of A, B, A^T and B^T that each polynomial builds once.  Row r of each check
 matrix is the r-translate of its row 0, so column 0 of H_X H_Z^T decides the
 product is zero; a code is built with that check alone, which XORs w rows once
 each polynomial has certified M(p)^T = M(p^T).  Syndromes XOR rows of the
-transposes, and H_X and H_Z are each eliminated once, by a reducer.
+transposes, and H_X and H_Z are each eliminated once, by a reducer.  The
+logical basis reads its kernel vectors off those reducers by back-substitution
+and picks them with one highest-bit elimination of the sparse check rows,
+masked to the free columns; it builds no reduced form and no third reducer.
 """
 
 from __future__ import annotations
@@ -25,9 +28,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from typing import Sequence
 
-from .gf2 import BinMatrix, RowReducer, ShapeError, parities
+from .gf2 import BinMatrix, RowReducer, ShapeError, leading_bits, parities
 from .rings import ContextMismatch, Poly, PolyParseError, RingContext, parse_poly
 
 # Largest lattice l*m a code is built on: l = m = 64 builds in under 0.01 s on a
@@ -331,27 +334,38 @@ def pairing_matrix(x_ops, z_ops) -> BinMatrix:
     return _overlap_matrix([x.support_vector() for x in x_ops], [z.support_vector() for z in z_ops])
 
 
-def _coset_reps(checks: RowReducer, stabs: RowReducer, k: int) -> list[int]:
-    """First k kernel vectors of the checks that are independent modulo stabs."""
-    red = stabs.copy()
-    return list(islice((v for v in checks.kernel_vectors() if red.add(v)), k))
+def _coset_reps(checks: RowReducer, stab_rows: Sequence[int]) -> list[int]:
+    """The kernel vectors of the checks, in kernel order, that are independent
+    modulo the stabilizer rows and the vectors before them.
+
+    Restricted to the free columns F of the checks, the kernel vector at f is
+    e_f, and the restriction is one-to-one on the kernel, which holds the
+    stabilizers.  So that vector is in the span of the stabilizers and the
+    earlier kernel vectors exactly when some stabilizer restricts to a vector
+    whose highest bit is f: the picks are F less the leading bits of the
+    restricted rows.
+    """
+    free = ((1 << checks.n_cols) - 1) ^ checks.pivot_mask
+    picks = free ^ leading_bits(r & free for r in stab_rows)
+    return list(checks.kernel_vectors(c for c in range(checks.n_cols) if picks >> c & 1))
 
 
 def _symplectic_basis(code: BBCode) -> LogicalBasis:
     """Deterministic paired basis via symplectic Gram-Schmidt.
 
-    X representatives are the first k kernel vectors of H_Z, drawn lazily in
-    kernel order off the H_Z reducer, that are independent modulo the H_X
-    reducer (Z reps dually); pairs are then peeled off front-first,
-    correcting the remaining vectors so the pairing is exactly I_k.  A zero
-    syndrome of each vector and a pairing of I_k rule out stabilizers with no
-    membership test: they overlap evenly with every kernel vector of the other sector.
+    X representatives are the kernel vectors of H_Z, in kernel order off the
+    H_Z reducer, that are independent modulo the rows of H_X and the vectors
+    before them (Z reps dually); there must be k of them.  Pairs are then
+    peeled off front-first, correcting the remaining vectors so the pairing is
+    exactly I_k.  A zero syndrome of each vector and a pairing of I_k rule out
+    stabilizers with no membership test: they overlap evenly with every kernel
+    vector of the other sector.
     """
     k = code.k
     if k == 0:
         return LogicalBasis((), ())
-    x_reps = _coset_reps(code._z_stab_reducer, code._x_stab_reducer, k)
-    z_reps = _coset_reps(code._x_stab_reducer, code._z_stab_reducer, k)
+    x_reps = _coset_reps(code._z_stab_reducer, code.hx.rows)
+    z_reps = _coset_reps(code._x_stab_reducer, code.hz.rows)
     if len(x_reps) != k or len(z_reps) != k:
         raise InternalConsistencyError("logical representative count does not match k")
     xs: list[int] = []

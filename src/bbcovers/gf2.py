@@ -8,13 +8,17 @@ the regime everything in this package lives in.
 All matrices are immutable after construction.  ``RowReducer`` is the one
 row reduction: it always pivots on the leftmost nonzero column, so ranks,
 kernels, inverses and membership certificates are deterministic functions of
-their inputs.  Its kernel vectors are drawn lazily, so a caller that needs a
-few of them pays for the reduced form and those few alone.
+their inputs.  Its kernel vectors are drawn lazily, each by back-substitution
+over the stored echelon rows, so a caller that needs a few of them pays for
+those few alone.  Only ``inverse`` and callers that key a span by its
+reduced rows read the reduced form.  ``leading_bits`` is the one elimination
+on the highest set bit, which a lowest-pivot reducer cannot do.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -43,6 +47,26 @@ def parities(rows: Iterable[int], v: int) -> int:
     for i, r in enumerate(rows):
         out |= ((r & v).bit_count() & 1) << i
     return out
+
+
+def leading_bits(rows: Iterable[int]) -> int:
+    """The highest set bits of the nonzero vectors in the span of the rows, as a mask.
+
+    Elimination pivoting on the highest set bit: a row is reduced until its
+    highest bit is no stored pivot, and a nonzero residual is stored at it.
+    Every nonzero vector of the span then has its highest bit at a pivot, and
+    there is one pivot per dimension.
+    """
+    stored: dict[int, int] = {}
+    for v in rows:
+        while v:
+            c = v.bit_length() - 1
+            row = stored.get(c)
+            if row is None:
+                stored[c] = v
+                break
+            v ^= row
+    return sum(1 << c for c in stored)
 
 
 @dataclass(frozen=True)
@@ -168,8 +192,8 @@ class BinMatrix:
         return len(RowReducer(self.n_cols, self.rows))
 
     def kernel_basis(self) -> "BinMatrix":
-        """Basis of the right kernel {v : self @ v^T = 0}, one vector per row,
-        in the order of ``RowReducer.kernel_vectors``."""
+        """Basis of the right kernel {v : self @ v^T = 0}, one vector per row:
+        ``RowReducer.kernel_vectors`` drawn at every free column, ascending."""
         return BinMatrix.from_ints(RowReducer(self.n_cols, self.rows).kernel_vectors(), self.n_cols)
 
     def left_kernel_basis(self) -> "BinMatrix":
@@ -266,18 +290,15 @@ class RowReducer:
             raise ShapeError(f"vector has bits beyond column {self.n_cols - 1}")
         return not self.reduce(v) & self._mask
 
-    def copy(self) -> "RowReducer":
-        """An independent reducer over the same stored rows."""
-        out = RowReducer(self.n_cols)
-        out._pivot_rows = dict(self._pivot_rows)
-        return out
+    @property
+    def pivot_mask(self) -> int:
+        """The pivot columns as a mask: bit c is set when a stored row has its lowest bit at c."""
+        return sum(1 << c for c in self._pivot_rows)
 
     def reduced_rows(self) -> dict[int, int]:
         """Reduced row echelon form: pivot column -> row with every other pivot
         column cleared.  The stored rows are left as they are."""
-        pivots = 0
-        for c in self._pivot_rows:
-            pivots |= 1 << c
+        pivots = self.pivot_mask
         out: dict[int, int] = {}
         for c in sorted(self._pivot_rows, reverse=True):
             v = self._pivot_rows[c]
@@ -289,11 +310,22 @@ class RowReducer:
             out[c] = v
         return out
 
-    def kernel_vectors(self) -> Iterator[int]:
-        """Basis of the vectors orthogonal to every stored row, built as drawn:
-        for each free column f, ascending, bit f plus every pivot c whose reduced
-        row has bit f.  The reduced form is unique for the span, so is the basis."""
-        rref = self.reduced_rows()
-        for f in range(self.n_cols):
-            if f not in rref:
-                yield sum(1 << c for c, row in rref.items() if row >> f & 1) | 1 << f
+    def kernel_vectors(self, cols: Iterable[int] | None = None) -> Iterator[int]:
+        """Kernel vectors of the stored rows, one per free column f in cols (default:
+        every free column, ascending), built as drawn: bit f, then each pivot c below
+        f, descending, set when the stored row at c meets the vector built so far
+        oddly.  Its only free bit is f, so it is the same vector for every echelon
+        form of the span.  A pivot column, or one outside 0..n_cols-1, is refused:
+        no kernel vector has it as its only free bit."""
+        pr = self._pivot_rows
+        pivots = sorted(pr)
+        if cols is None:
+            cols = [f for f in range(self.n_cols) if f not in pr]
+        for f in cols:
+            if f in pr or not 0 <= f < self.n_cols:
+                raise ValueError(f"column {f} is not a free column below {self.n_cols}")
+            v = 1 << f
+            for c in reversed(pivots[: bisect(pivots, f)]):
+                if (pr[c] & v).bit_count() & 1:
+                    v |= 1 << c
+            yield v

@@ -3,7 +3,7 @@ and the random-code strategy that property tests share."""
 
 from collections import Counter
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, islice
 
 from hypothesis import assume
 from hypothesis import strategies as st
@@ -110,6 +110,20 @@ def kernel_basis_reference(m: BinMatrix) -> BinMatrix:
                 v |= 1 << col
         basis.append(v)
     return BinMatrix(len(basis), m.n_cols, tuple(basis))
+
+
+def coset_reps_reference(checks: BinMatrix, stabs: BinMatrix, k: int) -> list[int]:
+    """The first k kernel vectors of checks, in the order of kernel_basis_reference,
+    that are independent modulo the rows of stabs and the vectors picked before
+    them: each is inserted into a fresh reducer over those rows and kept when
+    it leaves a nonzero residual.
+
+    This is the selection codes._coset_reps made before it read the picks off
+    the leading bits of the stabilizer rows restricted to the free columns;
+    both must agree bit for bit.
+    """
+    red = RowReducer(stabs.n_cols, stabs.rows)
+    return list(islice((v for v in kernel_basis_reference(checks).rows if red.add(v)), k))
 
 
 def to_matrix_reference(p: Poly) -> BinMatrix:

@@ -145,12 +145,28 @@ def test_codes_eliminate_each_check_matrix_only_in_the_stabilizer_reducers(monke
     def fail(*args, **kwargs):
         raise AssertionError("a second elimination of H_X or H_Z ran")
 
+    def no_reduced_form(self):
+        raise AssertionError("the logical basis read a reduced row echelon form")
+
+    init = RowReducer.__init__
+    built = []
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
     monkeypatch.setattr(BinMatrix, "rank", fail)
     monkeypatch.setattr(BinMatrix, "kernel_basis", fail)
+    monkeypatch.setattr(RowReducer, "reduced_rows", no_reduced_form)
+    monkeypatch.setattr(RowReducer, "__init__", counted_init)
     for spec in (CODE_72, GROSS):
+        built.clear()
         code = parse_code_spec(spec)
         assert code.k == 12
         basis = code.logical_basis
+        # the two stabilizer reducers, built for k, are the only ones
+        assert len(built) == 2
+        assert {id(r) for r in built} == {id(code._x_stab_reducer), id(code._z_stab_reducer)}
         for j, (x, z) in enumerate(zip(basis.x_ops, basis.z_ops)):
             assert code.classify(x) == code.classify(z) == Classification.LOGICAL
             assert code.x_class_coords(x.support_vector()) == 1 << j
@@ -219,9 +235,9 @@ def test_symplectic_basis_refuses_a_stabilizer_or_a_vector_outside_the_kernel(mo
     code = parse_code_spec(CODE_72)
     coset_reps = codes._coset_reps
 
-    def swapped(checks, stabs, k):
-        reps = coset_reps(checks, stabs, k)
-        if stabs is code._x_stab_reducer:  # the X representatives
+    def swapped(checks, stab_rows):
+        reps = coset_reps(checks, stab_rows)
+        if stab_rows is code.hx.rows:  # the X representatives
             reps[0] = code.hx.rows[1] if swap == "stabilizer" else reps[0] ^ 1
         return reps
 

@@ -6,14 +6,16 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from bbcovers.codes import BBCode, Refusal, parse_code_spec
+from bbcovers.codes import BBCode, Refusal, _coset_reps, parse_code_spec
 from bbcovers.covers import _records, _side_class
-from bbcovers.gf2 import BinMatrix, RowReducer, ShapeError
+from bbcovers.gf2 import BinMatrix, RowReducer, ShapeError, leading_bits
 from bbcovers.rings import Poly, RingContext
+from bbcovers.tables import base_row, sequence_tables
 
 from oracles import (
     annihilator_spans_reference,
     class_coords_reference,
+    coset_reps_reference,
     kernel,
     kernel_basis_reference,
     span,
@@ -24,6 +26,27 @@ SMALL_CODES = [
     parse_code_spec("l=3 m=3 A=1+y+y^2 B=1+x+x^2"),
     parse_code_spec("l=7 m=2 A=1+x^2+x^3y B=1+x^3+x^2y"),
 ]
+
+# (base, l, m): each published base with the lattice of each of its covers with n <= 150
+LIFT_TARGETS = [
+    (base_row(rows).code(), row.l, row.m)
+    for rows in sequence_tables().values()
+    for row in rows
+    if row.h > 1 and row.n <= 150
+]
+
+
+@st.composite
+def published_lifts(draw):
+    """A random lift of a published base onto a published cover lattice: each term moves to a random sheet."""
+    base, l, m = draw(st.sampled_from(LIFT_TARGETS))
+    u, t, ctx = l // base.l, m // base.m, RingContext(l, m)
+
+    def lift(p):
+        sheets = draw(st.lists(st.tuples(st.integers(0, u - 1), st.integers(0, t - 1)), min_size=p.weight, max_size=p.weight))
+        return Poly.make(ctx, [(x.a + base.l * i, x.b + base.m * j) for x, (i, j) in zip(p.terms, sheets)])
+
+    return BBCode(lift(base.a), lift(base.b))
 
 
 @st.composite
@@ -65,6 +88,54 @@ def test_kernel_basis_is_unchanged_by_row_operations(m, ops):
 def test_every_prefix_of_the_lazy_kernel_is_a_prefix_of_the_basis(m, p):
     drawn = list(islice(RowReducer(m.n_cols, m.rows).kernel_vectors(), p))
     assert drawn == list(m.kernel_basis().rows[:p]) == list(kernel_basis_reference(m).rows[:p])
+
+
+def free_columns(red: RowReducer) -> list[int]:
+    return [f for f in range(red.n_cols) if not red.pivot_mask >> f & 1]
+
+
+@given(matrices(), st.data())
+def test_kernel_vectors_at_chosen_free_columns_are_those_rows_of_the_basis(m, data):
+    red, ref = RowReducer(m.n_cols, m.rows), kernel_basis_reference(m).rows
+    free = free_columns(red)
+    assert len(free) == len(ref)
+    picks = data.draw(st.lists(st.integers(0, len(free) - 1), max_size=8)) if free else []
+    assert list(red.kernel_vectors(free[i] for i in picks)) == [ref[i] for i in picks]
+
+
+@given(matrices())
+def test_tag_bits_leave_the_kernel_vectors_as_they_are(m):
+    n = m.n_cols
+    tagged = RowReducer(n, (r | 1 << (n + i) for i, r in enumerate(m.rows)))
+    assert list(tagged.kernel_vectors()) == list(RowReducer(n, m.rows).kernel_vectors())
+    assert list(tagged.kernel_vectors(reversed(free_columns(tagged)))) == list(kernel_basis_reference(m).rows[::-1])
+
+
+@given(matrices())
+def test_kernel_vectors_refuse_a_pivot_or_a_column_outside_the_matrix(m):
+    # none of these columns is the only free bit of a kernel vector
+    red = RowReducer(m.n_cols, (r | 1 << (m.n_cols + i) for i, r in enumerate(m.rows)))
+    pivots = [c for c in range(m.n_cols) if red.pivot_mask >> c & 1]
+    for c in pivots + [-1, m.n_cols, m.n_cols + len(m.rows)]:
+        with pytest.raises(ValueError, match="not a free column"):
+            next(red.kernel_vectors([c]))
+
+
+@given(matrices(max_rows=8))
+def test_leading_bits_are_the_highest_bits_in_the_span(m):
+    assert leading_bits(m.rows) == sum({1 << (v.bit_length() - 1) for v in span(m.rows) if v})
+
+
+@settings(max_examples=60, deadline=None)
+@example(SMALL_CODES[0]).via("[[18,8,2]]")
+@given(st.one_of(st.sampled_from(SMALL_CODES), weight3_codes(), published_lifts()))
+def test_coset_reps_are_the_greedy_picks(code):
+    x_side = (code._z_stab_reducer, code.hz, code.hx)
+    z_side = (code._x_stab_reducer, code.hx, code.hz)
+    for checks, check_matrix, stabs in (x_side, z_side):
+        reps = _coset_reps(checks, stabs.rows)
+        assert len(reps) == code.k
+        assert reps == coset_reps_reference(check_matrix, stabs, code.k)
 
 
 @given(matrices(square=True))
