@@ -4,7 +4,8 @@ Both are chain maps (W_Z, f, W_X) of a code's complex Z-checks -> qubits ->
 X-checks, into the complex itself or into its dual.  They are supplied rather
 than discovered: verification, sheet-wise lifting along a cover witness, and
 logical-action computation are offered for given candidates, with the shift
-family and two worked constructions built in.
+family and two worked constructions built in.  The automorphism-named
+functions take both kinds; the duality-named ones refuse any other map.
 
 Like every ChainMap they are column tables: the built-in constructions and
 the sheet-wise lift write the image of each cell directly, and a degree whose
@@ -117,14 +118,23 @@ def _verify(code: BBCode, m: CodeAutomorphism) -> bool:
     return True
 
 
+def _require_duality(m: CodeAutomorphism) -> ZXDuality:
+    """m itself when it is a ZXDuality; Refusal for any other map."""
+    if not isinstance(m, ZXDuality):
+        raise Refusal(f"a ZX-duality is needed, not a {type(m).__name__}")
+    return m
+
+
 def verify_automorphism(code: BBCode, aut: CodeAutomorphism) -> bool:
-    """Check W_X H_X = H_X f and H_Z^T W_Z = f H_Z^T exactly; W's must be invertible."""
+    """Check W_X H_X = H_X f and H_Z^T W_Z = f H_Z^T exactly; W's must be invertible.
+    A ZXDuality, a CodeAutomorphism into the dual complex, is checked into that complex."""
     return _verify(code, aut)
 
 
 def verify_zx_duality(code: BBCode, dual: ZXDuality) -> bool:
-    """Check f H_Z^T = H_X^T W_Z and W_X H_X = H_Z f exactly; W's must be invertible."""
-    return _verify(code, dual)
+    """Check f H_Z^T = H_X^T W_Z and W_X H_X = H_Z f exactly; W's must be invertible.
+    Refuses a map that is not a ZXDuality."""
+    return _verify(code, _require_duality(dual))
 
 
 # --- built-in constructions -----------------------------------------------------
@@ -142,13 +152,11 @@ def shift_automorphism(code: BBCode, mono: Monomial) -> CodeAutomorphism:
     return _from_cells(code, _translation(code.ctx, *mono))
 
 
-def y_exponent_swap_automorphism(code: BBCode, b0: int = 0, b1: int = 1) -> CodeAutomorphism:
-    """Relabel monomials by swapping two y-exponents on checks and both blocks.
-
-    This is a Tanner-graph automorphism for codes whose polynomials make the
-    two exponents interchangeable; callers should verify it.
-    """
-    ctx, sigma = code.ctx, {b0: b1, b1: b0}
+def y_exponent_swap_automorphism(code: BBCode) -> CodeAutomorphism:
+    """Relabel monomials by swapping the y-exponents 0 and 1 on checks and both blocks:
+    the CNOT automorphism of the paper's Example 5.  Only codes whose polynomials make
+    the two exponents interchangeable have it, so callers verify it."""
+    ctx, sigma = code.ctx, {0: 1, 1: 0}
     return _from_cells(code, (ctx.index(m.a, sigma.get(m.b, m.b)) for m in ctx.monomials()))
 
 
@@ -200,13 +208,14 @@ def _lift(witness: CoverWitness, m: CodeAutomorphism) -> CodeAutomorphism:
 
 
 def lift_automorphism(witness: CoverWitness, aut: CodeAutomorphism) -> CodeAutomorphism:
-    """Sheet-wise lift; verified as a cover automorphism intertwining with p."""
+    """Sheet-wise lift, verified on the cover and intertwining with p; a ZXDuality lifts to one."""
     return _lift(witness, aut)
 
 
 def lift_zx_duality(witness: CoverWitness, dual: ZXDuality) -> ZXDuality:
-    """Sheet-wise lift of a ZX-duality; verified on the cover."""
-    return _lift(witness, dual)
+    """Sheet-wise lift of a ZX-duality; verified on the cover.  Refuses a map
+    that is not a ZXDuality."""
+    return _lift(witness, _require_duality(dual))
 
 
 # --- logical actions --------------------------------------------------------------
@@ -256,14 +265,15 @@ def _class_action(code: BBCode, m: CodeAutomorphism, basis: LogicalBasis):
     return DualityAction(on_x, on_z) if swap else LogicalAction(on_x, on_z)
 
 
-def logical_action(code: BBCode, aut: CodeAutomorphism, basis: LogicalBasis) -> LogicalAction:
-    """Action on logical classes relative to the given paired basis."""
+def logical_action(code: BBCode, aut: CodeAutomorphism, basis: LogicalBasis) -> LogicalAction | DualityAction:
+    """Action on logical classes relative to the given paired basis; a DualityAction for a ZXDuality."""
     return _class_action(code, aut, basis)
 
 
 def duality_action(code: BBCode, dual: ZXDuality, basis: LogicalBasis) -> DualityAction:
-    """Class maps of a duality: X images in the Z basis, Z images in the X basis."""
-    return _class_action(code, dual, basis)
+    """Class maps of a duality: X images in the Z basis, Z images in the X basis.
+    Refuses a map that is not a ZXDuality."""
+    return _class_action(code, _require_duality(dual), basis)
 
 
 # --- base vs lifted comparison ------------------------------------------------------
@@ -306,5 +316,6 @@ def compare_base_and_lifted_duality_action(
     lifted_dual: ZXDuality,
     base_basis: LogicalBasis | None = None,
 ) -> bool:
-    """Duality counterpart of compare_base_and_lifted_action."""
-    return compare_base_and_lifted_action(witness, dual, lifted_dual, base_basis)
+    """Duality counterpart of compare_base_and_lifted_action; refuses a map,
+    base or lifted, that is not a ZXDuality."""
+    return compare_base_and_lifted_action(witness, _require_duality(dual), _require_duality(lifted_dual), base_basis)

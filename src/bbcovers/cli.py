@@ -16,20 +16,17 @@ import csv
 import json
 import os
 import sys
+from dataclasses import fields
 
 from .autos import (
     CodeAutomorphism,
     block_swap_zx_duality,
     antipode_zx_duality,
-    duality_action,
     lift_automorphism,
-    lift_zx_duality,
     logical_action,
     shift_automorphism,
     verify_automorphism,
-    verify_zx_duality,
     y_exponent_swap_automorphism,
-    ZXDuality,
 )
 from .chainmaps import distance_bounds, lift_logical, project_logical, weight_preserving_lift_search
 from .codes import BBCode, InternalConsistencyError, Refusal, parse_code_spec, parse_pauli
@@ -221,17 +218,13 @@ def _builtin_aut(code: BBCode, name: str):
 def cmd_aut(args):
     code = parse_code_spec(args.spec)
     aut = _builtin_aut(code, args.name)
-    if isinstance(aut, ZXDuality):
-        verify, action, lift, keys = verify_zx_duality, duality_action, lift_zx_duality, ("dx", "dz")
-    else:
-        verify, action, lift, keys = verify_automorphism, logical_action, lift_automorphism, ("ax", "az")
-    rec = {"name": args.name, "verified": verify(code, aut)}
+    rec = {"name": args.name, "verified": verify_automorphism(code, aut)}
     if rec["verified"]:
-        act = action(code, aut, code.logical_basis)
-        rec.update((key, str(getattr(act, key)).splitlines()) for key in keys)
+        act = logical_action(code, aut, code.logical_basis)
+        rec.update((f.name, str(getattr(act, f.name)).splitlines()) for f in fields(act))
     if args.lift_to:
         witness = check_cover(code, parse_code_spec(args.lift_to))
-        lift(witness, aut)
+        lift_automorphism(witness, aut)
         rec["lifted"] = True
         rec["lift_h"] = witness.h
     yield rec

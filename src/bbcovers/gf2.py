@@ -5,6 +5,8 @@ entry (i, j), so the lowest bit of a row is column 0.  Python ints give
 single-instruction XOR/popcount on vectors of a few hundred bits, which is
 the regime everything in this package lives in.
 
+``xor_rows`` (v M) and ``parities`` (M v) are the two vector products; a
+``BinMatrix`` method that applies a matrix to a vector calls one of them.
 All matrices are immutable after construction.  ``RowReducer`` is the one
 row reduction: it always pivots on the leftmost nonzero column, so ranks,
 kernels, inverses and membership certificates are deterministic functions of
@@ -71,7 +73,9 @@ def leading_bits(rows: Iterable[int]) -> int:
 
 @dataclass(frozen=True)
 class BinMatrix:
-    """An n_rows x n_cols matrix over GF(2), one int per row."""
+    """An n_rows x n_cols matrix over GF(2), one int per row.  Entries, columns and weights
+    are read off ``rows``: column j is ``parities(rows, 1 << j)``, the weight of row i is
+    ``rows[i].bit_count()``; the methods are what the package computes with."""
 
     n_rows: int
     n_cols: int
@@ -91,20 +95,6 @@ class BinMatrix:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "BinMatrix":
-        """Build from an iterable of 0/1 iterables."""
-        packed = []
-        width = None
-        for row in rows:
-            bits = list(row)
-            if width is None:
-                width = len(bits)
-            elif len(bits) != width:
-                raise ShapeError("ragged rows")
-            packed.append(sum((b & 1) << j for j, b in enumerate(bits)))
-        return cls(len(packed), width or 0, tuple(packed))
-
-    @classmethod
     def from_ints(cls, rows: Iterable[int], n_cols: int) -> "BinMatrix":
         rows = tuple(rows)
         return cls(len(rows), n_cols, rows)
@@ -113,29 +103,10 @@ class BinMatrix:
     def identity(cls, n: int) -> "BinMatrix":
         return cls(n, n, tuple(1 << i for i in range(n)))
 
-    @classmethod
-    def zeros(cls, n_rows: int, n_cols: int) -> "BinMatrix":
-        return cls(n_rows, n_cols, (0,) * n_rows)
-
-    # -- element access ----------------------------------------------------
-
-    def get(self, i: int, j: int) -> int:
-        return (self.rows[i] >> j) & 1
-
-    def row_weight(self, i: int) -> int:
-        return self.rows[i].bit_count()
-
-    def column(self, j: int) -> int:
-        """Column j as an int over row indices."""
-        v = 0
-        for i, r in enumerate(self.rows):
-            v |= ((r >> j) & 1) << i
-        return v
+    # -- arithmetic --------------------------------------------------------
 
     def is_zero(self) -> bool:
         return not any(self.rows)
-
-    # -- arithmetic --------------------------------------------------------
 
     def mul(self, other: "BinMatrix") -> "BinMatrix":
         """Matrix product over GF(2)."""
@@ -156,13 +127,6 @@ class BinMatrix:
         """Row vector times matrix, bits from n_rows up ignored; returns int over n_cols.
         Equals transpose().mul_vec(v)."""
         return xor_rows(self.rows, v & _mask(self.n_rows))
-
-    def add(self, other: "BinMatrix") -> "BinMatrix":
-        if (self.n_rows, self.n_cols) != (other.n_rows, other.n_cols):
-            raise ShapeError("shape mismatch in add")
-        return BinMatrix(
-            self.n_rows, self.n_cols, tuple(a ^ b for a, b in zip(self.rows, other.rows))
-        )
 
     def transpose(self) -> "BinMatrix":
         cols = [0] * self.n_cols

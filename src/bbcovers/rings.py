@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
-from .gf2 import BinMatrix
+from .gf2 import BinMatrix, parities
 
 
 class PolyParseError(ValueError):
@@ -208,10 +208,10 @@ class Poly:
 
     @cached_property
     def _column_0_is_transpose(self) -> bool:
-        """Whether column 0 of the matrix is the mask of transpose().  Both
-        matrices are circulants, so is the transpose of one, and circulants with
-        equal row 0 are equal: this certifies M(p)^T = M(p^T)."""
-        return self._matrix.column(0) == self.transpose().mask
+        """Whether column 0 of the matrix, M(p) e_0, is the mask of transpose().
+        Both matrices are circulants, so is the transpose of one, and circulants
+        with equal row 0 are equal: this certifies M(p)^T = M(p^T)."""
+        return parities(self._matrix.rows, 1) == self.transpose().mask
 
     def render(self) -> str:
         if not self.terms:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from bbcovers.codes import BBCode, PauliOp, Refusal
 from bbcovers.covers import _lift_masks, build_tanner_graph, is_connected
 from bbcovers.distance import _ascending_support, _cluster_search, _lightest_logical
-from bbcovers.gf2 import BinMatrix, RowReducer
+from bbcovers.gf2 import BinMatrix, RowReducer, parities
 from bbcovers.rings import Poly, RingContext
 
 
@@ -376,7 +376,7 @@ def lift_check_matrix_reference(witness, w: BinMatrix) -> BinMatrix:
         j = cover.ctx.index(mono.a, mono.b)
         jb = base.ctx.index(mono.a % l, mono.b % m)
         s1, s2 = mono.a // l, mono.b // m
-        x = w.column(jb)
+        x = parities(w.rows, 1 << jb)
         while x:
             a, b = divmod((x & -x).bit_length() - 1, m)
             rows[cover.ctx.index(a + l * s1, b + m * s2)] |= 1 << j

@@ -5,6 +5,7 @@ import pytest
 
 from bbcovers.autos import (
     CodeAutomorphism,
+    DualityAction,
     ZXDuality,
     antipode_zx_duality,
     block_swap_zx_duality,
@@ -266,10 +267,36 @@ def test_kind_is_read_off_the_ws():
 
 def test_non_permutation_qubit_degree_does_not_verify():
     ident = BinMatrix.identity(BASE_18.ctx.dim).rows
-    for deg1 in (BinMatrix.zeros(18, 18), BinMatrix(18, 18, (3,) + tuple(1 << j for j in range(1, 18)))):
+    for deg1 in (BinMatrix(18, 18, (0,) * 18), BinMatrix(18, 18, (3,) + tuple(1 << j for j in range(1, 18)))):
         deg1 = deg1.transpose().rows
         assert not verify_automorphism(BASE_18, CodeAutomorphism(ident, deg1, ident, BASE_18, BASE_18))
         assert not verify_zx_duality(BASE_18, ZXDuality(ident, deg1, ident, BASE_18, BASE_18))
+
+
+def test_duality_entry_points_refuse_other_maps():
+    # the x-shift verifies as an automorphism; a ZXDuality with its columns is no duality
+    shift = shift_automorphism(BASE_18, Monomial(1, 0))
+    assert verify_automorphism(BASE_18, shift)
+    assert not verify_zx_duality(BASE_18, ZXDuality(*shift.columns, BASE_18, BASE_18))
+    zx = block_swap_zx_duality(BASE_18)
+    walt = check_cover(BASE_18, parse_code_spec("l=9 m=3 A=1+y+y^2 B=1+x^4+x^5"))
+    calls = (
+        lambda: verify_zx_duality(BASE_18, shift),
+        lambda: duality_action(BASE_18, shift, BASE_18.logical_basis),
+        lambda: lift_zx_duality(W_54, shift),
+        lambda: compare_base_and_lifted_duality_action(W_54, shift, identity_automorphism(COVER_54)),
+        lambda: compare_base_and_lifted_duality_action(walt, zx, identity_automorphism(walt.cover)),
+    )
+    for call in calls:
+        with pytest.raises(Refusal, match="ZX-duality"):
+            call()
+    # dualities pass both: the automorphism-named functions take either kind
+    basis = paper_18_basis()
+    for dual in (antipode_zx_duality(BASE_18), zx):
+        assert verify_zx_duality(BASE_18, dual) and verify_automorphism(BASE_18, dual)
+        assert logical_action(BASE_18, dual, basis) == duality_action(BASE_18, dual, basis)
+        assert isinstance(duality_action(BASE_18, dual, basis), DualityAction)
+    assert isinstance(lift_automorphism(walt, zx), ZXDuality)
 
 
 def test_shape_mismatch_refused():

@@ -88,7 +88,7 @@ def test_a_corrupted_entry_gets_the_dense_verdict(drawn, degree, j, value):
 @given(codes(m=4))
 def test_y_swap_at_m_4_takes_every_column(code):
     aut = y_exponent_swap_automorphism(code)
-    assert aut._step == 1  # b -> b0 + b1 - b is not the swap of 0 and 1 when m = 4
+    assert aut._step == 1  # b -> 1 - b is not the swap of 0 and 1 when m = 4
     assert aut.commutes() == chain_map_commutes_reference(aut)
 
 

@@ -151,7 +151,7 @@ def test_inverse_or_singular_refusal(m):
 
 def test_inverse_refuses_non_square():
     with pytest.raises(ShapeError):
-        BinMatrix.zeros(2, 3).inverse()
+        BinMatrix(2, 3, (0, 0)).inverse()
 
 
 @given(matrices())
