@@ -163,6 +163,22 @@ class BBCode:
         return self.b.to_matrix().vstack(self.a.to_matrix())
 
     @cached_property
+    def _checks_are_translates(self) -> bool:
+        """Every row of H_X and H_Z, and every qubit column (its H_X column, then
+        its H_Z column shifted by lm), is the translate by its cell of the one at
+        cell 0, each lm-bit block shifted alone: left qubits translate qubit 0,
+        right ones qubit lm.  It holds for every code, and depends on the code
+        alone, so ``covers.verify_cover_isomorphism`` decides it once per base."""
+        ctx, dim = self.ctx, self.ctx.dim
+        low, exps = (1 << dim) - 1, [divmod(v, self.m) for v in range(dim)]
+        cols = tuple(x | z << dim for x, z in zip(self.hx_t.rows, self.hz_t.rows))
+        for rows in (self.hx.rows, self.hz.rows, cols[:dim], cols[dim:]):
+            p = rows[0]
+            if tuple(ctx.shift(p & low, a, b) | ctx.shift(p >> dim, a, b) << dim for a, b in exps) != rows:
+                return False
+        return True
+
+    @cached_property
     def rank_hz(self) -> int:
         rx, rz = len(self._x_stab_reducer), len(self._z_stab_reducer)
         if rx != rz:

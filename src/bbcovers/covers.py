@@ -189,7 +189,7 @@ def _side_representatives(base_poly: Poly, u: int, t: int, mults: list[Monomial]
     return sorted(reps, key=lambda q: q.terms)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoverRecord:
     a: Poly
     b: Poly
@@ -464,7 +464,10 @@ def verify_cover_isomorphism(base: BBCode, cover: BBCode, witness: CoverWitness)
     (v + e, g + s) or tail (v - e, g - s) per distinct generator e, so if
     ``projection`` sends embedding[i] + sheet_offsets[g] to i for all i and g
     (an O(cells) table test), they project to v + e and v - e for every g:
-    the translate by v of the generators' neighbourhood at base cell 0.
+    the translate by v of the generators' neighbourhood at base cell 0.  The
+    base's own neighbourhoods are the translates of its cell-0 ones, which
+    ``BBCode._checks_are_translates`` decides once per base, so the translates
+    agree at every cell exactly when they agree at cell 0.
     """
     if (cover.l, cover.m) != (base.l * witness.u, base.m * witness.t):
         return False
@@ -487,11 +490,10 @@ def verify_cover_isomorphism(base: BBCode, cover: BBCode, witness: CoverWitness)
             if at_0[x] & bit:
                 return False  # two generators reach one fibre, at every base cell
             at_0[x] |= bit
-    # at base cell x^a y^b it is the translate by x^a y^b, block by block
-    low, exps = (1 << dim) - 1, [divmod(v, base.m) for v in range(dim)]
-    nbrs = [ctx.shift(p & low, a, b) | ctx.shift(p >> dim, a, b) << dim for p in at_0 for a, b in exps]
-    base_cols = [x | z << dim for x, z in zip(base.hx_t.rows, base.hz_t.rows)]
-    return nbrs == [*base.hx.rows, *base.hz.rows, *base_cols]
+    # the base's own at cell 0: rows 0 of H_X and H_Z, then columns 0 and lm of both
+    hx_t, hz_t = base.hx_t.rows, base.hz_t.rows
+    base_0 = [base.hx.rows[0], base.hz.rows[0], hx_t[0] | hz_t[0] << dim, hx_t[dim] | hz_t[dim] << dim]
+    return at_0 == base_0 and base._checks_are_translates
 
 
 def is_connected(g: TannerGraph) -> bool:

@@ -10,11 +10,13 @@ the regime everything in this package lives in.
 All matrices are immutable after construction.  ``RowReducer`` is the one
 row reduction: it always pivots on the leftmost nonzero column, so ranks,
 kernels, inverses and membership certificates are deterministic functions of
-their inputs.  Its kernel vectors are drawn lazily, each by back-substitution
-over the stored echelon rows, so a caller that needs a few of them pays for
-those few alone.  Only ``inverse`` and callers that key a span by its
-reduced rows read the reduced form.  ``leading_bits`` is the one elimination
-on the highest set bit, which a lowest-pivot reducer cannot do.
+their inputs.  Every insertion, of one row or of a whole matrix, runs one
+loop over the rows, so filling a reducer pays no Python call per row.  Its
+kernel vectors are drawn lazily, each by back-substitution over the stored
+echelon rows, so a caller that needs a few of them pays for those few alone.
+Only ``inverse`` and callers that key a span by its reduced rows read the
+reduced form.  ``leading_bits`` is the one elimination on the highest set
+bit, which a lowest-pivot reducer cannot do.
 """
 
 from __future__ import annotations
@@ -163,8 +165,8 @@ class BinMatrix:
     def left_kernel_basis(self) -> "BinMatrix":
         """Basis of {f : f @ self = 0}: the tags left by the rows that cancel in one reducer, row i
         tagged with bit n_cols + i.  Each has its own row as highest bit, so they are independent."""
-        n, red = self.n_cols, RowReducer(self.n_cols)
-        residuals = [red.add(r | 1 << (n + i)) for i, r in enumerate(self.rows)]
+        n = self.n_cols
+        residuals = RowReducer(n)._insert(r | 1 << (n + i) for i, r in enumerate(self.rows))
         return BinMatrix.from_ints((v >> n for v in residuals if not v & _mask(n)), self.n_rows)
 
     def inverse(self) -> "BinMatrix":
@@ -216,15 +218,16 @@ class RowReducer:
     ``n_cols``, which makes ``reduce`` a loop over set bits instead of a full
     elimination.  Bits at ``n_cols`` and above are carried along but never
     become pivots: a tag bit per inserted row records which rows each stored
-    row combines.
+    row combines.  Rows go in through ``_insert``, one loop over them that
+    returns their residuals: ``__init__``, ``add`` and
+    ``BinMatrix.left_kernel_basis`` all call it, so no row costs a call.
     """
 
     def __init__(self, n_cols: int, rows: Iterable[int] = ()) -> None:
         self.n_cols = n_cols
         self._mask = _mask(n_cols)
         self._pivot_rows: dict[int, int] = {}
-        for r in rows:
-            self.add(r)
+        self._insert(rows)
 
     def __len__(self) -> int:
         return len(self._pivot_rows)
@@ -243,10 +246,24 @@ class RowReducer:
     def add(self, v: int) -> int:
         """Insert v; returns its residual, which has no bit below n_cols exactly when v was
         already in the span: then only tag bits are left, none in a reducer without tags."""
-        v = self.reduce(v)
-        if v & self._mask:
-            self._pivot_rows[(v & -v).bit_length() - 1] = v
-        return v
+        return self._insert((v,))[0]
+
+    def _insert(self, rows: Iterable[int]) -> list[int]:
+        """Insert the rows in order and return the residual of each.  A residual with a
+        bit below n_cols is stored at its lowest bit; one without is a row already in the span."""
+        pr, n = self._pivot_rows, self.n_cols
+        residuals = []
+        for v in rows:
+            while v:
+                c = (v & -v).bit_length() - 1
+                row = pr.get(c)
+                if row is None:
+                    if c < n:
+                        pr[c] = v
+                    break
+                v ^= row
+            residuals.append(v)
+        return residuals
 
     def contains(self, v: int) -> bool:
         """True iff v (a vector of n_cols bits) is in the span of the inserted rows."""

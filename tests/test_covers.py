@@ -1,4 +1,5 @@
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -17,8 +18,8 @@ from bbcovers.covers import (
     is_connected,
     verify_cover_isomorphism,
 )
-from bbcovers.gf2 import RowReducer
-from bbcovers.rings import Monomial, Poly, parse_poly
+from bbcovers.gf2 import BinMatrix, RowReducer
+from bbcovers.rings import Monomial, Poly, RingContext, parse_poly
 
 from oracles import lifts_of_poly, stabilizer_support, verify_cover_isomorphism_reference
 
@@ -50,16 +51,17 @@ def test_enumeration_builds_each_side_class_circulant_once(monkeypatch):
 def test_enumeration_eliminates_each_side_class_circulant_once_and_draws_no_kernel(monkeypatch):
     # Ann(p) is read off the rows of M(p) that cancel, Ann(p^T) as its antipode image
     inserted: dict[int, tuple[RowReducer, list[int]]] = {}  # id -> (reducer, rows), reducers kept alive
-    add = RowReducer.add
+    insert = RowReducer._insert
 
-    def spy(self, v):
-        inserted.setdefault(id(self), (self, []))[1].append(v & ((1 << self.n_cols) - 1))
-        return add(self, v)
+    def spy(self, rows):
+        rows = list(rows)
+        inserted.setdefault(id(self), (self, []))[1].extend(v & ((1 << self.n_cols) - 1) for v in rows)
+        return insert(self, rows)
 
     def fail(self):
         raise AssertionError("a kernel was drawn from a reduced form")
 
-    monkeypatch.setattr(RowReducer, "add", spy)
+    monkeypatch.setattr(RowReducer, "_insert", spy)
     monkeypatch.setattr(RowReducer, "kernel_vectors", fail)
     enum = enumerate_covers(parse_code_spec(BASE_18), 9, 3)
     sides = [*dict.fromkeys(r.a for r in enum.records), *dict.fromkeys(r.b for r in enum.records)]
@@ -489,6 +491,50 @@ def test_tanner_graph_edges_are_the_check_supports():
         i = code.ctx.index(r.a, r.b)
         assert code.hx.rows[i] == stabilizer_support(code, r, "X").support_vector()
         assert code.hz.rows[i] == stabilizer_support(code, r, "Z").support_vector()
+
+
+def test_certifying_two_covers_of_one_base_tests_the_base_translates_once(monkeypatch):
+    base = parse_code_spec(BASE_18)
+    covers = [parse_code_spec("l=6 m=3 A=x^3+y+y^2 B=1+x+x^2"), parse_code_spec("l=9 m=3 A=x^3+y+y^2 B=1+x+x^2")]
+    witnesses = [check_cover(base, c) for c in covers]
+    base_shifts = []
+    shift = RingContext.shift
+
+    def spy(self, v, a, b):
+        if self == base.ctx:
+            base_shifts.append((v, a, b))
+        return shift(self, v, a, b)
+
+    monkeypatch.setattr(RingContext, "shift", spy)
+    for cover, w in zip(covers, witnesses):
+        assert verify_cover_isomorphism(base, cover, w)
+    # two blocks of each of the 4 cell-0 neighbourhoods, translated to every cell, once
+    assert len(base_shifts) == 8 * base.ctx.dim
+
+
+@pytest.mark.parametrize(
+    "name, index",
+    [("hx", 1), ("hx", 8), ("hz", 4), ("hx_t", 1), ("hx_t", 10), ("hx_t", 17), ("hz_t", 5), ("hz_t", 13)],
+)
+def test_cover_isomorphism_refuses_a_base_whose_rows_are_not_translates(name, index):
+    # row 0, and rows 0 and lm = 9 of a transpose, are left as they are, so the
+    # witness's cell-0 neighbourhoods still equal the base's own
+    c36 = parse_code_spec("l=6 m=3 A=x^3+y+y^2 B=1+x+x^2")
+    w = check_cover(parse_code_spec(BASE_18), c36)
+    assert verify_cover_isomorphism(parse_code_spec(BASE_18), c36, w)
+    base = parse_code_spec(BASE_18)
+    matrix = getattr(base, name)
+    rows = list(matrix.rows)
+    rows[index] ^= 1  # no longer the translate of its cell-0 row or column
+    base.__dict__[name] = BinMatrix(matrix.n_rows, matrix.n_cols, tuple(rows))  # the cached property's slot
+    assert not verify_cover_isomorphism(base, c36, w)
+
+
+def test_a_cover_record_has_no_dict_and_stays_frozen():
+    record = enumerate_covers(parse_code_spec(BASE_18), 6, 3).records[0]
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(FrozenInstanceError):
+        record.k = 0
 
 
 def test_cover_isomorphism_refuses_an_inconsistent_projection_table():

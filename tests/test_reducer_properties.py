@@ -111,6 +111,21 @@ def test_tag_bits_leave_the_kernel_vectors_as_they_are(m):
     assert list(tagged.kernel_vectors(reversed(free_columns(tagged)))) == list(kernel_basis_reference(m).rows[::-1])
 
 
+@given(matrices(), st.booleans())
+def test_one_insertion_loop_stores_what_row_by_row_insertion_stores(m, tagged):
+    # tag bits above n_cols, as left_kernel_basis and inverse insert them
+    n = m.n_cols
+    rows = [r | 1 << (n + i) for i, r in enumerate(m.rows)] if tagged else list(m.rows)
+    batch = RowReducer(n)
+    residuals = batch._insert(iter(rows))
+    step = RowReducer(n)
+    for r, residual in zip(rows, residuals, strict=True):
+        assert residual == step.reduce(r)
+        assert step.add(r) == residual
+    assert list(batch._pivot_rows.items()) == list(step._pivot_rows.items())
+    assert list(RowReducer(n, rows)._pivot_rows.items()) == list(step._pivot_rows.items())
+
+
 @given(matrices())
 def test_kernel_vectors_refuse_a_pivot_or_a_column_outside_the_matrix(m):
     # none of these columns is the only free bit of a kernel vector
