@@ -23,15 +23,15 @@ from functools import cached_property
 from .codes import BBCode, Classification, InternalConsistencyError, LogicalBasis, Refusal
 from .codes import _overlap_matrix, pairing_matrix
 from .covers import CoverWitness
-from .chainmaps import ChainMap, _block_diag, _cell_map, _class_images, _class_matrix, _compose, _mark_verified
+from .chainmaps import ChainMap, _block_diag, _class_images, _class_matrix, _compose, _mark_verified
 from .chainmaps import _translation, _unit_columns, lift_logical
 from .gf2 import BinMatrix, xor_rows
 from .rings import Monomial
 
 
-def _is_permutation(cols: tuple[int, ...]) -> bool:
-    """Whether square columns are distinct single bits: a permutation matrix."""
-    return _cell_map(cols) and len(set(cols)) == len(cols)
+def _is_permutation(cells: tuple[int, ...] | None) -> bool:
+    """Whether a square degree's cell table exists and sends distinct cells to distinct cells."""
+    return cells is not None and len(set(cells)) == len(cells)
 
 
 @dataclass(frozen=True)
@@ -47,9 +47,10 @@ class CodeAutomorphism(ChainMap):
     @cached_property
     def f(self) -> tuple[int, ...]:
         """The qubit permutation of deg1 as an image map: qubit j goes to qubit f[j]."""
-        if not _is_permutation(self.cols1):
+        cells = self._cell_tables[1]
+        if not _is_permutation(cells):
             raise ValueError("the qubit degree is not a permutation matrix")
-        return tuple(c.bit_length() - 1 for c in self.cols1)
+        return cells
 
     def to_json(self) -> dict:
         return {
@@ -95,7 +96,7 @@ class ZXDuality(CodeAutomorphism):
 
 def _kind(m: CodeAutomorphism) -> str:
     """"tanner" when W_X and W_Z are permutation matrices, else "general"."""
-    return "tanner" if _is_permutation(m.cols0) and _is_permutation(m.cols2) else "general"
+    return "tanner" if all(map(_is_permutation, m._cell_tables[::2])) else "general"
 
 
 def _verify(code: BBCode, m: CodeAutomorphism) -> bool:
@@ -103,13 +104,13 @@ def _verify(code: BBCode, m: CodeAutomorphism) -> bool:
     code's own or dual complex; marks m as verified when it passes."""
     if m.source != code or m.target != code:
         raise Refusal("the map is not a map of this code")
-    if not _is_permutation(m.cols1):
+    if not _is_permutation(m._cell_tables[1]):
         return False
     lm = code.ctx.dim
-    for w in (m.cols0, m.cols2):
+    for w, cells in zip(m.columns[::2], m._cell_tables[::2]):
         # a permutation is invertible; any other W is ranked (a matrix and its
         # transpose, whose rows are the columns, have one rank)
-        if not _is_permutation(w) and BinMatrix(lm, lm, w).rank() != lm:
+        if not _is_permutation(cells) and BinMatrix(lm, lm, w).rank() != lm:
             return False
     dual = isinstance(m, ZXDuality)
     if not m.commutes(dual):
@@ -142,8 +143,8 @@ def verify_zx_duality(code: BBCode, dual: ZXDuality) -> bool:
 def _from_cells(code: BBCode, cells, dual: bool = False) -> CodeAutomorphism:
     """The map sending cell j to cells[j] on both check spaces and within each
     qubit block, or, as a ZX-duality (``dual``), across the blocks."""
-    w = _unit_columns(cells)
-    up = tuple(c << code.ctx.dim for c in w)
+    w, lm = _unit_columns(cells), code.ctx.dim
+    up = tuple(c << lm for c in w)
     return (ZXDuality if dual else CodeAutomorphism)(w, up + w if dual else w + up, w, code, code)
 
 
@@ -170,8 +171,8 @@ def block_swap_zx_duality(code: BBCode) -> ZXDuality:
 
 def antipode_zx_duality(code: BBCode) -> ZXDuality:
     """Block swap composed with exponent negation; a duality of every BB code."""
-    ctx = code.ctx
-    return _from_cells(code, (ctx.index(-a, -b) for a in range(ctx.l) for b in range(ctx.m)), dual=True)
+    # entry a*m + b of the reversed table is the x y-translate of x^(l-1-a) y^(m-1-b): x^-a y^-b
+    return _from_cells(code, _translation(code.ctx, 1, 1)[::-1], dual=True)
 
 
 # --- lifting along a cover -------------------------------------------------------

@@ -11,9 +11,10 @@ A chain map is stored degreewise as column tables: column j of a degree is
 the image of basis vector j, a mask over the target basis.  Applying a map
 XORs columns, and a square deg_(i-1) . d_i = d'_i . deg_i is compared column
 by column, column j of d_i being row j of H_Z, H_X^T, H_X or H_Z^T.  Most maps
-here send each cell to one cell and are affine on the lattice with one common
-lattice homomorphism phi: f(g + v) = f(g) + phi(v), in every degree (p,
-shifts, the antipode, block swaps, lifts of base shifts).  The boundaries are
+here send each cell to one cell, read off a cell table decoded once per degree
+tuple, and are affine on the lattice with one common lattice homomorphism phi:
+f(g + v) = f(g) + phi(v), in every degree (p, shifts, the antipode, block
+swaps, lifts of base shifts).  The boundaries are
 translation-equivariant, so both sides of each square of such a map are
 twisted-equivariant maps out of a free module over the group algebra (rank 1
 on checks, rank 2 on qubits), fixed by their values on its generators: column
@@ -87,10 +88,16 @@ class ChainMap:
         return xor_rows(self.cols1, v)
 
     @cached_property
+    def _cell_tables(self) -> tuple[tuple[int, ...] | None, ...]:
+        """``_cell_table`` of each degree of ``columns``; cols0 shares that of cols2 when it is cols2."""
+        top = _cell_table(self.cols2)
+        return top, _cell_table(self.cols1), top if self.cols0 is self.cols2 else _cell_table(self.cols0)
+
+    @cached_property
     def _step(self) -> int:
         """Stride of the source columns that decide every square: lm when every
         degree is a cell map, affine with one phi, else 1 (all columns)."""
-        return self.source.ctx.dim if _affine(self.columns, self.source.ctx, self.target.ctx) else 1
+        return self.source.ctx.dim if _affine(self._cell_tables, self.source.ctx, self.target.ctx) else 1
 
     def commutes(self, dual_target: bool = False) -> bool:
         """Whether every chain square commutes exactly, into the target's complex
@@ -161,38 +168,36 @@ def _is_chain_map(degs, source, target, step: int) -> bool:
 
 
 def _translation(ctx: RingContext, a: int, b: int) -> tuple[int, ...]:
-    """Index table of multiplication by x^a y^b on the lattice cells."""
-    l, m = ctx.l, ctx.m
-    return tuple(((i // m + a) % l) * m + (i + b) % m for i in range(ctx.dim))
+    """Index table of multiplication by x^a y^b on the lattice cells, x-row by x-row."""
+    l, m, b = ctx.l, ctx.m, b % ctx.m
+    out: list[int] = []
+    for row in (i % l * m for i in range(a, a + l)):
+        out += (*range(row + b, row + m), *range(row, row + b))
+    return tuple(out)
 
 
-def _cell_map(cols: tuple[int, ...]) -> bool:
-    """Whether every column is a single bit: each cell goes to one cell."""
-    return 0 not in cols and sum(map(int.bit_count, cols)) == len(cols)
+def _cell_table(cols: tuple[int, ...]) -> tuple[int, ...] | None:
+    """j -> i for columns that are each one bit 1 << i, so that each cell goes to
+    one cell; None when a column has no bit or more than one."""
+    if 0 in cols or sum(map(int.bit_count, cols)) != len(cols):
+        return None
+    return tuple(map(int.__sub__, map(int.bit_length, cols), repeat(1)))
 
 
-def _affine(degs, src: RingContext, tgt: RingContext) -> bool:
-    """Whether every degree is a cell map that sends each lattice block into one
-    target block with f(g + v) = f(g) + phi(v), for the generators v = x, y and
-    one phi read off the check degree degs[0]."""
-    if not all(map(_cell_map, degs)):
+def _affine(tables, src: RingContext, tgt: RingContext) -> bool:
+    """Whether every degree is a cell map, given by its cell table, with
+    f(g + v) = phi(f(g)) within each lattice block, for the generators v = x, y
+    and one translation phi read off the check degree tables[0].  A block whose
+    cells obey this stays in one target block, as x and y generate the lattice."""
+    if None in tables:
         return False
-    lm, lm_t = src.dim, tgt.dim
-    blocks = []  # target cells of every lattice block of every degree
-    for cols in dict.fromkeys(degs):
-        for start in range(0, len(cols), lm):
-            # bit_length is the 1-based index; offset by the block of the first image
-            offset = (cols[start].bit_length() - 1) // lm_t * lm_t + 1
-            cells = list(map(int.__sub__, map(int.bit_length, cols[start : start + lm]), repeat(offset)))
-            if min(cells) < 0 or max(cells) >= lm_t:
-                return False
-            blocks.append(cells)
-    checks = blocks[0]
+    lm, lm_t, checks = src.dim, tgt.dim, tables[0]
     for v in ((1, 0), (0, 1)):
         move = _translation(src, *v)
         (a0, b0), (a1, b1) = divmod(checks[0], tgt.m), divmod(checks[move[0]], tgt.m)
-        phi = _translation(tgt, (a1 - a0) % tgt.l, (b1 - b0) % tgt.m)
-        if any(list(map(f.__getitem__, move)) != list(map(phi.__getitem__, f)) for f in blocks):
+        phi = _translation(tgt, a1 - a0, b1 - b0)
+        move, phi = move + tuple(i + lm for i in move), phi + tuple(i + lm_t for i in phi)  # both qubit blocks
+        if any([*map(t.__getitem__, move[: len(t)])] != [*map(phi.__getitem__, t)] for t in dict.fromkeys(tables)):
             return False
     return True
 

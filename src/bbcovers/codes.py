@@ -16,8 +16,9 @@ A): both check matrices and their transposes stack, on demand, the circulants
 of A, B, A^T and B^T that each polynomial builds once.  Row r of each check
 matrix is the r-translate of its row 0, so column 0 of H_X H_Z^T decides the
 product is zero; a code is built with that check alone, which XORs w rows once
-each polynomial has certified M(p)^T = M(p^T).  Syndromes XOR rows of the
-transposes, and H_X and H_Z are each eliminated once, by a reducer.  The
+each polynomial has certified M(p)^T = M(p^T).  Syndromes are ring products
+on the two blocks, which stack no matrix, and H_X and H_Z are each eliminated
+once, by a reducer.  The
 logical basis reads its kernel vectors off those reducers by back-substitution
 and picks them with one highest-bit elimination of the sparse check rows,
 masked to the free columns; it builds no reduced form and no third reducer.
@@ -211,7 +212,10 @@ class BBCode:
         return self.syndrome_vector(op.basis, op.support_vector())
 
     def syndrome_vector(self, basis: str, v: int) -> int:
-        return (self.hz_t if basis == "X" else self.hx_t).vec_mul(v)
+        """H_Z v = v_L B + v_R A for basis "X", else H_X v = v_L A^T + v_R B^T; bits from n up are ignored."""
+        lm = self.ctx.dim
+        p, q = (self.b, self.a) if basis == "X" else (self.a.transpose(), self.b.transpose())
+        return p.mul_mask(v & ((1 << lm) - 1)) ^ q.mul_mask(v >> lm & ((1 << lm) - 1))
 
     def classify_vector(self, basis: str, v: int) -> Classification:
         if self.syndrome_vector(basis, v) != 0:

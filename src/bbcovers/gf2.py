@@ -39,9 +39,9 @@ def xor_rows(rows: Sequence[int], v: int) -> int:
     """v M for the matrix M with these rows: the XOR of the rows at the set bits of v."""
     out = 0
     while v:
-        low = v & -v
-        out ^= rows[low.bit_length() - 1]
-        v ^= low
+        c = v.bit_length() - 1
+        out ^= rows[c]
+        v ^= 1 << c
     return out
 
 

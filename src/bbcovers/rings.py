@@ -1,9 +1,10 @@
 """Arithmetic in F2[x, y] / (x^l - 1, y^m - 1).
 
 Monomials are reduced exponent pairs; a polynomial is the bitmask of its
-support (coefficients live in F2, so equal terms cancel in pairs).  The basis
-index of x^a y^b is a*m + b throughout the package: polynomial masks,
-vectors, matrix columns and serialized supports all use this convention.
+support (coefficients live in F2, so equal terms cancel in pairs), and its
+one product, ``Poly.mul_mask``, XORs windows of a doubled mask, one or two a
+term.  The basis index of x^a y^b is a*m + b throughout the package: polynomial
+masks, vectors, matrix columns and serialized supports all use it.
 """
 
 from __future__ import annotations
@@ -149,13 +150,31 @@ class Poly:
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check_ctx(other)
-        m = self.ctx.m
-        v, x = 0, other.mask
-        while x:
-            low = x & -x
-            v ^= self.ctx.shift(self.mask, *divmod(low.bit_length() - 1, m))
-            x ^= low
-        return Poly(self.ctx, v)
+        return Poly(self.ctx, self.mul_mask(other.mask))
+
+    def mul_mask(self, v: int) -> int:
+        """The mask of self times the polynomial whose mask is v, an lm-bit vector."""
+        n, windows = self._plan
+        doubled, out = v | v << n, 0
+        for window, r in windows:
+            out ^= (doubled & window) >> r
+        return out & ((1 << n) - 1)
+
+    @cached_property
+    def _plan(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """lm, and each term x^a y^b, at index i = a*m + b, as (window, shift) pairs on v
+        doubled to 2lm bits: cell a'*m + b' goes to (a + a')*m + b + b' mod lm, which v
+        doubled, shifted right by lm - i, holds when b + b' < m; the rest shifts m more."""
+        m, n, v = self.ctx.m, self.ctx.dim, self.mask
+        ones = self.ctx._block_ones * ((1 << n) + 1)  # bit a*m of both copies, for every a
+        windows = []
+        while v:  # the cells with y-exponent below m - b, then the others
+            i = v.bit_length() - 1
+            v, b = v ^ 1 << i, i % m
+            windows.append((ones * ((1 << (m - b)) - 1), n - i))
+            if b:
+                windows.append((ones * ((1 << m) - (1 << (m - b))), n - i + m))
+        return n, tuple(windows)
 
     def shift(self, mono: Monomial) -> "Poly":
         """Multiply by a single monomial."""

@@ -36,7 +36,7 @@ from bbcovers.covers import (
     is_connected,
     verify_cover_isomorphism,
 )
-from bbcovers.gf2 import BinMatrix, parities
+from bbcovers.gf2 import BinMatrix, parities, xor_rows
 from bbcovers.rings import Monomial, Poly, RingContext, parse_poly
 
 from oracles import (
@@ -122,6 +122,15 @@ def test_to_matrix_is_a_ring_homomorphism(pq):
     assert (p + q).to_matrix().rows == tuple(a ^ b for a, b in zip(p.to_matrix().rows, q.to_matrix().rows))
     assert (p * q).to_matrix() == p.to_matrix() @ q.to_matrix()
     assert p.transpose().to_matrix() == p.to_matrix().transpose()
+
+
+@example((parse_poly("1+x^2+x^3", RingContext(7, 1)), parse_poly("x+x^6", RingContext(7, 1)))).via("m = 1")
+@example((parse_poly("y+y^4", RingContext(1, 5)), parse_poly("1+y^3", RingContext(1, 5)))).via("l = 1")
+@example((parse_poly("x^3+x^2y", RingContext(6, 3)), parse_poly("x+y^2", RingContext(6, 3)))).via("b = 0 terms")
+@given(poly_pairs())
+def test_the_ring_product_is_the_mask_product_either_way_and_the_row_xor(pq):
+    p, q = pq
+    assert (p * q).mask == q.mul_mask(p.mask) == p.mul_mask(q.mask) == xor_rows(p.to_matrix().rows, q.mask)
 
 
 # l = 1 and m = 1 lattices, where one translation generator is trivial

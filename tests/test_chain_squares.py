@@ -7,13 +7,16 @@ verdict must be the one the products in oracles.py give.
 
 from math import gcd
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from bbcovers import chainmaps
+from bbcovers.autos import CodeAutomorphism, antipode_zx_duality, shift_automorphism, verify_automorphism
 from bbcovers.autos import y_exponent_swap_automorphism
-from bbcovers.chainmaps import ChainMap, lifting_map, projection_map
+from bbcovers.chainmaps import ChainMap, _cell_table, _translation, lifting_map, projection_map
 from bbcovers.codes import BBCode, parse_code_spec
-from bbcovers.rings import Poly, RingContext
+from bbcovers.rings import Monomial, Poly, RingContext
 
 from oracles import boundaries_reference, chain_map_commutes_reference, squares_commute_reference
 from test_bitset_properties import lifts
@@ -104,3 +107,59 @@ def test_projection_squares_on_generator_columns_match_the_products(lift):
     dual = (boundaries_reference(cover, True), boundaries_reference(base, True))
     assert squares_commute_reference(degs[::-1], *dual)
     assert tm.commutes() == chain_map_commutes_reference(tm)
+
+
+def test_translation_and_antipode_tables_match_the_per_cell_formulas():
+    for l in range(1, 9):
+        for m in range(1, 9):
+            ctx = RingContext(l, m)
+            antipode = antipode_zx_duality(BBCode(Poly.one(ctx), Poly.one(ctx)))
+            assert antipode._cell_tables[0] == tuple(ctx.index(-a, -b) for a in range(l) for b in range(m))
+            for a in range(-3, 12):
+                for b in range(-3, 12):
+                    assert _translation(ctx, a, b) == tuple(ctx.index(i // m + a, i % m + b) for i in range(ctx.dim))
+
+
+def test_a_column_of_no_bit_or_two_bits_decodes_to_no_cell_table():
+    assert _cell_table((2, 1, 8)) == (1, 0, 3)
+    assert _cell_table((2, 0, 8)) is None
+    assert _cell_table((2, 5, 8)) is None
+
+
+GROSS = parse_code_spec("l=12 m=6 A=x^3+y+y^2 B=y^3+x+x^2")
+
+
+def test_a_qubit_table_that_sends_two_cells_to_one_is_refused():
+    shift = shift_automorphism(GROSS, Monomial(1, 2))
+    cols1 = list(shift.cols1)
+    cols1[1] = cols1[0]
+    bad = CodeAutomorphism(shift.cols2, tuple(cols1), shift.cols0, GROSS, GROSS)
+    assert bad._cell_tables[1] is not None
+    assert not verify_automorphism(GROSS, bad)
+    with pytest.raises(ValueError, match="not a permutation"):
+        bad.f
+
+
+def test_a_shift_with_two_cells_swapped_takes_every_column_and_fails():
+    shift = shift_automorphism(GROSS, Monomial(1, 2))
+    cols1 = list(shift.cols1)
+    cols1[0], cols1[1] = cols1[1], cols1[0]
+    swapped = CodeAutomorphism(shift.cols2, tuple(cols1), shift.cols0, GROSS, GROSS)
+    assert swapped._step == 1
+    assert not swapped.commutes() and not chain_map_commutes_reference(swapped)
+    assert not verify_automorphism(GROSS, swapped)
+
+
+def test_a_check_degree_shared_by_both_check_spaces_is_decoded_once(monkeypatch):
+    decoded = []
+
+    def spy(cols):
+        decoded.append(cols)
+        return _cell_table(cols)
+
+    monkeypatch.setattr(chainmaps, "_cell_table", spy)
+    shift = shift_automorphism(GROSS, Monomial(3, 1))
+    assert shift.cols0 is shift.cols2
+    tables = shift._cell_tables
+    assert decoded == [shift.cols2, shift.cols1]
+    assert tables[0] is tables[2] == _translation(GROSS.ctx, 3, 1)

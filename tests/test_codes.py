@@ -190,6 +190,14 @@ def test_codes_never_multiply_or_transpose_a_dense_matrix(monkeypatch):
     assert verify_cover_isomorphism(base, cover, check_cover(base, cover))
 
 
+def test_syndromes_are_ring_products_and_build_no_transposed_check_matrix():
+    code = parse_code_spec(GROSS)
+    basis = code.logical_basis
+    ops = (basis.x_ops[0], basis.z_ops[0], parse_pauli("X(1|0)", code.ctx), parse_pauli("Z(x|y)", code.ctx))
+    assert [code.classify(op) for op in ops] == [Classification.LOGICAL] * 2 + [Classification.NOT_IN_KERNEL] * 2
+    assert "hx_t" not in vars(code) and "hz_t" not in vars(code)
+
+
 def test_construction_stacks_no_matrix(monkeypatch):
     def fail(*args):
         raise AssertionError("a check matrix was stacked while building the code")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from bbcovers.codes import BBCode, Refusal, _coset_reps, parse_code_spec
 from bbcovers.covers import _records, _side_class
-from bbcovers.gf2 import BinMatrix, RowReducer, ShapeError, leading_bits
+from bbcovers.gf2 import BinMatrix, RowReducer, ShapeError, leading_bits, xor_rows
 from bbcovers.rings import Poly, RingContext
 from bbcovers.tables import base_row, sequence_tables
 
@@ -151,6 +151,19 @@ def test_coset_reps_are_the_greedy_picks(code):
         reps = _coset_reps(checks, stabs.rows)
         assert len(reps) == code.k
         assert reps == coset_reps_reference(check_matrix, stabs, code.k)
+
+
+@settings(max_examples=60, deadline=None)
+@example(SMALL_CODES[1], [-1, 1 << 60, -(1 << 28) + 5]).via("negative words and bits at or above n")
+@given(
+    st.one_of(st.sampled_from(SMALL_CODES), weight3_codes(), published_lifts()),
+    st.lists(st.integers(-(1 << 320), 1 << 320), min_size=1, max_size=6),
+)
+def test_ring_syndromes_are_the_row_xor_of_the_transposed_checks(code, words):
+    # bits from n up are ignored, and a negative word is read in two's complement
+    for v in words:
+        assert code.syndrome_vector("X", v) == xor_rows(code.hz_t.rows, v & ((1 << code.n) - 1))
+        assert code.syndrome_vector("Z", v) == xor_rows(code.hx_t.rows, v & ((1 << code.n) - 1))
 
 
 @given(matrices(square=True))
