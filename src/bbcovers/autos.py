@@ -7,12 +7,14 @@ logical-action computation are offered for given candidates, with the shift
 family and two worked constructions built in.  The automorphism-named
 functions take both kinds; the duality-named ones refuse any other map.
 
-Like every ChainMap they are column tables: the built-in constructions and
-the sheet-wise lift write the image of each cell directly, and a degree whose
-columns are distinct single bits is a permutation with no rank to compute.
-Shifts, the antipode and block swap, and lifts of base shifts that are cover
-shifts are affine cell maps, so their squares are decided on the generator
-columns (see chainmaps).
+Like every ChainMap they are column tables.  The built-in constructions are
+built from cell tables and carry them; the sheet-wise lift lifts a cell
+degree by its table and any other degree by its columns, and checks that it
+intertwines with p on tables where both maps are cell maps, on columns
+elsewhere.  A degree whose cell table sends distinct cells to distinct cells
+is a permutation with no rank to compute.  Shifts, the antipode and block
+swap, and lifts of base shifts that are cover shifts are affine cell maps, so
+their squares are decided on the generator columns (see chainmaps).
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from functools import cached_property
 from .codes import BBCode, Classification, InternalConsistencyError, LogicalBasis, Refusal
 from .codes import _overlap_matrix, pairing_matrix
 from .covers import CoverWitness
-from .chainmaps import ChainMap, _block_diag, _class_images, _class_matrix, _compose, _mark_verified
-from .chainmaps import _translation, _unit_columns, lift_logical
+from .chainmaps import ChainMap, _both_blocks, _cell_map, _class_images, _class_matrix
+from .chainmaps import _compose, _compose_cells, _mark_verified, _translation, _unit_columns, lift_logical
 from .gf2 import BinMatrix, xor_rows
 from .rings import Monomial
 
@@ -143,9 +145,11 @@ def verify_zx_duality(code: BBCode, dual: ZXDuality) -> bool:
 def _from_cells(code: BBCode, cells, dual: bool = False) -> CodeAutomorphism:
     """The map sending cell j to cells[j] on both check spaces and within each
     qubit block, or, as a ZX-duality (``dual``), across the blocks."""
-    w, lm = _unit_columns(cells), code.ctx.dim
-    up = tuple(c << lm for c in w)
-    return (ZXDuality if dual else CodeAutomorphism)(w, up + w if dual else w + up, w, code, code)
+    cells = tuple(cells)
+    qubits = _both_blocks(cells, code.ctx.dim)
+    if dual:
+        qubits = qubits[len(cells):] + cells
+    return _cell_map(ZXDuality if dual else CodeAutomorphism, (cells, qubits, cells), code, code)
 
 
 def shift_automorphism(code: BBCode, mono: Monomial) -> CodeAutomorphism:
@@ -177,13 +181,17 @@ def antipode_zx_duality(code: BBCode) -> ZXDuality:
 
 # --- lifting along a cover -------------------------------------------------------
 
-def _block_lift(witness: CoverWitness, w: tuple[int, ...]) -> tuple[int, ...]:
-    """Sheet-wise lift of the columns of a square base map of lm x lm blocks:
-    every block is repeated on every sheet, so each sheet maps to itself.
-    Check maps are the one-block case and qubit maps the two-block case."""
+def _sheet_index(witness: CoverWitness, n: int) -> list[int]:
+    """Cover index on sheet (0, 0) of every index of a base space of n cells, lm
+    x lm block by block: one block for check spaces, two for qubits."""
     lm_b, lm_c = witness.base.ctx.dim, witness.cover.ctx.dim
-    # cover index on sheet (0, 0) of every base index, block by block
-    index = [block * lm_c + e for block in range(len(w) // lm_b) for e in witness.embedding]
+    return [block * lm_c + e for block in range(n // lm_b) for e in witness.embedding]
+
+
+def _block_lift(witness: CoverWitness, w: tuple[int, ...]) -> tuple[int, ...]:
+    """Sheet-wise lift of the columns of a square base map: every block is
+    repeated on every sheet, so each sheet maps to itself."""
+    index = _sheet_index(witness, len(w))
     units, cols = _unit_columns(index), [0] * (len(index) * witness.h)
     for j, col in enumerate(w):
         lifted = xor_rows(units, col)
@@ -192,18 +200,46 @@ def _block_lift(witness: CoverWitness, w: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(cols)
 
 
+def _lift_table(witness: CoverWitness, cells: tuple[int, ...]) -> tuple[int, ...]:
+    """Sheet-wise lift of the cell table of a square base map, cell index[j] + o
+    going to index[cells[j]] + o on every sheet o: the cell table of its
+    ``_block_lift``."""
+    index = _sheet_index(witness, len(cells))
+    image, lifted = _compose_cells(index, cells), [0] * (len(index) * witness.h)
+    for o in witness.sheet_offsets:
+        for i, c in zip(index, image):
+            lifted[i + o] = c + o
+    return tuple(lifted)
+
+
+def _intertwines(p: tuple[int, ...], up, down, up_cols, down_cols) -> bool:
+    """Whether p . up = down . p in one degree, for the cell table p and the lifted
+    and base degrees: on their cell tables when both have one, else on columns."""
+    if up is not None and down is not None:
+        return _compose_cells(p, up) == _compose_cells(down, p)
+    q = _unit_columns(p)
+    return _compose(q, up_cols) == _compose(down_cols, q)
+
+
 def _lift(witness: CoverWitness, m: CodeAutomorphism) -> CodeAutomorphism:
     """Sheet-wise lift; verified on the cover and intertwining with p in every degree."""
     if not _verify(witness.base, m):
         raise Refusal("the supplied map does not verify on the base code")
     cover = witness.cover
-    lifted = type(m)(*(_block_lift(witness, cols) for cols in m.columns), cover, cover)
+    top, mid, bottom = base_tables = m._cell_tables
+    # a lifted column has the weight of its base column: cell degrees lift to cell degrees
+    lifts = [t if t is None else _lift_table(witness, t) for t in (top, mid)]
+    tables = (*lifts, lifts[0] if bottom is top else bottom and _lift_table(witness, bottom))
+    if None in tables:  # a W that is no cell map lifts by its columns
+        cols = (_block_lift(witness, w) if t is None else _unit_columns(t) for w, t in zip(m.columns, tables))
+        lifted = type(m)(*cols, cover, cover, tables)
+    else:
+        lifted = _cell_map(type(m), tables, cover, cover)
     if not _verify(cover, lifted):
         raise Refusal("sheet-wise lift does not verify on the cover code")
-    # p . lifted = m . p in every degree, column by column
-    p = _unit_columns(witness.projection)
-    ps = (p, _block_diag(p, witness.base.ctx.dim), p)
-    if any(_compose(q, up) != _compose(down, q) for q, up, down in zip(ps, lifted.columns, m.columns)):
+    p = witness.projection
+    ps = (p, _both_blocks(p, witness.base.ctx.dim), p)
+    if not all(map(_intertwines, ps, tables, base_tables, lifted.columns, m.columns)):
         raise InternalConsistencyError("lift does not intertwine with the projection")
     return lifted
 

@@ -11,23 +11,27 @@ A chain map is stored degreewise as column tables: column j of a degree is
 the image of basis vector j, a mask over the target basis.  Applying a map
 XORs columns, and a square deg_(i-1) . d_i = d'_i . deg_i is compared column
 by column, column j of d_i being row j of H_Z, H_X^T, H_X or H_Z^T.  Most maps
-here send each cell to one cell, read off a cell table decoded once per degree
-tuple, and are affine on the lattice with one common lattice homomorphism phi:
-f(g + v) = f(g) + phi(v), in every degree (p, shifts, the antipode, block
-swaps, lifts of base shifts).  The boundaries are
-translation-equivariant, so both sides of each square of such a map are
-twisted-equivariant maps out of a free module over the group algebra (rank 1
-on checks, rank 2 on qubits), fixed by their values on its generators: column
-0 on checks, columns 0 and lm on qubits decide the square.  An O(n) comparison
-on the generators x and y certifies the premise; any other map, such as a
-constant section or a matrix read from JSON, is compared on every column.
+here send each cell to one cell: those built from cells (p, the constant
+sections, and the shifts, antipode, block swap and lifts of autos) carry
+their cell tables from construction, and any other map decodes its tables
+from its columns once.  Most of these are affine on the lattice with one
+common lattice homomorphism phi: f(g + v) = f(g) + phi(v), in every degree
+(p, shifts, the antipode, block swaps, lifts of base shifts).  The
+boundaries are translation-equivariant, so both sides of each square of
+such a map are twisted-equivariant maps out of a free module over the group
+algebra (rank 1 on checks, rank 2 on qubits), fixed by their values on its
+generators: column 0 on checks, columns 0 and lm on qubits decide the
+square.  Table compositions over every cell for the generators x and y
+certify the premise; any other map, such as a constant section or a matrix
+read from JSON, is compared on every column.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import InitVar, dataclass, field
+from functools import cached_property, lru_cache
 from itertools import product, repeat
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from .codes import BBCode, Classification, InternalConsistencyError, PauliOp, Refusal
@@ -44,26 +48,30 @@ class ChainMap:
     """Degreewise column tables of a map between two code complexes; a chain
     map wherever its squares were checked (constant sections are not checked).
     cols2 acts on Z-checks, cols1 on qubits and cols0 on X-checks; the
-    matrices deg2, deg1 and deg0 are built when read."""
+    matrices deg2, deg1 and deg0 are built when read.  A map built from cells
+    passes its cell tables as ``tables``, the ``_cell_tables`` of its columns."""
 
     cols2: tuple[int, ...]
     cols1: tuple[int, ...]
     cols0: tuple[int, ...]
     source: BBCode
     target: BBCode
+    tables: InitVar[tuple[tuple[int, ...] | None, ...] | None] = None
     # "own" or "dual", set once every square into that complex of the target was
     # checked: the map then sends the kernel vectors of each sector into the same
     # sector ("own") or the other one ("dual"), and class images of that sector
     # pairing skip the kernel test
     _verified_into: str | None = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, tables) -> None:
         src, tgt = self.source, self.target
         shapes = ((src.ctx.dim, tgt.ctx.dim), (src.n, tgt.n), (src.ctx.dim, tgt.ctx.dim))
         for name, (n_src, n_tgt) in zip(("cols2", "cols1", "cols0"), shapes):
             deg = getattr(self, name)
             if len(deg) != n_src or (deg and (min(deg) < 0 or max(deg) >> n_tgt)):
                 raise ShapeError(f"a degree of {len(deg)} columns, expected {n_src} over {n_tgt} rows")
+        if tables is not None:
+            self.__dict__["_cell_tables"] = tables  # what the cached property would decode
 
     @property
     def columns(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
@@ -89,7 +97,8 @@ class ChainMap:
 
     @cached_property
     def _cell_tables(self) -> tuple[tuple[int, ...] | None, ...]:
-        """``_cell_table`` of each degree of ``columns``; cols0 shares that of cols2 when it is cols2."""
+        """``_cell_table`` of each degree of ``columns``, decoded here for a map
+        built without its tables; cols0 shares that of cols2 when it is cols2."""
         top = _cell_table(self.cols2)
         return top, _cell_table(self.cols1), top if self.cols0 is self.cols2 else _cell_table(self.cols0)
 
@@ -125,7 +134,27 @@ class HomologyMap:
 
 def _unit_columns(table) -> tuple[int, ...]:
     """Columns of the cell map j -> table[j]: column j is the unit vector table[j]."""
-    return tuple(1 << i for i in table)
+    return tuple([1 << i for i in table])
+
+
+def _cell_map(cls, tables, source: BBCode, target: BBCode) -> ChainMap:
+    """The map of type cls sending cell j of degree i to tables[i][j], with
+    these tables; its cols0 is its cols2 when the two tables are one."""
+    top, mid, bottom = tables
+    cols2 = _unit_columns(top)
+    cols0 = cols2 if bottom is top else _unit_columns(bottom)
+    return cls(cols2, _unit_columns(mid), cols0, source, target, tables)
+
+
+def _both_blocks(cells: tuple[int, ...], shift: int) -> tuple[int, ...]:
+    """Cell table of q (+) q, for the cell table of q into ``shift`` cells."""
+    return cells + tuple(map(shift.__add__, cells))
+
+
+def _compose_cells(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
+    """Cell table of f . g: cell j goes to f[g[j]]."""
+    # itemgetter of a single index returns the bare item
+    return itemgetter(*g)(f) if len(g) != 1 else (f[g[0]],)
 
 
 def _matrix(cols: tuple[int, ...], n_rows: int) -> BinMatrix:
@@ -169,11 +198,19 @@ def _is_chain_map(degs, source, target, step: int) -> bool:
 
 def _translation(ctx: RingContext, a: int, b: int) -> tuple[int, ...]:
     """Index table of multiplication by x^a y^b on the lattice cells, x-row by x-row."""
-    l, m, b = ctx.l, ctx.m, b % ctx.m
+    return _translations(ctx, a % ctx.l, b % ctx.m)[0]
+
+
+@lru_cache(maxsize=16)  # a laws item, a cover with its base and their maps, reads at most 11
+def _translations(ctx: RingContext, a: int, b: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Cell tables of multiplication by x^a y^b, 0 <= a < l and 0 <= b < m, on
+    the lattice cells and on both qubit blocks."""
+    l, m = ctx.l, ctx.m
     out: list[int] = []
     for row in (i % l * m for i in range(a, a + l)):
         out += (*range(row + b, row + m), *range(row, row + b))
-    return tuple(out)
+    cells = tuple(out)
+    return cells, _both_blocks(cells, ctx.dim)
 
 
 def _cell_table(cols: tuple[int, ...]) -> tuple[int, ...] | None:
@@ -191,14 +228,14 @@ def _affine(tables, src: RingContext, tgt: RingContext) -> bool:
     cells obey this stays in one target block, as x and y generate the lattice."""
     if None in tables:
         return False
-    lm, lm_t, checks = src.dim, tgt.dim, tables[0]
+    checks = tables[0]
     for v in ((1, 0), (0, 1)):
-        move = _translation(src, *v)
+        move, moves = _translations(src, *v)
         (a0, b0), (a1, b1) = divmod(checks[0], tgt.m), divmod(checks[move[0]], tgt.m)
-        phi = _translation(tgt, a1 - a0, b1 - b0)
-        move, phi = move + tuple(i + lm for i in move), phi + tuple(i + lm_t for i in phi)  # both qubit blocks
-        if any([*map(t.__getitem__, move[: len(t)])] != [*map(phi.__getitem__, t)] for t in dict.fromkeys(tables)):
-            return False
+        phi = _translations(tgt, (a1 - a0) % tgt.l, (b1 - b0) % tgt.m)[1]  # on both qubit blocks
+        for t in dict.fromkeys(tables):
+            if _compose_cells(t, move if len(t) == src.dim else moves) != _compose_cells(phi, t):
+                return False
     return True
 
 
@@ -207,7 +244,7 @@ def projection_map(witness: CoverWitness) -> ChainMap:
     exactly: its chain squares, and its cochain squares as the chain squares
     between the dual complexes."""
     object.__setattr__(witness, "_projection_verified", False)
-    cm = _degreewise(_unit_columns(witness.projection), witness.cover, witness.base)
+    cm = _degreewise_cells(witness.projection, witness.cover, witness.base)
     if not cm.commutes():
         raise InternalConsistencyError("chain-map square failed")
     dual = (_boundaries(cm.source, True), _boundaries(cm.target, True))
@@ -220,6 +257,11 @@ def projection_map(witness: CoverWitness) -> ChainMap:
 def _degreewise(q: tuple[int, ...], source: BBCode, target: BBCode) -> ChainMap:
     """The map (q, q (+) q, q) of a map q between monomial spaces, given by its columns."""
     return ChainMap(q, _block_diag(q, target.ctx.dim), q, source, target)
+
+
+def _degreewise_cells(cells: tuple[int, ...], source: BBCode, target: BBCode) -> ChainMap:
+    """The map (q, q (+) q, q) of a map q between monomial spaces, given by its cell table."""
+    return _cell_map(ChainMap, (cells, _both_blocks(cells, target.ctx.dim), cells), source, target)
 
 
 def lifting_map(witness: CoverWitness) -> ChainMap:
@@ -374,7 +416,7 @@ def constant_section(witness: CoverWitness, g: int, d: int) -> ChainMap:
     cell on sheet (g mod u, d mod t); p . sigma is the identity in each degree."""
     base, cover = witness.base, witness.cover
     o = witness.sheet_offsets[(g % witness.u) * witness.t + d % witness.t]
-    return _degreewise(tuple(1 << (e + o) for e in witness.embedding), base, cover)
+    return _degreewise_cells(tuple(map(o.__add__, witness.embedding)), base, cover)
 
 
 def weight_preserving_lift_search(

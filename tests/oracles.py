@@ -424,6 +424,26 @@ def chain_map_commutes_reference(cm, dual_target: bool = False) -> bool:
     return squares_commute_reference(degs, boundaries_reference(cm.source), boundaries_reference(cm.target, dual_target))
 
 
+def affine_reference(tables, src: RingContext, tgt: RingContext) -> bool:
+    """chainmaps._affine by list comparison cell by cell: every degree is a cell
+    map with t[g + v] == phi[t[g]] for v = x, y, where the translations are read
+    off ctx.index over both qubit blocks and phi off the check degree tables[0]."""
+    if None in tables:
+        return False
+
+    def translation(ctx, a, b):
+        return [s * ctx.dim + ctx.index(i // ctx.m + a, i % ctx.m + b) for s in (0, 1) for i in range(ctx.dim)]
+
+    checks = tables[0]
+    for v in ((1, 0), (0, 1)):
+        move = translation(src, *v)
+        (a0, b0), (a1, b1) = divmod(checks[0], tgt.m), divmod(checks[move[0]], tgt.m)
+        phi = translation(tgt, a1 - a0, b1 - b0)
+        if any([t[move[j]] for j in range(len(t))] != [phi[i] for i in t] for t in tables):
+            return False
+    return True
+
+
 # --- the two exhaustive distance strategies ------------------------------------
 #
 # The strategies distance.py used before the pinned cluster search: a Gray-code

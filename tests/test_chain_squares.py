@@ -157,9 +157,10 @@ def test_a_check_degree_shared_by_both_check_spaces_is_decoded_once(monkeypatch)
         decoded.append(cols)
         return _cell_table(cols)
 
+    # a map given by its columns decodes its tables; a built shift carries them
+    built = shift_automorphism(GROSS, Monomial(3, 1))
     monkeypatch.setattr(chainmaps, "_cell_table", spy)
-    shift = shift_automorphism(GROSS, Monomial(3, 1))
-    assert shift.cols0 is shift.cols2
+    shift = CodeAutomorphism(built.cols2, built.cols1, built.cols2, GROSS, GROSS)
     tables = shift._cell_tables
     assert decoded == [shift.cols2, shift.cols1]
     assert tables[0] is tables[2] == _translation(GROSS.ctx, 3, 1)
