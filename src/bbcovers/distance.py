@@ -7,19 +7,25 @@ logical must commute with (H_X for Z logicals, H_Z for X logicals):
 * Pinning.  The lattice translations x^a y^b are code automorphisms with two
   orbits on the qubits, the left and the right block, so some translate of
   every minimum-weight logical contains qubit 0 or qubit lm.  Searching only
-  the sets that contain one of those two qubits loses no weight.
+  the sets that contain one of those two qubits loses no weight.  Pin lm runs
+  only when pin 0 found nothing at this weight, and then only on the right
+  block: a weight-w nontrivial logical meeting the left block would have a
+  translate through qubit 0, which pin 0 would have found.
 * Branching.  If S is a minimum-weight nontrivial logical, no proper nonempty
   subset T of S has zero syndrome: T or S \\ T would be a lighter nontrivial
   logical.  So every check T leaves unsatisfied meets S \\ T, and growing T
-  only by the qubits of its lowest unsatisfied check still reaches S.  A
-  branch dies when its syndrome is zero before full weight, or when it has
-  more unsatisfied checks than the remaining qubits can reach (the largest
-  column weight times the qubits left).  A full-weight set with zero syndrome
-  counts when it is outside the stabilizer span.
+  only by the qubits of its lowest unsatisfied check still reaches S.  Each
+  such qubit is tested before the branch is entered: it is dropped when it
+  zeroes the syndrome before full weight, or when the unsatisfied checks left
+  outnumber what the remaining qubits can reach (the largest column weight
+  times the qubits left).  A full-weight set with zero syndrome counts when it
+  is outside the stabilizer span.
 * Witness.  At the first weight with a hit, the witness is the hit first in
   ascending support order.  Translation invariance puts that one among the
-  hits of pin 0 when there are any, otherwise among those of pin lm.  It is
-  re-checked with classify, and a failure is an InternalConsistencyError.
+  hits of pin 0 when there are any, otherwise among those of pin lm.  Of two
+  hits of one weight, the first holds the lowest qubit of their difference,
+  so one scan finds it.  It is re-checked with classify, and a failure is an
+  InternalConsistencyError.
 * w_max.  The result is exact, with that witness, or a lower-bound-interval
   (d > w_max) when no weight up to w_max has a hit; w_max is echoed as given.
 """
@@ -48,30 +54,37 @@ class DistanceResult:
 
 
 def _cluster_search(code: BBCode, basis: str):
-    """logicals(root, w): the weight-w nontrivial logicals through `root`, when
-    no lighter nontrivial logical of the given type exists."""
+    """logicals(root, w, within): the weight-w nontrivial logicals through `root`
+    inside the qubit mask `within`, when no lighter nontrivial logical of the
+    given type exists."""
     h, h_t = (code.hx, code.hx_t) if basis == "Z" else (code.hz, code.hz_t)
     checks, cols = h.rows, h_t.rows
     reach = max(c.bit_count() for c in cols)
     stab = code._z_stab_reducer if basis == "Z" else code._x_stab_reducer
 
-    def logicals(root: int, w: int) -> list[int]:
+    def logicals(root: int, w: int, within: int = -1) -> list[int]:
         hits: set[int] = set()
 
         def grow(v: int, syn: int, left: int) -> None:
-            if not syn:
-                if not left:
-                    hits.add(v)
-                return
-            if syn.bit_count() > reach * left:
-                return
-            free = checks[(syn & -syn).bit_length() - 1] & ~v
+            # syn is nonzero and within reach of the `left` qubits still to add
+            free = checks[(syn & -syn).bit_length() - 1] & ~v & within
+            left -= 1
             while free:
                 q = free & -free
-                grow(v | q, syn ^ cols[q.bit_length() - 1], left - 1)
+                s = syn ^ cols[q.bit_length() - 1]
+                if not s:
+                    if not left:
+                        hits.add(v | q)
+                elif left and s.bit_count() <= reach * left:
+                    grow(v | q, s, left)
                 free ^= q
 
-        grow(1 << root, cols[root], w - 1)
+        v, syn = 1 << root, cols[root]
+        if not syn:
+            if w == 1:
+                hits.add(v)
+        elif w > 1 and syn.bit_count() <= reach * (w - 1):
+            grow(v, syn, w - 1)
         return [v for v in hits if not stab.contains(v)]
 
     return logicals
@@ -81,6 +94,17 @@ def _ascending_support(v: int) -> list[int]:
     return [i for i in range(v.bit_length()) if v >> i & 1]
 
 
+def _first_in_ascending_support(vs: list[int]) -> int:
+    """The set first in ascending support order among sets of equal weight: of two
+    such sets, the one holding the lowest element of their difference."""
+    best = vs[0]
+    for v in vs:
+        x = v ^ best
+        if v & x & -x:
+            best = v
+    return best
+
+
 def _lightest_logical(code: BBCode, basis: str, w_max: int) -> tuple[int, int] | None:
     """(d, witness vector) of the given side, or None when d > w_max."""
     if w_max < 1:
@@ -88,11 +112,12 @@ def _lightest_logical(code: BBCode, basis: str, w_max: int) -> tuple[int, int] |
     if code.k == 0:
         raise Refusal("distance undefined: the code has no logical qubits")
     logicals = _cluster_search(code, basis)
+    lm = code.ctx.dim
+    right_block = ((1 << lm) - 1) << lm
     for w in range(1, min(w_max, code.n) + 1):
-        for root in (0, code.ctx.dim):
-            found = logicals(root, w)
-            if found:
-                return w, min(found, key=_ascending_support)
+        found = logicals(0, w) or logicals(lm, w, right_block)
+        if found:
+            return w, _first_in_ascending_support(found)
     return None
 
 

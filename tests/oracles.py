@@ -1,12 +1,8 @@
-"""Slow, obviously-correct reference implementations used only by the tests,
-and the random-code strategy that property tests share."""
+"""Slow, obviously-correct reference implementations used only by the tests."""
 
 from collections import Counter
 from functools import reduce
 from itertools import combinations, islice
-
-from hypothesis import assume
-from hypothesis import strategies as st
 
 from bbcovers.codes import BBCode, PauliOp, Refusal
 from bbcovers.covers import _lift_masks, build_tanner_graph, is_connected
@@ -512,6 +508,55 @@ def mitm_minimum(code, basis: str, w_max: int) -> tuple[int | None, int]:
     return None, 0
 
 
+# The cluster search as distance.py ran it before branches were pruned in
+# their parent call and pin lm was searched on the right block only.
+
+
+def cluster_search_reference(code: BBCode, basis: str):
+    """logicals(root, w): the weight-w nontrivial logicals through `root`, when
+    no lighter nontrivial logical of the given type exists."""
+    h, h_t = (code.hx, code.hx_t) if basis == "Z" else (code.hz, code.hz_t)
+    checks, cols = h.rows, h_t.rows
+    reach = max(c.bit_count() for c in cols)
+    stab = code._z_stab_reducer if basis == "Z" else code._x_stab_reducer
+
+    def logicals(root: int, w: int) -> list[int]:
+        hits: set[int] = set()
+
+        def grow(v: int, syn: int, left: int) -> None:
+            if not syn:
+                if not left:
+                    hits.add(v)
+                return
+            if syn.bit_count() > reach * left:
+                return
+            free = checks[(syn & -syn).bit_length() - 1] & ~v
+            while free:
+                q = free & -free
+                grow(v | q, syn ^ cols[q.bit_length() - 1], left - 1)
+                free ^= q
+
+        grow(1 << root, cols[root], w - 1)
+        return [v for v in hits if not stab.contains(v)]
+
+    return logicals
+
+
+def pinned_hits_against_reference(code, basis: str, w_top: int) -> list[tuple[int, int, set[int], set[int]]]:
+    """(w, pin, hits, reference hits) for w = 1 .. w_top, which must not pass the
+    minimum weight: pin 0 against the reference's pin 0 and, at each weight where
+    pin 0 is empty, pin lm on the right block against the reference's pin lm."""
+    logicals, reference = _cluster_search(code, basis), cluster_search_reference(code, basis)
+    lm = code.ctx.dim
+    out = []
+    for w in range(1, w_top + 1):
+        hits = set(logicals(0, w))
+        out.append((w, 0, hits, set(reference(0, w))))
+        if not hits:
+            out.append((w, lm, set(logicals(lm, w, ((1 << lm) - 1) << lm)), set(reference(lm, w))))
+    return out
+
+
 def class_coords_reference(code, side: str, v: int) -> int | None:
     """Coordinates of v in the code's ``side`` logical basis, None outside the kernel.
 
@@ -525,23 +570,3 @@ def class_coords_reference(code, side: str, v: int) -> int | None:
     rows, n = stabs + tuple(op.support_vector() for op in ops), code.n
     r = RowReducer(n, (row | 1 << (n + i) for i, row in enumerate(rows))).reduce(v)
     return None if r & ((1 << n) - 1) else r >> (n + len(stabs))
-
-
-@st.composite
-def weight3_codes(draw):
-    """A BB code with weight-3 A and B over a ring with l, m <= 4, and k > 0.
-
-    The kernel walk and the coset walk visit 2^((n + k)/2) vectors, so codes
-    past 2^18 are skipped to keep the oracles fast.  About one random code in
-    five qualifies, so up to ten are drawn per example: rejecting each one
-    outright trips hypothesis's filter_too_much health check at random.
-    """
-    for _ in range(10):
-        l, m = draw(st.sampled_from([(l, m) for l in range(1, 5) for m in range(1, 5) if l * m >= 3]))
-        ctx = RingContext(l, m)
-        cells = st.tuples(st.integers(0, l - 1), st.integers(0, m - 1))
-        a, b = (Poly.make(ctx, draw(st.sets(cells, min_size=3, max_size=3))) for _ in "ab")
-        code = BBCode(a, b)
-        if code.k > 0 and (code.n + code.k) // 2 <= 18:
-            return code
-    assume(False)

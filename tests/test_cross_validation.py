@@ -1,11 +1,12 @@
 """Dual-route checks: independent strategies must agree on shared ground."""
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bbcovers.chainmaps import projection_map
 from bbcovers.codes import BBCode, Classification, parse_code_spec
 from bbcovers.covers import canonical_form, check_cover, enumerate_covers
-from bbcovers.distance import distance_one_side, exact_distance
+from bbcovers.distance import _ascending_support, _first_in_ascending_support, distance_one_side, exact_distance
 from bbcovers.gf2 import RowReducer
 
 from oracles import (
@@ -14,8 +15,9 @@ from oracles import (
     logical_vectors_of_weight,
     mitm_logicals_of_weight,
     mitm_minimum,
-    weight3_codes,
+    pinned_hits_against_reference,
 )
+from random_codes import weight3_codes, weight4_codes
 
 
 def brute_force_z_distance(code):
@@ -73,6 +75,30 @@ def test_cluster_search_matches_oracles_on_random_codes(code):
         truth = brute_force_z_distance(code) if side == "Z" else coset_minimum(code, "X")[0]
         assert res.kind == "exact" and res.value == truth
         assert res.witness.support_vector() == mitm_minimum(code, side, truth)[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(weight3_codes(), weight4_codes()))
+def test_pruned_search_finds_the_reference_hits_at_every_weight_up_to_d(code):
+    # pin 0, and the right-block pin lm where pin 0 is empty, against the search
+    # that tested each branch only after calling into it
+    for side in "ZX":
+        d = distance_one_side(code, side, code.n).value
+        for w, pin, hits, reference in pinned_hits_against_reference(code, side, d):
+            assert hits == reference, (side, w, pin)
+
+
+@st.composite
+def equal_weight_sets(draw):
+    n = draw(st.integers(1, 24))
+    w = draw(st.integers(1, n))
+    supports = st.sets(st.integers(0, n - 1), min_size=w, max_size=w)
+    return [sum(1 << i for i in support) for support in draw(st.lists(supports, min_size=1, max_size=12))]
+
+
+@given(equal_weight_sets())
+def test_witness_scan_picks_the_first_set_in_ascending_support_order(vecs):
+    assert _first_in_ascending_support(vecs) == min(vecs, key=_ascending_support)
 
 
 def test_k_is_invariant_across_each_canonical_orbit():

@@ -1,16 +1,22 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 from bbcovers.codes import BBCode, Classification, Refusal, build_code, parse_code_spec
 from bbcovers.distance import (
+    _cluster_search,
     distance_one_side,
     exact_distance,
     verify_dx_equals_dz,
 )
 from bbcovers.rings import Monomial
+from bbcovers.tables import all_rows
 
-from oracles import logical_vectors_of_weight
+from oracles import cluster_search_reference, logical_vectors_of_weight, pinned_hits_against_reference
+
+SMALL_COVERS = Path(__file__).resolve().parents[1] / "perfbench" / "small_covers.json"
 
 
 def test_exact_distance_18():
@@ -121,6 +127,41 @@ def test_logical_vectors_of_weight_exhaustive():
     # Z(1 + y|0) and its y-translates
     assert len(set(vecs)) == len(vecs)
     assert {0b11, 0b110, 0b101} <= set(vecs)
+
+
+def test_pruned_search_finds_the_reference_hits_on_every_fixture_code():
+    # every published row and every odd-h cover the distance benchmark draws from,
+    # both sides, up to weight min(d, 6): pin 0, and the right-block pin lm where
+    # pin 0 is empty, against the search that tested each branch after calling into it
+    codes = [(row.spec_line(), row.code(), row.d) for row in all_rows()]
+    for lattice in json.loads(SMALL_COVERS.read_text()):
+        for d, specs in lattice["by_d"].items():
+            codes.extend((spec, parse_code_spec(spec), int(d)) for spec in specs)
+    assert len(codes) == 61 + 182
+    for spec, code, d in codes:
+        for side in "ZX":
+            for w, pin, hits, reference in pinned_hits_against_reference(code, side, min(d, 6)):
+                assert hits == reference, (spec, side, w, pin)
+
+
+@pytest.mark.parametrize(
+    "spec, w, meets_both_blocks",
+    [("l=3 m=3 A=1+y+y^2 B=1+x+x^2", 2, False), ("l=7 m=2 A=y+x^2+x^3 B=1+x^2+x^3", 4, True)],
+)
+def test_searches_from_right_block_roots_are_not_restricted(spec, w, meets_both_blocks):
+    # only the pin-lm call of the distance search keeps to the right block: a search
+    # from any right-block root still reaches the left block, so the oracle is complete
+    code = parse_code_spec(spec)
+    lm = code.ctx.dim
+    left_block = (1 << lm) - 1
+    for side in "ZX":
+        logicals, reference = _cluster_search(code, side), cluster_search_reference(code, side)
+        for root in range(lm, code.n):
+            assert sorted(logicals(root, w)) == sorted(reference(root, w))
+        vecs = logical_vectors_of_weight(code, side, w)
+        assert set(vecs) == {v for root in range(code.n) for v in reference(root, w)}
+        assert any(v & left_block for v in vecs) and any(v & ~left_block for v in vecs)
+        assert any(v & left_block and v & ~left_block for v in vecs) == meets_both_blocks
 
 
 @pytest.mark.parametrize("w", [1, 3])

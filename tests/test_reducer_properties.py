@@ -19,8 +19,8 @@ from oracles import (
     kernel,
     kernel_basis_reference,
     span,
-    weight3_codes,
 )
+from random_codes import weight3_codes
 
 SMALL_CODES = [
     parse_code_spec("l=3 m=3 A=1+y+y^2 B=1+x+x^2"),
