@@ -7,14 +7,15 @@ logical-action computation are offered for given candidates, with the shift
 family and two worked constructions built in.  The automorphism-named
 functions take both kinds; the duality-named ones refuse any other map.
 
-Like every ChainMap they are column tables.  The built-in constructions are
-built from cell tables and carry them; the sheet-wise lift lifts a cell
-degree by its table and any other degree by its columns, and checks that it
-intertwines with p on tables where both maps are cell maps, on columns
-elsewhere.  A degree whose cell table sends distinct cells to distinct cells
-is a permutation with no rank to compute.  Shifts, the antipode and block
-swap, and lifts of base shifts that are cover shifts are affine cell maps, so
-their squares are decided on the generator columns (see chainmaps).
+Like every ChainMap they are column tables.  The shifts, the block swap and
+the antipode are lattice maps (see chainmaps), whose squares are decided from
+phi's images of A and B.  A lattice map with phi = 1 whose translation moves
+no cell across a sheet lifts to the cover's lattice map with the same
+translation and swap, and intertwines with p when the two composites with p
+are one lattice map.  Every other map, the y-swap and any map read from JSON
+among them, lifts block by block on its columns and is verified and
+intertwined with p on columns.  A degree whose cell table sends distinct
+cells to distinct cells is a permutation with no rank to compute.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from functools import cached_property
 from .codes import BBCode, Classification, InternalConsistencyError, LogicalBasis, Refusal
 from .codes import _overlap_matrix, pairing_matrix
 from .covers import CoverWitness
-from .chainmaps import ChainMap, _both_blocks, _cell_map, _class_images, _class_matrix
-from .chainmaps import _compose, _compose_cells, _mark_verified, _translation, _unit_columns, lift_logical
+from .chainmaps import ChainMap, LatticeMap, _block_diag, _class_images, _class_matrix, _compose, _degreewise
+from .chainmaps import _lattice_map, _mark_verified, _unit_columns, lift_logical
 from .gf2 import BinMatrix, xor_rows
 from .rings import Monomial
 
@@ -101,12 +102,17 @@ def _kind(m: CodeAutomorphism) -> str:
     return "tanner" if all(map(_is_permutation, m._cell_tables[::2])) else "general"
 
 
+def _of(code: BBCode, m: CodeAutomorphism) -> CodeAutomorphism:
+    """m itself when it is a map of ``code``; Refusal otherwise."""
+    if m.source != code or m.target != code:
+        raise Refusal("the map is not a map of this code")
+    return m
+
+
 def _verify(code: BBCode, m: CodeAutomorphism) -> bool:
     """A qubit permutation, invertible W's and exact chain squares into the
     code's own or dual complex; marks m as verified when it passes."""
-    if m.source != code or m.target != code:
-        raise Refusal("the map is not a map of this code")
-    if not _is_permutation(m._cell_tables[1]):
+    if not _is_permutation(_of(code, m)._cell_tables[1]):
         return False
     lm = code.ctx.dim
     for w, cells in zip(m.columns[::2], m._cell_tables[::2]):
@@ -142,19 +148,9 @@ def verify_zx_duality(code: BBCode, dual: ZXDuality) -> bool:
 
 # --- built-in constructions -----------------------------------------------------
 
-def _from_cells(code: BBCode, cells, dual: bool = False) -> CodeAutomorphism:
-    """The map sending cell j to cells[j] on both check spaces and within each
-    qubit block, or, as a ZX-duality (``dual``), across the blocks."""
-    cells = tuple(cells)
-    qubits = _both_blocks(cells, code.ctx.dim)
-    if dual:
-        qubits = qubits[len(cells):] + cells
-    return _cell_map(ZXDuality if dual else CodeAutomorphism, (cells, qubits, cells), code, code)
-
-
 def shift_automorphism(code: BBCode, mono: Monomial) -> CodeAutomorphism:
     """Shift all check and qubit labels by a monomial; works on every BB code."""
-    return _from_cells(code, _translation(code.ctx, *mono))
+    return _lattice_map(CodeAutomorphism, LatticeMap(code.ctx, code.ctx, s=mono), code, code)
 
 
 def y_exponent_swap_automorphism(code: BBCode) -> CodeAutomorphism:
@@ -162,7 +158,8 @@ def y_exponent_swap_automorphism(code: BBCode) -> CodeAutomorphism:
     the CNOT automorphism of the paper's Example 5.  Only codes whose polynomials make
     the two exponents interchangeable have it, so callers verify it."""
     ctx, sigma = code.ctx, {0: 1, 1: 0}
-    return _from_cells(code, (ctx.index(m.a, sigma.get(m.b, m.b)) for m in ctx.monomials()))
+    cols = _unit_columns([ctx.index(m.a, sigma.get(m.b, m.b)) for m in ctx.monomials()])
+    return CodeAutomorphism(cols, _block_diag(cols, ctx.dim), cols, code, code)
 
 
 def block_swap_zx_duality(code: BBCode) -> ZXDuality:
@@ -170,28 +167,23 @@ def block_swap_zx_duality(code: BBCode) -> ZXDuality:
 
     A ZX-duality exactly when A and B are self-transpose; callers verify.
     """
-    return _from_cells(code, range(code.ctx.dim), dual=True)
+    return _lattice_map(ZXDuality, LatticeMap(code.ctx, code.ctx, swap=True), code, code)
 
 
 def antipode_zx_duality(code: BBCode) -> ZXDuality:
     """Block swap composed with exponent negation; a duality of every BB code."""
-    # entry a*m + b of the reversed table is the x y-translate of x^(l-1-a) y^(m-1-b): x^-a y^-b
-    return _from_cells(code, _translation(code.ctx, 1, 1)[::-1], dual=True)
+    return _lattice_map(ZXDuality, LatticeMap(code.ctx, code.ctx, (-1, 0), (0, -1), swap=True), code, code)
 
 
 # --- lifting along a cover -------------------------------------------------------
 
-def _sheet_index(witness: CoverWitness, n: int) -> list[int]:
-    """Cover index on sheet (0, 0) of every index of a base space of n cells, lm
-    x lm block by block: one block for check spaces, two for qubits."""
-    lm_b, lm_c = witness.base.ctx.dim, witness.cover.ctx.dim
-    return [block * lm_c + e for block in range(n // lm_b) for e in witness.embedding]
-
-
 def _block_lift(witness: CoverWitness, w: tuple[int, ...]) -> tuple[int, ...]:
     """Sheet-wise lift of the columns of a square base map: every block is
-    repeated on every sheet, so each sheet maps to itself."""
-    index = _sheet_index(witness, len(w))
+    repeated on every sheet, so each sheet maps to itself.  Base index i of a
+    space of lm x lm blocks (one block for checks, two for qubits) is cover
+    index index[i] on sheet (0, 0)."""
+    lm_b, lm_c = witness.base.ctx.dim, witness.cover.ctx.dim
+    index = [block * lm_c + e for block in range(len(w) // lm_b) for e in witness.embedding]
     units, cols = _unit_columns(index), [0] * (len(index) * witness.h)
     for j, col in enumerate(w):
         lifted = xor_rows(units, col)
@@ -200,44 +192,36 @@ def _block_lift(witness: CoverWitness, w: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(cols)
 
 
-def _lift_table(witness: CoverWitness, cells: tuple[int, ...]) -> tuple[int, ...]:
-    """Sheet-wise lift of the cell table of a square base map, cell index[j] + o
-    going to index[cells[j]] + o on every sheet o: the cell table of its
-    ``_block_lift``."""
-    index = _sheet_index(witness, len(cells))
-    image, lifted = _compose_cells(index, cells), [0] * (len(index) * witness.h)
-    for o in witness.sheet_offsets:
-        for i, c in zip(index, image):
-            lifted[i + o] = c + o
-    return tuple(lifted)
-
-
-def _intertwines(p: tuple[int, ...], up, down, up_cols, down_cols) -> bool:
-    """Whether p . up = down . p in one degree, for the cell table p and the lifted
-    and base degrees: on their cell tables when both have one, else on columns."""
-    if up is not None and down is not None:
-        return _compose_cells(p, up) == _compose_cells(down, p)
-    q = _unit_columns(p)
-    return _compose(q, up_cols) == _compose(down_cols, q)
+def _sheet_lift(witness: CoverWitness, lat: LatticeMap) -> LatticeMap | None:
+    """The cover's lattice map that the sheet-wise lift of ``lat`` is, or None
+    when it is none.  It is one when phi = 1 and the translation has no
+    component along a direction of index > 1 (u or t): a sheet-wise lift keeps
+    every cell on its sheet, while a cover translation along such a direction
+    carries some cells to the next sheet."""
+    base = witness.base.ctx
+    sa, sb = lat.s
+    if lat != LatticeMap(base, base, s=lat.s, swap=lat.swap) or (sa and witness.u > 1) or (sb and witness.t > 1):
+        return None
+    return LatticeMap(witness.cover.ctx, witness.cover.ctx, s=lat.s, swap=lat.swap)
 
 
 def _lift(witness: CoverWitness, m: CodeAutomorphism) -> CodeAutomorphism:
     """Sheet-wise lift; verified on the cover and intertwining with p in every degree."""
     if not _verify(witness.base, m):
         raise Refusal("the supplied map does not verify on the base code")
-    cover = witness.cover
-    top, mid, bottom = base_tables = m._cell_tables
-    # a lifted column has the weight of its base column: cell degrees lift to cell degrees
-    lifts = [t if t is None else _lift_table(witness, t) for t in (top, mid)]
-    tables = (*lifts, lifts[0] if bottom is top else bottom and _lift_table(witness, bottom))
-    # a W that is no cell map lifts by its columns
-    cols = [_block_lift(witness, w) if t is None else None for w, t in zip(m.columns, tables)]
-    lifted = _cell_map(type(m), tables, cover, cover, cols)
+    base, cover = witness.base, witness.cover
+    up = m._lattice and _sheet_lift(witness, m._lattice)
+    if up:
+        lifted = _lattice_map(type(m), up, cover, cover)
+        p = LatticeMap(cover.ctx, base.ctx)
+        intertwines = p.after(up) == m._lattice.after(p)
+    else:
+        lifted = type(m)(*(_block_lift(witness, w) for w in m.columns), cover, cover)
+        ps = _degreewise(_unit_columns(witness.projection), cover, base).columns
+        intertwines = all(_compose(p, u) == _compose(d, p) for p, u, d in zip(ps, lifted.columns, m.columns))
     if not _verify(cover, lifted):
         raise Refusal("sheet-wise lift does not verify on the cover code")
-    p = witness.projection
-    ps = (p, _both_blocks(p, witness.base.ctx.dim), p)
-    if not all(map(_intertwines, ps, tables, base_tables, lifted.columns, m.columns)):
+    if not intertwines:
         raise InternalConsistencyError("lift does not intertwine with the projection")
     return lifted
 
@@ -282,6 +266,7 @@ def _class_action(code: BBCode, m: CodeAutomorphism, basis: LogicalBasis):
     classes and Z classes to X classes.
     """
     k = basis.k
+    _of(code, m)
     own = basis is code.logical_basis  # paired as I_k when it was built
     if not own and (k != code.k or basis.pairing_matrix() != BinMatrix.identity(k)):
         raise Refusal("logical action needs a symplectically paired basis of the code")

@@ -10,28 +10,22 @@ on nontrivial logicals.
 A chain map is stored degreewise as column tables: column j of a degree is
 the image of basis vector j, a mask over the target basis.  Applying a map
 XORs columns, and a square deg_(i-1) . d_i = d'_i . deg_i is compared column
-by column, column j of d_i being row j of H_Z, H_X^T, H_X or H_Z^T.  Most maps
-here send each cell to one cell: those built from cells (p, the constant
-sections, and the shifts, antipode, block swap and lifts of autos) carry
-their cell tables from construction, and any other map decodes its tables
-from its columns once.  Most of these are affine on the lattice with one
-common lattice homomorphism phi: f(g + v) = f(g) + phi(v), in every degree
-(p, shifts, the antipode, block swaps, lifts of base shifts).  The
-boundaries are translation-equivariant, so both sides of each square of
-such a map are twisted-equivariant maps out of a free module over the group
-algebra (rank 1 on checks, rank 2 on qubits), fixed by their values on its
-generators: column 0 on checks, columns 0 and lm on qubits decide the
-square.  Table compositions over every cell for the generators x and y
-certify the premise; any other map, such as a constant section or a matrix
-read from JSON, is compared on every column.
+by column, column j of d_i being row j of H_Z, H_X^T, H_X or H_Z^T.  p, and
+the shifts, antipode, block swap and lifts of base shifts that are cover
+shifts in autos, are lattice maps instead: g -> phi(g) + s on the cells of
+every degree, for a lattice homomorphism phi and a translation s, the qubit
+blocks kept or swapped.  They are built from a ``LatticeMap`` that they
+keep, which no public constructor takes, and their squares are decided in
+O(w) from phi's images of A and B, where the translations cancel.  Every
+other map, tau, the sections, the y-swap and any matrix read from JSON
+among them, is compared on every column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import product, repeat
-from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from .codes import BBCode, Classification, InternalConsistencyError, PauliOp, Refusal
@@ -41,6 +35,62 @@ from .rings import ContextMismatch, Poly, RingContext
 
 if TYPE_CHECKING:  # distance imports autos, which imports this module
     from .distance import DistanceResult
+
+
+@dataclass(frozen=True)
+class LatticeMap:
+    """The cell map g -> phi(g) + s from the lattice Z_l x Z_m of ``source``
+    into that of ``target``, for the homomorphism phi with phi(x) = x^x[0]
+    y^x[1] and phi(y) = x^y[0] y^y[1], and the translation x^s[0] y^s[1]; all
+    three are stored reduced into the target, and by default phi reduces
+    exponents and s = 0.  With ``swap`` the map sends each qubit block to the
+    other one."""
+
+    source: RingContext
+    target: RingContext
+    x: tuple[int, int] = (1, 0)
+    y: tuple[int, int] = (0, 1)
+    s: tuple[int, int] = (0, 0)
+    swap: bool = False
+
+    def __post_init__(self) -> None:
+        for name in ("x", "y", "s"):
+            a, b = getattr(self, name)
+            object.__setattr__(self, name, (a % self.target.l, b % self.target.m))
+        if self.point(self.source.l, 0, 0) != (0, 0) or self.point(0, self.source.m, 0) != (0, 0):
+            raise ValueError("phi is no homomorphism: x^l or y^m does not go to 1")
+
+    def point(self, a: int, b: int, c: int = 1) -> tuple[int, int]:
+        """Reduced target exponents of phi(x^a y^b) x^(c s[0]) y^(c s[1]): the
+        image of the cell x^a y^b for c = 1, of the vector (a, b) for c = 0."""
+        (xa, xb), (ya, yb), (sa, sb) = self.x, self.y, self.s
+        return (a * xa + b * ya + c * sa) % self.target.l, (a * xb + b * yb + c * sb) % self.target.m
+
+    def cells(self) -> tuple[int, ...]:
+        """Cell table of one lattice block: cell a*m + b goes to the target cell
+        of ``point(a, b)``, built x-row by x-row."""
+        (ya, yb), l, m = self.y, self.target.l, self.target.m
+        out: list[int] = []
+        for ra, rb in map(self.point, range(self.source.l), repeat(0)):
+            out += [(ra + b * ya) % l * m + (rb + b * yb) % m for b in range(self.source.m)]
+        return tuple(out)
+
+    def after(self, other: LatticeMap) -> LatticeMap:
+        """The lattice map self . other."""
+        x, y, s = self.point(*other.x, 0), self.point(*other.y, 0), self.point(*other.s)
+        return LatticeMap(other.source, self.target, x, y, s, self.swap != other.swap)
+
+    def sends(self, source: tuple[Poly, Poly], target: tuple[Poly, Poly]) -> bool:
+        """Whether every chain square commutes from the complex of the pair
+        ``source`` into that of ``target`` (see ``_pair``), every degree being
+        this map.  A pair (a, b) has d2 = (b; a) and d1 = (a | b), and a degree
+        sends cell g to g' = phi(g) + s, so column g of either square compares
+        phi(a) x^g' with the target's a' x^g' in the block where a lands, and
+        likewise b: the translations cancel, and the squares commute exactly
+        when phi, term by term, sends a onto a' and b onto b', or under a block
+        swap a onto b' and b onto a'."""
+        images = tuple(Poly.make(self.target, [self.point(*t, 0) for t in p.terms]) for p in source)
+        return images == (target[::-1] if self.swap else target)
 
 
 @dataclass(frozen=True)
@@ -60,6 +110,9 @@ class ChainMap:
     # sector ("own") or the other one ("dual"), and class images of that sector
     # pairing skip the kernel test
     _verified_into: str | None = field(default=None, init=False, repr=False, compare=False)
+    # the lattice map of every degree; commutes decides the squares from it alone,
+    # so only _lattice_map, which derives the columns from it, sets it
+    _lattice: LatticeMap | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         src, tgt = self.source, self.target
@@ -94,22 +147,18 @@ class ChainMap:
     @cached_property
     def _cell_tables(self) -> tuple[tuple[int, ...] | None, ...]:
         """``_cell_table`` of each degree of ``columns``, decoded here for a map
-        given as columns (``_cell_map`` sets it on the maps it builds); cols0
+        given as columns (``_lattice_map`` sets it on the maps it builds); cols0
         shares that of cols2 when it is cols2."""
         top = _cell_table(self.cols2)
         return top, _cell_table(self.cols1), top if self.cols0 is self.cols2 else _cell_table(self.cols0)
 
-    @cached_property
-    def _step(self) -> int:
-        """Stride of the source columns that decide every square: lm when every
-        degree is a cell map, affine with one phi, else 1 (all columns)."""
-        return self.source.ctx.dim if _affine(self._cell_tables, self.source.ctx, self.target.ctx) else 1
-
     def commutes(self, dual_target: bool = False) -> bool:
         """Whether every chain square commutes exactly, into the target's complex
-        or, with ``dual_target``, into its dual complex (X and Z swapped)."""
-        target = _boundaries(self.target, dual_target)
-        return _is_chain_map(self.columns, _boundaries(self.source), target, self._step)
+        or, with ``dual_target``, into its dual complex (X and Z swapped): from
+        phi's images of A and B for a lattice map, on every column otherwise."""
+        if self._lattice is not None:
+            return self._lattice.sends(_pair(self.source), _pair(self.target, dual_target))
+        return _is_chain_map(self.columns, _boundaries(self.source), _boundaries(self.target, dual_target))
 
 
 def _mark_verified(cm: ChainMap, dual_target: bool = False) -> ChainMap:
@@ -134,31 +183,18 @@ def _unit_columns(table) -> tuple[int, ...]:
     return tuple([1 << i for i in table])
 
 
-def _cell_map(cls, tables, source: BBCode, target: BBCode, columns=(None, None, None)) -> ChainMap:
-    """The map of type cls sending cell j of degree i to tables[i][j], carrying
-    these tables as its ``_cell_tables``; a degree whose table is None takes
-    its entry of ``columns``.  Its cols0 is its cols2 when the two tables are
-    one."""
-    top, mid, bottom = tables
-    cols2, cols1 = (c if t is None else _unit_columns(t) for t, c in zip((top, mid), columns))
-    if bottom is top is not None:
-        cols0 = cols2
-    else:
-        cols0 = columns[2] if bottom is None else _unit_columns(bottom)
-    cm = cls(cols2, cols1, cols0, source, target)
-    cm.__dict__["_cell_tables"] = tables  # what the cached property would decode
+def _lattice_map(cls, lat: LatticeMap, source: BBCode, target: BBCode) -> ChainMap:
+    """The map of type cls that is ``lat`` in every degree, on the checks and
+    from each qubit block into the same block or, under a swap, the other one;
+    it keeps lat and its cell tables, and its cols0 is its cols2."""
+    cells = lat.cells()
+    blocks = (cells, tuple(c + target.ctx.dim for c in cells))
+    qubits = blocks[lat.swap] + blocks[not lat.swap]
+    cols = _unit_columns(cells)
+    cm = cls(cols, _unit_columns(qubits), cols, source, target)
+    cm.__dict__["_cell_tables"] = (cells, qubits, cells)  # what the cached property would decode
+    object.__setattr__(cm, "_lattice", lat)
     return cm
-
-
-def _both_blocks(cells: tuple[int, ...], shift: int) -> tuple[int, ...]:
-    """Cell table of q (+) q, for the cell table of q into ``shift`` cells."""
-    return cells + tuple(map(shift.__add__, cells))
-
-
-def _compose_cells(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
-    """Cell table of f . g: cell j goes to f[g[j]]."""
-    # itemgetter of a single index returns the bare item
-    return itemgetter(*g)(f) if len(g) != 1 else (f[g[0]],)
 
 
 def _matrix(cols: tuple[int, ...], n_rows: int) -> BinMatrix:
@@ -182,39 +218,22 @@ def _boundaries(code: BBCode, dual: bool = False) -> tuple[tuple[int, ...], tupl
     return (code.hx.rows, code.hz_t.rows) if dual else (code.hz.rows, code.hx_t.rows)
 
 
-def _square_commutes(lo, hi, d, dt, index) -> bool:
-    """Whether column j of lo . d equals column j of dt . hi for every j in index."""
-    return all(xor_rows(lo, d[j]) == xor_rows(dt, hi[j]) for j in index)
+def _pair(code: BBCode, dual: bool = False) -> tuple[Poly, Poly]:
+    """The pair (a, b) of the code's complex, whose boundaries are d2 = (b; a)
+    and d1 = (a | b): (A, B), or (B^T, A^T) for the dual complex."""
+    return (code.b.transpose(), code.a.transpose()) if dual else (code.a, code.b)
 
 
-def _is_chain_map(degs, source, target, step: int) -> bool:
+def _is_chain_map(degs, source, target) -> bool:
     """Whether column tables degs = (deg_top, ..., deg_0) commute with the boundaries.
 
     ``source`` and ``target`` list the boundary columns (d_top, ..., d_1) of the
     two complexes; square i, deg_(i-1) . d_i == d'_i . deg_i, is compared on
-    every ``step``-th source column of deg_i.
+    every source column j of deg_i: column j of d_i mapped by deg_(i-1) against
+    column j of deg_i mapped by d'_i.
     """
-    return all(
-        _square_commutes(lo, hi, d, dt, range(0, len(hi), step))
-        for hi, lo, d, dt in zip(degs, degs[1:], source, target)
-    )
-
-
-def _translation(ctx: RingContext, a: int, b: int) -> tuple[int, ...]:
-    """Index table of multiplication by x^a y^b on the lattice cells, x-row by x-row."""
-    return _translations(ctx, a % ctx.l, b % ctx.m)[0]
-
-
-@lru_cache(maxsize=16)  # a laws item, a cover with its base and their maps, reads at most 11
-def _translations(ctx: RingContext, a: int, b: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Cell tables of multiplication by x^a y^b, 0 <= a < l and 0 <= b < m, on
-    the lattice cells and on both qubit blocks."""
-    l, m = ctx.l, ctx.m
-    out: list[int] = []
-    for row in (i % l * m for i in range(a, a + l)):
-        out += (*range(row + b, row + m), *range(row, row + b))
-    cells = tuple(out)
-    return cells, _both_blocks(cells, ctx.dim)
+    squares = zip(degs, degs[1:], source, target)
+    return all(xor_rows(lo, c) == xor_rows(dt, h) for hi, lo, d, dt in squares for c, h in zip(d, hi))
 
 
 def _cell_table(cols: tuple[int, ...]) -> tuple[int, ...] | None:
@@ -225,34 +244,16 @@ def _cell_table(cols: tuple[int, ...]) -> tuple[int, ...] | None:
     return tuple(map(int.__sub__, map(int.bit_length, cols), repeat(1)))
 
 
-def _affine(tables, src: RingContext, tgt: RingContext) -> bool:
-    """Whether every degree is a cell map, given by its cell table, with
-    f(g + v) = phi(f(g)) within each lattice block, for the generators v = x, y
-    and one translation phi read off the check degree tables[0].  A block whose
-    cells obey this stays in one target block, as x and y generate the lattice."""
-    if None in tables:
-        return False
-    checks = tables[0]
-    for v in ((1, 0), (0, 1)):
-        move, moves = _translations(src, *v)
-        (a0, b0), (a1, b1) = divmod(checks[0], tgt.m), divmod(checks[move[0]], tgt.m)
-        phi = _translations(tgt, (a1 - a0) % tgt.l, (b1 - b0) % tgt.m)[1]  # on both qubit blocks
-        for t in dict.fromkeys(tables):
-            if _compose_cells(t, move if len(t) == src.dim else moves) != _compose_cells(phi, t):
-                return False
-    return True
-
-
 def projection_map(witness: CoverWitness) -> ChainMap:
     """The chain map p_* : cover -> base, with all four commuting squares checked
     exactly: its chain squares, and its cochain squares as the chain squares
-    between the dual complexes."""
+    between the dual complexes.  p is the lattice map that reduces exponents."""
     object.__setattr__(witness, "_projection_verified", False)
-    cm = _degreewise_cells(witness.projection, witness.cover, witness.base)
+    cover, base = witness.cover, witness.base
+    cm = _lattice_map(ChainMap, LatticeMap(cover.ctx, base.ctx), cover, base)
     if not cm.commutes():
         raise InternalConsistencyError("chain-map square failed")
-    dual = (_boundaries(cm.source, True), _boundaries(cm.target, True))
-    if not _is_chain_map(cm.columns[::-1], *dual, cm._step):
+    if not cm._lattice.sends(_pair(cover, True), _pair(base, True)):
         raise InternalConsistencyError("cochain-map square failed")
     object.__setattr__(witness, "_projection_verified", True)
     return _mark_verified(cm)
@@ -261,11 +262,6 @@ def projection_map(witness: CoverWitness) -> ChainMap:
 def _degreewise(q: tuple[int, ...], source: BBCode, target: BBCode) -> ChainMap:
     """The map (q, q (+) q, q) of a map q between monomial spaces, given by its columns."""
     return ChainMap(q, _block_diag(q, target.ctx.dim), q, source, target)
-
-
-def _degreewise_cells(cells: tuple[int, ...], source: BBCode, target: BBCode) -> ChainMap:
-    """The map (q, q (+) q, q) of a map q between monomial spaces, given by its cell table."""
-    return _cell_map(ChainMap, (cells, _both_blocks(cells, target.ctx.dim), cells), source, target)
 
 
 def lifting_map(witness: CoverWitness) -> ChainMap:
@@ -420,7 +416,7 @@ def constant_section(witness: CoverWitness, g: int, d: int) -> ChainMap:
     cell on sheet (g mod u, d mod t); p . sigma is the identity in each degree."""
     base, cover = witness.base, witness.cover
     o = witness.sheet_offsets[(g % witness.u) * witness.t + d % witness.t]
-    return _degreewise_cells(tuple(map(o.__add__, witness.embedding)), base, cover)
+    return _degreewise(_unit_columns(map(o.__add__, witness.embedding)), base, cover)
 
 
 def weight_preserving_lift_search(

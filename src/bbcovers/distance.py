@@ -90,10 +90,6 @@ def _cluster_search(code: BBCode, basis: str):
     return logicals
 
 
-def _ascending_support(v: int) -> list[int]:
-    return [i for i in range(v.bit_length()) if v >> i & 1]
-
-
 def _first_in_ascending_support(vs: list[int]) -> int:
     """The set first in ascending support order among sets of equal weight: of two
     such sets, the one holding the lowest element of their difference."""

@@ -6,7 +6,7 @@ from itertools import combinations, islice
 
 from bbcovers.codes import BBCode, PauliOp, Refusal
 from bbcovers.covers import _lift_masks, build_tanner_graph, is_connected
-from bbcovers.distance import _ascending_support, _cluster_search, _lightest_logical
+from bbcovers.distance import _cluster_search, _lightest_logical
 from bbcovers.gf2 import BinMatrix, RowReducer, parities
 from bbcovers.rings import Poly, RingContext
 
@@ -27,6 +27,11 @@ def stabilizer_support(code, r, basis: str) -> PauliOp:
     raise ValueError(f"basis must be X or Z, got {basis!r}")
 
 
+def ascending_support(v: int) -> list[int]:
+    """The set bits of v in ascending order: the order that sorts equal-weight sets."""
+    return [i for i in range(v.bit_length()) if v >> i & 1]
+
+
 def logical_vectors_of_weight(code, basis: str, w: int) -> list[int]:
     """Every nontrivial logical of the given type and weight w, by the cluster search
     from every root, in ascending support order; w must be that side's minimum weight."""
@@ -34,7 +39,7 @@ def logical_vectors_of_weight(code, basis: str, w: int) -> list[int]:
     if found is None or found[0] != w:
         raise Refusal(f"w = {w} is not the minimum weight of a nontrivial {basis} logical")
     logicals = _cluster_search(code, basis)
-    return sorted({v for root in range(code.n) for v in logicals(root, w)}, key=_ascending_support)
+    return sorted({v for root in range(code.n) for v in logicals(root, w)}, key=ascending_support)
 
 
 def kron(a: BinMatrix, b: BinMatrix) -> BinMatrix:

@@ -303,3 +303,25 @@ def test_shape_mismatch_refused():
     aut = identity_automorphism(BASE_18)
     with pytest.raises(Refusal):
         verify_automorphism(BASE_72, aut)
+
+
+# --- a map of another code --------------------------------------------------------
+
+def test_the_actions_refuse_a_verified_map_of_another_code():
+    # a verified map of another code on the same lattice would have its images
+    # read in this code's basis, with the kernel test skipped
+    other = parse_code_spec("l=6 m=6 A=1+y+y^2 B=1+x+x^2")
+    shift, antipode = shift_automorphism(other, Monomial(1, 2)), antipode_zx_duality(other)
+    assert verify_automorphism(other, shift) and verify_zx_duality(other, antipode)
+    with pytest.raises(Refusal, match="not a map of this code"):
+        logical_action(BASE_72, shift, BASE_72.logical_basis)
+    with pytest.raises(Refusal, match="not a map of this code"):
+        duality_action(BASE_72, antipode, BASE_72.logical_basis)
+    base_shift = shift_automorphism(BASE_18, Monomial(0, 1))
+    other_cover = parse_code_spec("l=9 m=3 A=1+y+y^2 B=1+x^4+x^5")
+    other_lift = shift_automorphism(other_cover, Monomial(0, 1))
+    other_base = shift_automorphism(parse_code_spec("l=3 m=3 A=1+x+y B=1+x+x^2"), Monomial(0, 1))
+    assert verify_automorphism(other_cover, other_lift) and verify_automorphism(other_base.source, other_base)
+    for aut, lifted in ((base_shift, other_lift), (other_base, lift_automorphism(W_54, base_shift))):
+        with pytest.raises(Refusal, match="not a map of this code"):
+            compare_base_and_lifted_action(W_54, aut, lifted)

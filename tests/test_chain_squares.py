@@ -1,8 +1,10 @@
-"""The column-table square check of ChainMap against dense matrix products.
+"""The square checks of ChainMap against every column and dense matrix products.
 
-Affine cell maps are decided on their generator columns (column 0 on checks,
-columns 0 and lm on qubits); every other map on all columns.  Either way the
-verdict must be the one the products in oracles.py give.
+A lattice map (p, the shifts, the antipode and block swap, and lifts that are
+lattice maps of the cover) is decided from phi's images of A and B; every
+other map, tau, sections, the y-swap and maps given as columns among them, on
+all columns.  Either way the verdict must be the one that comparing every
+column and the products in oracles.py give.
 """
 
 from math import gcd
@@ -12,13 +14,16 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bbcovers import chainmaps
-from bbcovers.autos import CodeAutomorphism, antipode_zx_duality, shift_automorphism, verify_automorphism
-from bbcovers.autos import y_exponent_swap_automorphism
-from bbcovers.chainmaps import ChainMap, _cell_table, _translation, lifting_map, projection_map
+from bbcovers.autos import CodeAutomorphism, ZXDuality, antipode_zx_duality, block_swap_zx_duality
+from bbcovers.autos import lift_automorphism, shift_automorphism, verify_automorphism, y_exponent_swap_automorphism
+from bbcovers.chainmaps import ChainMap, LatticeMap, _boundaries, _cell_table, _is_chain_map, _lattice_map
+from bbcovers.chainmaps import constant_section, lifting_map, projection_map
 from bbcovers.codes import BBCode, parse_code_spec
+from bbcovers.covers import check_cover
 from bbcovers.rings import Monomial, Poly, RingContext
 
 from oracles import boundaries_reference, chain_map_commutes_reference, squares_commute_reference
+from random_codes import weight3_codes
 from test_bitset_properties import lifts
 
 
@@ -31,49 +36,56 @@ def codes(draw, l=None, m=None):
     return BBCode(a, b)
 
 
+def _random_lattice_map(draw, source: RingContext, target: RingContext, reduction: bool = False) -> LatticeMap:
+    """A lattice map with a random translation and swap, and with phi reducing
+    exponents or, unless ``reduction``, random: phi(x) and phi(y) are drawn
+    among the elements whose orders divide l and m, so that phi is defined."""
+    s = draw(st.tuples(st.integers(0, target.l - 1), st.integers(0, target.m - 1)))
+    if reduction:
+        return LatticeMap(source, target, s=s, swap=draw(st.booleans()))
+
+    def order_dividing(k, n):
+        """An element of Z_n whose order divides k."""
+        step = n // gcd(k, n)
+        return draw(st.integers(0, n // step - 1)) * step
+
+    (l, m), (tl, tm) = (source.l, source.m), (target.l, target.m)
+    x, y = (order_dividing(l, tl), order_dividing(l, tm)), (order_dividing(m, tl), order_dividing(m, tm))
+    return LatticeMap(source, target, x, y, s, draw(st.booleans()))
+
+
 @st.composite
-def affine_maps(draw):
-    """(map, dual) for a cell map of a code into its own or its dual complex that is
-    affine with one lattice homomorphism phi: f(g) = c + phi(g) on every degree and
-    on each qubit block.  Shifts and antipode dualities commute; random phi,
-    offsets and blocks, bijective or not, mostly do not."""
-    code = draw(codes())
-    l, m = code.l, code.m
-    kind = draw(st.sampled_from(["shift", "antipode", "random"]))
-    if kind == "random":
-        # phi(x) and phi(y) must have orders dividing l and m
-        g = gcd(l, m)
-        a1, b1 = draw(st.integers(0, l - 1)), draw(st.integers(0, g - 1)) * (m // g)
-        a2, b2 = draw(st.integers(0, g - 1)) * (l // g), draw(st.integers(0, m - 1))
-        offsets = [draw(st.tuples(st.integers(0, l - 1), st.integers(0, m - 1))) for _ in range(4)]
-        blocks = draw(st.tuples(st.integers(0, 1), st.integers(0, 1)))
-        dual = draw(st.booleans())
+def lattice_maps(draw, code_of=codes()):
+    """(map, dual) for a lattice map into the target's own or dual complex: a
+    shift or the antipode duality of a code drawn from ``code_of``, which
+    commute; a reduction from a random cover onto its base, which commutes
+    into the base's own complex; or a random phi, translation and swap on a
+    code or from a cover to its base, bijective or not, which mostly fails."""
+    kind = draw(st.sampled_from(["shift", "antipode", "reduction", "random"]))
+    if kind == "shift":
+        return shift_automorphism(draw(code_of), Monomial(draw(st.integers(-9, 9)), draw(st.integers(-9, 9)))), False
+    if kind == "antipode":
+        return antipode_zx_duality(draw(code_of)), True
+    if kind == "reduction" or draw(st.booleans()):
+        _, source, w = draw(lifts())
+        target = w.base
     else:
-        sign = 1 if kind == "shift" else -1
-        (a1, b1), (a2, b2) = (sign, 0), (0, sign)
-        offsets = [draw(st.tuples(st.integers(0, l - 1), st.integers(0, m - 1)))] * 4
-        blocks, dual = ((0, 1), False) if kind == "shift" else ((1, 0), True)
-
-    def cells(offset):
-        ca, cb = offset
-        return [code.ctx.index(ca + a * a1 + b * a2, cb + a * b1 + b * b2) for a in range(l) for b in range(m)]
-
-    lm = code.ctx.dim
-    qubits = [1 << (s * lm + i) for s, c in zip(blocks, offsets[1:3]) for i in cells(c)]
-    cm = ChainMap(tuple(1 << i for i in cells(offsets[0])), tuple(qubits), tuple(1 << i for i in cells(offsets[3])), code, code)
-    return cm, dual
+        source = target = draw(code_of)
+    lat = _random_lattice_map(draw, source.ctx, target.ctx, kind == "reduction")
+    return _lattice_map(ChainMap, lat, source, target), draw(st.booleans())
 
 
 @settings(max_examples=300, deadline=None)
-@given(affine_maps())
-def test_affine_cell_maps_are_decided_on_generator_columns(drawn):
+@given(st.one_of(lattice_maps(), lattice_maps(weight3_codes())))
+def test_lattice_maps_are_decided_on_a_and_b(drawn):
     cm, dual = drawn
-    assert cm._step == cm.source.ctx.dim
-    assert cm.commutes(dual) == chain_map_commutes_reference(cm, dual)
+    assert cm._lattice is not None
+    every_column = _is_chain_map(cm.columns, _boundaries(cm.source), _boundaries(cm.target, dual))
+    assert cm.commutes(dual) == every_column == chain_map_commutes_reference(cm, dual)
 
 
 @settings(max_examples=300, deadline=None)
-@given(affine_maps(), st.integers(0, 2), st.integers(0, 2**20), st.integers(0, 2**40))
+@given(lattice_maps(), st.integers(0, 2), st.integers(0, 2**20), st.integers(0, 2**40))
 def test_a_corrupted_entry_gets_the_dense_verdict(drawn, degree, j, value):
     cm, dual = drawn
     tables = [list(cols) for cols in cm.columns]
@@ -82,7 +94,8 @@ def test_a_corrupted_entry_gets_the_dense_verdict(drawn, degree, j, value):
     value %= 1 << (cm.target.n if degree == 1 else cm.target.ctx.dim)
     assume(value != cols[j])
     cols[j] = value
-    bad = ChainMap(*map(tuple, tables), cm.source, cm.target)
+    bad = ChainMap(*map(tuple, tables), cm.source, cm.target)  # given as columns
+    assert bad._lattice is None
     assert bad.commutes(dual) == chain_map_commutes_reference(bad, dual)
 
 
@@ -91,17 +104,18 @@ def test_a_corrupted_entry_gets_the_dense_verdict(drawn, degree, j, value):
 @given(codes(m=4))
 def test_y_swap_at_m_4_takes_every_column(code):
     aut = y_exponent_swap_automorphism(code)
-    assert aut._step == 1  # b -> 1 - b is not the swap of 0 and 1 when m = 4
+    assert aut._lattice is None  # b -> 1 - b is not the swap of 0 and 1 when m = 4
     assert aut.commutes() == chain_map_commutes_reference(aut)
 
 
 @settings(max_examples=60, deadline=None)
 @given(lifts())
-def test_projection_squares_on_generator_columns_match_the_products(lift):
+def test_projection_squares_match_the_products(lift):
     base, cover, w = lift
     pm, tm = projection_map(w), lifting_map(w)
-    assert pm._step == cover.ctx.dim  # p is an affine cell map
-    assert tm._step == (base.ctx.dim if w.h == 1 else 1)  # tau sends a cell to its fibre
+    assert pm._lattice == LatticeMap(cover.ctx, base.ctx)  # p reduces exponents
+    assert pm._cell_tables == (w.projection, *pm._cell_tables[1:]) == tuple(map(_cell_table, pm.columns))
+    assert tm._lattice is None  # tau, even at h = 1, is given by its columns
     degs = (pm.deg2, pm.deg1, pm.deg0)
     assert squares_commute_reference(degs, boundaries_reference(cover), boundaries_reference(base))
     dual = (boundaries_reference(cover, True), boundaries_reference(base, True))
@@ -110,14 +124,15 @@ def test_projection_squares_on_generator_columns_match_the_products(lift):
 
 
 def test_translation_and_antipode_tables_match_the_per_cell_formulas():
-    for l in range(1, 13):  # past the translation cache's 16 entries
+    for l in range(1, 13):
         for m in range(1, 13):
             ctx = RingContext(l, m)
             antipode = antipode_zx_duality(BBCode(Poly.one(ctx), Poly.one(ctx)))
             assert antipode._cell_tables[0] == tuple(ctx.index(-a, -b) for a in range(l) for b in range(m))
             for a in range(-3, 12):
                 for b in range(-3, 12):
-                    assert _translation(ctx, a, b) == tuple(ctx.index(i // m + a, i % m + b) for i in range(ctx.dim))
+                    cells = LatticeMap(ctx, ctx, s=(a, b)).cells()
+                    assert cells == tuple(ctx.index(i // m + a, i % m + b) for i in range(ctx.dim))
 
 
 def test_a_column_of_no_bit_or_two_bits_decodes_to_no_cell_table():
@@ -145,7 +160,7 @@ def test_a_shift_with_two_cells_swapped_takes_every_column_and_fails():
     cols1 = list(shift.cols1)
     cols1[0], cols1[1] = cols1[1], cols1[0]
     swapped = CodeAutomorphism(shift.cols2, tuple(cols1), shift.cols0, GROSS, GROSS)
-    assert swapped._step == 1
+    assert swapped._lattice is None
     assert not swapped.commutes() and not chain_map_commutes_reference(swapped)
     assert not verify_automorphism(GROSS, swapped)
 
@@ -163,4 +178,53 @@ def test_a_check_degree_shared_by_both_check_spaces_is_decoded_once(monkeypatch)
     shift = CodeAutomorphism(built.cols2, built.cols1, built.cols2, GROSS, GROSS)
     tables = shift._cell_tables
     assert decoded == [shift.cols2, shift.cols1]
-    assert tables[0] is tables[2] == _translation(GROSS.ctx, 3, 1)
+    assert tables[0] is tables[2] == LatticeMap(GROSS.ctx, GROSS.ctx, s=(3, 1)).cells()
+
+
+
+def test_lattice_maps_take_the_check_on_a_and_b_and_every_other_map_every_column(monkeypatch):
+    base = parse_code_spec("l=3 m=3 A=1+y+y^2 B=1+x+x^2")
+    w = check_cover(base, parse_code_spec("l=6 m=6 A=1+y+y^2 B=1+x+x^5y^3"))  # u = t = 2
+    w_54 = check_cover(base, parse_code_spec("l=9 m=3 A=x^3+y+y^2 B=1+x+x^2"))
+    lattice = (
+        projection_map(w),
+        shift_automorphism(w.cover, Monomial(1, 2)),
+        antipode_zx_duality(w.cover),
+        block_swap_zx_duality(base),
+        lift_automorphism(w, shift_automorphism(base, Monomial(0, 0))),
+    )
+    others = (
+        lifting_map(w),
+        y_exponent_swap_automorphism(base),
+        constant_section(w, 1, 1),
+        CodeAutomorphism.from_json(shift_automorphism(base, Monomial(1, 1)).to_json(), base),
+        lift_automorphism(w_54, y_exponent_swap_automorphism(base)),  # a sheet-wise lift that is no lattice map
+    )
+    calls = []
+    sends, every_column = chainmaps.LatticeMap.sends, chainmaps._is_chain_map
+    monkeypatch.setattr(chainmaps.LatticeMap, "sends", lambda *args: calls.append("a, b") or sends(*args))
+    monkeypatch.setattr(chainmaps, "_is_chain_map", lambda *args: calls.append("columns") or every_column(*args))
+    # tau, the y-swap, sections and maps read from JSON are given by columns
+    for cms, check in ((lattice, "a, b"), (others, "columns")):
+        for cm in cms:
+            dual = isinstance(cm, ZXDuality)
+            calls.clear()
+            assert cm.commutes(dual) == chain_map_commutes_reference(cm, dual)
+            assert calls == [check]
+
+
+def test_a_phi_that_is_no_homomorphism_is_refused():
+    # x -> x from Z_3 into Z_2 would send x^3 to x, not to 1
+    with pytest.raises(ValueError, match="no homomorphism"):
+        LatticeMap(RingContext(3, 3), RingContext(2, 3))
+    assert LatticeMap(RingContext(4, 3), RingContext(2, 3)).cells() == tuple(i % 6 for i in range(12))
+
+
+@settings(max_examples=100, deadline=None)
+@given(lifts(), st.data())
+def test_a_composite_of_lattice_maps_composes_their_cell_tables(lift, data):
+    base, cover, _ = lift
+    g = _random_lattice_map(data.draw, cover.ctx, base.ctx)
+    f = _random_lattice_map(data.draw, base.ctx, base.ctx)
+    fg = f.after(g)
+    assert fg.cells() == tuple(f.cells()[c] for c in g.cells()) and fg.swap == (f.swap != g.swap)

@@ -88,39 +88,40 @@ def test_chain_maps_commute_and_are_transposes():
 
 
 def test_a_failing_square_fails_both_chain_maps(monkeypatch):
-    # tau is read off the verified p, so p's squares guard both; p is an affine
-    # cell map, so its squares are compared on the generator columns alone
+    # tau is read off the verified p, so p's squares guard both; p is a lattice
+    # map, so its squares are decided from phi's images of A and B
     seen = []
 
-    def failing(lo, hi, d, dt, index):
-        seen.append(list(index))
+    def failing(lat, source, target):
+        seen.append((source, target))
         return False
 
-    monkeypatch.setattr(chainmaps, "_square_commutes", failing)
+    monkeypatch.setattr(chainmaps.LatticeMap, "sends", failing)
     for build in (projection_map, lifting_map):
         with pytest.raises(InternalConsistencyError):
             build(W_54)
-    lm = COVER_54.ctx.dim
-    assert seen == [[0], [0]]  # each build stops at its first square, on Z-checks
+    own = ((COVER_54.a, COVER_54.b), (BASE_18.a, BASE_18.b))
+    assert seen == [own, own]  # each build stops at its chain squares
     seen.clear()
-    monkeypatch.setattr(chainmaps, "_square_commutes", lambda lo, hi, d, dt, index: seen.append(list(index)) or True)
+    monkeypatch.setattr(chainmaps.LatticeMap, "sends", lambda lat, source, target: seen.append((source, target)) or True)
     projection_map(W_54)
-    assert seen == [[0], [0, lm], [0], [0, lm]]  # chain, then cochain squares
+    dual = tuple((code.b.transpose(), code.a.transpose()) for code in (COVER_54, BASE_18))
+    assert seen == [own, dual]  # chain, then cochain squares
 
 
 def test_lifting_map_checks_p_unless_projection_map_passed_it_on_the_witness(monkeypatch):
     runs = []
-    square = chainmaps._square_commutes
-    monkeypatch.setattr(chainmaps, "_square_commutes", lambda *args: runs.append(1) or square(*args))
-    lifting_map(check_cover(BASE_18, COVER_54))  # alone: p's four squares
-    assert len(runs) == 4
+    sends = chainmaps.LatticeMap.sends
+    monkeypatch.setattr(chainmaps.LatticeMap, "sends", lambda *args: runs.append(1) or sends(*args))
+    lifting_map(check_cover(BASE_18, COVER_54))  # alone: p's chain and cochain squares
+    assert len(runs) == 2
     w = check_cover(BASE_18, COVER_54)
     projection_map(w)
     lifting_map(w)
     lifting_map(w)
-    assert len(runs) == 8  # the squares of projection_map, none of lifting_map
+    assert len(runs) == 4  # the squares of projection_map, none of lifting_map
     # a failed check leaves no verification behind
-    monkeypatch.setattr(chainmaps, "_square_commutes", lambda *args: False)
+    monkeypatch.setattr(chainmaps.LatticeMap, "sends", lambda *args: False)
     for build in (projection_map, lifting_map):
         with pytest.raises(InternalConsistencyError):
             build(w)

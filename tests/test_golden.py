@@ -12,9 +12,10 @@ import json
 
 import pytest
 
-from bbcovers.autos import antipode_zx_duality, y_exponent_swap_automorphism
-from bbcovers.cli import main
-from bbcovers.codes import parse_code_spec
+from bbcovers.autos import CodeAutomorphism, antipode_zx_duality, lift_automorphism, y_exponent_swap_automorphism
+from bbcovers.cli import _builtin_aut, main
+from bbcovers.codes import Refusal, parse_code_spec
+from bbcovers.covers import check_cover
 from bbcovers.gf2 import BinMatrix
 from bbcovers.tables import all_rows
 
@@ -215,6 +216,27 @@ AUT_FILE_GOLDEN = [
     (_general_automorphism_json, [], "fc50fa1f13ff046502739b526d97c8a634d52e7aa4a305e5b886b99ad90ff6f3"),
 ]
 
+# What every `aut --lift-to` case above and in test_cli.py lifts, which its stdout
+# does not print: the sha256 of the lifted map's JSON, or the refusal message
+LIFT_GOLDEN = [
+    (CODE_18, "example-5-cnot", COVER_54, "9ba908f5eb26f5916b4a9d68512fb38ea92ce2851c35dec8247b26e7e9ea3e30"),
+    (
+        CODE_18,
+        "example-5-zx",
+        "l=9 m=3 A=1+y+y^2 B=1+x^4+x^5",
+        "5263994b8a4b0da184973f29f2fd1410948c10735a283d770597bafc2ccd6784",
+    ),
+    (
+        CODE_18,
+        "example-5-zx",
+        "l=6 m=6 A=1+y^2+y^4 B=1+x^2+x^4",
+        "1f111aa5126cb5f6f06fd45b37ef008ca74d86fbad77f46738a02fa25578f0a8",
+    ),
+    # the y-swap read back from its JSON form, as `aut aut.json --lift-to` reads it
+    (CODE_18, "aut.json", COVER_54, "9ba908f5eb26f5916b4a9d68512fb38ea92ce2851c35dec8247b26e7e9ea3e30"),
+    (CODE_72, "example-5-cnot", GROSS, "the supplied map does not verify on the base code"),
+]
+
 LOGICAL_BASIS_SHA = "e2f4603cd48b0960f918b08667169bf0d94ac7c6dbcfe322ba3821f5f2499991"
 KERNEL_BASIS_SHA = "773b7022f7f331d04e420f45bde9a5cbc87f69238a4ab16a943098ebbcb2bb55"
 CHECK_MATRIX_SHA = "930fca6bd800b5333ebea3722673a239dc37059cd196e80b72ec7b7fb258bdfa"
@@ -238,6 +260,24 @@ def test_aut_file_stdout_is_golden(capsys, tmp_path, monkeypatch, to_json, optio
     assert main(["aut", CODE_18, "aut.json", *options]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha, out
+
+
+@pytest.mark.parametrize(
+    "base,name,cover,expected", LIFT_GOLDEN, ids=[f"{name} {cover}" for _, name, cover, _ in LIFT_GOLDEN]
+)
+def test_the_lifted_maps_are_golden(tmp_path, monkeypatch, base, name, cover, expected):
+    code = parse_code_spec(base)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "aut.json").write_text(json.dumps(y_exponent_swap_automorphism(code).to_json()))
+    aut = _builtin_aut(code, name)
+    assert isinstance(aut, CodeAutomorphism)
+    witness = check_cover(code, parse_code_spec(cover))
+    try:
+        lifted = json.dumps(lift_automorphism(witness, aut).to_json(), sort_keys=True)
+    except Refusal as exc:
+        assert str(exc) == expected
+    else:
+        assert hashlib.sha256(lifted.encode()).hexdigest() == expected, lifted
 
 
 def test_published_bases_are_golden():
