@@ -8,14 +8,15 @@ family and two worked constructions built in.  The automorphism-named
 functions take both kinds; the duality-named ones refuse any other map.
 
 Like every ChainMap they are column tables.  The shifts, the block swap and
-the antipode are lattice maps (see chainmaps), whose squares are decided from
-phi's images of A and B.  A lattice map with phi = 1 whose translation moves
-no cell across a sheet lifts to the cover's lattice map with the same
-translation and swap, and intertwines with p when the two composites with p
-are one lattice map.  Every other map, the y-swap and any map read from JSON
-among them, lifts block by block on its columns and is verified and
-intertwined with p on columns.  A degree whose cell table sends distinct
-cells to distinct cells is a permutation with no rank to compute.
+the antipode are lattice maps (``covers.LatticeMap``, see chainmaps), whose
+squares are decided from phi's images of A and B.  A lattice map with phi =
+1 whose translation moves no cell across a sheet lifts to the cover's
+lattice map with the same translation and swap, and intertwines with the
+witness's p when the two composites with p are one lattice map.  Every
+other map, the y-swap and any map read from JSON among them, lifts block by
+block on its columns and is verified and intertwined with p's cell table on
+columns.  A degree whose cell table sends distinct cells to distinct cells
+is a permutation with no rank to compute.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from functools import cached_property
 
 from .codes import BBCode, Classification, InternalConsistencyError, LogicalBasis, Refusal
 from .codes import _overlap_matrix, pairing_matrix
-from .covers import CoverWitness
-from .chainmaps import ChainMap, LatticeMap, _block_diag, _class_images, _class_matrix, _compose, _degreewise
+from .covers import CoverWitness, LatticeMap
+from .chainmaps import ChainMap, _block_diag, _class_images, _class_matrix, _compose
 from .chainmaps import _lattice_map, _mark_verified, _unit_columns, lift_logical
 from .gf2 import BinMatrix, xor_rows
 from .rings import Monomial
@@ -209,15 +210,14 @@ def _lift(witness: CoverWitness, m: CodeAutomorphism) -> CodeAutomorphism:
     """Sheet-wise lift; verified on the cover and intertwining with p in every degree."""
     if not _verify(witness.base, m):
         raise Refusal("the supplied map does not verify on the base code")
-    base, cover = witness.base, witness.cover
+    cover = witness.cover
     up = m._lattice and _sheet_lift(witness, m._lattice)
     if up:
         lifted = _lattice_map(type(m), up, cover, cover)
-        p = LatticeMap(cover.ctx, base.ctx)
-        intertwines = p.after(up) == m._lattice.after(p)
+        intertwines = witness.p.after(up) == m._lattice.after(witness.p)
     else:
         lifted = type(m)(*(_block_lift(witness, w) for w in m.columns), cover, cover)
-        ps = _degreewise(_unit_columns(witness.projection), cover, base).columns
+        ps = _lattice_map(ChainMap, witness.p, cover, witness.base).columns
         intertwines = all(_compose(p, u) == _compose(d, p) for p, u, d in zip(ps, lifted.columns, m.columns))
     if not _verify(cover, lifted):
         raise Refusal("sheet-wise lift does not verify on the cover code")
@@ -259,17 +259,22 @@ class DualityAction:
     dz: BinMatrix  # Z basis -> X-class coordinates
 
 
+def _paired(code: BBCode, basis: LogicalBasis) -> bool:
+    """Whether basis is the code's own; Refusal unless its k classes per side pair as I_k."""
+    own = basis is code.logical_basis
+    if not own and (basis.k != code.k or basis.pairing_matrix() != BinMatrix.identity(basis.k)):
+        raise Refusal("a symplectically paired basis of the code is needed")
+    return own
+
+
 def _class_action(code: BBCode, m: CodeAutomorphism, basis: LogicalBasis):
     """Images of the X and of the Z basis classes, in the given paired basis.
 
     An automorphism keeps each sector; a ZX-duality sends X classes to Z
     classes and Z classes to X classes.
     """
-    k = basis.k
     _of(code, m)
-    own = basis is code.logical_basis  # paired as I_k when it was built
-    if not own and (k != code.k or basis.pairing_matrix() != BinMatrix.identity(k)):
-        raise Refusal("logical action needs a symplectically paired basis of the code")
+    own = _paired(code, basis)
     swap = isinstance(m, ZXDuality)
     vecs = {"X": basis.x_vectors, "Z": basis.z_vectors}
     sectors = list(zip("XZ", "ZX" if swap else "XZ"))
@@ -280,7 +285,7 @@ def _class_action(code: BBCode, m: CodeAutomorphism, basis: LogicalBasis):
         changes = [_class_matrix(code, side, vecs[side]) for _, side in sectors]
         images = [im @ change.inverse() for im, change in zip(images, changes)]
     on_x, on_z = images
-    if _overlap_matrix(on_x.rows, on_z.rows) != BinMatrix.identity(k):
+    if _overlap_matrix(on_x.rows, on_z.rows) != BinMatrix.identity(basis.k):
         raise InternalConsistencyError("action does not preserve the symplectic pairing")
     return DualityAction(on_x, on_z) if swap else LogicalAction(on_x, on_z)
 
@@ -299,11 +304,12 @@ def duality_action(code: BBCode, dual: ZXDuality, basis: LogicalBasis) -> Dualit
 # --- base vs lifted comparison ------------------------------------------------------
 
 def tau_lifted_basis(witness: CoverWitness, base_basis: LogicalBasis) -> LogicalBasis:
-    """Lift a paired base basis through tau; valid when h is odd and k_h = k."""
+    """Lift a paired base basis (Refusal for any other) through tau; valid when h is odd and k_h = k."""
     if witness.h % 2 == 0:
         raise Refusal("tau-lifted bases exist for odd h only (pairing degenerates mod 2)")
     if witness.cover.k != witness.base.k:
         raise Refusal(f"k_h = {witness.cover.k} != k = {witness.base.k}; lifted set is not a basis")
+    _paired(witness.base, base_basis)
     lifted = [lift_logical(witness, op) for op in base_basis.x_ops + base_basis.z_ops]
     if any(c.classification != Classification.LOGICAL for c in lifted):
         raise InternalConsistencyError("tau-lifted operator is not a nontrivial logical")

@@ -14,11 +14,11 @@ by column, column j of d_i being row j of H_Z, H_X^T, H_X or H_Z^T.  p, and
 the shifts, antipode, block swap and lifts of base shifts that are cover
 shifts in autos, are lattice maps instead: g -> phi(g) + s on the cells of
 every degree, for a lattice homomorphism phi and a translation s, the qubit
-blocks kept or swapped.  They are built from a ``LatticeMap`` that they
-keep, which no public constructor takes, and their squares are decided in
-O(w) from phi's images of A and B, where the translations cancel.  Every
-other map, tau, the sections, the y-swap and any matrix read from JSON
-among them, is compared on every column.
+blocks kept or swapped.  They are built from a ``covers.LatticeMap`` that
+they keep, which no public constructor takes, and their squares are decided
+in O(w) from phi's images of A and B, where the translations cancel; p is
+the witness's own ``p``.  Every other map, tau, the sections, the y-swap
+and any matrix read from JSON among them, is compared on every column.
 """
 
 from __future__ import annotations
@@ -29,68 +29,12 @@ from itertools import product, repeat
 from typing import TYPE_CHECKING
 
 from .codes import BBCode, Classification, InternalConsistencyError, PauliOp, Refusal
-from .covers import CoverWitness
+from .covers import CoverWitness, LatticeMap
 from .gf2 import BinMatrix, ShapeError, xor_rows
 from .rings import ContextMismatch, Poly, RingContext
 
 if TYPE_CHECKING:  # distance imports autos, which imports this module
     from .distance import DistanceResult
-
-
-@dataclass(frozen=True)
-class LatticeMap:
-    """The cell map g -> phi(g) + s from the lattice Z_l x Z_m of ``source``
-    into that of ``target``, for the homomorphism phi with phi(x) = x^x[0]
-    y^x[1] and phi(y) = x^y[0] y^y[1], and the translation x^s[0] y^s[1]; all
-    three are stored reduced into the target, and by default phi reduces
-    exponents and s = 0.  With ``swap`` the map sends each qubit block to the
-    other one."""
-
-    source: RingContext
-    target: RingContext
-    x: tuple[int, int] = (1, 0)
-    y: tuple[int, int] = (0, 1)
-    s: tuple[int, int] = (0, 0)
-    swap: bool = False
-
-    def __post_init__(self) -> None:
-        for name in ("x", "y", "s"):
-            a, b = getattr(self, name)
-            object.__setattr__(self, name, (a % self.target.l, b % self.target.m))
-        if self.point(self.source.l, 0, 0) != (0, 0) or self.point(0, self.source.m, 0) != (0, 0):
-            raise ValueError("phi is no homomorphism: x^l or y^m does not go to 1")
-
-    def point(self, a: int, b: int, c: int = 1) -> tuple[int, int]:
-        """Reduced target exponents of phi(x^a y^b) x^(c s[0]) y^(c s[1]): the
-        image of the cell x^a y^b for c = 1, of the vector (a, b) for c = 0."""
-        (xa, xb), (ya, yb), (sa, sb) = self.x, self.y, self.s
-        return (a * xa + b * ya + c * sa) % self.target.l, (a * xb + b * yb + c * sb) % self.target.m
-
-    def cells(self) -> tuple[int, ...]:
-        """Cell table of one lattice block: cell a*m + b goes to the target cell
-        of ``point(a, b)``, built x-row by x-row."""
-        (ya, yb), l, m = self.y, self.target.l, self.target.m
-        out: list[int] = []
-        for ra, rb in map(self.point, range(self.source.l), repeat(0)):
-            out += [(ra + b * ya) % l * m + (rb + b * yb) % m for b in range(self.source.m)]
-        return tuple(out)
-
-    def after(self, other: LatticeMap) -> LatticeMap:
-        """The lattice map self . other."""
-        x, y, s = self.point(*other.x, 0), self.point(*other.y, 0), self.point(*other.s)
-        return LatticeMap(other.source, self.target, x, y, s, self.swap != other.swap)
-
-    def sends(self, source: tuple[Poly, Poly], target: tuple[Poly, Poly]) -> bool:
-        """Whether every chain square commutes from the complex of the pair
-        ``source`` into that of ``target`` (see ``_pair``), every degree being
-        this map.  A pair (a, b) has d2 = (b; a) and d1 = (a | b), and a degree
-        sends cell g to g' = phi(g) + s, so column g of either square compares
-        phi(a) x^g' with the target's a' x^g' in the block where a lands, and
-        likewise b: the translations cancel, and the squares commute exactly
-        when phi, term by term, sends a onto a' and b onto b', or under a block
-        swap a onto b' and b onto a'."""
-        images = tuple(Poly.make(self.target, [self.point(*t, 0) for t in p.terms]) for p in source)
-        return images == (target[::-1] if self.swap else target)
 
 
 @dataclass(frozen=True)
@@ -187,7 +131,7 @@ def _lattice_map(cls, lat: LatticeMap, source: BBCode, target: BBCode) -> ChainM
     """The map of type cls that is ``lat`` in every degree, on the checks and
     from each qubit block into the same block or, under a swap, the other one;
     it keeps lat and its cell tables, and its cols0 is its cols2."""
-    cells = lat.cells()
+    cells = lat.cells
     blocks = (cells, tuple(c + target.ctx.dim for c in cells))
     qubits = blocks[lat.swap] + blocks[not lat.swap]
     cols = _unit_columns(cells)
@@ -244,19 +188,17 @@ def _cell_table(cols: tuple[int, ...]) -> tuple[int, ...] | None:
     return tuple(map(int.__sub__, map(int.bit_length, cols), repeat(1)))
 
 
+def _checked_p(witness: CoverWitness) -> LatticeMap:
+    """The witness's p, once its chain squares and its cochain squares hold exactly."""
+    for dual in (False, True):
+        if not witness.p.sends(_pair(witness.cover, dual), _pair(witness.base, dual)):
+            raise InternalConsistencyError(f"{'cochain' if dual else 'chain'}-map square failed")
+    return witness.p
+
+
 def projection_map(witness: CoverWitness) -> ChainMap:
-    """The chain map p_* : cover -> base, with all four commuting squares checked
-    exactly: its chain squares, and its cochain squares as the chain squares
-    between the dual complexes.  p is the lattice map that reduces exponents."""
-    object.__setattr__(witness, "_projection_verified", False)
-    cover, base = witness.cover, witness.base
-    cm = _lattice_map(ChainMap, LatticeMap(cover.ctx, base.ctx), cover, base)
-    if not cm.commutes():
-        raise InternalConsistencyError("chain-map square failed")
-    if not cm._lattice.sends(_pair(cover, True), _pair(base, True)):
-        raise InternalConsistencyError("cochain-map square failed")
-    object.__setattr__(witness, "_projection_verified", True)
-    return _mark_verified(cm)
+    """The chain map p_* : cover -> base of the witness's p, all four squares checked exactly."""
+    return _mark_verified(_lattice_map(ChainMap, _checked_p(witness), witness.cover, witness.base))
 
 
 def _degreewise(q: tuple[int, ...], source: BBCode, target: BBCode) -> ChainMap:
@@ -265,11 +207,9 @@ def _degreewise(q: tuple[int, ...], source: BBCode, target: BBCode) -> ChainMap:
 
 
 def lifting_map(witness: CoverWitness) -> ChainMap:
-    """The chain map tau_* : base -> cover; the transpose of p_*, so p_*'s squares
-    verify it, checked here unless their last check on this witness passed.
-    Its columns are the rows of p: the fibres."""
-    if not witness._projection_verified:
-        projection_map(witness)
+    """The chain map tau_* : base -> cover; the transpose of p_*, so p_*'s
+    squares, checked here, verify it.  Its columns are the rows of p: the fibres."""
+    _checked_p(witness)
     return _mark_verified(_degreewise(witness.fibres, witness.base, witness.cover))
 
 
@@ -278,7 +218,7 @@ def compose_p_tau(witness: CoverWitness) -> str:
 
     Column i of p . tau is the p-image of the fibre over i: h times e_i.
     """
-    p = _unit_columns(witness.projection)
+    p = _unit_columns(witness.p.cells)
     cols = [xor_rows(p, fibre) for fibre in witness.fibres]
     if all(c == 1 << i for i, c in enumerate(cols)):
         result = "identity"
@@ -341,16 +281,17 @@ def lift_logical(witness: CoverWitness, op: PauliOp) -> ClassifiedOp:
 def induced_homology_map(cm: ChainMap, side: str = "Z") -> HomologyMap:
     """Images of the source logical basis expressed in the target basis.
 
-    Column j holds the coordinates of the image of the j-th source basis
-    class; images are reduced modulo the target's stabilizers.
+    Column j holds the coordinates of the image of the j-th source basis class,
+    reduced modulo the target's stabilizers; side "Z" (homology) or "X" (cohomology).
     """
-    src = cm.source
-    basis = src.logical_basis
+    if side not in ("X", "Z"):
+        raise Refusal(f"side must be 'X' or 'Z', not {side!r}")
+    basis = cm.source.logical_basis
     try:
         images = _class_images(cm, side, side, basis.z_vectors if side == "Z" else basis.x_vectors)
     except Refusal:
         raise InternalConsistencyError("chain-map image left the target kernel") from None
-    return HomologyMap(images.transpose(), side, src, cm.target)
+    return HomologyMap(images.transpose(), side, cm.source, cm.target)
 
 
 def _class_matrix(code: BBCode, side: str, vectors, check: bool = True) -> BinMatrix:

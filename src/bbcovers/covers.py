@@ -6,13 +6,16 @@ m | m~ and each defining term of the candidate reduces, exponentwise modulo
 decides and certifies that relation, enumerates all covers for given target
 lattice parameters up to orbit-minimal support masks, and cross-validates the
 algebra against the derived graph built by voltage arithmetic: both graphs are
-check rows over qubit masks, compared as one tuple.
+check rows over qubit masks, compared as one tuple.  The witness holds the
+covering map p, a ``LatticeMap``, and builds its cell table once; its
+``embedding``, ``sheet_offsets`` and ``fibres`` have their own arithmetic, so
+checks of p's table against them are no tautology.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import product
 from typing import NamedTuple
@@ -38,6 +41,64 @@ class CoverRefusal(Refusal):
 
 
 @dataclass(frozen=True)
+class LatticeMap:
+    """The cell map g -> phi(g) + s from the lattice Z_l x Z_m of ``source`` into
+    that of ``target``, for phi(x) = x^x[0] y^x[1], phi(y) = x^y[0] y^y[1] and s =
+    x^s[0] y^s[1], all three reduced into the target; by default phi reduces
+    exponents and s = 0.  With ``swap`` each qubit block goes to the other one."""
+
+    source: RingContext
+    target: RingContext
+    x: tuple[int, int] = (1, 0)
+    y: tuple[int, int] = (0, 1)
+    s: tuple[int, int] = (0, 0)
+    swap: bool = False
+
+    def __post_init__(self) -> None:
+        for name in ("x", "y", "s"):
+            a, b = getattr(self, name)
+            object.__setattr__(self, name, (a % self.target.l, b % self.target.m))
+        if self.point(self.source.l, 0, 0) != (0, 0) or self.point(0, self.source.m, 0) != (0, 0):
+            raise ValueError("phi is no homomorphism: x^l or y^m does not go to 1")
+
+    def point(self, a: int, b: int, c: int = 1) -> tuple[int, int]:
+        """Reduced target exponents of phi(x^a y^b) x^(c s[0]) y^(c s[1]): the
+        image of the cell x^a y^b for c = 1, of the vector (a, b) for c = 0."""
+        (xa, xb), (ya, yb), (sa, sb) = self.x, self.y, self.s
+        return (a * xa + b * ya + c * sa) % self.target.l, (a * xb + b * yb + c * sb) % self.target.m
+
+    @cached_property
+    def cells(self) -> tuple[int, ...]:
+        """Cell table of one lattice block: cell a*m + b goes to the target cell of ``point(a, b)``.
+        x-row a depends only on phi(x)^a, so one period of rows is built and repeated."""
+        (xa, xb), (ya, yb), (sa, sb) = self.x, self.y, self.s
+        l, m = self.target.l, self.target.m
+        out = []
+        for a in range(self.source.l):
+            ra, rb = (a * xa + sa) % l, (a * xb + sb) % m
+            if a and (ra, rb) == (sa, sb):
+                return tuple(out * (self.source.l // a))
+            out += [(ra + b * ya) % l * m + (rb + b * yb) % m for b in range(self.source.m)]
+        return tuple(out)
+
+    def after(self, other: LatticeMap) -> LatticeMap:
+        """The lattice map self . other."""
+        x, y, s = self.point(*other.x, 0), self.point(*other.y, 0), self.point(*other.s)
+        return LatticeMap(other.source, self.target, x, y, s, self.swap != other.swap)
+
+    def sends(self, source: tuple[Poly, Poly], target: tuple[Poly, Poly]) -> bool:
+        """Whether every chain square commutes from the complex of the pair ``source``
+        into that of ``target`` (see ``chainmaps._pair``), every degree being this map.
+        A pair (a, b) has d2 = (b; a) and d1 = (a | b), and a degree sends cell g to
+        g' = phi(g) + s, so column g of either square compares phi(a) x^g' with the
+        target's a' x^g' in the block where a lands, and likewise b: the translations
+        cancel, and the squares commute exactly when phi, term by term, sends a onto
+        a' and b onto b', or under a block swap a onto b' and b onto a'."""
+        images = tuple(Poly.make(self.target, [self.point(*t, 0) for t in p.terms]) for p in source)
+        return images == (target[::-1] if self.swap else target)
+
+
+@dataclass(frozen=True)
 class CoverWitness:
     """Certificate that cover's Tanner graph is an h-fold cover of base's."""
 
@@ -47,16 +108,16 @@ class CoverWitness:
     t: int
     a_matching: tuple[tuple[Monomial, Monomial], ...]  # (cover term, base term)
     b_matching: tuple[tuple[Monomial, Monomial], ...]
-    # set by chainmaps.projection_map once p's four squares hold on this witness
-    _projection_verified: bool = field(default=False, init=False, repr=False, compare=False)
 
     @property
     def h(self) -> int:
         return self.u * self.t
 
-    # The covering map: cover cell x^a y^b lies over base cell x^(a mod l) y^(b mod m)
-    # on sheet (a // l, b // m), so base index i on sheet g is cover index
-    # embedding[i] + sheet_offsets[g], distinct for each (i, g) on a (u l, t m) cover.
+    @cached_property
+    def p(self) -> LatticeMap:
+        """The covering map: cover cell x^a y^b lies over x^(a mod l) y^(b mod m) on sheet
+        (a // l, b // m), so ``p.cells`` sends embedding[i] + sheet_offsets[g] to i."""
+        return LatticeMap(self.cover.ctx, self.base.ctx)
 
     @cached_property
     def sheet_offsets(self) -> tuple[int, ...]:
@@ -69,15 +130,6 @@ class CoverWitness:
         """Cover index a * m~ + b of base index a * m + b: its cell on sheet (0, 0)."""
         mt = self.base.m * self.t
         return tuple(a * mt + b for a in range(self.base.l) for b in range(self.base.m))
-
-    @cached_property
-    def projection(self) -> tuple[int, ...]:
-        """Base index of every cover index."""
-        out = [0] * (self.base.ctx.dim * self.h)
-        for i, e in enumerate(self.embedding):
-            for o in self.sheet_offsets:
-                out[e + o] = i
-        return tuple(out)
 
     @cached_property
     def fibres(self) -> tuple[int, ...]:
@@ -462,7 +514,7 @@ def verify_cover_isomorphism(base: BBCode, cover: BBCode, witness: CoverWitness)
     one (the rows and columns of the base H_X and H_Z).  That is decided once
     per base vertex: the neighbours of derived vertex (v, g) are one head
     (v + e, g + s) or tail (v - e, g - s) per distinct generator e, so if
-    ``projection`` sends embedding[i] + sheet_offsets[g] to i for all i and g
+    p's table sends embedding[i] + sheet_offsets[g] to i for all i and g
     (an O(cells) table test), they project to v + e and v - e for every g:
     the translate by v of the generators' neighbourhood at base cell 0.  The
     base's own neighbourhoods are the translates of its cell-0 ones, which
@@ -475,7 +527,7 @@ def verify_cover_isomorphism(base: BBCode, cover: BBCode, witness: CoverWitness)
         return False
     # the pairs (i, g) name every cover index once on a (u l, t m) cover, so this
     # table test also gives every fibre its h elements
-    proj = witness.projection
+    proj = witness.p.cells
     if any(proj[e + o] != i for i, e in enumerate(witness.embedding) for o in witness.sheet_offsets):
         return False
     # the projected neighbourhood of every class at base cell 0, over the qubit

@@ -166,6 +166,24 @@ def test_tau_lifted_basis_refuses_when_k_grows():
         tau_lifted_basis(w, base.logical_basis)
 
 
+def test_an_unpaired_base_basis_is_refused_before_it_is_lifted():
+    # the Z ops of a paired basis, rotated by one, pair as a permutation, not as I_8
+    basis = paper_18_basis()
+    unpaired = LogicalBasis(basis.x_ops, basis.z_ops[1:] + basis.z_ops[:1])
+    aut = y_exponent_swap_automorphism(BASE_18)
+    zx = block_swap_zx_duality(BASE_18)
+    walt = check_cover(BASE_18, parse_code_spec("l=9 m=3 A=1+y+y^2 B=1+x^4+x^5"))
+    calls = (
+        lambda: logical_action(BASE_18, aut, unpaired),
+        lambda: tau_lifted_basis(W_54, unpaired),
+        lambda: compare_base_and_lifted_action(W_54, aut, lift_automorphism(W_54, aut), unpaired),
+        lambda: compare_base_and_lifted_duality_action(walt, zx, lift_zx_duality(walt, zx), unpaired),
+    )
+    for call in calls:
+        with pytest.raises(Refusal, match="symplectically paired basis"):
+            call()
+
+
 def test_block_swap_duality_verifies_on_18():
     assert verify_zx_duality(BASE_18, block_swap_zx_duality(BASE_18))
 

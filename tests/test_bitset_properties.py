@@ -264,7 +264,7 @@ def test_covering_map_tables_match_loop_oracles(lift, data):
     base, cover, w = lift
     p = projection_matrix_reference(w)
     assert projection_map(w).deg0 == p
-    assert [parities(p.rows, 1 << j).bit_length() - 1 for j in range(cover.ctx.dim)] == list(w.projection)
+    assert [parities(p.rows, 1 << j).bit_length() - 1 for j in range(cover.ctx.dim)] == list(w.p.cells)
     poly = data.draw(polys(base.ctx))
     assert lift_poly(w, poly) == lift_poly_reference(w, poly)
     for g in range(-1, w.u + 1):  # sheet arguments reduce mod (u, t)

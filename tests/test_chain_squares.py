@@ -114,7 +114,7 @@ def test_projection_squares_match_the_products(lift):
     base, cover, w = lift
     pm, tm = projection_map(w), lifting_map(w)
     assert pm._lattice == LatticeMap(cover.ctx, base.ctx)  # p reduces exponents
-    assert pm._cell_tables == (w.projection, *pm._cell_tables[1:]) == tuple(map(_cell_table, pm.columns))
+    assert pm._cell_tables == (w.p.cells, *pm._cell_tables[1:]) == tuple(map(_cell_table, pm.columns))
     assert tm._lattice is None  # tau, even at h = 1, is given by its columns
     degs = (pm.deg2, pm.deg1, pm.deg0)
     assert squares_commute_reference(degs, boundaries_reference(cover), boundaries_reference(base))
@@ -131,7 +131,7 @@ def test_translation_and_antipode_tables_match_the_per_cell_formulas():
             assert antipode._cell_tables[0] == tuple(ctx.index(-a, -b) for a in range(l) for b in range(m))
             for a in range(-3, 12):
                 for b in range(-3, 12):
-                    cells = LatticeMap(ctx, ctx, s=(a, b)).cells()
+                    cells = LatticeMap(ctx, ctx, s=(a, b)).cells
                     assert cells == tuple(ctx.index(i // m + a, i % m + b) for i in range(ctx.dim))
 
 
@@ -178,7 +178,7 @@ def test_a_check_degree_shared_by_both_check_spaces_is_decoded_once(monkeypatch)
     shift = CodeAutomorphism(built.cols2, built.cols1, built.cols2, GROSS, GROSS)
     tables = shift._cell_tables
     assert decoded == [shift.cols2, shift.cols1]
-    assert tables[0] is tables[2] == LatticeMap(GROSS.ctx, GROSS.ctx, s=(3, 1)).cells()
+    assert tables[0] is tables[2] == LatticeMap(GROSS.ctx, GROSS.ctx, s=(3, 1)).cells
 
 
 
@@ -217,7 +217,7 @@ def test_a_phi_that_is_no_homomorphism_is_refused():
     # x -> x from Z_3 into Z_2 would send x^3 to x, not to 1
     with pytest.raises(ValueError, match="no homomorphism"):
         LatticeMap(RingContext(3, 3), RingContext(2, 3))
-    assert LatticeMap(RingContext(4, 3), RingContext(2, 3)).cells() == tuple(i % 6 for i in range(12))
+    assert LatticeMap(RingContext(4, 3), RingContext(2, 3)).cells == tuple(i % 6 for i in range(12))
 
 
 @settings(max_examples=100, deadline=None)
@@ -227,4 +227,7 @@ def test_a_composite_of_lattice_maps_composes_their_cell_tables(lift, data):
     g = _random_lattice_map(data.draw, cover.ctx, base.ctx)
     f = _random_lattice_map(data.draw, base.ctx, base.ctx)
     fg = f.after(g)
-    assert fg.cells() == tuple(f.cells()[c] for c in g.cells()) and fg.swap == (f.swap != g.swap)
+    assert fg.cells == tuple(f.cells[c] for c in g.cells) and fg.swap == (f.swap != g.swap)
+    for lat in (f, g, fg):  # each table, built from one period of x-rows, is the per-cell formula
+        cells = [lat.target.index(*lat.point(a, b)) for a in range(lat.source.l) for b in range(lat.source.m)]
+        assert lat.cells == tuple(cells)

@@ -1,3 +1,5 @@
+from functools import cached_property
+
 import pytest
 
 import bbcovers.chainmaps as chainmaps
@@ -18,13 +20,15 @@ from bbcovers.chainmaps import (
 from bbcovers.autos import (
     antipode_zx_duality,
     block_swap_zx_duality,
+    lift_automorphism,
     lift_zx_duality,
     shift_automorphism,
     verify_automorphism,
     verify_zx_duality,
+    y_exponent_swap_automorphism,
 )
 from bbcovers.codes import Classification, InternalConsistencyError, PauliOp, Refusal, parse_code_spec, parse_pauli
-from bbcovers.covers import check_cover
+from bbcovers.covers import LatticeMap, check_cover, verify_cover_isomorphism
 from bbcovers.distance import exact_distance
 from bbcovers.gf2 import BinMatrix, ShapeError
 from bbcovers.rings import ContextMismatch, Monomial, Poly, parse_poly
@@ -109,7 +113,7 @@ def test_a_failing_square_fails_both_chain_maps(monkeypatch):
     assert seen == [own, dual]  # chain, then cochain squares
 
 
-def test_lifting_map_checks_p_unless_projection_map_passed_it_on_the_witness(monkeypatch):
+def test_lifting_map_checks_p_on_every_build(monkeypatch):
     runs = []
     sends = chainmaps.LatticeMap.sends
     monkeypatch.setattr(chainmaps.LatticeMap, "sends", lambda *args: runs.append(1) or sends(*args))
@@ -119,12 +123,38 @@ def test_lifting_map_checks_p_unless_projection_map_passed_it_on_the_witness(mon
     projection_map(w)
     lifting_map(w)
     lifting_map(w)
-    assert len(runs) == 4  # the squares of projection_map, none of lifting_map
-    # a failed check leaves no verification behind
+    assert len(runs) == 8  # p's chain and cochain squares on every build
+    # a failed check raises in both builders, after a passing one too
     monkeypatch.setattr(chainmaps.LatticeMap, "sends", lambda *args: False)
     for build in (projection_map, lifting_map):
         with pytest.raises(InternalConsistencyError):
             build(w)
+
+
+def test_projection_map_is_the_witness_p_with_its_table():
+    w = check_cover(BASE_18, COVER_54)
+    pm = projection_map(w)
+    assert pm._lattice is w.p == LatticeMap(COVER_54.ctx, BASE_18.ctx)
+    assert pm._cell_tables[0] is w.p.cells is pm._cell_tables[2]
+
+
+def test_the_witness_builds_p_and_its_table_once(monkeypatch):
+    built = []
+    cells = LatticeMap.__dict__["cells"].func
+    spy = cached_property(lambda lat: built.append(lat) or cells(lat))
+    spy.__set_name__(LatticeMap, "cells")
+    monkeypatch.setattr(LatticeMap, "cells", spy)
+    w = check_cover(BASE_18, COVER_54)
+    projection_map(w)
+    lifting_map(w)
+    compose_p_tau(w)
+    # the y-swap lifts on its columns, through p's table; a base shift along y
+    # lifts to a cover shift, and intertwines by composing p as a lattice map
+    assert lift_automorphism(w, y_exponent_swap_automorphism(BASE_18))._lattice is None
+    assert lift_automorphism(w, shift_automorphism(BASE_18, Monomial(0, 1)))._lattice is not None
+    assert verify_cover_isomorphism(BASE_18, COVER_54, w)
+    tables_of_p = [lat for lat in built if lat == w.p]
+    assert len(tables_of_p) == 1 and tables_of_p[0] is w.p
 
 
 def test_compose_p_tau_refuses_a_corrupted_fibre():
@@ -190,6 +220,13 @@ def test_induced_projection_preserves_gh_class():
     assert BASE_72.x_class_coords(out.op.support_vector()) == BASE_72.x_class_coords(
         want.support_vector()
     )
+
+
+def test_induced_homology_map_refuses_a_side_other_than_x_or_z():
+    for cm in (projection_map(W_54), lifting_map(W_54)):
+        for side in ("x", "z", "", "XZ"):
+            with pytest.raises(Refusal, match="side must be 'X' or 'Z'"):
+                induced_homology_map(cm, side)
 
 
 def test_induced_maps_compose_to_identity_for_odd_h():
