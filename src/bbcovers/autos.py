@@ -16,7 +16,9 @@ witness's p when the two composites with p are one lattice map.  Every
 other map, the y-swap and any map read from JSON among them, lifts block by
 block on its columns and is verified and intertwined with p's cell table on
 columns.  A degree whose cell table sends distinct cells to distinct cells
-is a permutation with no rank to compute.
+is a permutation with no rank to compute.  Verification is a predicate and
+stores nothing: a logical action trusts a lattice map's class images by its
+own O(w) squares and kernel-tests every other map's.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .codes import BBCode, Classification, InternalConsistencyError, LogicalBasi
 from .codes import _overlap_matrix, pairing_matrix
 from .covers import CoverWitness, LatticeMap
 from .chainmaps import ChainMap, _block_diag, _class_images, _class_matrix, _compose
-from .chainmaps import _lattice_map, _mark_verified, _unit_columns, lift_logical
+from .chainmaps import _lattice_map, _unit_columns, lift_logical
 from .gf2 import BinMatrix, xor_rows
 from .rings import Monomial
 
@@ -112,7 +114,7 @@ def _of(code: BBCode, m: CodeAutomorphism) -> CodeAutomorphism:
 
 def _verify(code: BBCode, m: CodeAutomorphism) -> bool:
     """A qubit permutation, invertible W's and exact chain squares into the
-    code's own or dual complex; marks m as verified when it passes."""
+    code's own or, for a ZXDuality, dual complex."""
     if not _is_permutation(_of(code, m)._cell_tables[1]):
         return False
     lm = code.ctx.dim
@@ -121,11 +123,7 @@ def _verify(code: BBCode, m: CodeAutomorphism) -> bool:
         # transpose, whose rows are the columns, have one rank)
         if not _is_permutation(cells) and BinMatrix(lm, lm, w).rank() != lm:
             return False
-    dual = isinstance(m, ZXDuality)
-    if not m.commutes(dual):
-        return False
-    _mark_verified(m, dual)
-    return True
+    return m.commutes(isinstance(m, ZXDuality))
 
 
 def _require_duality(m: CodeAutomorphism) -> ZXDuality:

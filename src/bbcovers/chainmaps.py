@@ -19,6 +19,8 @@ they keep, which no public constructor takes, and their squares are decided
 in O(w) from phi's images of A and B, where the translations cancel; p is
 the witness's own ``p``.  Every other map, tau, the sections, the y-swap
 and any matrix read from JSON among them, is compared on every column.
+Class images skip the kernel test only for a lattice map that commutes into
+the complex pairing their sectors; no verdict is stored on a map.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ if TYPE_CHECKING:  # distance imports autos, which imports this module
 
 @dataclass(frozen=True)
 class ChainMap:
-    """Degreewise column tables of a map between two code complexes; a chain
-    map wherever its squares were checked (constant sections are not checked).
+    """Degreewise column tables of a map between two code complexes, a chain
+    map exactly when ``commutes`` says so (constant sections need not be one).
     cols2 acts on Z-checks, cols1 on qubits and cols0 on X-checks; the
     matrices deg2, deg1 and deg0 are built when read."""
 
@@ -49,11 +51,6 @@ class ChainMap:
     cols0: tuple[int, ...]
     source: BBCode
     target: BBCode
-    # "own" or "dual", set once every square into that complex of the target was
-    # checked: the map then sends the kernel vectors of each sector into the same
-    # sector ("own") or the other one ("dual"), and class images of that sector
-    # pairing skip the kernel test
-    _verified_into: str | None = field(default=None, init=False, repr=False, compare=False)
     # the lattice map of every degree; commutes decides the squares from it alone,
     # so only _lattice_map, which derives the columns from it, sets it
     _lattice: LatticeMap | None = field(default=None, init=False, repr=False, compare=False)
@@ -103,13 +100,6 @@ class ChainMap:
         if self._lattice is not None:
             return self._lattice.sends(_pair(self.source), _pair(self.target, dual_target))
         return _is_chain_map(self.columns, _boundaries(self.source), _boundaries(self.target, dual_target))
-
-
-def _mark_verified(cm: ChainMap, dual_target: bool = False) -> ChainMap:
-    """Mark cm as a map whose squares into the target's own or, with
-    ``dual_target``, dual complex were all checked; returns it."""
-    object.__setattr__(cm, "_verified_into", "dual" if dual_target else "own")
-    return cm
 
 
 @dataclass(frozen=True)
@@ -188,17 +178,12 @@ def _cell_table(cols: tuple[int, ...]) -> tuple[int, ...] | None:
     return tuple(map(int.__sub__, map(int.bit_length, cols), repeat(1)))
 
 
-def _checked_p(witness: CoverWitness) -> LatticeMap:
-    """The witness's p, once its chain squares and its cochain squares hold exactly."""
+def projection_map(witness: CoverWitness) -> ChainMap:
+    """The chain map p_* : cover -> base of the witness's p, all four squares checked exactly."""
     for dual in (False, True):
         if not witness.p.sends(_pair(witness.cover, dual), _pair(witness.base, dual)):
             raise InternalConsistencyError(f"{'cochain' if dual else 'chain'}-map square failed")
-    return witness.p
-
-
-def projection_map(witness: CoverWitness) -> ChainMap:
-    """The chain map p_* : cover -> base of the witness's p, all four squares checked exactly."""
-    return _mark_verified(_lattice_map(ChainMap, _checked_p(witness), witness.cover, witness.base))
+    return _lattice_map(ChainMap, witness.p, witness.cover, witness.base)
 
 
 def _degreewise(q: tuple[int, ...], source: BBCode, target: BBCode) -> ChainMap:
@@ -207,10 +192,9 @@ def _degreewise(q: tuple[int, ...], source: BBCode, target: BBCode) -> ChainMap:
 
 
 def lifting_map(witness: CoverWitness) -> ChainMap:
-    """The chain map tau_* : base -> cover; the transpose of p_*, so p_*'s
-    squares, checked here, verify it.  Its columns are the rows of p: the fibres."""
-    _checked_p(witness)
-    return _mark_verified(_degreewise(witness.fibres, witness.base, witness.cover))
+    """The map tau_* : base -> cover, the transpose of p_*, whose squares ``commutes``
+    decides on every column.  Its columns are the rows of p: the fibres."""
+    return _degreewise(witness.fibres, witness.base, witness.cover)
 
 
 def compose_p_tau(witness: CoverWitness) -> str:
@@ -301,12 +285,13 @@ def _class_matrix(code: BBCode, side: str, vectors, check: bool = True) -> BinMa
 
 def _class_images(cm: ChainMap, src_side: str, side: str, vectors) -> BinMatrix:
     """Rows: target coordinates, in the ``side`` sector, of the qubit images of
-    kernel vectors of the source's ``src_side`` sector.  A map verified into the
-    complex that pairs these sectors (its own for equal sides, the dual for
-    swapped ones) sends them into the target kernel; the images of any other
-    map are tested, with Refusal when one leaves the target kernel."""
+    kernel vectors of the source's ``src_side`` sector.  A lattice map commuting
+    into the complex that pairs these sectors (its own for equal sides, the dual
+    for swapped ones), an O(w) decision, sends both sectors into the target
+    kernel, as phi commutes with negation; every other map's images are tested,
+    with Refusal when one leaves the target kernel."""
     images = [xor_rows(cm.cols1, v) for v in vectors]
-    trusted = cm._verified_into == ("own" if src_side == side else "dual")
+    trusted = cm._lattice is not None and cm.commutes(src_side != side)
     return _class_matrix(cm.target, side, images, check=not trusted)
 
 
@@ -330,22 +315,22 @@ def distance_bounds(witness: CoverWitness, base_d: DistanceResult, cover_k: int)
 
     Odd h gives d_h <= h*d with the tau-lift of a base minimum-weight logical
     as witness; odd h with k_h = k adds d <= d_h.  For even h the same
-    inequalities are reported but flagged as conjectural.
+    inequalities are reported but flagged as conjectural.  ``cover_k`` must
+    be the cover's k; Refusal otherwise.
     """
     if base_d.kind != "exact" or base_d.witness is None:
         raise Refusal("distance bounds need an exact base distance with a witness")
+    if cover_k != witness.cover.k:
+        raise Refusal(f"cover_k = {cover_k} is not the cover's k = {witness.cover.k}")
     h = witness.h
     lifted = lift_logical(witness, base_d.witness)
-    lower = None
-    if h % 2 == 1 and cover_k == witness.base.k:
-        lower = base_d.value
     return BoundReport(
         h=h,
         base_distance=base_d.value,
         upper_bound=h * base_d.value,
         upper_witness=lifted.op,
         upper_witness_classification=lifted.classification,
-        lower_bound=lower,
+        lower_bound=base_d.value if h % 2 == 1 and cover_k == witness.base.k else None,
         conjectural=h % 2 == 0,
     )
 

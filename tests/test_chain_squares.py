@@ -231,3 +231,31 @@ def test_a_composite_of_lattice_maps_composes_their_cell_tables(lift, data):
     for lat in (f, g, fg):  # each table, built from one period of x-rows, is the per-cell formula
         cells = [lat.target.index(*lat.point(a, b)) for a in range(lat.source.l) for b in range(lat.source.m)]
         assert lat.cells == tuple(cells)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 8), st.integers(2, 8), st.data())
+def test_a_lattice_map_commutes_into_its_own_complex_iff_into_the_dual(l, m, data):
+    # phi commutes with negation, so phi sends (a, b) onto (a', b') exactly when
+    # it sends (b^T, a^T) onto (b'^T, a'^T): the rule by which class images of a
+    # lattice map skip the kernel test in both sectors
+    code = data.draw(codes(l, m))
+    divisors = lambda n: st.sampled_from([d for d in range(n, 0, -1) if n % d == 0])  # noqa: E731
+    for _ in range(10):  # a random phi, kept when it is a homomorphism that leaves A and B nonzero
+        target = RingContext(data.draw(divisors(code.l)), data.draw(divisors(code.m)))
+        exps = st.tuples(st.integers(0, target.l - 1), st.integers(0, target.m - 1))
+        try:
+            x, y, s = data.draw(exps), data.draw(exps), data.draw(exps)
+            lat = LatticeMap(code.ctx, target, x, y, s, data.draw(st.booleans()))
+        except ValueError:
+            continue
+        images = [Poly.make(target, [lat.point(*t, 0) for t in p.terms]) for p in (code.a, code.b)]
+        if not any(p.is_zero() for p in images) and target.dim > 1:
+            break
+    else:
+        assume(False)
+    a, b = images[::-1] if lat.swap else images
+    flipped = data.draw(st.sampled_from([c for c in range(target.dim) if a.mask != 1 << c]))
+    for tgt, expected in ((BBCode(a, b), True), (BBCode(Poly(target, a.mask ^ 1 << flipped), b), False)):
+        own = lat.sends(chainmaps._pair(code), chainmaps._pair(tgt))
+        assert own == lat.sends(chainmaps._pair(code, True), chainmaps._pair(tgt, True)) == expected

@@ -18,17 +18,21 @@ from bbcovers.chainmaps import (
     weight_preserving_lift_search,
 )
 from bbcovers.autos import (
+    CodeAutomorphism,
     antipode_zx_duality,
     block_swap_zx_duality,
+    duality_action,
     lift_automorphism,
     lift_zx_duality,
+    logical_action,
     shift_automorphism,
     verify_automorphism,
     verify_zx_duality,
     y_exponent_swap_automorphism,
 )
-from bbcovers.codes import Classification, InternalConsistencyError, PauliOp, Refusal, parse_code_spec, parse_pauli
-from bbcovers.covers import LatticeMap, check_cover, verify_cover_isomorphism
+from bbcovers.codes import BBCode, Classification, InternalConsistencyError, PauliOp, Refusal
+from bbcovers.codes import parse_code_spec, parse_pauli
+from bbcovers.covers import CoverRefusal, CoverWitness, LatticeMap, check_cover, verify_cover_isomorphism
 from bbcovers.distance import exact_distance
 from bbcovers.gf2 import BinMatrix, ShapeError
 from bbcovers.rings import ContextMismatch, Monomial, Poly, parse_poly
@@ -92,8 +96,8 @@ def test_chain_maps_commute_and_are_transposes():
 
 
 def test_a_failing_square_fails_both_chain_maps(monkeypatch):
-    # tau is read off the verified p, so p's squares guard both; p is a lattice
-    # map, so its squares are decided from phi's images of A and B
+    # projection_map checks p's squares, decided from phi's images of A and B;
+    # lifting_map checks nothing: tau's squares are its own, on every column
     seen = []
 
     def failing(lat, source, target):
@@ -101,34 +105,51 @@ def test_a_failing_square_fails_both_chain_maps(monkeypatch):
         return False
 
     monkeypatch.setattr(chainmaps.LatticeMap, "sends", failing)
-    for build in (projection_map, lifting_map):
-        with pytest.raises(InternalConsistencyError):
-            build(W_54)
+    with pytest.raises(InternalConsistencyError):
+        projection_map(W_54)
     own = ((COVER_54.a, COVER_54.b), (BASE_18.a, BASE_18.b))
-    assert seen == [own, own]  # each build stops at its chain squares
+    assert seen == [own]  # the build stops at its chain squares
     seen.clear()
+    assert lifting_map(W_54).cols1
+    assert seen == []  # lifting_map makes no sends call
     monkeypatch.setattr(chainmaps.LatticeMap, "sends", lambda lat, source, target: seen.append((source, target)) or True)
     projection_map(W_54)
     dual = tuple((code.b.transpose(), code.a.transpose()) for code in (COVER_54, BASE_18))
     assert seen == [own, dual]  # chain, then cochain squares
 
 
-def test_lifting_map_checks_p_on_every_build(monkeypatch):
+def test_projection_map_checks_p_on_every_build_and_lifting_map_never(monkeypatch):
     runs = []
     sends = chainmaps.LatticeMap.sends
     monkeypatch.setattr(chainmaps.LatticeMap, "sends", lambda *args: runs.append(1) or sends(*args))
-    lifting_map(check_cover(BASE_18, COVER_54))  # alone: p's chain and cochain squares
-    assert len(runs) == 2
+    lifting_map(check_cover(BASE_18, COVER_54))
+    assert runs == []
     w = check_cover(BASE_18, COVER_54)
     projection_map(w)
+    assert len(runs) == 2  # p's chain and cochain squares
     lifting_map(w)
+    projection_map(w)
     lifting_map(w)
-    assert len(runs) == 8  # p's chain and cochain squares on every build
-    # a failed check raises in both builders, after a passing one too
+    assert len(runs) == 4  # on every projection_map build, none on lifting_map's
+    # a failed check raises, after a passing one too
     monkeypatch.setattr(chainmaps.LatticeMap, "sends", lambda *args: False)
-    for build in (projection_map, lifting_map):
-        with pytest.raises(InternalConsistencyError):
-            build(w)
+    with pytest.raises(InternalConsistencyError):
+        projection_map(w)
+
+
+def test_a_forged_witness_fails_p_and_tau():
+    # A = 1+y does not project onto the base's A = 1+y+y^2: no cover, whatever the witness says
+    fake = parse_code_spec("l=9 m=3 A=1+y B=1+x+x^2")
+    with pytest.raises(CoverRefusal):
+        check_cover(BASE_18, fake)
+    w = CoverWitness(BASE_18, fake, 3, 1, (), ())
+    with pytest.raises(InternalConsistencyError, match="chain-map square failed"):
+        projection_map(w)
+    tm = lifting_map(w)
+    assert not tm.commutes()
+    for side in "XZ":
+        with pytest.raises(InternalConsistencyError, match="left the target kernel"):
+            induced_homology_map(tm, side)
 
 
 def test_projection_map_is_the_witness_p_with_its_table():
@@ -178,10 +199,11 @@ def test_apply_refuses_bits_beyond_the_source_qubits():
             pm.apply(bad)
 
 
-def test_class_images_keep_the_kernel_test_unless_the_sectors_were_verified():
-    # a verified duality sends Z-type vectors to X-type ones and back, so the
-    # same-side images of induced_homology_map are tested and leave the kernel;
-    # an unverified constant section is tested too
+def test_class_images_keep_the_kernel_test_unless_a_lattice_map_commutes():
+    # a duality commutes into the dual complex, not its own: it sends Z-type
+    # vectors to X-type ones and back, so the same-side images of
+    # induced_homology_map are tested and leave the kernel; a constant section,
+    # no lattice map, is tested too
     dual, swap = antipode_zx_duality(BASE_18), block_swap_zx_duality(BASE_18)
     assert verify_zx_duality(BASE_18, dual) and verify_zx_duality(BASE_18, swap)
     lifted = lift_zx_duality(check_cover(BASE_18, parse_code_spec("l=9 m=3 A=1+y+y^2 B=1+x^4+x^5")), swap)
@@ -193,6 +215,35 @@ def test_class_images_keep_the_kernel_test_unless_the_sectors_were_verified():
     assert verify_automorphism(BASE_18, shift)
     for side in "XZ":
         assert induced_homology_map(shift, side).matrix.rank() == BASE_18.k
+
+
+def test_class_images_skip_the_kernel_test_for_commuting_lattice_maps_only(monkeypatch):
+    checks = []
+    coords = BBCode._class_coords
+    spy = lambda code, side, v, check=True: checks.append(check) or coords(code, side, v, check)  # noqa: E731
+    monkeypatch.setattr(BBCode, "_class_coords", spy)
+
+    def tested(run) -> set[bool]:
+        checks.clear()
+        run()
+        assert checks
+        return set(checks)
+
+    w = check_cover(BASE_18, COVER_54)
+    for side in "XZ":
+        assert tested(lambda: induced_homology_map(lifting_map(w), side)) == {True}  # tau: every image
+        assert tested(lambda: induced_homology_map(projection_map(w), side)) == {False}
+    basis = BASE_18.logical_basis
+    shift, antipode = shift_automorphism(BASE_18, Monomial(1, 2)), antipode_zx_duality(BASE_18)
+    assert verify_automorphism(BASE_18, shift) and verify_zx_duality(BASE_18, antipode)
+    assert tested(lambda: logical_action(BASE_18, shift, basis)) == {False}
+    assert tested(lambda: logical_action(BASE_18, antipode, basis)) == {False}
+    assert tested(lambda: duality_action(BASE_18, antipode, basis)) == {False}
+    # a verified map given as columns is tested on every image: the y-swap and a map read from JSON
+    y_swap, from_json = y_exponent_swap_automorphism(BASE_18), CodeAutomorphism.from_json(shift.to_json(), BASE_18)
+    for m in (y_swap, from_json):
+        assert m._lattice is None and verify_automorphism(BASE_18, m)
+        assert tested(lambda: logical_action(BASE_18, m, basis)) == {True}
 
 
 def test_compose_p_tau():
@@ -302,6 +353,17 @@ def test_distance_bounds_refuse_a_base_distance_that_is_not_exact():
     assert base_d.kind == "lower-bound-interval"
     with pytest.raises(Refusal, match="exact base distance"):
         distance_bounds(W_54, base_d, COVER_54.k)
+
+
+def test_distance_bounds_refuse_a_cover_k_that_is_not_the_covers():
+    # the odd-h lower bound d <= d_h is a theorem only when k_h = k; this h = 5 cover has k_h = 40
+    cover = parse_code_spec("l=15 m=3 A=1+y+y^2 B=1+x^5+x^10")
+    w, base_d = check_cover(BASE_18, cover), exact_distance(BASE_18, 4)
+    assert (w.h, cover.k, BASE_18.k, base_d.value) == (5, 40, 8, 2)
+    with pytest.raises(Refusal, match="cover_k = 8 is not the cover's k = 40"):
+        distance_bounds(w, base_d, BASE_18.k)
+    rep = distance_bounds(w, base_d, cover.k)
+    assert rep.lower_bound is None and rep.upper_bound == 10 and not rep.conjectural
 
 
 def test_distance_bounds_h1():
