@@ -1,7 +1,7 @@
 """Projection and lifting chain maps between a cover and its base code.
 
 The projection p sends a cover monomial x^a y^b to x^(a mod l) y^(b mod m);
-the lifting map tau = p^T sends a base monomial to the sum of its fiber.
+the lifting map tau = p^T sends a base monomial to the sum of its fibre.
 Both extend to chain maps of the code complexes (degreewise p, p(+)p, p) and
 therefore act on logical operators.  Sections of the covering give
 weight-preserving lifts, which certify distance upper bounds when they land
@@ -17,10 +17,10 @@ every degree, for a lattice homomorphism phi and a translation s, the qubit
 blocks kept or swapped.  They are built from a ``covers.LatticeMap`` that
 they keep, which no public constructor takes, and their squares are decided
 in O(w) from phi's images of A and B, where the translations cancel; p is
-the witness's own ``p``.  Every other map, tau, the sections, the y-swap
-and any matrix read from JSON among them, is compared on every column.
-Class images skip the kernel test only for a lattice map that commutes into
-the complex pairing their sectors; no verdict is stored on a map.
+the witness's own ``p``, and tau keeps the p it transposes for its O(w)
+squares.  Every other map, the sections, the y-swap and any matrix read from
+JSON, is compared on every column.  Class images skip the kernel test only for
+a lattice map or tau commuting into the complex pairing their sectors.
 """
 
 from __future__ import annotations
@@ -51,9 +51,10 @@ class ChainMap:
     cols0: tuple[int, ...]
     source: BBCode
     target: BBCode
-    # the lattice map of every degree; commutes decides the squares from it alone,
-    # so only _lattice_map, which derives the columns from it, sets it
+    # the lattice map of every degree, or the one it transposes in every degree: commutes decides
+    # the squares from it alone, so only _lattice_map and lifting_map, which derive the columns, set them
     _lattice: LatticeMap | None = field(default=None, init=False, repr=False, compare=False)
+    _transpose_of: LatticeMap | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         src, tgt = self.source, self.target
@@ -95,10 +96,12 @@ class ChainMap:
 
     def commutes(self, dual_target: bool = False) -> bool:
         """Whether every chain square commutes exactly, into the target's complex
-        or, with ``dual_target``, into its dual complex (X and Z swapped): from
-        phi's images of A and B for a lattice map, on every column otherwise."""
+        or, with ``dual_target``, into its dual complex (X and Z swapped): from phi's
+        images of A and B for a lattice map or its transpose, on every column otherwise."""
         if self._lattice is not None:
             return self._lattice.sends(_pair(self.source), _pair(self.target, dual_target))
+        if self._transpose_of is not None:
+            return self._transpose_of.sends(_pair(self.target, not dual_target), _pair(self.source, True))
         return _is_chain_map(self.columns, _boundaries(self.source), _boundaries(self.target, dual_target))
 
 
@@ -192,9 +195,11 @@ def _degreewise(q: tuple[int, ...], source: BBCode, target: BBCode) -> ChainMap:
 
 
 def lifting_map(witness: CoverWitness) -> ChainMap:
-    """The map tau_* : base -> cover, the transpose of p_*, whose squares ``commutes``
-    decides on every column.  Its columns are the rows of p: the fibres."""
-    return _degreewise(witness.fibres, witness.base, witness.cover)
+    """The map tau_* : base -> cover, p_* transposed in every degree: its columns are p's fibres,
+    and its squares are p's, transposed, from the cover's other complex into the base's dual."""
+    tau = _degreewise(witness.p.fibres, witness.base, witness.cover)
+    object.__setattr__(tau, "_transpose_of", witness.p)
+    return tau
 
 
 def compose_p_tau(witness: CoverWitness) -> str:
@@ -203,7 +208,7 @@ def compose_p_tau(witness: CoverWitness) -> str:
     Column i of p . tau is the p-image of the fibre over i: h times e_i.
     """
     p = _unit_columns(witness.p.cells)
-    cols = [xor_rows(p, fibre) for fibre in witness.fibres]
+    cols = [xor_rows(p, fibre) for fibre in witness.p.fibres]
     if all(c == 1 << i for i, c in enumerate(cols)):
         result = "identity"
     elif not any(cols):
@@ -231,9 +236,9 @@ def project_poly(witness: CoverWitness, p: Poly) -> Poly:
 
 
 def lift_poly(witness: CoverWitness, p: Poly) -> Poly:
-    """tau of a base polynomial: the XOR of tau's columns, the fibres, at the set
+    """tau of a base polynomial: the XOR of tau's columns, p's fibres, at the set
     bits of p, in time proportional to its weight; weight multiplies by h."""
-    return Poly(witness.cover.ctx, xor_rows(witness.fibres, _over(witness.base.ctx, p).mask))
+    return Poly(witness.cover.ctx, xor_rows(witness.p.fibres, _over(witness.base.ctx, p).mask))
 
 
 @dataclass(frozen=True)
@@ -285,13 +290,12 @@ def _class_matrix(code: BBCode, side: str, vectors, check: bool = True) -> BinMa
 
 def _class_images(cm: ChainMap, src_side: str, side: str, vectors) -> BinMatrix:
     """Rows: target coordinates, in the ``side`` sector, of the qubit images of
-    kernel vectors of the source's ``src_side`` sector.  A lattice map commuting
-    into the complex that pairs these sectors (its own for equal sides, the dual
-    for swapped ones), an O(w) decision, sends both sectors into the target
-    kernel, as phi commutes with negation; every other map's images are tested,
-    with Refusal when one leaves the target kernel."""
+    kernel vectors of the source's ``src_side`` sector.  A lattice map or its transpose
+    commuting into the complex pairing these sectors (its own for equal sides, the dual for
+    swapped ones), an O(w) decision, sends both sectors into the target kernel, as phi commutes
+    with negation; every other map's images are tested, Refusal when one leaves the kernel."""
     images = [xor_rows(cm.cols1, v) for v in vectors]
-    trusted = cm._lattice is not None and cm.commutes(src_side != side)
+    trusted = (cm._lattice or cm._transpose_of) is not None and cm.commutes(src_side != side)
     return _class_matrix(cm.target, side, images, check=not trusted)
 
 

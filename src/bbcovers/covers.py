@@ -7,9 +7,9 @@ decides and certifies that relation, enumerates all covers for given target
 lattice parameters up to orbit-minimal support masks, and cross-validates the
 algebra against the derived graph built by voltage arithmetic: both graphs are
 check rows over qubit masks, compared as one tuple.  The witness holds the
-covering map p, a ``LatticeMap``, and builds its cell table once; its
-``embedding``, ``sheet_offsets`` and ``fibres`` have their own arithmetic, so
-checks of p's table against them are no tautology.
+covering map p, a ``LatticeMap``, which builds its cell table and its fibres,
+tau's columns, once; ``embedding`` and ``sheet_offsets`` have their own
+arithmetic, so checks of p's table against them are no tautology.
 """
 
 from __future__ import annotations
@@ -81,6 +81,14 @@ class LatticeMap:
             out += [(ra + b * ya) % l * m + (rb + b * yb) % m for b in range(self.source.m)]
         return tuple(out)
 
+    @cached_property
+    def fibres(self) -> tuple[int, ...]:
+        """The transposed cell table: the mask of the source cells over each target cell."""
+        out = [0] * self.target.dim
+        for g, c in enumerate(self.cells):
+            out[c] |= 1 << g
+        return tuple(out)
+
     def after(self, other: LatticeMap) -> LatticeMap:
         """The lattice map self . other."""
         x, y, s = self.point(*other.x, 0), self.point(*other.y, 0), self.point(*other.s)
@@ -130,12 +138,6 @@ class CoverWitness:
         """Cover index a * m~ + b of base index a * m + b: its cell on sheet (0, 0)."""
         mt = self.base.m * self.t
         return tuple(a * mt + b for a in range(self.base.l) for b in range(self.base.m))
-
-    @cached_property
-    def fibres(self) -> tuple[int, ...]:
-        """Cover mask of the fibre over every base index: row i of p."""
-        sheets = sum(1 << o for o in self.sheet_offsets)
-        return tuple(sheets << e for e in self.embedding)
 
 
 def _match_terms(cand: Poly, base: Poly, l: int, m: int) -> tuple[tuple[Monomial, Monomial], ...]:
@@ -371,7 +373,8 @@ def enumerate_covers(
     & Ann B~): after the refusals each side class's matrix is eliminated once,
     and each distinct pair of annihilator spans is met once.  The Z route,
     dim(Ann B~^T & Ann A~^T), certifies every job's k (rank H_X = rank H_Z), and
-    each job still builds its BBCode, so every construction check runs on it.
+    each job still builds its BBCode, so every construction check runs on it.  A k
+    below the base's, read alike, raises InternalConsistencyError: k_h >= k at every h.
     """
     if lt < base.l or mt < base.m or lt % base.l != 0 or mt % base.m != 0:
         raise Refusal(f"(l~, m~) = ({lt}, {mt}) not divisible by (l, m) = ({base.l}, {base.m})")
@@ -387,6 +390,9 @@ def enumerate_covers(
     _within_budget(RingContext(lt, mt))  # before any matrix of the cover lattice
     # both sides are sorted by terms, so the A-major records are in (A terms, B terms) order
     records = _records([_side_class(p) for p in a_side], [_side_class(p) for p in b_side])
+    k = _records([_side_class(base.a)], [_side_class(base.b)])[0].k
+    if low := [r for r in records if r.k < k]:
+        raise InternalConsistencyError(f"the cover A={low[0].a} B={low[0].b} has k = {low[0].k} < the base's k = {k}")
     return CoverEnumeration(base, lt, mt, tuple(records), deduplicated=dedup)
 
 

@@ -31,7 +31,6 @@ from bbcovers.covers import (
     _side_representatives,
     build_derived_graph,
     build_tanner_graph,
-    check_cover,
     cover_multipliers,
     is_connected,
     verify_cover_isomorphism,
@@ -51,12 +50,7 @@ from oracles import (
     to_matrix_reference,
     verify_cover_isomorphism_reference,
 )
-
-BASES = [
-    parse_code_spec("l=3 m=3 A=1+y+y^2 B=1+x+x^2"),
-    parse_code_spec("l=7 m=2 A=1+x^2+x^3y B=1+x^3+x^2y"),
-    parse_code_spec("l=6 m=2 A=1+x^5+x^3+x^5y B=y+x^2y+x^5y+x^3"),
-]
+from random_codes import lifts
 
 
 @st.composite
@@ -82,21 +76,6 @@ def codes(draw):
     a, b = draw(polys(ctx, min_terms=1, max_terms=4)), draw(polys(ctx, min_terms=1, max_terms=4))
     assume(not a.is_zero() and not b.is_zero())  # repeated terms may cancel
     return BBCode(a, b)
-
-
-@st.composite
-def lifts(draw):
-    """(base, cover, witness) for a random lift: each base term moves to a random sheet."""
-    base = draw(st.sampled_from(BASES))
-    u, t = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    ctx = RingContext(base.l * u, base.m * t)
-
-    def lift(p):
-        sheets = draw(st.lists(st.tuples(st.integers(0, u - 1), st.integers(0, t - 1)), min_size=p.weight, max_size=p.weight))
-        return Poly.make(ctx, [(x.a + base.l * i, x.b + base.m * j) for x, (i, j) in zip(p.terms, sheets)])
-
-    cover = BBCode(lift(base.a), lift(base.b))
-    return base, cover, check_cover(base, cover)
 
 
 @given(polys())

@@ -22,7 +22,7 @@ from bbcovers.gf2 import BinMatrix, xor_rows
 from bbcovers.rings import Monomial
 
 from oracles import affine_reference, chain_map_commutes_reference
-from test_bitset_properties import lifts
+from random_codes import lifts
 from test_chain_squares import codes, lattice_maps
 
 BASE_18 = parse_code_spec("l=3 m=3 A=1+y+y^2 B=1+x+x^2")

@@ -1,13 +1,15 @@
 """The square checks of ChainMap against every column and dense matrix products.
 
 A lattice map (p, the shifts, the antipode and block swap, and lifts that are
-lattice maps of the cover) is decided from phi's images of A and B; every
-other map, tau, sections, the y-swap and maps given as columns among them, on
-all columns.  Either way the verdict must be the one that comparing every
-column and the products in oracles.py give.
+lattice maps of the cover) is decided from phi's images of A and B, and tau,
+p's transpose, by p's squares on the dual complexes; every other map,
+sections, the y-swap and maps given as columns among them, on all columns.
+Either way the verdict must be the one that comparing every column and the
+products in oracles.py give.
 """
 
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -20,11 +22,12 @@ from bbcovers.chainmaps import ChainMap, LatticeMap, _boundaries, _cell_table, _
 from bbcovers.chainmaps import constant_section, lifting_map, projection_map
 from bbcovers.codes import BBCode, parse_code_spec
 from bbcovers.covers import check_cover
+from bbcovers.gf2 import BinMatrix, xor_rows
 from bbcovers.rings import Monomial, Poly, RingContext
 
-from oracles import boundaries_reference, chain_map_commutes_reference, squares_commute_reference
-from random_codes import weight3_codes
-from test_bitset_properties import lifts
+from oracles import boundaries_reference, chain_map_commutes_reference, projection_matrix_reference
+from oracles import squares_commute_reference
+from random_codes import lifts, weight3_codes
 
 
 @st.composite
@@ -115,12 +118,45 @@ def test_projection_squares_match_the_products(lift):
     pm, tm = projection_map(w), lifting_map(w)
     assert pm._lattice == LatticeMap(cover.ctx, base.ctx)  # p reduces exponents
     assert pm._cell_tables == (w.p.cells, *pm._cell_tables[1:]) == tuple(map(_cell_table, pm.columns))
-    assert tm._lattice is None  # tau, even at h = 1, is given by its columns
+    assert tm._lattice is None and tm._transpose_of is w.p  # tau, even at h = 1, is p's transpose
     degs = (pm.deg2, pm.deg1, pm.deg0)
     assert squares_commute_reference(degs, boundaries_reference(cover), boundaries_reference(base))
     dual = (boundaries_reference(cover, True), boundaries_reference(base, True))
     assert squares_commute_reference(degs[::-1], *dual)
     assert tm.commutes() == chain_map_commutes_reference(tm)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lifts())
+def test_tau_is_p_transposed_and_decided_by_one_sends_of_p(lift):
+    # tau's columns are p's fibres, the rows of the dense p, and a square of tau
+    # is a square of p transposed, so one sends call of the witness's p decides it
+    _, _, w = lift
+    tm = lifting_map(w)
+    assert tm.cols2 is tm.cols0 is w.p.fibres
+    assert tm.cols2 == projection_matrix_reference(w).rows
+    calls, sends = [], LatticeMap.sends
+    with mock.patch.object(LatticeMap, "sends", lambda lat, *pairs: calls.append(lat) or sends(lat, *pairs)):
+        for dual in (False, True):
+            calls.clear()
+            assert tm.commutes(dual) == chain_map_commutes_reference(tm, dual)
+            assert len(calls) == 1 and calls[0] is w.p
+
+
+@settings(max_examples=60, deadline=None)
+@given(lifts(st.sampled_from([(u, t) for u in range(1, 7) for t in range(1, 7) if 2 <= u * t <= 6])))
+def test_tau_sends_the_base_h2_injectively_into_the_cover_h2(lift):
+    # H_2 = ker d2, d2 = H_Z^T = (B; A), so k = 2 dim H_2 on both codes (Bravyi et
+    # al.); tau_2 is injective, its fibres being disjoint and nonempty, and sends
+    # H_2 into the cover's, so k_h >= k at every h
+    base, cover, w = lift
+    kernels = [boundaries_reference(code)[0].kernel_basis() for code in (base, cover)]
+    assert [base.k, cover.k] == [2 * ker.n_rows for ker in kernels]
+    tau_2 = lifting_map(w).cols2
+    images = BinMatrix.from_ints([xor_rows(tau_2, z) for z in kernels[0].rows], cover.ctx.dim)
+    assert (boundaries_reference(cover)[0] @ images.transpose()).is_zero()
+    assert images.rank() == kernels[0].n_rows
+    assert cover.k >= base.k
 
 
 def test_translation_and_antipode_tables_match_the_per_cell_formulas():
@@ -188,13 +224,13 @@ def test_lattice_maps_take_the_check_on_a_and_b_and_every_other_map_every_column
     w_54 = check_cover(base, parse_code_spec("l=9 m=3 A=x^3+y+y^2 B=1+x+x^2"))
     lattice = (
         projection_map(w),
+        lifting_map(w),  # p's transpose, decided by p's squares on the dual complexes
         shift_automorphism(w.cover, Monomial(1, 2)),
         antipode_zx_duality(w.cover),
         block_swap_zx_duality(base),
         lift_automorphism(w, shift_automorphism(base, Monomial(0, 0))),
     )
     others = (
-        lifting_map(w),
         y_exponent_swap_automorphism(base),
         constant_section(w, 1, 1),
         CodeAutomorphism.from_json(shift_automorphism(base, Monomial(1, 1)).to_json(), base),
@@ -204,7 +240,7 @@ def test_lattice_maps_take_the_check_on_a_and_b_and_every_other_map_every_column
     sends, every_column = chainmaps.LatticeMap.sends, chainmaps._is_chain_map
     monkeypatch.setattr(chainmaps.LatticeMap, "sends", lambda *args: calls.append("a, b") or sends(*args))
     monkeypatch.setattr(chainmaps, "_is_chain_map", lambda *args: calls.append("columns") or every_column(*args))
-    # tau, the y-swap, sections and maps read from JSON are given by columns
+    # the y-swap, sections and maps read from JSON are given by columns
     for cms, check in ((lattice, "a, b"), (others, "columns")):
         for cm in cms:
             dual = isinstance(cm, ZXDuality)

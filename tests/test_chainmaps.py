@@ -160,15 +160,21 @@ def test_projection_map_is_the_witness_p_with_its_table():
 
 
 def test_the_witness_builds_p_and_its_table_once(monkeypatch):
-    built = []
-    cells = LatticeMap.__dict__["cells"].func
-    spy = cached_property(lambda lat: built.append(lat) or cells(lat))
-    spy.__set_name__(LatticeMap, "cells")
-    monkeypatch.setattr(LatticeMap, "cells", spy)
+    built, transposed = [], []
+    for name, log in (("cells", built), ("fibres", transposed)):
+        table = LatticeMap.__dict__[name].func
+        spy = cached_property(lambda lat, table=table, log=log: log.append(lat) or table(lat))
+        spy.__set_name__(LatticeMap, name)
+        monkeypatch.setattr(LatticeMap, name, spy)
     w = check_cover(BASE_18, COVER_54)
     projection_map(w)
     lifting_map(w)
     compose_p_tau(w)
+    # tau's columns, p's transposed table, serve its lifts and its class images too
+    lift_logical(w, parse_pauli("X(1+x|0)", BASE_18.ctx))
+    lift_poly(w, parse_poly("1+y", BASE_18.ctx))
+    for side in "XZ":
+        induced_homology_map(lifting_map(w), side)
     # the y-swap lifts on its columns, through p's table; a base shift along y
     # lifts to a cover shift, and intertwines by composing p as a lattice map
     assert lift_automorphism(w, y_exponent_swap_automorphism(BASE_18))._lattice is None
@@ -176,19 +182,26 @@ def test_the_witness_builds_p_and_its_table_once(monkeypatch):
     assert verify_cover_isomorphism(BASE_18, COVER_54, w)
     tables_of_p = [lat for lat in built if lat == w.p]
     assert len(tables_of_p) == 1 and tables_of_p[0] is w.p
+    assert len(transposed) == 1 and transposed[0] is w.p
 
 
 def test_compose_p_tau_refuses_a_corrupted_fibre():
-    for moved in (False, True):
-        w = check_cover(BASE_18, COVER_54)
-        fibres = list(w.fibres)
-        low = fibres[0] & -fibres[0]
-        fibres[0] ^= low  # the fibre over 0 loses a sheet ...
-        if moved:
-            fibres[1] |= low  # ... to the fibre over 1
-        w.__dict__["fibres"] = tuple(fibres)
-        with pytest.raises(InternalConsistencyError, match="neither identity nor zero"):
-            compose_p_tau(w)
+    # tau's columns are p's fibres, read off p's cell table, so a fibre loses a
+    # cell only to another fibre: a forged table moves cover cell 0 over base cell 1
+    w = check_cover(BASE_18, COVER_54)
+    w.p.__dict__["cells"] = (1, *w.p.cells[1:])
+    with pytest.raises(InternalConsistencyError, match="neither identity nor zero"):
+        compose_p_tau(w)
+
+
+def test_tau_and_its_lifts_read_p_s_cell_table():
+    # a forged table moves cover cell 0 from the fibre over base cell 0 to that over 1
+    w = check_cover(BASE_18, COVER_54)
+    w.p.__dict__["cells"] = (1, *w.p.cells[1:])
+    tm = lifting_map(w)
+    assert tm.cols2 is tm.cols0 is w.p.fibres
+    assert (tm.cols2[0] & 1, tm.cols2[1] & 1) == (0, 1)
+    assert lift_poly(w, parse_poly("y", BASE_18.ctx)).mask == tm.cols2[1]
 
 
 def test_apply_refuses_bits_beyond_the_source_qubits():
@@ -231,7 +244,7 @@ def test_class_images_skip_the_kernel_test_for_commuting_lattice_maps_only(monke
 
     w = check_cover(BASE_18, COVER_54)
     for side in "XZ":
-        assert tested(lambda: induced_homology_map(lifting_map(w), side)) == {True}  # tau: every image
+        assert tested(lambda: induced_homology_map(lifting_map(w), side)) == {False}  # tau, by p's squares
         assert tested(lambda: induced_homology_map(projection_map(w), side)) == {False}
     basis = BASE_18.logical_basis
     shift, antipode = shift_automorphism(BASE_18, Monomial(1, 2)), antipode_zx_duality(BASE_18)

@@ -3,7 +3,8 @@ from dataclasses import FrozenInstanceError
 
 import pytest
 
-from bbcovers.codes import BBCode, Refusal, build_code, parse_code_spec
+from bbcovers import cli, covers
+from bbcovers.codes import BBCode, InternalConsistencyError, Refusal, build_code, parse_code_spec
 from bbcovers.covers import (
     CoverRefusal,
     CoverWitness,
@@ -133,6 +134,28 @@ def test_enumerate_14_h2():
 def test_enumerate_divisibility_error():
     with pytest.raises(Refusal):
         enumerate_covers(parse_code_spec(BASE_18), 7, 3)
+
+
+def test_enumeration_raises_on_a_cover_with_k_below_the_base_k(monkeypatch, capsys):
+    # tau sends H_2 injectively into the cover's, so k_h >= k.  The base's k is read
+    # like the records', 2 dim(Ann A & Ann B); a base A-class forged to claim B's
+    # annihilators makes it 2 dim Ann B = 12, above the k = 8 of three (6, 3) covers
+    base = parse_code_spec(BASE_18)
+    side_class = covers._side_class
+
+    def forged(p):
+        if p != base.a:
+            return side_class(p)
+        b = side_class(base.b)
+        return side_class(p)._replace(ann=b.ann, ann_t=b.ann_t)
+
+    monkeypatch.setattr(covers, "_side_class", forged)
+    with pytest.raises(InternalConsistencyError, match="has k = 8 < the base's k = 12"):
+        enumerate_covers(base, 6, 3)
+    assert cli.main(["enumerate", BASE_18, "--lt", "6", "--mt", "3"]) == 3
+    assert "internal invariant breach" in capsys.readouterr().err
+    monkeypatch.undo()
+    assert enumerate_covers(base, 6, 3).k_histogram == {8: 3, 16: 1}
 
 
 def test_enumerate_records_are_verified_covers():
