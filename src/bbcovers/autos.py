@@ -14,11 +14,12 @@ squares are decided from phi's images of A and B.  A lattice map with phi =
 lattice map with the same translation and swap, and intertwines with the
 witness's p when the two composites with p are one lattice map.  Every
 other map, the y-swap and any map read from JSON among them, lifts block by
-block on its columns and is verified and intertwined with p's cell table on
-columns.  A degree whose cell table sends distinct cells to distinct cells
-is a permutation with no rank to compute.  Verification is a predicate and
-stores nothing: a logical action trusts a lattice map's class images by its
-own O(w) squares and kernel-tests every other map's.
+block on its columns, through the witness's sheets (sections of p), and is
+verified and intertwined with p's cell table on columns.  A degree whose
+cell table sends distinct cells to distinct cells is a permutation with no
+rank to compute.  Verification is a predicate and stores nothing: a
+logical action trusts a lattice map's class images by its own O(w) squares
+and kernel-tests every other map's.
 """
 
 from __future__ import annotations
@@ -178,16 +179,16 @@ def antipode_zx_duality(code: BBCode) -> ZXDuality:
 
 def _block_lift(witness: CoverWitness, w: tuple[int, ...]) -> tuple[int, ...]:
     """Sheet-wise lift of the columns of a square base map: every block is
-    repeated on every sheet, so each sheet maps to itself.  Base index i of a
-    space of lm x lm blocks (one block for checks, two for qubits) is cover
-    index index[i] on sheet (0, 0)."""
+    repeated on every sheet of the witness, so each sheet maps to itself.  Base
+    index i of a space of lm x lm blocks (one block for checks, two for qubits)
+    is cover index index[i] on a sheet, through that sheet's table."""
     lm_b, lm_c = witness.base.ctx.dim, witness.cover.ctx.dim
-    index = [block * lm_c + e for block in range(len(w) // lm_b) for e in witness.embedding]
-    units, cols = _unit_columns(index), [0] * (len(index) * witness.h)
-    for j, col in enumerate(w):
-        lifted = xor_rows(units, col)
-        for o in witness.sheet_offsets:
-            cols[index[j] + o] = lifted << o
+    cols = [0] * (len(w) * witness.h)
+    for sheet in witness.sheets:
+        index = [block * lm_c + e for block in range(len(w) // lm_b) for e in sheet]
+        units = _unit_columns(index)
+        for j, col in enumerate(w):
+            cols[index[j]] = xor_rows(units, col)
     return tuple(cols)
 
 

@@ -3,9 +3,9 @@
 The projection p sends a cover monomial x^a y^b to x^(a mod l) y^(b mod m);
 the lifting map tau = p^T sends a base monomial to the sum of its fibre.
 Both extend to chain maps of the code complexes (degreewise p, p(+)p, p) and
-therefore act on logical operators.  Sections of the covering give
-weight-preserving lifts, which certify distance upper bounds when they land
-on nontrivial logicals.
+therefore act on logical operators.  Sections of the covering, the witness's
+sheets, and weight-preserving lifts, one cell of p's fibre per support term,
+certify distance upper bounds when they land on nontrivial logicals.
 
 A chain map is stored degreewise as column tables: column j of a degree is
 the image of basis vector j, a mask over the target basis.  Applying a map
@@ -205,20 +205,12 @@ def lifting_map(witness: CoverWitness) -> ChainMap:
 def compose_p_tau(witness: CoverWitness) -> str:
     """p . tau equals the identity for odd h and zero for even h.
 
-    Column i of p . tau is the p-image of the fibre over i: h times e_i.
+    Column i of p . tau is the p-image of the fibre over i, its size times e_i,
+    so every fibre must have exactly h cells.
     """
-    p = _unit_columns(witness.p.cells)
-    cols = [xor_rows(p, fibre) for fibre in witness.p.fibres]
-    if all(c == 1 << i for i, c in enumerate(cols)):
-        result = "identity"
-    elif not any(cols):
-        result = "zero"
-    else:
-        raise InternalConsistencyError("p . tau is neither identity nor zero")
-    expected = "identity" if witness.h % 2 == 1 else "zero"
-    if result != expected:
-        raise InternalConsistencyError(f"p . tau = {result}, expected {expected} for h={witness.h}")
-    return result
+    if any(fibre.bit_count() != witness.h for fibre in witness.p.fibres):
+        raise InternalConsistencyError(f"a fibre of p does not have h={witness.h} cells")
+    return "identity" if witness.h % 2 else "zero"
 
 
 # --- polynomials under p and tau ---------------------------------------------
@@ -343,10 +335,9 @@ def distance_bounds(witness: CoverWitness, base_d: DistanceResult, cover_k: int)
 
 def constant_section(witness: CoverWitness, g: int, d: int) -> ChainMap:
     """The section (sigma, sigma (+) sigma, sigma): base -> cover that puts every base
-    cell on sheet (g mod u, d mod t); p . sigma is the identity in each degree."""
-    base, cover = witness.base, witness.cover
-    o = witness.sheet_offsets[(g % witness.u) * witness.t + d % witness.t]
-    return _degreewise(_unit_columns(map(o.__add__, witness.embedding)), base, cover)
+    cell on the witness's sheet (g mod u, d mod t); p . sigma is the identity in each degree."""
+    sheet = witness.sheets[(g % witness.u) * witness.t + d % witness.t]
+    return _degreewise(_unit_columns(sheet), witness.base, witness.cover)
 
 
 def weight_preserving_lift_search(
@@ -354,9 +345,10 @@ def weight_preserving_lift_search(
 ) -> list[ClassifiedOp]:
     """Classify every weight-preserving lift of a base logical operator.
 
-    Enumerates all h^w sheet assignments over the support and returns the
-    candidates that are nontrivial logicals of the cover; any hit certifies
-    d_h <= w.  Refuses when h^w exceeds the budget.
+    Enumerates all h^w sheet assignments over the support, one cell of p's
+    fibre per support term, and returns the candidates that are nontrivial
+    logicals of the cover; any hit certifies d_h <= w.  Refuses when h^w
+    exceeds the budget.
     """
     if witness.base.classify(op) != Classification.LOGICAL:
         raise Refusal("weight-preserving lifts are searched for nontrivial base logicals only")
@@ -365,15 +357,18 @@ def weight_preserving_lift_search(
     total = h**w
     if total > limit:
         raise Refusal(f"section space h^w = {total} exceeds the budget {limit}")
-    cover = witness.cover
-    # (block, cover index on sheet (0, 0)) of every support term, left block first
+    cover, fibres = witness.cover, witness.p.fibres
+    # (block, bit) of each cell of the fibre of every support term, left block first
     blocks = (op.left.mask, op.right.mask)
-    support = [(j, e) for j in (0, 1) for i, e in enumerate(witness.embedding) if blocks[j] >> i & 1]
+    support = [
+        [(j, 1 << c) for c in range(cover.ctx.dim) if f >> c & 1]
+        for j in (0, 1) for i, f in enumerate(fibres) if blocks[j] >> i & 1
+    ]
     hits = []
-    for assignment in product(witness.sheet_offsets, repeat=w):
+    for assignment in product(*support):
         masks = [0, 0]
-        for (block, e), o in zip(support, assignment):
-            masks[block] |= 1 << (e + o)
+        for block, bit in assignment:
+            masks[block] |= bit
         cand = PauliOp(op.basis, Poly(cover.ctx, masks[0]), Poly(cover.ctx, masks[1]))
         if cand.weight != w:
             raise InternalConsistencyError("sheet assignment collapsed the support")

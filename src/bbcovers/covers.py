@@ -8,8 +8,9 @@ lattice parameters up to orbit-minimal support masks, and cross-validates the
 algebra against the derived graph built by voltage arithmetic: both graphs are
 check rows over qubit masks, compared as one tuple.  The witness holds the
 covering map p, a ``LatticeMap``, which builds its cell table and its fibres,
-tau's columns, once; ``embedding`` and ``sheet_offsets`` have their own
-arithmetic, so checks of p's table against them are no tautology.
+tau's columns, once, and its ``sheets``, sections of p read off those fibres.
+The derived graph and the check of p's table keep their own exponent
+arithmetic, so neither is a tautology.
 """
 
 from __future__ import annotations
@@ -123,21 +124,17 @@ class CoverWitness:
 
     @cached_property
     def p(self) -> LatticeMap:
-        """The covering map: cover cell x^a y^b lies over x^(a mod l) y^(b mod m) on sheet
-        (a // l, b // m), so ``p.cells`` sends embedding[i] + sheet_offsets[g] to i."""
+        """The covering map: cover cell x^a y^b lies over x^(a mod l) y^(b mod m)."""
         return LatticeMap(self.cover.ctx, self.base.ctx)
 
     @cached_property
-    def sheet_offsets(self) -> tuple[int, ...]:
-        """Cover-index offset of sheet (g1, g2), at position g1 * t + g2."""
-        l, m, mt = self.base.l, self.base.m, self.base.m * self.t
-        return tuple(l * g1 * mt + m * g2 for g1 in range(self.u) for g2 in range(self.t))
-
-    @cached_property
-    def embedding(self) -> tuple[int, ...]:
-        """Cover index a * m~ + b of base index a * m + b: its cell on sheet (0, 0)."""
-        mt = self.base.m * self.t
-        return tuple(a * mt + b for a in range(self.base.l) for b in range(self.base.m))
+    def sheets(self) -> tuple[tuple[int, ...], ...]:
+        """Sections of p: sheet j translates the lowest cell of each of p's fibres by the
+        j-th cell of its kernel, the fibre over base cell 0, ascending (on a diagonal cover
+        sheet (g1, g2) at j = g1 t + g2).  Entry i of a sheet is its cover cell over base cell i."""
+        ctx, fibres = self.cover.ctx, self.p.fibres
+        kernel = [divmod(c, ctx.m) for c in range(ctx.dim) if fibres[0] >> c & 1]
+        return tuple(tuple((ctx.shift(f & -f, a, b) & f).bit_length() - 1 for f in fibres) for a, b in kernel)
 
 
 def _match_terms(cand: Poly, base: Poly, l: int, m: int) -> tuple[tuple[Monomial, Monomial], ...]:
@@ -484,9 +481,9 @@ def build_derived_graph(base: BBCode, witness: CoverWitness) -> TannerGraph:
     ((v1 + e1) // l, (v2 + e2) // m) mod (u, t), setting a bit of a check row.
     """
     l, m, u, t = base.l, base.m, witness.u, witness.t
-    cells = base.ctx.dim * witness.h
-    offset, embedding = witness.sheet_offsets, witness.embedding
+    cells, mt = base.ctx.dim * witness.h, m * t
     gs = [(g1, g2) for g1 in range(u) for g2 in range(t)]  # the sheets
+    offset = [l * g1 * mt + m * g2 for g1, g2 in gs]  # the cover index of (l g1, m g2)
     # voltage s1 * t + s2 -> (tail, head) sheet offsets of every tail sheet
     moved = [list(zip(offset, [offset[(g1 + s1) % u * t + (g2 + s2) % t] for g1, g2 in gs])) for s1, s2 in gs]
     rows = [0] * (2 * cells)
@@ -498,8 +495,8 @@ def build_derived_graph(base: BBCode, witness: CoverWitness) -> TannerGraph:
             s1, h1 = divmod(v1 + exp.a, l)
             for v2 in range(m):
                 s2, h2 = divmod(v2 + exp.b, m)
-                tail = tail_first + embedding[v1 * m + v2]
-                head = head_first + embedding[h1 * m + h2]
+                tail = tail_first + v1 * mt + v2
+                head = head_first + h1 * mt + h2
                 if check_tail:
                     for o, p in moved[s1 % u * t + s2 % t]:
                         rows[tail + o] |= 1 << (head + p)
@@ -520,10 +517,11 @@ def verify_cover_isomorphism(base: BBCode, cover: BBCode, witness: CoverWitness)
     one (the rows and columns of the base H_X and H_Z).  That is decided once
     per base vertex: the neighbours of derived vertex (v, g) are one head
     (v + e, g + s) or tail (v - e, g - s) per distinct generator e, so if
-    p's table sends embedding[i] + sheet_offsets[g] to i for all i and g
-    (an O(cells) table test), they project to v + e and v - e for every g:
-    the translate by v of the generators' neighbourhood at base cell 0.  The
-    base's own neighbourhoods are the translates of its cell-0 ones, which
+    p's table sends every cover cell x^a y^b to (a mod l) m + b mod m (an
+    O(cells) test against that formula, not against p's own build), they
+    project to v + e and v - e for every g: the translate by v of the
+    generators' neighbourhood at base cell 0.  The base's own neighbourhoods
+    are the translates of its cell-0 ones, which
     ``BBCode._checks_are_translates`` decides once per base, so the translates
     agree at every cell exactly when they agree at cell 0.
     """
@@ -531,10 +529,10 @@ def verify_cover_isomorphism(base: BBCode, cover: BBCode, witness: CoverWitness)
         return False
     if build_tanner_graph(cover).rows != build_derived_graph(base, witness).rows:
         return False
-    # the pairs (i, g) name every cover index once on a (u l, t m) cover, so this
+    # on a (u l, t m) cover the formula meets every base cell h times, so this
     # table test also gives every fibre its h elements
-    proj = witness.p.cells
-    if any(proj[e + o] != i for i, e in enumerate(witness.embedding) for o in witness.sheet_offsets):
+    l, m = base.l, base.m
+    if witness.p.cells != tuple(a % l * m + b % m for a in range(cover.l) for b in range(cover.m)):
         return False
     # the projected neighbourhood of every class at base cell 0, over the qubit
     # columns for a check and the check rows for a qubit: e off a tail, -e off a head

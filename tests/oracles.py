@@ -2,9 +2,9 @@
 
 from collections import Counter
 from functools import reduce
-from itertools import combinations, islice
+from itertools import combinations, islice, product
 
-from bbcovers.codes import BBCode, PauliOp, Refusal
+from bbcovers.codes import BBCode, Classification, PauliOp, Refusal
 from bbcovers.covers import _lift_masks, build_tanner_graph, is_connected
 from bbcovers.distance import _cluster_search, _lightest_logical
 from bbcovers.gf2 import BinMatrix, RowReducer, parities
@@ -297,10 +297,10 @@ def derived_edge_ids_reference(base, witness) -> list[int]:
     ((v1 + e1) // l, (v2 + e2) // m) mod (u, t).
     """
     l, m, u, t = base.l, base.m, witness.u, witness.t
-    cells = base.ctx.dim * witness.h
+    cells, mt = base.ctx.dim * witness.h, m * t
     n = 2 * cells
-    offset, embedding = witness.sheet_offsets, witness.embedding
     sheets = [(g1, g2) for g1 in range(u) for g2 in range(t)]
+    offset = [l * g1 * mt + m * g2 for g1, g2 in sheets]  # the cover index of (l g1, m g2)
     # voltage -> the head sheet offset of each tail sheet
     moved = {
         (s1, s2): [offset[((g1 + s1) % u) * t + (g2 + s2) % t] for g1, g2 in sheets]
@@ -317,8 +317,8 @@ def derived_edge_ids_reference(base, witness) -> list[int]:
             s1, h1 = divmod(v1 + exp.a, l)
             for v2 in range(m):
                 s2, h2 = divmod(v2 + exp.b, m)
-                tail = tail_first + embedding[v1 * m + v2]
-                head = head_first + embedding[h1 * m + h2]
+                tail = tail_first + v1 * mt + v2
+                head = head_first + h1 * mt + h2
                 heads = moved[(s1 % u, s2 % t)]
                 if tail_is_check:
                     base_id = tail * n + head - n
@@ -365,6 +365,26 @@ def section_matrix_reference(witness, g: int, d: int) -> BinMatrix:
         j = base.ctx.index(mono.a, mono.b)
         rows[cover.ctx.index(mono.a + base.l * g, mono.b + base.m * d)] |= 1 << j
     return BinMatrix(cover.ctx.dim, base.ctx.dim, tuple(rows))
+
+
+def weight_preserving_lifts_reference(witness, op: PauliOp) -> list[PauliOp]:
+    """The nontrivial cover logicals among the lifts of op that move each support
+    term x^a y^b to x^(a + l g1) y^(b + m g2), one sheet (g1, g2) per term: the
+    left block's terms, then the right block's, each in index order, with the
+    sheets g1-major and the last term's sheet varying fastest."""
+    base, cover = witness.base, witness.cover
+    l, m = base.l, base.m
+    sheets = [(g1, g2) for g1 in range(witness.u) for g2 in range(witness.t)]
+    support = [(block, x) for block, p in enumerate((op.left, op.right)) for x in p.terms]
+    hits = []
+    for assignment in product(sheets, repeat=len(support)):
+        terms = ([], [])
+        for (block, x), (g1, g2) in zip(support, assignment):
+            terms[block].append((x.a + l * g1, x.b + m * g2))
+        cand = PauliOp(op.basis, *(Poly.make(cover.ctx, t) for t in terms))
+        if cover.classify(cand) == Classification.LOGICAL:
+            hits.append(cand)
+    return hits
 
 
 def lift_check_matrix_reference(witness, w: BinMatrix) -> BinMatrix:

@@ -7,6 +7,7 @@ independent oracle for Tanner-graph connectivity.
 
 import json
 from dataclasses import replace
+from functools import cache
 
 import networkx as nx
 from hypothesis import assume, example, given, settings
@@ -22,7 +23,8 @@ from bbcovers.autos import (
     verify_zx_duality,
 )
 from bbcovers.chainmaps import _unit_columns, constant_section, lift_poly, lifting_map, projection_map
-from bbcovers.codes import BBCode, parse_code_spec
+from bbcovers.chainmaps import weight_preserving_lift_search
+from bbcovers.codes import BBCode, PauliOp, parse_code_spec
 from bbcovers.covers import (
     CoverWitness,
     _closure,
@@ -35,6 +37,7 @@ from bbcovers.covers import (
     is_connected,
     verify_cover_isomorphism,
 )
+from bbcovers.distance import exact_distance
 from bbcovers.gf2 import BinMatrix, parities, xor_rows
 from bbcovers.rings import Monomial, Poly, RingContext, parse_poly
 
@@ -49,6 +52,7 @@ from oracles import (
     section_matrix_reference,
     to_matrix_reference,
     verify_cover_isomorphism_reference,
+    weight_preserving_lifts_reference,
 )
 from random_codes import lifts
 
@@ -249,6 +253,24 @@ def test_covering_map_tables_match_loop_oracles(lift, data):
     for g in range(-1, w.u + 1):  # sheet arguments reduce mod (u, t)
         for d in range(-1, w.t + 1):
             assert constant_section(w, g, d).deg0 == section_matrix_reference(w, g, d)
+    # every sheet is a section of p, sheet (g1, g2) the base cells moved by (l g1, m g2),
+    # and together they partition the cover's cells
+    l, m = base.l, base.m
+    assert len(w.sheets) == w.h
+    for j, sheet in enumerate(w.sheets):
+        g1, g2 = divmod(j, w.t)
+        assert [w.p.cells[c] for c in sheet] == list(range(base.ctx.dim))
+        assert list(sheet) == [(a + l * g1) * cover.m + b + m * g2 for a in range(l) for b in range(m)]
+    assert sorted(c for sheet in w.sheets for c in sheet) == list(range(cover.ctx.dim))
+    op = _lightest_logical_op(base)
+    if w.h**op.weight <= 256:  # the reference classifies every candidate too
+        hits = weight_preserving_lift_search(w, op)
+        assert [hit.op for hit in hits] == weight_preserving_lifts_reference(w, op)
+
+
+@cache
+def _lightest_logical_op(base: BBCode) -> PauliOp:
+    return exact_distance(base, 4).witness
 
 
 @settings(max_examples=30, deadline=None)

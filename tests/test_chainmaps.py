@@ -37,7 +37,7 @@ from bbcovers.distance import exact_distance
 from bbcovers.gf2 import BinMatrix, ShapeError
 from bbcovers.rings import ContextMismatch, Monomial, Poly, parse_poly
 
-from oracles import stabilizer_support
+from oracles import stabilizer_support, weight_preserving_lifts_reference
 
 BASE_18 = parse_code_spec("l=3 m=3 A=1+y+y^2 B=1+x+x^2")
 BASE_72 = parse_code_spec("l=6 m=6 A=x^3+y+y^2 B=y^3+x+x^2")
@@ -175,10 +175,14 @@ def test_the_witness_builds_p_and_its_table_once(monkeypatch):
     lift_poly(w, parse_poly("1+y", BASE_18.ctx))
     for side in "XZ":
         induced_homology_map(lifting_map(w), side)
-    # the y-swap lifts on its columns, through p's table; a base shift along y
-    # lifts to a cover shift, and intertwines by composing p as a lattice map
+    # the y-swap lifts on its columns, through the witness's sheets, read off p's
+    # fibres, and intertwines through p's table; a base shift along y lifts to a
+    # cover shift, and intertwines by composing p as a lattice map
     assert lift_automorphism(w, y_exponent_swap_automorphism(BASE_18))._lattice is None
     assert lift_automorphism(w, shift_automorphism(BASE_18, Monomial(0, 1)))._lattice is not None
+    # the sections and the weight-preserving lifts pick cells of the same fibres
+    constant_section(w, 1, 0)
+    assert weight_preserving_lift_search(w, parse_pauli("X(0|1+y)", BASE_18.ctx)) == []
     assert verify_cover_isomorphism(BASE_18, COVER_54, w)
     tables_of_p = [lat for lat in built if lat == w.p]
     assert len(tables_of_p) == 1 and tables_of_p[0] is w.p
@@ -190,7 +194,18 @@ def test_compose_p_tau_refuses_a_corrupted_fibre():
     # cell only to another fibre: a forged table moves cover cell 0 over base cell 1
     w = check_cover(BASE_18, COVER_54)
     w.p.__dict__["cells"] = (1, *w.p.cells[1:])
-    with pytest.raises(InternalConsistencyError, match="neither identity nor zero"):
+    with pytest.raises(InternalConsistencyError, match="does not have h=3 cells"):
+        compose_p_tau(w)
+
+
+def test_compose_p_tau_refuses_fibres_of_the_wrong_size_and_the_right_parity():
+    # two of the three cells over base cell 1 forged onto base cell 0: fibres of 5
+    # and 1 cells, both odd like h = 3, so p . tau still reads e_i in every column
+    w = check_cover(BASE_18, parse_code_spec("l=9 m=3 A=x^3+y+y^2 B=1+x^4+x^8"))
+    over_1 = [c for c, i in enumerate(w.p.cells) if i == 1]
+    w.p.__dict__["cells"] = tuple(0 if c in over_1[:2] else i for c, i in enumerate(w.p.cells))
+    assert [f.bit_count() for f in w.p.fibres[:3]] == [5, 1, 3]
+    with pytest.raises(InternalConsistencyError, match="does not have h=3 cells"):
         compose_p_tau(w)
 
 
@@ -393,6 +408,8 @@ def test_wpl_candidate_count():
     hits = weight_preserving_lift_search(w, op)
     assert w.h ** op.weight == 4
     assert any(str(h.op) == "X(0|1 + y)" for h in hits)  # the identity section
+    # one cell of each fibre, ascending: the sheet assignments in (g1, g2) order
+    assert [h.op for h in hits] == weight_preserving_lifts_reference(w, op) and len(hits) == 2
 
 
 def test_wpl_identity_section_on_connected_cover_is_not_logical():

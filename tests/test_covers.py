@@ -562,13 +562,13 @@ def test_a_cover_record_has_no_dict_and_stays_frozen():
 
 
 def test_cover_isomorphism_refuses_an_inconsistent_projection_table():
-    # the per-base-vertex bijection test rests on p.cells[embedding[i] + sheet_offsets[g]] == i
+    # the per-base-vertex bijection test rests on p.cells sending x^a y^b to (a mod l) m + b mod m
     base = parse_code_spec(BASE_18)
     c36 = parse_code_spec("l=6 m=3 A=x^3+y+y^2 B=1+x+x^2")
     w = check_cover(base, c36)
     assert verify_cover_isomorphism(base, c36, w)
     proj = list(w.p.cells)
-    i, j = w.embedding[0], w.embedding[1] + w.sheet_offsets[1]  # over base cells 0 and 1
+    i, j = 0, 3 * c36.m + 1  # 1 and x^3 y, over base cells 0 and 1
     proj[i], proj[j] = proj[j], proj[i]  # every fibre keeps its size h
     forged = LatticeMap(c36.ctx, base.ctx)
     forged.__dict__["cells"] = tuple(proj)  # the slot of the cached property
