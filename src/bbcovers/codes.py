@@ -16,12 +16,13 @@ A): both check matrices and their transposes stack, on demand, the circulants
 of A, B, A^T and B^T that each polynomial builds once.  Row r of each check
 matrix is the r-translate of its row 0, so column 0 of H_X H_Z^T decides the
 product is zero; a code is built with that check alone, which XORs w rows once
-each polynomial has certified M(p)^T = M(p^T).  Syndromes are ring products
+each polynomial has certified M(p)^T = M(p^T), and cover enumeration runs the
+same check, ``_column_0``, on the rows alone.  Syndromes are ring products
 on the two blocks, which stack no matrix, and H_X and H_Z are each eliminated
-once, by a reducer.  The
-logical basis reads its kernel vectors off those reducers by back-substitution
-and picks them with one highest-bit elimination of the sparse check rows,
-masked to the free columns; it builds no reduced form and no third reducer.
+once, by a reducer.  The logical basis reads its kernel vectors off those
+reducers by back-substitution and picks them with one highest-bit elimination
+of the sparse check rows, masked to the free columns; it builds no reduced
+form and no third reducer.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .gf2 import BinMatrix, RowReducer, ShapeError, leading_bits, parities
+from .gf2 import BinMatrix, RowReducer, ShapeError, leading_bits, parities, xor_rows
 from .rings import ContextMismatch, Poly, PolyParseError, RingContext, parse_poly
 
 # Largest lattice l*m a code is built on: l = m = 64 builds in under 0.01 s on a
@@ -111,7 +112,10 @@ class BBCode:
         self.ctx = _within_budget(a.ctx)
         self.a = a
         self.b = b
-        if _column_0(a, b):
+        at, bt = a.transpose(), b.transpose()
+        certified = a._column_0_is_transpose and b._column_0_is_transpose
+        x, y = (at, bt) if certified else (a, b)
+        if _column_0(at.mask, bt.mask, x.to_matrix().rows, y.to_matrix().rows, certified):
             raise InternalConsistencyError("H_X H_Z^T != 0; construction is broken")
 
     # -- identity ------------------------------------------------------------
@@ -256,16 +260,17 @@ class BBCode:
         return parities(logicals.z_vectors if basis == "X" else logicals.x_vectors, v)
 
 
-def _column_0(a: Poly, b: Poly) -> int:
+def _column_0(at: int, bt: int, a_rows: Sequence[int], b_rows: Sequence[int], certified: bool) -> int:
     """Column 0 of H_X H_Z^T, zero exactly when the product is: entry (r, s)
     pairs the r-translate of H_X's row 0 with the s-translate of H_Z's row 0,
-    (B^T | A^T) as masks, so it is entry (r - s, 0).  Once both polynomials have
-    certified M(p)^T = M(p^T), M(p) mask(q) XORs w rows of M(p^T), not lm parities.
+    (B^T | A^T) as the masks ``bt`` and ``at``, so it is entry (r - s, 0).  That is
+    M(A) bt + M(B) at, lm parities on the rows of M(A) and M(B); once both
+    polynomials have ``certified`` M(p)^T = M(p^T), the rows are those of M(A^T)
+    and M(B^T), and each product XORs the w rows at the mask's bits.
     """
-    at, bt = a.transpose(), b.transpose()
-    if a._column_0_is_transpose and b._column_0_is_transpose:
-        return at.to_matrix().vec_mul(bt.mask) ^ bt.to_matrix().vec_mul(at.mask)
-    return a.to_matrix().mul_vec(bt.mask) ^ b.to_matrix().mul_vec(at.mask)
+    if certified:
+        return xor_rows(a_rows, bt) ^ xor_rows(b_rows, at)
+    return parities(a_rows, bt) ^ parities(b_rows, at)
 
 
 def _within_budget(ctx: RingContext) -> RingContext:

@@ -21,15 +21,15 @@ from functools import cache, cached_property
 from itertools import product
 from typing import NamedTuple
 
-from .codes import BBCode, InternalConsistencyError, Refusal, _within_budget
+from .codes import BBCode, InternalConsistencyError, Refusal, _column_0, _within_budget
 from .gf2 import RowReducer
-from .rings import Monomial, Poly, RingContext
+from .rings import ContextMismatch, Monomial, Poly, RingContext
 
 
-# Codes one enumerate_covers call may build, one per (A-class, B-class) pair:
+# Jobs one enumerate_covers call may run, one per (A-class, B-class) pair:
 # 64 times the 15,625 classes of the weight-8 base
 # l=6 m=2 A=1+x^3+x^5+x^5y B=y+x^2y+x^3+x^5y at (30, 2), whose records take
-# about 0.03 ms each on one Xeon vCPU (a code build plus shared table lookups).
+# about 7 us each on one Xeon vCPU (two w-term XORs plus shared table lookups).
 MAX_ENUMERATION_JOBS = 1_000_000
 
 
@@ -131,10 +131,14 @@ class CoverWitness:
     def sheets(self) -> tuple[tuple[int, ...], ...]:
         """Sections of p: sheet j translates the lowest cell of each of p's fibres by the
         j-th cell of its kernel, the fibre over base cell 0, ascending (on a diagonal cover
-        sheet (g1, g2) at j = g1 t + g2).  Entry i of a sheet is its cover cell over base cell i."""
+        sheet (g1, g2) at j = g1 t + g2).  Entry i of a sheet is its cover cell over base cell i.
+        It raises unless each fibre is the kernel translated by the fibre's lowest cell."""
         ctx, fibres = self.cover.ctx, self.p.fibres
+        lows = [divmod((f & -f).bit_length() - 1, ctx.m) for f in fibres]
+        if any(ctx.shift(fibres[0], a, b) != f for f, (a, b) in zip(fibres, lows)):
+            raise InternalConsistencyError("the fibres of p are not the translates of its kernel")
         kernel = [divmod(c, ctx.m) for c in range(ctx.dim) if fibres[0] >> c & 1]
-        return tuple(tuple((ctx.shift(f & -f, a, b) & f).bit_length() - 1 for f in fibres) for a, b in kernel)
+        return tuple(tuple(ctx.index(la + a, lb + b) for la, lb in lows) for a, b in kernel)
 
 
 def _match_terms(cand: Poly, base: Poly, l: int, m: int) -> tuple[tuple[Monomial, Monomial], ...]:
@@ -314,28 +318,45 @@ def _side_class(p: Poly) -> _SideClass:
 
 
 def _records(a_classes: list[_SideClass], b_classes: list[_SideClass]) -> list[CoverRecord]:
-    """The record of every (A-class, B-class) job, A-major.
+    """The record of every (A-class, B-class) job, A-major, with the checks of a code
+    build and no code: each class is checked once for the ring and a nonzero polynomial,
+    each job by ``_column_0`` on the circulant rows of its classes, built once.
 
     k = 2 dim(Ann A & Ann B) (Bravyi et al., Lemma 1).  Ann A & Ann B is the
     left kernel of H_X = (A | B), and Ann B^T & Ann A^T that of H_Z = (B^T |
     A^T); the two routes agreeing is rank H_X = rank H_Z.
 
     Jobs share few annihilator spans (19 per side among the 125 classes of the
-    weight-8 base at (30, 2)) and difference subgroups, so dim(U & V) = dim U +
-    dim V - dim(U + V) is computed once per pair of span keys, from the keys
-    alone, and connectivity once per pair of subgroups.
+    weight-8 base at (30, 2)) and difference subgroups, so each span gets a small
+    id, dim(U & V) = dim U + dim V - dim(U + V) is computed once per pair of ids,
+    from the spans alone, and connectivity once per pair of subgroups.
     """
     ctx = a_classes[0].poly.ctx
-    meet = cache(lambda u, v: len(u) + len(v) - len(RowReducer(ctx.dim, u + v)))
+    certified = all(c.poly._column_0_is_transpose for c in a_classes + b_classes)
+    ids: dict[tuple[int, ...], int] = {}
+
+    def table(c: _SideClass) -> tuple:
+        p, pt = c.poly, c.poly.transpose()
+        if p.ctx != ctx:
+            raise ContextMismatch("A and B over different rings")
+        if p.is_zero():
+            raise Refusal("defining polynomials must be nonempty")
+        rows = (pt if certified else p).to_matrix().rows
+        return p, pt.mask, rows, ids.setdefault(c.ann, len(ids)), ids.setdefault(c.ann_t, len(ids)), c.group
+
+    a_tables, b_tables = [table(c) for c in a_classes], [table(c) for c in b_classes]
+    spans = list(ids)
+    meet = cache(lambda i, j: len(spans[i]) + len(spans[j]) - len(RowReducer(ctx.dim, spans[i] + spans[j])))
     connected = cache(lambda s, t: _closure(ctx, s, t) == (1 << ctx.dim) - 1)
     records = []
-    for a in a_classes:
-        for b in b_classes:
-            BBCode(a.poly, b.poly)  # the lattice budget and the H_X H_Z^T check
-            x_half, z_half = meet(a.ann, b.ann), meet(b.ann_t, a.ann_t)
+    for a, at, a_rows, a_ann, a_ann_t, a_group in a_tables:
+        for b, bt, b_rows, b_ann, b_ann_t, b_group in b_tables:
+            if _column_0(at, bt, a_rows, b_rows, certified):
+                raise InternalConsistencyError("H_X H_Z^T != 0; construction is broken")
+            x_half, z_half = meet(a_ann, b_ann), meet(b_ann_t, a_ann_t)
             if x_half != z_half:
                 raise InternalConsistencyError(f"rank H_X = {ctx.dim - x_half} != rank H_Z = {ctx.dim - z_half}")
-            records.append(CoverRecord(a.poly, b.poly, 2 * x_half, connected(a.group, b.group)))
+            records.append(CoverRecord(a, b, 2 * x_half, connected(a_group, b_group)))
     return records
 
 
@@ -360,8 +381,8 @@ def enumerate_covers(
     With dedup (the default), candidates are reduced to canonical orbit
     representatives first; class count is then at most h^4 for weight-6 codes
     and h^6 for weight-8 ones.  Without it the group is the identity alone, and
-    every lift is its own class.  Refuses more than MAX_ENUMERATION_JOBS codes
-    (A-classes x B-classes) before building any of them, and already before
+    every lift is its own class.  Refuses more than MAX_ENUMERATION_JOBS jobs
+    (A-classes x B-classes) before running any of them, and already before
     generating any lift when a lower bound on the class counts exceeds the
     budget.  Enumeration runs in one process: ``workers`` accepts only 1 and
     goes when the benchmark scripts stop passing it.
@@ -370,8 +391,8 @@ def enumerate_covers(
     & Ann B~): after the refusals each side class's matrix is eliminated once,
     and each distinct pair of annihilator spans is met once.  The Z route,
     dim(Ann B~^T & Ann A~^T), certifies every job's k (rank H_X = rank H_Z), and
-    each job still builds its BBCode, so every construction check runs on it.  A k
-    below the base's, read alike, raises InternalConsistencyError: k_h >= k at every h.
+    every check of a code build runs on each job without building it (``_records``).
+    A k below the base's, read alike, raises InternalConsistencyError: k_h >= k at every h.
     """
     if lt < base.l or mt < base.m or lt % base.l != 0 or mt % base.m != 0:
         raise Refusal(f"(l~, m~) = ({lt}, {mt}) not divisible by (l, m) = ({base.l}, {base.m})")

@@ -209,6 +209,24 @@ def test_compose_p_tau_refuses_fibres_of_the_wrong_size_and_the_right_parity():
         compose_p_tau(w)
 
 
+@pytest.mark.parametrize("forgery", ["two cells over base cell 1 moved onto 0", "cells 1 and x^3 y swapped"])
+def test_sheets_refuse_fibres_that_are_not_translates_of_the_kernel(forgery):
+    # both forged tables make some fibre miss a translate of the kernel, so a sheet had
+    # no cell over that base cell: it read -1, a bare ValueError in constant_section
+    w = check_cover(BASE_18, parse_code_spec("l=9 m=3 A=x^3+y+y^2 B=1+x^4+x^8"))
+    cells = list(w.p.cells)
+    if forgery.startswith("two"):
+        for c in [c for c, i in enumerate(cells) if i == 1][:2]:
+            cells[c] = 0
+    else:  # over base cells 0 and 1: every fibre keeps its h = 3 cells
+        cells[0], cells[3 * 3 + 1] = cells[3 * 3 + 1], cells[0]
+    w.p.__dict__["cells"] = tuple(cells)
+    with pytest.raises(InternalConsistencyError, match="not the translates of its kernel"):
+        constant_section(w, 1, 0)
+    sheets = check_cover(BASE_18, w.cover).sheets  # an unforged witness of the same cover
+    assert len(sheets) == 3 and sorted(c for s in sheets for c in s) == list(range(w.cover.ctx.dim))
+
+
 def test_tau_and_its_lifts_read_p_s_cell_table():
     # a forged table moves cover cell 0 from the fibre over base cell 0 to that over 1
     w = check_cover(BASE_18, COVER_54)

@@ -21,7 +21,7 @@ from bbcovers.covers import (
     verify_cover_isomorphism,
 )
 from bbcovers.gf2 import BinMatrix, RowReducer
-from bbcovers.rings import Monomial, Poly, RingContext, parse_poly
+from bbcovers.rings import ContextMismatch, Monomial, Poly, RingContext, parse_poly
 
 from oracles import lifts_of_poly, stabilizer_support, verify_cover_isomorphism_reference
 
@@ -469,6 +469,67 @@ def test_enumerate_raises_when_the_two_k_routes_disagree(monkeypatch):
     monkeypatch.setattr(covers, "_side_class", lambda p: side_class(p)._replace(ann_t=()))
     with pytest.raises(InternalConsistencyError, match="rank H_X = 23 != rank H_Z = 27"):
         enumerate_covers(parse_code_spec(BASE_18), 9, 3)
+
+
+def test_enumerate_runs_the_construction_check_on_every_job(monkeypatch):
+    # one B-class's M(B^T) forged in row j: column 0 of H_X H_Z^T is then nonzero on
+    # the jobs whose A^T has bit j, which the first A-class's lacks and some others' hold
+    base = parse_code_spec(BASE_18)
+    a_side, b_side = (covers._side_representatives(p, 3, 1, cover_multipliers(p, 3, 1)) for p in (base.a, base.b))
+    first, forged_b, j = a_side[0], b_side[-1], 10
+    hits = [a.transpose().mask >> j & 1 for a in a_side]
+    assert hits[0] == 0 < sum(hits) < len(hits)
+    side_class = covers._side_class
+
+    def forge(p):
+        side = side_class(p)  # certified first, so only the job check can see the forgery
+        if p.ctx == forged_b.ctx and p.mask == forged_b.mask:
+            matrix = p.transpose().to_matrix()
+            rows = list(matrix.rows)
+            rows[j] ^= 1
+            p.transpose().__dict__["_matrix"] = BinMatrix(matrix.n_rows, matrix.n_cols, tuple(rows))
+        return side
+
+    monkeypatch.setattr(covers, "_side_class", forge)
+    with pytest.raises(InternalConsistencyError, match=r"H_X H_Z\^T != 0"):
+        enumerate_covers(base, 9, 3)
+    # a code built on the forged class reads the same check: it fails exactly on the hits
+    b = forge(Poly(forged_b.ctx, forged_b.mask)).poly
+    assert BBCode(first, b).n == 54
+    for a, hit in zip(a_side, hits):
+        if hit:
+            with pytest.raises(InternalConsistencyError, match=r"H_X H_Z\^T != 0"):
+                BBCode(a, b)
+        else:
+            BBCode(a, b)
+    monkeypatch.undo()
+    assert len(enumerate_covers(base, 9, 3).records) == len(a_side) * len(b_side)
+
+
+def test_jobs_of_a_class_without_the_transpose_certificate_read_m_p_by_parities():
+    # uncertified, the job check reads M(A) and M(B), so a zeroed M(A^T) goes unread;
+    # read, it would leave column 0 = A^T B^T != 0
+    base = parse_code_spec(BASE_18)
+    sa, sb = covers._side_class(base.a), covers._side_class(base.b)
+    want = covers._records([sa], [sb])
+    a = Poly(base.ctx, base.a.mask)
+    a.__dict__["_column_0_is_transpose"] = False  # the slot of the cached property
+    a.transpose().__dict__["_matrix"] = BinMatrix(9, 9, (0,) * 9)
+    assert covers._records([sa._replace(poly=a)], [sb]) == want
+    a.__dict__["_column_0_is_transpose"] = True
+    with pytest.raises(InternalConsistencyError, match=r"H_X H_Z\^T != 0"):
+        covers._records([sa._replace(poly=a)], [sb])
+
+
+def test_records_refuse_a_class_over_another_ring_or_with_a_zero_polynomial():
+    # the checks of a code build that do not depend on the pair, run once per class
+    base = parse_code_spec(BASE_18)
+    sa, sb = covers._side_class(base.a), covers._side_class(base.b)
+    other = covers._side_class(parse_code_spec(BASE_14).b)
+    with pytest.raises(ContextMismatch, match="A and B over different rings"):
+        covers._records([sa], [sb, other])
+    with pytest.raises(Refusal, match="defining polynomials must be nonempty"):
+        covers._records([sa, sb._replace(poly=Poly.zero(sb.poly.ctx))], [sb])
 
 
 def _fail_on_records(monkeypatch):

@@ -59,20 +59,27 @@ def test_cover_verification_times_both_edge_sets():
     assert tracer.spans["covers.tanner_graph"][0] == tracer.spans["covers.derived_graph"][0] == 1
 
 
-def test_enumeration_builds_codes_without_dense_products_or_transposes():
+def test_enumeration_builds_codes_without_dense_products_or_transposes(monkeypatch):
     from bbcovers.codes import parse_code_spec
     from bbcovers.tables import enumeration_cases
 
+    covers = bbcovers.covers
+    # jobs run the construction check that BBCode.__init__ runs, not a copy of it
+    assert covers._column_0 is bbcovers.codes._column_0
+    column_0, calls = covers._column_0, []
+    monkeypatch.setattr(covers, "_column_0", lambda *args: calls.append(args) or column_0(*args))
     case = enumeration_cases()[0]
     base = parse_code_spec(case.base_spec)
     tracer = _load_tracing().Tracer(bbcovers)
     tracer.install()
     try:
-        bbcovers.covers.enumerate_covers(base, case.lt, case.mt)
+        records = covers.enumerate_covers(base, case.lt, case.mt).records
     finally:
         tracer.uninstall()
     metrics = tracer.metrics()
-    assert metrics["codes.build.calls"] > 0
+    # once per job, and once more for the base's own k, which is read as one job
+    assert len(records) > 1 and len(calls) == len(records) + 1
+    assert metrics["codes.build.calls"] == 0
     assert metrics["gf2.mul.calls"] == metrics["gf2.transpose.calls"] == 0
     # k comes from the side-class annihilators, not from rank_hz
     assert metrics["codes.k.calls"] == 0
