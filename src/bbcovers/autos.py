@@ -9,17 +9,19 @@ functions take both kinds; the duality-named ones refuse any other map.
 
 Like every ChainMap they are column tables.  The shifts, the block swap and
 the antipode are lattice maps (``covers.LatticeMap``, see chainmaps), whose
-squares are decided from phi's images of A and B.  A lattice map with phi =
-1 whose translation moves no cell across a sheet lifts to the cover's
-lattice map with the same translation and swap, and intertwines with the
-witness's p when the two composites with p are one lattice map.  Every
-other map, the y-swap and any map read from JSON among them, lifts block by
-block on its columns, through the witness's sheets (sections of p), and is
-verified and intertwined with p's cell table on columns.  A degree whose
-cell table sends distinct cells to distinct cells is a permutation with no
-rank to compute.  Verification is a predicate and stores nothing: a
-logical action trusts a lattice map's class images by its own O(w) squares
-and kernel-tests every other map's.
+squares are decided from phi's images of A and B, whose images act on masks
+and whose columns are built only when read.  Such a map is a permutation in
+every degree exactly when phi is bijective, which phi = 1 or -1 is at once.
+A lattice map with phi = 1 whose translation moves no cell across a sheet
+lifts to the cover's lattice map with the same translation and swap, and
+intertwines with the witness's p when the two composites with p are one
+lattice map.  Every other map, the y-swap and any map read from JSON among
+them, lifts block by block on its columns, through the witness's sheets
+(sections of p), and is verified and intertwined with p's cell table on
+columns; a degree of such a map whose cell table sends distinct cells to
+distinct cells is a permutation with no rank to compute.  Verification is a
+predicate and stores nothing: a logical action trusts a lattice map's class
+images by its own O(w) squares and kernel-tests every other map's.
 """
 
 from __future__ import annotations
@@ -115,8 +117,13 @@ def _of(code: BBCode, m: CodeAutomorphism) -> CodeAutomorphism:
 
 def _verify(code: BBCode, m: CodeAutomorphism) -> bool:
     """A qubit permutation, invertible W's and exact chain squares into the
-    code's own or, for a ZXDuality, dual complex."""
-    if not _is_permutation(_of(code, m)._cell_tables[1]):
+    code's own or, for a ZXDuality, dual complex.  A lattice map is one cell
+    table in every degree, so it is a permutation in all of them exactly when
+    its LatticeMap is bijective."""
+    dual = isinstance(_of(code, m), ZXDuality)
+    if m._lattice is not None:
+        return m._lattice.bijective and m.commutes(dual)
+    if not _is_permutation(m._cell_tables[1]):
         return False
     lm = code.ctx.dim
     for w, cells in zip(m.columns[::2], m._cell_tables[::2]):
@@ -124,7 +131,7 @@ def _verify(code: BBCode, m: CodeAutomorphism) -> bool:
         # transpose, whose rows are the columns, have one rank)
         if not _is_permutation(cells) and BinMatrix(lm, lm, w).rank() != lm:
             return False
-    return m.commutes(isinstance(m, ZXDuality))
+    return m.commutes(dual)
 
 
 def _require_duality(m: CodeAutomorphism) -> ZXDuality:

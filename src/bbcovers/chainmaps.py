@@ -21,14 +21,21 @@ the witness's own ``p``, and tau keeps the p it transposes for its O(w)
 squares.  Every other map, the sections, the y-swap and any matrix read from
 JSON, is compared on every column.  Class images skip the kernel test only for
 a lattice map or tau commuting into the complex pairing their sectors.
+
+A lattice map and tau hold no columns: they, and the cell tables, are built
+when first read (``to_json``, column lifts, comparisons).  ``apply`` and class
+images act on whole masks instead, one qubit block at a time: a shift is
+``RingContext.shift``, the antipode ``RingContext.antipode`` then the shift by
+s, the block swap exchanges the blocks, p XORs its cell table's targets at the
+set bits, and tau XORs p's fibres there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import product, repeat
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from .codes import BBCode, Classification, InternalConsistencyError, PauliOp, Refusal
 from .covers import CoverWitness, LatticeMap
@@ -44,7 +51,8 @@ class ChainMap:
     """Degreewise column tables of a map between two code complexes, a chain
     map exactly when ``commutes`` says so (constant sections need not be one).
     cols2 acts on Z-checks, cols1 on qubits and cols0 on X-checks; the
-    matrices deg2, deg1 and deg0 are built when read."""
+    matrices deg2, deg1 and deg0 are built when read, and so are the columns
+    of a lattice map or of tau, which ``_symbolic`` builds without them."""
 
     cols2: tuple[int, ...]
     cols1: tuple[int, ...]
@@ -52,7 +60,7 @@ class ChainMap:
     source: BBCode
     target: BBCode
     # the lattice map of every degree, or the one it transposes in every degree: commutes decides
-    # the squares from it alone, so only _lattice_map and lifting_map, which derive the columns, set them
+    # the squares from it alone, and the columns are derived from it, so only _symbolic sets them
     _lattice: LatticeMap | None = field(default=None, init=False, repr=False, compare=False)
     _transpose_of: LatticeMap | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -63,6 +71,19 @@ class ChainMap:
             deg = getattr(self, name)
             if len(deg) != n_src or (deg and (min(deg) < 0 or max(deg) >> n_tgt)):
                 raise ShapeError(f"a degree of {len(deg)} columns, expected {n_src} over {n_tgt} rows")
+
+    def __getattr__(self, name: str) -> tuple[int, ...]:
+        """The columns of a lattice map or of tau, built on first read: unit columns
+        of its cell tables, or p's fibres, each block's own; cols0 is cols2."""
+        if name not in ("cols2", "cols1", "cols0") or (self._lattice or self._transpose_of) is None:
+            raise AttributeError(name)
+        if self._lattice is not None:
+            top, qubits = map(_unit_columns, self._cell_tables[:2])
+        else:
+            top = self._transpose_of.fibres
+            qubits = _block_diag(top, self.target.ctx.dim)
+        self.__dict__.update(cols2=top, cols1=qubits, cols0=top)
+        return self.__dict__[name]
 
     @property
     def columns(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
@@ -81,16 +102,40 @@ class ChainMap:
         return _matrix(self.cols0, self.target.ctx.dim)
 
     def apply(self, v: int) -> int:
-        """deg1 applied to a qubit vector, in time proportional to its weight."""
-        if v < 0 or v >> self.source.n:
-            raise ShapeError(f"vector has bits beyond qubit {self.source.n - 1}")
-        return xor_rows(self.cols1, v)
+        """deg1 applied to a qubit vector, in time proportional to its weight (to n for
+        phi = 1 or -1).  A lattice map maps the mask of each qubit block by
+        ``LatticeMap.image`` into its own block or, under a swap, the other one; tau XORs
+        p's fibres at each block's set bits; any other map XORs its columns at v's bits."""
+        n, dim, shift, image, swap = self._action
+        if v < 0 or v >> n:
+            raise ShapeError(f"vector has bits beyond qubit {n - 1}")
+        if image is None:
+            return xor_rows(self.cols1, v)
+        lo, hi = v & ((1 << dim) - 1), v >> dim
+        if swap:
+            lo, hi = hi, lo
+        return image(lo) | image(hi) << shift
+
+    @cached_property
+    def _action(self) -> tuple[int, int, int, Callable[[int], int] | None, bool]:
+        """What ``apply`` reads on every call: the source's n and block size, the target's
+        block size, and the map of one block with the swap flag, or None for columns."""
+        lat, image = self._lattice, None
+        if lat is not None:
+            image = lat.image
+        elif self._transpose_of is not None:
+            image = partial(xor_rows, self._transpose_of.fibres)
+        return self.source.n, self.source.ctx.dim, self.target.ctx.dim, image, lat is not None and lat.swap
 
     @cached_property
     def _cell_tables(self) -> tuple[tuple[int, ...] | None, ...]:
-        """``_cell_table`` of each degree of ``columns``, decoded here for a map
-        given as columns (``_lattice_map`` sets it on the maps it builds); cols0
-        shares that of cols2 when it is cols2."""
+        """``_cell_table`` of each degree: a lattice map's cell table on the checks and
+        its qubit table, built from ``LatticeMap.cells``; decoded from ``columns`` for any
+        other map, cols0 sharing the table of cols2 when it is cols2."""
+        if self._lattice is not None:
+            cells = self._lattice.cells
+            moved = tuple(map(self.target.ctx.dim.__add__, cells))
+            return cells, moved + cells if self._lattice.swap else cells + moved, cells
         top = _cell_table(self.cols2)
         return top, _cell_table(self.cols1), top if self.cols0 is self.cols2 else _cell_table(self.cols0)
 
@@ -120,18 +165,18 @@ def _unit_columns(table) -> tuple[int, ...]:
     return tuple([1 << i for i in table])
 
 
+def _symbolic(cls, source: BBCode, target: BBCode, **kept: LatticeMap) -> ChainMap:
+    """A map of type cls that keeps ``_lattice`` or ``_transpose_of`` and no columns:
+    they are built on first read, and its shapes hold by construction."""
+    cm = object.__new__(cls)
+    cm.__dict__.update(source=source, target=target, **kept)
+    return cm
+
+
 def _lattice_map(cls, lat: LatticeMap, source: BBCode, target: BBCode) -> ChainMap:
     """The map of type cls that is ``lat`` in every degree, on the checks and
-    from each qubit block into the same block or, under a swap, the other one;
-    it keeps lat and its cell tables, and its cols0 is its cols2."""
-    cells = lat.cells
-    blocks = (cells, tuple(c + target.ctx.dim for c in cells))
-    qubits = blocks[lat.swap] + blocks[not lat.swap]
-    cols = _unit_columns(cells)
-    cm = cls(cols, _unit_columns(qubits), cols, source, target)
-    cm.__dict__["_cell_tables"] = (cells, qubits, cells)  # what the cached property would decode
-    object.__setattr__(cm, "_lattice", lat)
-    return cm
+    from each qubit block into the same block or, under a swap, the other one."""
+    return _symbolic(cls, source, target, _lattice=lat)
 
 
 def _matrix(cols: tuple[int, ...], n_rows: int) -> BinMatrix:
@@ -197,9 +242,7 @@ def _degreewise(q: tuple[int, ...], source: BBCode, target: BBCode) -> ChainMap:
 def lifting_map(witness: CoverWitness) -> ChainMap:
     """The map tau_* : base -> cover, p_* transposed in every degree: its columns are p's fibres,
     and its squares are p's, transposed, from the cover's other complex into the base's dual."""
-    tau = _degreewise(witness.p.fibres, witness.base, witness.cover)
-    object.__setattr__(tau, "_transpose_of", witness.p)
-    return tau
+    return _symbolic(ChainMap, witness.base, witness.cover, _transpose_of=witness.p)
 
 
 def compose_p_tau(witness: CoverWitness) -> str:
@@ -286,7 +329,7 @@ def _class_images(cm: ChainMap, src_side: str, side: str, vectors) -> BinMatrix:
     commuting into the complex pairing these sectors (its own for equal sides, the dual for
     swapped ones), an O(w) decision, sends both sectors into the target kernel, as phi commutes
     with negation; every other map's images are tested, Refusal when one leaves the kernel."""
-    images = [xor_rows(cm.cols1, v) for v in vectors]
+    images = list(map(cm.apply, vectors))
     trusted = (cm._lattice or cm._transpose_of) is not None and cm.commutes(src_side != side)
     return _class_matrix(cm.target, side, images, check=not trusted)
 

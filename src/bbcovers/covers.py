@@ -19,6 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import product
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .codes import BBCode, InternalConsistencyError, Refusal, _column_0, _within_budget
@@ -71,24 +72,74 @@ class LatticeMap:
     @cached_property
     def cells(self) -> tuple[int, ...]:
         """Cell table of one lattice block: cell a*m + b goes to the target cell of ``point(a, b)``.
-        x-row a depends only on phi(x)^a, so one period of rows is built and repeated."""
+        x-row a depends only on phi(x)^a, so one period of rows is built and repeated, and
+        each row repeats with the order q of phi(y)."""
         (xa, xb), (ya, yb), (sa, sb) = self.x, self.y, self.s
         l, m = self.target.l, self.target.m
+        q = self._order(self.y)
         out = []
         for a in range(self.source.l):
             ra, rb = (a * xa + sa) % l, (a * xb + sb) % m
             if a and (ra, rb) == (sa, sb):
                 return tuple(out * (self.source.l // a))
-            out += [(ra + b * ya) % l * m + (rb + b * yb) % m for b in range(self.source.m)]
+            out += [(ra + b * ya) % l * m + (rb + b * yb) % m for b in range(q)] * (self.source.m // q)
         return tuple(out)
 
     @cached_property
     def fibres(self) -> tuple[int, ...]:
-        """The transposed cell table: the mask of the source cells over each target cell."""
+        """The transposed cell table: the mask of the source cells over each target cell.
+        ``cells`` repeats along x with the order p of phi(x), and each x-row along y with
+        the order q of phi(y), so the masks of its first p x q cells, times one repunit,
+        are the whole table's.  That costs a step per corner cell and a multiply per
+        target cell, and is taken when those are fewer than the cells and the table does
+        repeat (one written into the cached slot need not); else every cell is read."""
+        cells, l, m = self.cells, self.source.l, self.source.m
+        p, q = self._order(self.x), self._order(self.y)
         out = [0] * self.target.dim
-        for g, c in enumerate(self.cells):
+        if p * q + len(out) < l * m and cells[p * m:] == cells[:-p * m] and all(
+            cells[r + q:r + m] == cells[r:r + m - q] for r in range(0, p * m, m)
+        ):
+            for r in range(0, p * m, m):
+                for g in range(r, r + q):
+                    out[cells[g]] |= 1 << g
+            repunit = ((1 << l * m) - 1) // ((1 << p * m) - 1) * (((1 << m) - 1) // ((1 << q) - 1))
+            return tuple(map(repunit.__mul__, out))
+        for g, c in enumerate(cells):
             out[c] |= 1 << g
         return tuple(out)
+
+    def _order(self, v: tuple[int, int]) -> int:
+        """The order of x^v[0] y^v[1] in the target lattice."""
+        l, m = self.target.l, self.target.m
+        return lcm(l // gcd(l, v[0]), m // gcd(m, v[1]))
+
+    @cached_property
+    def _sign(self) -> int:
+        """1 or -1 when phi is that multiple of the identity of one lattice, else 0 (-1
+        where the two coincide, l and m at most 2, as the antipode is then the identity)."""
+        l, m = self.target.l, self.target.m
+        units = {((1 % l, 0), (0, 1 % m)): 1, ((-1 % l, 0), (0, -1 % m)): -1}
+        return units.get((self.x, self.y), 0) if self.source == self.target else 0
+
+    @property
+    def bijective(self) -> bool:
+        """Whether distinct cells go to distinct cells of a lattice of the same size:
+        at once for phi = 1 or -1, by the cell table for any other phi."""
+        return self._sign != 0 or self.source.dim == self.target.dim == len(set(self.cells))
+
+    def image(self, v: int) -> int:
+        """The mask of the images of the cells in v, cells on one target cell cancelling
+        in pairs: phi = 1 shifts v by s, phi = -1 shifts its antipode, and any other
+        phi XORs v's cells through the cell table."""
+        ctx, sign = self.target, self._sign
+        if sign:
+            return ctx.shift(ctx.antipode(v) if sign < 0 else v, *self.s)
+        out, cells = 0, self.cells
+        while v:
+            c = v.bit_length() - 1
+            out ^= 1 << cells[c]
+            v ^= 1 << c
+        return out
 
     def after(self, other: LatticeMap) -> LatticeMap:
         """The lattice map self . other."""

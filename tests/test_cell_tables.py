@@ -1,11 +1,12 @@
 """Cell tables of chain maps: derived from lattice maps, lifted sheet by sheet,
 and read by the intertwining check of a lift.
 
-A lattice-built map must carry the tables that decoding its columns would
-give, and they must pass the list comparison in oracles.py; a lift must be
-the column lift, verified on columns; a built map with one entry moved, given
-as columns, must be refused; and a lift that verifies on the cover but does
-not project onto the base map must be caught, on lattice maps and on columns.
+A lattice-built map must build, on first read, the tables that decoding its
+columns would give, and they must pass the list comparison in oracles.py; a
+lift must be the column lift, verified on columns; a built map with one entry
+moved, given as columns, must be refused; and a lift that verifies on the
+cover but does not project onto the base map must be caught, on lattice maps
+and on columns.
 """
 
 import pytest
@@ -68,7 +69,8 @@ def _is_affine(cm) -> bool:
 @given(built_maps())
 def test_a_map_built_from_cells_carries_the_tables_of_its_columns(cm):
     assert cm._lattice is not None
-    assert "_cell_tables" in vars(cm)  # set at construction, not decoded on first read
+    # no per-cell tuple at construction: the tables and columns are built when read
+    assert not {"_cell_tables", "cols2", "cols1", "cols0"} & set(vars(cm))
     assert cm._cell_tables == tuple(map(_cell_table, cm.columns))
     # every built map has one check table for both check spaces, and one column tuple
     assert cm._cell_tables[2] is cm._cell_tables[0] and cm.cols0 is cm.cols2
