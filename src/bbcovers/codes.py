@@ -15,14 +15,15 @@ As p^T has the transposed matrix, H_X^T = (A^T over B^T) and H_Z^T = (B over
 A): both check matrices and their transposes stack, on demand, the circulants
 of A, B, A^T and B^T that each polynomial builds once.  Row r of each check
 matrix is the r-translate of its row 0, so column 0 of H_X H_Z^T decides the
-product is zero; a code is built with that check alone, which XORs w rows once
-each polynomial has certified M(p)^T = M(p^T), and cover enumeration runs the
-same check, ``_column_0``, on the rows alone.  Syndromes are ring products
-on the two blocks, which stack no matrix, and H_X and H_Z are each eliminated
-once, by a reducer.  The logical basis reads its kernel vectors off those
-reducers by back-substitution and picks them with one highest-bit elimination
-of the sparse check rows, masked to the free columns; it builds no reduced
-form and no third reducer.
+product is zero; a code is built with that check alone, which XORs w rows of
+M(A^T) and M(B^T).  Those rows are read through ``_transposed``, which raises
+unless the polynomial has certified M(p)^T = M(p^T), and cover enumeration
+runs the same check, ``_column_0``, on the rows alone.  Syndromes are ring
+products on the two blocks, which stack no matrix, and H_X and H_Z are each
+eliminated once, by a reducer.  The logical basis reads its kernel vectors off
+those reducers by back-substitution and picks them with one highest-bit
+elimination of the sparse check rows, masked to the free columns; it builds no
+reduced form and no third reducer.
 """
 
 from __future__ import annotations
@@ -112,10 +113,8 @@ class BBCode:
         self.ctx = _within_budget(a.ctx)
         self.a = a
         self.b = b
-        at, bt = a.transpose(), b.transpose()
-        certified = a._column_0_is_transpose and b._column_0_is_transpose
-        x, y = (at, bt) if certified else (a, b)
-        if _column_0(at.mask, bt.mask, x.to_matrix().rows, y.to_matrix().rows, certified):
+        at, bt = _transposed(a), _transposed(b)
+        if _column_0(at.mask, bt.mask, at.to_matrix().rows, bt.to_matrix().rows):
             raise InternalConsistencyError("H_X H_Z^T != 0; construction is broken")
 
     # -- identity ------------------------------------------------------------
@@ -260,17 +259,22 @@ class BBCode:
         return parities(logicals.z_vectors if basis == "X" else logicals.x_vectors, v)
 
 
-def _column_0(at: int, bt: int, a_rows: Sequence[int], b_rows: Sequence[int], certified: bool) -> int:
+def _transposed(p: Poly) -> Poly:
+    """p^T, once p has certified M(p)^T = M(p^T) (``Poly._column_0_is_transpose``).
+    That is a theorem for circulants, so a failure means transpose() is broken."""
+    if not p._column_0_is_transpose:
+        raise InternalConsistencyError(f"column 0 of M(p) is not the mask of p^T for p = {p}")
+    return p.transpose()
+
+
+def _column_0(at: int, bt: int, at_rows: Sequence[int], bt_rows: Sequence[int]) -> int:
     """Column 0 of H_X H_Z^T, zero exactly when the product is: entry (r, s)
     pairs the r-translate of H_X's row 0 with the s-translate of H_Z's row 0,
     (B^T | A^T) as the masks ``bt`` and ``at``, so it is entry (r - s, 0).  That is
-    M(A) bt + M(B) at, lm parities on the rows of M(A) and M(B); once both
-    polynomials have ``certified`` M(p)^T = M(p^T), the rows are those of M(A^T)
-    and M(B^T), and each product XORs the w rows at the mask's bits.
+    M(A) bt + M(B) at, and with M(p)^T = M(p^T), certified by ``_transposed``, each
+    product XORs the w rows of M(A^T) or M(B^T) at the mask's bits.
     """
-    if certified:
-        return xor_rows(a_rows, bt) ^ xor_rows(b_rows, at)
-    return parities(a_rows, bt) ^ parities(b_rows, at)
+    return xor_rows(at_rows, bt) ^ xor_rows(bt_rows, at)
 
 
 def _within_budget(ctx: RingContext) -> RingContext:

@@ -22,8 +22,8 @@ from itertools import product
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .codes import BBCode, InternalConsistencyError, Refusal, _column_0, _within_budget
-from .gf2 import RowReducer
+from .codes import BBCode, InternalConsistencyError, Refusal, _column_0, _transposed, _within_budget
+from .gf2 import RowReducer, first_in_ascending_support
 from .rings import ContextMismatch, Monomial, Poly, RingContext
 
 
@@ -76,7 +76,7 @@ class LatticeMap:
         each row repeats with the order q of phi(y)."""
         (xa, xb), (ya, yb), (sa, sb) = self.x, self.y, self.s
         l, m = self.target.l, self.target.m
-        q = self._order(self.y)
+        q = lcm(l // gcd(l, ya), m // gcd(m, yb))
         out = []
         for a in range(self.source.l):
             ra, rb = (a * xa + sa) % l, (a * xb + sb) % m
@@ -87,31 +87,11 @@ class LatticeMap:
 
     @cached_property
     def fibres(self) -> tuple[int, ...]:
-        """The transposed cell table: the mask of the source cells over each target cell.
-        ``cells`` repeats along x with the order p of phi(x), and each x-row along y with
-        the order q of phi(y), so the masks of its first p x q cells, times one repunit,
-        are the whole table's.  That costs a step per corner cell and a multiply per
-        target cell, and is taken when those are fewer than the cells and the table does
-        repeat (one written into the cached slot need not); else every cell is read."""
-        cells, l, m = self.cells, self.source.l, self.source.m
-        p, q = self._order(self.x), self._order(self.y)
+        """The transposed cell table: the mask of the source cells over each target cell."""
         out = [0] * self.target.dim
-        if p * q + len(out) < l * m and cells[p * m:] == cells[:-p * m] and all(
-            cells[r + q:r + m] == cells[r:r + m - q] for r in range(0, p * m, m)
-        ):
-            for r in range(0, p * m, m):
-                for g in range(r, r + q):
-                    out[cells[g]] |= 1 << g
-            repunit = ((1 << l * m) - 1) // ((1 << p * m) - 1) * (((1 << m) - 1) // ((1 << q) - 1))
-            return tuple(map(repunit.__mul__, out))
-        for g, c in enumerate(cells):
+        for g, c in enumerate(self.cells):
             out[c] |= 1 << g
         return tuple(out)
-
-    def _order(self, v: tuple[int, int]) -> int:
-        """The order of x^v[0] y^v[1] in the target lattice."""
-        l, m = self.target.l, self.target.m
-        return lcm(l // gcd(l, v[0]), m // gcd(m, v[1]))
 
     @cached_property
     def _sign(self) -> int:
@@ -244,19 +224,8 @@ def cover_multipliers(base_poly: Poly, u: int, t: int) -> list[Monomial]:
     return [Monomial(a + ctx.l * i, b + ctx.m * j) for a, b in stab for i in range(u) for j in range(t)]
 
 
-def _least(masks: list[int]) -> int:
-    """The mask whose ``Poly.terms`` sort first among masks of one weight:
-    x sorts before y exactly when the lowest set bit of x ^ y lies in x."""
-    best = masks[0]
-    for x in masks:
-        d = x ^ best
-        if x & d & -d:
-            best = x
-    return best
-
-
 def _orbit_min(p: Poly, multipliers: list[Monomial]) -> Poly:
-    return Poly(p.ctx, _least([p.ctx.shift(p.mask, *mu) for mu in multipliers]))
+    return Poly(p.ctx, first_in_ascending_support([p.ctx.shift(p.mask, *mu) for mu in multipliers]))
 
 
 def canonical_form(a_t: Poly, b_t: Poly, base: BBCode, u: int, t: int) -> tuple[Poly, Poly]:
@@ -291,7 +260,7 @@ def _side_representatives(base_poly: Poly, u: int, t: int, mults: list[Monomial]
         if v not in seen:
             orbit = [ctx.shift(v, *mu) for mu in mults]
             seen.update(orbit)
-            reps.append(Poly(ctx, _least(orbit)))
+            reps.append(Poly(ctx, first_in_ascending_support(orbit)))
     return sorted(reps, key=lambda q: q.terms)
 
 
@@ -360,10 +329,11 @@ def _span(dim: int, rows: list[int]) -> tuple[int, ...]:
 
 def _side_class(p: Poly) -> _SideClass:
     """Ann(p) from one tagged elimination of M(p); Ann(p^T) as its image under the antipode,
-    a ring automorphism sending p to p^T, certified by membership and M(p)^T = M(p^T)."""
-    ctx, ann = p.ctx, p.to_matrix().left_kernel_basis().rows
+    a ring automorphism sending p to p^T, certified by membership once ``_transposed``
+    has certified M(p)^T = M(p^T)."""
+    ctx, ann, pt = p.ctx, p.to_matrix().left_kernel_basis().rows, _transposed(p)
     images = [ctx.antipode(f) for f in ann]
-    if not p._column_0_is_transpose or any(p.transpose().to_matrix().vec_mul(g) for g in images):
+    if any(pt.to_matrix().vec_mul(g) for g in images):
         raise InternalConsistencyError(f"the antipode image of Ann(p) is not Ann(p^T) for p = {p}")
     return _SideClass(p, _span(ctx.dim, ann), _span(ctx.dim, images), _difference_group(p))
 
@@ -371,7 +341,8 @@ def _side_class(p: Poly) -> _SideClass:
 def _records(a_classes: list[_SideClass], b_classes: list[_SideClass]) -> list[CoverRecord]:
     """The record of every (A-class, B-class) job, A-major, with the checks of a code
     build and no code: each class is checked once for the ring and a nonzero polynomial,
-    each job by ``_column_0`` on the circulant rows of its classes, built once.
+    each job by ``_column_0`` on the rows of M(p^T) of its classes, read once per class
+    through ``_transposed``, which raises unless M(p)^T = M(p^T) is certified.
 
     k = 2 dim(Ann A & Ann B) (Bravyi et al., Lemma 1).  Ann A & Ann B is the
     left kernel of H_X = (A | B), and Ann B^T & Ann A^T that of H_Z = (B^T |
@@ -383,17 +354,16 @@ def _records(a_classes: list[_SideClass], b_classes: list[_SideClass]) -> list[C
     from the spans alone, and connectivity once per pair of subgroups.
     """
     ctx = a_classes[0].poly.ctx
-    certified = all(c.poly._column_0_is_transpose for c in a_classes + b_classes)
     ids: dict[tuple[int, ...], int] = {}
 
     def table(c: _SideClass) -> tuple:
-        p, pt = c.poly, c.poly.transpose()
+        p = c.poly
         if p.ctx != ctx:
             raise ContextMismatch("A and B over different rings")
         if p.is_zero():
             raise Refusal("defining polynomials must be nonempty")
-        rows = (pt if certified else p).to_matrix().rows
-        return p, pt.mask, rows, ids.setdefault(c.ann, len(ids)), ids.setdefault(c.ann_t, len(ids)), c.group
+        pt, ann, ann_t = _transposed(p), ids.setdefault(c.ann, len(ids)), ids.setdefault(c.ann_t, len(ids))
+        return p, pt.mask, pt.to_matrix().rows, ann, ann_t, c.group
 
     a_tables, b_tables = [table(c) for c in a_classes], [table(c) for c in b_classes]
     spans = list(ids)
@@ -402,7 +372,7 @@ def _records(a_classes: list[_SideClass], b_classes: list[_SideClass]) -> list[C
     records = []
     for a, at, a_rows, a_ann, a_ann_t, a_group in a_tables:
         for b, bt, b_rows, b_ann, b_ann_t, b_group in b_tables:
-            if _column_0(at, bt, a_rows, b_rows, certified):
+            if _column_0(at, bt, a_rows, b_rows):
                 raise InternalConsistencyError("H_X H_Z^T != 0; construction is broken")
             x_half, z_half = meet(a_ann, b_ann), meet(b_ann_t, a_ann_t)
             if x_half != z_half:
@@ -432,11 +402,13 @@ def enumerate_covers(
     With dedup (the default), candidates are reduced to canonical orbit
     representatives first; class count is then at most h^4 for weight-6 codes
     and h^6 for weight-8 ones.  Without it the group is the identity alone, and
-    every lift is its own class.  Refuses more than MAX_ENUMERATION_JOBS jobs
-    (A-classes x B-classes) before running any of them, and already before
-    generating any lift when a lower bound on the class counts exceeds the
-    budget.  Enumeration runs in one process: ``workers`` accepts only 1 and
-    goes when the benchmark scripts stop passing it.
+    every lift is its own class.  Refusals come in this order: a lattice that
+    (l, m) does not divide; ``workers`` other than 1 (enumeration runs in one
+    process, and the option goes when the benchmark scripts stop passing it);
+    a cover lattice beyond MAX_LATTICE_CELLS cells, before any multiplier or
+    lift is built; then more than MAX_ENUMERATION_JOBS jobs (A-classes x
+    B-classes), before generating any lift when a lower bound on the class
+    counts exceeds the budget, else before running any job.
 
     k is read by Lemma 1 of Bravyi et al. (arXiv:2308.07915), k = 2 dim(Ann A~
     & Ann B~): after the refusals each side class's matrix is eliminated once,
@@ -449,6 +421,7 @@ def enumerate_covers(
         raise Refusal(f"(l~, m~) = ({lt}, {mt}) not divisible by (l, m) = ({base.l}, {base.m})")
     if workers != 1:
         raise Refusal(f"enumeration runs in one process: workers must be 1, got {workers}")
+    _within_budget(RingContext(lt, mt))  # before any lift or matrix of the cover lattice
     u, t = lt // base.l, mt // base.m
     # a side of weight w has (u t)^w distinct lifts, and a class is an orbit of
     # at most len(g) of them; ceiling division bounds the count
@@ -456,7 +429,6 @@ def enumerate_covers(
     _within_job_budget(*(-(-(u * t) ** p.weight // len(g)) for p, g in groups), "at least ")
     a_side, b_side = (_side_representatives(p, u, t, g) for p, g in groups)
     _within_job_budget(len(a_side), len(b_side))
-    _within_budget(RingContext(lt, mt))  # before any matrix of the cover lattice
     # both sides are sorted by terms, so the A-major records are in (A terms, B terms) order
     records = _records([_side_class(p) for p in a_side], [_side_class(p) for p in b_side])
     k = _records([_side_class(base.a)], [_side_class(base.b)])[0].k

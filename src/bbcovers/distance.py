@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 from .autos import antipode_zx_duality, verify_zx_duality
 from .codes import BBCode, Classification, InternalConsistencyError, PauliOp, Refusal
+from .gf2 import first_in_ascending_support
 
 
 @dataclass(frozen=True)
@@ -90,17 +91,6 @@ def _cluster_search(code: BBCode, basis: str):
     return logicals
 
 
-def _first_in_ascending_support(vs: list[int]) -> int:
-    """The set first in ascending support order among sets of equal weight: of two
-    such sets, the one holding the lowest element of their difference."""
-    best = vs[0]
-    for v in vs:
-        x = v ^ best
-        if v & x & -x:
-            best = v
-    return best
-
-
 def _lightest_logical(code: BBCode, basis: str, w_max: int) -> tuple[int, int] | None:
     """(d, witness vector) of the given side, or None when d > w_max."""
     if w_max < 1:
@@ -113,7 +103,7 @@ def _lightest_logical(code: BBCode, basis: str, w_max: int) -> tuple[int, int] |
     for w in range(1, min(w_max, code.n) + 1):
         found = logicals(0, w) or logicals(lm, w, right_block)
         if found:
-            return w, _first_in_ascending_support(found)
+            return w, first_in_ascending_support(found)
     return None
 
 

@@ -16,7 +16,8 @@ kernel vectors are drawn lazily, each by back-substitution over the stored
 echelon rows, so a caller that needs a few of them pays for those few alone.
 Only ``inverse`` and callers that key a span by its reduced rows read the
 reduced form.  ``leading_bits`` is the one elimination on the highest set
-bit, which a lowest-pivot reducer cannot do.
+bit, which a lowest-pivot reducer cannot do, and ``first_in_ascending_support``
+the one scan for the least of several sets of one weight.
 """
 
 from __future__ import annotations
@@ -71,6 +72,18 @@ def leading_bits(rows: Iterable[int]) -> int:
                 break
             v ^= row
     return sum(1 << c for c in stored)
+
+
+def first_in_ascending_support(vs: Sequence[int]) -> int:
+    """The set first in ascending support order among sets of equal weight: of two
+    such sets, the one holding the lowest element of their difference.  On the masks
+    of polynomials of one weight, this is the one whose ``Poly.terms`` sort first."""
+    best = vs[0]
+    for v in vs:
+        x = v ^ best
+        if v & x & -x:
+            best = v
+    return best
 
 
 @dataclass(frozen=True)

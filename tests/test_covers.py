@@ -449,6 +449,20 @@ def test_enumerate_refuses_a_cover_lattice_over_budget_before_any_annihilator(mo
         enumerate_covers(base, 128, 64)
 
 
+def test_enumerate_refuses_a_cover_lattice_over_budget_before_any_lift(monkeypatch):
+    # the base l=1 m=1 A=1 B=1 at (100, 100): 10,000 lifts per side of 10,000 bits
+    # each, which the lattice budget refuses before building one of them
+    import bbcovers.covers as covers
+
+    def fail(*args, **kwargs):
+        raise AssertionError("multipliers or lifts were built before the refusal")
+
+    monkeypatch.setattr(covers, "cover_multipliers", fail)
+    monkeypatch.setattr(covers, "_side_representatives", fail)
+    with pytest.raises(Refusal, match="lattice l\\*m = 10000 exceeds"):
+        enumerate_covers(build_code("1", "1", 1, 1), 100, 100)
+
+
 def test_enumerate_refuses_more_than_one_worker_before_any_annihilator(monkeypatch):
     import bbcovers.covers as covers
 
@@ -506,19 +520,20 @@ def test_enumerate_runs_the_construction_check_on_every_job(monkeypatch):
     assert len(enumerate_covers(base, 9, 3).records) == len(a_side) * len(b_side)
 
 
-def test_jobs_of_a_class_without_the_transpose_certificate_read_m_p_by_parities():
-    # uncertified, the job check reads M(A) and M(B), so a zeroed M(A^T) goes unread;
-    # read, it would leave column 0 = A^T B^T != 0
+def test_jobs_of_a_class_without_the_transpose_certificate_raise():
+    # with the certificate, the job check reads M(A^T): zeroed, it leaves column 0 =
+    # A^T B^T != 0; without it, no rows are read and no record is made
     base = parse_code_spec(BASE_18)
     sa, sb = covers._side_class(base.a), covers._side_class(base.b)
-    want = covers._records([sa], [sb])
     a = Poly(base.ctx, base.a.mask)
-    a.__dict__["_column_0_is_transpose"] = False  # the slot of the cached property
     a.transpose().__dict__["_matrix"] = BinMatrix(9, 9, (0,) * 9)
-    assert covers._records([sa._replace(poly=a)], [sb]) == want
-    a.__dict__["_column_0_is_transpose"] = True
+    a.__dict__["_column_0_is_transpose"] = True  # the slot of the cached property
     with pytest.raises(InternalConsistencyError, match=r"H_X H_Z\^T != 0"):
         covers._records([sa._replace(poly=a)], [sb])
+    a.__dict__["_column_0_is_transpose"] = False
+    for a_classes, b_classes in (([sa._replace(poly=a)], [sb]), ([sb], [sa._replace(poly=a)])):
+        with pytest.raises(InternalConsistencyError, match=r"column 0 of M\(p\) is not the mask of p\^T"):
+            covers._records(a_classes, b_classes)
 
 
 def test_records_refuse_a_class_over_another_ring_or_with_a_zero_polynomial():
@@ -565,7 +580,7 @@ def test_enumerate_refuses_an_uncertified_transpose_circulant(monkeypatch):
     base = parse_code_spec(BASE_18)
     monkeypatch.setattr(Poly, "_column_0_is_transpose", property(lambda p: False))
     _fail_on_records(monkeypatch)
-    with pytest.raises(InternalConsistencyError, match=r"antipode image of Ann\(p\) is not Ann\(p\^T\)"):
+    with pytest.raises(InternalConsistencyError, match=r"column 0 of M\(p\) is not the mask of p\^T"):
         enumerate_covers(base, 9, 3)
 
 

@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 from bbcovers.chainmaps import projection_map
 from bbcovers.codes import BBCode, Classification, parse_code_spec
 from bbcovers.covers import canonical_form, check_cover, enumerate_covers
-from bbcovers.distance import _first_in_ascending_support, distance_one_side, exact_distance
-from bbcovers.gf2 import RowReducer
+from bbcovers.distance import distance_one_side, exact_distance
+from bbcovers.gf2 import RowReducer, first_in_ascending_support
+from bbcovers.rings import Poly, RingContext
 
 from oracles import (
     ascending_support,
@@ -99,7 +100,23 @@ def equal_weight_sets(draw):
 
 @given(equal_weight_sets())
 def test_witness_scan_picks_the_first_set_in_ascending_support_order(vecs):
-    assert _first_in_ascending_support(vecs) == min(vecs, key=ascending_support)
+    assert first_in_ascending_support(vecs) == min(vecs, key=ascending_support)
+
+
+@st.composite
+def equal_weight_polys(draw):
+    """Masks of one weight over a random ring, as enumeration's orbits and classes are."""
+    ctx = RingContext(draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    w = draw(st.integers(1, min(ctx.dim, 6)))
+    supports = st.sets(st.integers(0, ctx.dim - 1), min_size=w, max_size=w)
+    return ctx, [sum(1 << i for i in support) for support in draw(st.lists(supports, min_size=1, max_size=12))]
+
+
+@given(equal_weight_polys())
+def test_the_scan_picks_the_polynomial_whose_terms_sort_first(case):
+    # the orbit minimum and the class representative of enumeration, both taken on masks
+    ctx, masks = case
+    assert Poly(ctx, first_in_ascending_support(masks)).terms == min(Poly(ctx, v).terms for v in masks)
 
 
 def test_k_is_invariant_across_each_canonical_orbit():

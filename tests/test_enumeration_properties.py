@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from bbcovers.codes import BBCode, InternalConsistencyError
 from bbcovers.covers import enumerate_covers
-from bbcovers.rings import Monomial, Poly, RingContext
+from bbcovers.rings import Monomial, Poly, RingContext, parse_poly
 
 from oracles import cover_record_reference, lifts_of_poly
 
@@ -61,8 +61,9 @@ def poly_pairs(draw):
 @given(poly_pairs(), st.tuples(st.integers(0, 5), st.integers(0, 5)), st.booleans())
 def test_column_0_check_agrees_with_the_dense_product(pair, twist, identity):
     # transpose() is replaced by a wrong one: the identity, or p^T times x^a y^b
-    # (right for twist (0, 0) and for p whose support that shift fixes); the check
-    # must then read as the dense product of the check matrices it builds does
+    # (right for twist (0, 0) and for p whose support that shift fixes); the build
+    # must raise when M(p)^T != M(p^T) for A or B, and otherwise read as the dense
+    # product of the check matrices it builds does
     a, b = (Poly(p.ctx, p.mask) for p in pair)  # fresh: no cached certificate
     true_transpose = Poly.transpose
     twisted = (lambda p: p) if identity else (lambda p: true_transpose(p).shift(Monomial(*twist)))
@@ -70,10 +71,25 @@ def test_column_0_check_agrees_with_the_dense_product(pair, twist, identity):
         mp.setattr(Poly, "transpose", twisted)
         hx = a.to_matrix().hstack(b.to_matrix())
         hz = b.transpose().to_matrix().hstack(a.transpose().to_matrix())
+        certified = all(p.to_matrix().transpose() == p.transpose().to_matrix() for p in (a, b))
         try:
             BBCode(a, b)  # its one construction check is the column-0 test
-        except InternalConsistencyError:
-            built = False
+        except InternalConsistencyError as exc:
+            built, message = False, str(exc)
         else:
-            built = True
-        assert built == hx.mul(hz.transpose()).is_zero()
+            built, message = True, ""
+        if certified:
+            assert built == hx.mul(hz.transpose()).is_zero()
+        else:
+            assert "is not the mask of p^T" in message
+
+
+def test_a_code_whose_transpose_certificate_fails_is_not_built():
+    # the product is zero, yet a's certificate slot reads False: the build raises
+    # rather than check column 0 another way
+    a, b = (parse_poly(text, R33) for text in ("1+y+y^2", "1+x+x^2"))
+    assert BBCode(a, b).k == 8
+    a = Poly(R33, a.mask)
+    a.__dict__["_column_0_is_transpose"] = False  # the slot of the cached property
+    with pytest.raises(InternalConsistencyError, match=r"column 0 of M\(p\) is not the mask of p\^T for p = 1 \+ y"):
+        BBCode(a, b)

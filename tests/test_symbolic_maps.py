@@ -4,8 +4,9 @@ A shift, the antipode, the block swap, p, tau and any other lattice map act on
 whole masks and build no columns until one is read: each image must be the
 XOR of the columns read back, bit for bit.  A lattice map's verification asks
 phi for bijectivity, which must agree with the set test on its cell table and
-give the verdict of the same map given as columns.  p's fibres, built from one
-period of its cell table, must be the transposed table.  A shift and the
+give the verdict of the same map given as columns.  p's fibres, read off its cell
+table, which is built one period of rows at a time, must be the source cells that
+``point`` sends onto each target cell.  A shift and the
 antipode of a large code must verify and act on its logical classes with no
 column built.
 """
@@ -29,10 +30,10 @@ PER_CELL = {"cols2", "cols1", "cols0", "_cell_tables"}
 
 
 def _transposed(lat: LatticeMap) -> tuple[int, ...]:
-    """The fibres read off every cell of the table, one OR per cell."""
+    """The fibres from phi's formula, one ``point`` per source cell, with no cell table."""
     out = [0] * lat.target.dim
-    for g, c in enumerate(lat.cells):
-        out[c] |= 1 << g
+    for g in range(lat.source.dim):
+        out[lat.target.index(*lat.point(*divmod(g, lat.source.m)))] |= 1 << g
     return tuple(out)
 
 
