@@ -8,7 +8,7 @@ family and two worked constructions built in.  The automorphism-named
 functions take both kinds; the duality-named ones refuse any other map.
 
 Like every ChainMap they are column tables.  The shifts, the block swap and
-the antipode are lattice maps (``covers.LatticeMap``, see chainmaps), whose
+the antipode are lattice maps (``lattice.LatticeMap``, see chainmaps), whose
 squares are decided from phi's images of A and B, whose images act on masks
 and whose columns are built only when read.  Such a map is a permutation in
 every degree exactly when phi is bijective, which phi = 1 or -1 is at once.
@@ -16,10 +16,10 @@ A lattice map with phi = 1 whose translation moves no cell across a sheet
 lifts to the cover's lattice map with the same translation and swap, and
 intertwines with the witness's p when the two composites with p are one
 lattice map.  Every other map, the y-swap and any map read from JSON among
-them, lifts block by block on its columns, through the witness's sheets
-(sections of p), and is verified and intertwined with p's cell table on
-columns; a degree of such a map whose cell table sends distinct cells to
-distinct cells is a permutation with no rank to compute.  Verification is a
+them, lifts block by block on its columns, through p's sheets (its
+sections), and is verified and intertwined with p's cell table on columns; a
+degree of such a map whose cell table sends distinct cells to distinct cells
+is a permutation with no rank to compute.  Verification is a
 predicate and stores nothing: a logical action trusts a lattice map's class
 images by its own O(w) squares and kernel-tests every other map's.
 """
@@ -31,10 +31,11 @@ from functools import cached_property
 
 from .codes import BBCode, Classification, InternalConsistencyError, LogicalBasis, Refusal
 from .codes import _overlap_matrix, pairing_matrix
-from .covers import CoverWitness, LatticeMap
+from .covers import CoverWitness
 from .chainmaps import ChainMap, _block_diag, _class_images, _class_matrix, _compose
 from .chainmaps import _lattice_map, _unit_columns, lift_logical
 from .gf2 import BinMatrix, xor_rows
+from .lattice import LatticeMap
 from .rings import Monomial
 
 
@@ -186,12 +187,12 @@ def antipode_zx_duality(code: BBCode) -> ZXDuality:
 
 def _block_lift(witness: CoverWitness, w: tuple[int, ...]) -> tuple[int, ...]:
     """Sheet-wise lift of the columns of a square base map: every block is
-    repeated on every sheet of the witness, so each sheet maps to itself.  Base
+    repeated on every sheet of p, so each sheet maps to itself.  Base
     index i of a space of lm x lm blocks (one block for checks, two for qubits)
     is cover index index[i] on a sheet, through that sheet's table."""
     lm_b, lm_c = witness.base.ctx.dim, witness.cover.ctx.dim
     cols = [0] * (len(w) * witness.h)
-    for sheet in witness.sheets:
+    for sheet in witness.p.sheets:
         index = [block * lm_c + e for block in range(len(w) // lm_b) for e in sheet]
         units = _unit_columns(index)
         for j, col in enumerate(w):

@@ -3,9 +3,9 @@
 The projection p sends a cover monomial x^a y^b to x^(a mod l) y^(b mod m);
 the lifting map tau = p^T sends a base monomial to the sum of its fibre.
 Both extend to chain maps of the code complexes (degreewise p, p(+)p, p) and
-therefore act on logical operators.  Sections of the covering, the witness's
-sheets, and weight-preserving lifts, one cell of p's fibre per support term,
-certify distance upper bounds when they land on nontrivial logicals.
+therefore act on logical operators.  Sections of the covering, p's sheets,
+and weight-preserving lifts, p's lifts (one cell of p's fibre per support
+term), certify distance upper bounds when they land on nontrivial logicals.
 
 A chain map is stored degreewise as column tables: column j of a degree is
 the image of basis vector j, a mask over the target basis.  Applying a map
@@ -14,7 +14,7 @@ by column, column j of d_i being row j of H_Z, H_X^T, H_X or H_Z^T.  p, and
 the shifts, antipode, block swap and lifts of base shifts that are cover
 shifts in autos, are lattice maps instead: g -> phi(g) + s on the cells of
 every degree, for a lattice homomorphism phi and a translation s, the qubit
-blocks kept or swapped.  They are built from a ``covers.LatticeMap`` that
+blocks kept or swapped.  They are built from a ``lattice.LatticeMap`` that
 they keep, which no public constructor takes, and their squares are decided
 in O(w) from phi's images of A and B, where the translations cancel; p is
 the witness's own ``p``, and tau keeps the p it transposes for its O(w)
@@ -38,8 +38,9 @@ from itertools import product, repeat
 from typing import TYPE_CHECKING, Callable
 
 from .codes import BBCode, Classification, InternalConsistencyError, PauliOp, Refusal
-from .covers import CoverWitness, LatticeMap
+from .covers import CoverWitness
 from .gf2 import BinMatrix, ShapeError, xor_rows
+from .lattice import LatticeMap
 from .rings import ContextMismatch, Poly, RingContext
 
 if TYPE_CHECKING:  # distance imports autos, which imports this module
@@ -379,7 +380,7 @@ def distance_bounds(witness: CoverWitness, base_d: DistanceResult, cover_k: int)
 def constant_section(witness: CoverWitness, g: int, d: int) -> ChainMap:
     """The section (sigma, sigma (+) sigma, sigma): base -> cover that puts every base
     cell on the witness's sheet (g mod u, d mod t); p . sigma is the identity in each degree."""
-    sheet = witness.sheets[(g % witness.u) * witness.t + d % witness.t]
+    sheet = witness.p.sheets[(g % witness.u) * witness.t + d % witness.t]
     return _degreewise(_unit_columns(sheet), witness.base, witness.cover)
 
 
@@ -388,10 +389,10 @@ def weight_preserving_lift_search(
 ) -> list[ClassifiedOp]:
     """Classify every weight-preserving lift of a base logical operator.
 
-    Enumerates all h^w sheet assignments over the support, one cell of p's
-    fibre per support term, and returns the candidates that are nontrivial
-    logicals of the cover; any hit certifies d_h <= w.  Refuses when h^w
-    exceeds the budget.
+    Enumerates all h^w lifts of the support, p's ``lifts`` of each block (one cell
+    of p's fibre per support term), the right block's varying fastest, and returns
+    the candidates that are nontrivial logicals of the cover; any hit certifies
+    d_h <= w.  Refuses when h^w exceeds the budget, before drawing any lift.
     """
     if witness.base.classify(op) != Classification.LOGICAL:
         raise Refusal("weight-preserving lifts are searched for nontrivial base logicals only")
@@ -400,19 +401,10 @@ def weight_preserving_lift_search(
     total = h**w
     if total > limit:
         raise Refusal(f"section space h^w = {total} exceeds the budget {limit}")
-    cover, fibres = witness.cover, witness.p.fibres
-    # (block, bit) of each cell of the fibre of every support term, left block first
-    blocks = (op.left.mask, op.right.mask)
-    support = [
-        [(j, 1 << c) for c in range(cover.ctx.dim) if f >> c & 1]
-        for j in (0, 1) for i, f in enumerate(fibres) if blocks[j] >> i & 1
-    ]
+    cover, p = witness.cover, witness.p
     hits = []
-    for assignment in product(*support):
-        masks = [0, 0]
-        for block, bit in assignment:
-            masks[block] |= bit
-        cand = PauliOp(op.basis, Poly(cover.ctx, masks[0]), Poly(cover.ctx, masks[1]))
+    for left, right in product(p.lifts(op.left.mask), p.lifts(op.right.mask)):
+        cand = PauliOp(op.basis, Poly(cover.ctx, left), Poly(cover.ctx, right))
         if cand.weight != w:
             raise InternalConsistencyError("sheet assignment collapsed the support")
         if cover.classify(cand) == Classification.LOGICAL:

@@ -55,6 +55,12 @@ class Classification(enum.Enum):
     LOGICAL = "nontrivial-logical"
 
 
+def _require_basis(basis: str) -> None:
+    """Refusal unless basis names a Pauli type, "X" or "Z"."""
+    if basis not in ("X", "Z"):
+        raise Refusal(f"basis must be 'X' or 'Z', not {basis!r}")
+
+
 @dataclass(frozen=True)
 class PauliOp:
     """X(left|right) or Z(left|right): one Pauli type supported on two qubit blocks."""
@@ -64,8 +70,7 @@ class PauliOp:
     right: Poly
 
     def __post_init__(self) -> None:
-        if self.basis not in ("X", "Z"):
-            raise ValueError(f"basis must be X or Z, got {self.basis!r}")
+        _require_basis(self.basis)
         if self.left.ctx != self.right.ctx:
             raise ContextMismatch("left/right blocks over different rings")
 
@@ -221,6 +226,7 @@ class BBCode:
         return p.mul_mask(v & ((1 << lm) - 1)) ^ q.mul_mask(v >> lm & ((1 << lm) - 1))
 
     def classify_vector(self, basis: str, v: int) -> Classification:
+        _require_basis(basis)
         if self.syndrome_vector(basis, v) != 0:
             return Classification.NOT_IN_KERNEL
         stab = self._x_stab_reducer if basis == "X" else self._z_stab_reducer

@@ -7,10 +7,11 @@ decides and certifies that relation, enumerates all covers for given target
 lattice parameters up to orbit-minimal support masks, and cross-validates the
 algebra against the derived graph built by voltage arithmetic: both graphs are
 check rows over qubit masks, compared as one tuple.  The witness holds the
-covering map p, a ``LatticeMap``, which builds its cell table and its fibres,
-tau's columns, once, and its ``sheets``, sections of p read off those fibres.
-The derived graph and the check of p's table keep their own exponent
-arithmetic, so neither is a tautology.
+covering map p, a ``lattice.LatticeMap``, and no other table: p builds its
+cell table and its fibres, tau's columns, once, and reads its sheets, sections
+of p, and the lifts that enumeration draws off those fibres.  The derived
+graph and the check of p's table keep their own exponent arithmetic, so
+neither is a tautology.
 """
 
 from __future__ import annotations
@@ -18,12 +19,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import product
-from math import gcd, lcm
 from typing import NamedTuple
 
 from .codes import BBCode, InternalConsistencyError, Refusal, _column_0, _transposed, _within_budget
 from .gf2 import RowReducer, first_in_ascending_support
+from .lattice import LatticeMap
 from .rings import ContextMismatch, Monomial, Poly, RingContext
 
 
@@ -40,102 +40,6 @@ class CoverRefusal(Refusal):
     def __init__(self, condition: int, message: str) -> None:
         super().__init__(f"cover condition {condition} violated: {message}")
         self.condition = condition
-
-
-@dataclass(frozen=True)
-class LatticeMap:
-    """The cell map g -> phi(g) + s from the lattice Z_l x Z_m of ``source`` into
-    that of ``target``, for phi(x) = x^x[0] y^x[1], phi(y) = x^y[0] y^y[1] and s =
-    x^s[0] y^s[1], all three reduced into the target; by default phi reduces
-    exponents and s = 0.  With ``swap`` each qubit block goes to the other one."""
-
-    source: RingContext
-    target: RingContext
-    x: tuple[int, int] = (1, 0)
-    y: tuple[int, int] = (0, 1)
-    s: tuple[int, int] = (0, 0)
-    swap: bool = False
-
-    def __post_init__(self) -> None:
-        for name in ("x", "y", "s"):
-            a, b = getattr(self, name)
-            object.__setattr__(self, name, (a % self.target.l, b % self.target.m))
-        if self.point(self.source.l, 0, 0) != (0, 0) or self.point(0, self.source.m, 0) != (0, 0):
-            raise ValueError("phi is no homomorphism: x^l or y^m does not go to 1")
-
-    def point(self, a: int, b: int, c: int = 1) -> tuple[int, int]:
-        """Reduced target exponents of phi(x^a y^b) x^(c s[0]) y^(c s[1]): the
-        image of the cell x^a y^b for c = 1, of the vector (a, b) for c = 0."""
-        (xa, xb), (ya, yb), (sa, sb) = self.x, self.y, self.s
-        return (a * xa + b * ya + c * sa) % self.target.l, (a * xb + b * yb + c * sb) % self.target.m
-
-    @cached_property
-    def cells(self) -> tuple[int, ...]:
-        """Cell table of one lattice block: cell a*m + b goes to the target cell of ``point(a, b)``.
-        x-row a depends only on phi(x)^a, so one period of rows is built and repeated, and
-        each row repeats with the order q of phi(y)."""
-        (xa, xb), (ya, yb), (sa, sb) = self.x, self.y, self.s
-        l, m = self.target.l, self.target.m
-        q = lcm(l // gcd(l, ya), m // gcd(m, yb))
-        out = []
-        for a in range(self.source.l):
-            ra, rb = (a * xa + sa) % l, (a * xb + sb) % m
-            if a and (ra, rb) == (sa, sb):
-                return tuple(out * (self.source.l // a))
-            out += [(ra + b * ya) % l * m + (rb + b * yb) % m for b in range(q)] * (self.source.m // q)
-        return tuple(out)
-
-    @cached_property
-    def fibres(self) -> tuple[int, ...]:
-        """The transposed cell table: the mask of the source cells over each target cell."""
-        out = [0] * self.target.dim
-        for g, c in enumerate(self.cells):
-            out[c] |= 1 << g
-        return tuple(out)
-
-    @cached_property
-    def _sign(self) -> int:
-        """1 or -1 when phi is that multiple of the identity of one lattice, else 0 (-1
-        where the two coincide, l and m at most 2, as the antipode is then the identity)."""
-        l, m = self.target.l, self.target.m
-        units = {((1 % l, 0), (0, 1 % m)): 1, ((-1 % l, 0), (0, -1 % m)): -1}
-        return units.get((self.x, self.y), 0) if self.source == self.target else 0
-
-    @property
-    def bijective(self) -> bool:
-        """Whether distinct cells go to distinct cells of a lattice of the same size:
-        at once for phi = 1 or -1, by the cell table for any other phi."""
-        return self._sign != 0 or self.source.dim == self.target.dim == len(set(self.cells))
-
-    def image(self, v: int) -> int:
-        """The mask of the images of the cells in v, cells on one target cell cancelling
-        in pairs: phi = 1 shifts v by s, phi = -1 shifts its antipode, and any other
-        phi XORs v's cells through the cell table."""
-        ctx, sign = self.target, self._sign
-        if sign:
-            return ctx.shift(ctx.antipode(v) if sign < 0 else v, *self.s)
-        out, cells = 0, self.cells
-        while v:
-            c = v.bit_length() - 1
-            out ^= 1 << cells[c]
-            v ^= 1 << c
-        return out
-
-    def after(self, other: LatticeMap) -> LatticeMap:
-        """The lattice map self . other."""
-        x, y, s = self.point(*other.x, 0), self.point(*other.y, 0), self.point(*other.s)
-        return LatticeMap(other.source, self.target, x, y, s, self.swap != other.swap)
-
-    def sends(self, source: tuple[Poly, Poly], target: tuple[Poly, Poly]) -> bool:
-        """Whether every chain square commutes from the complex of the pair ``source``
-        into that of ``target`` (see ``chainmaps._pair``), every degree being this map.
-        A pair (a, b) has d2 = (b; a) and d1 = (a | b), and a degree sends cell g to
-        g' = phi(g) + s, so column g of either square compares phi(a) x^g' with the
-        target's a' x^g' in the block where a lands, and likewise b: the translations
-        cancel, and the squares commute exactly when phi, term by term, sends a onto
-        a' and b onto b', or under a block swap a onto b' and b onto a'."""
-        images = tuple(Poly.make(self.target, [self.point(*t, 0) for t in p.terms]) for p in source)
-        return images == (target[::-1] if self.swap else target)
 
 
 @dataclass(frozen=True)
@@ -157,19 +61,6 @@ class CoverWitness:
     def p(self) -> LatticeMap:
         """The covering map: cover cell x^a y^b lies over x^(a mod l) y^(b mod m)."""
         return LatticeMap(self.cover.ctx, self.base.ctx)
-
-    @cached_property
-    def sheets(self) -> tuple[tuple[int, ...], ...]:
-        """Sections of p: sheet j translates the lowest cell of each of p's fibres by the
-        j-th cell of its kernel, the fibre over base cell 0, ascending (on a diagonal cover
-        sheet (g1, g2) at j = g1 t + g2).  Entry i of a sheet is its cover cell over base cell i.
-        It raises unless each fibre is the kernel translated by the fibre's lowest cell."""
-        ctx, fibres = self.cover.ctx, self.p.fibres
-        lows = [divmod((f & -f).bit_length() - 1, ctx.m) for f in fibres]
-        if any(ctx.shift(fibres[0], a, b) != f for f, (a, b) in zip(fibres, lows)):
-            raise InternalConsistencyError("the fibres of p are not the translates of its kernel")
-        kernel = [divmod(c, ctx.m) for c in range(ctx.dim) if fibres[0] >> c & 1]
-        return tuple(tuple(ctx.index(la + a, lb + b) for la, lb in lows) for a, b in kernel)
 
 
 def _match_terms(cand: Poly, base: Poly, l: int, m: int) -> tuple[tuple[Monomial, Monomial], ...]:
@@ -240,23 +131,15 @@ def canonical_form(a_t: Poly, b_t: Poly, base: BBCode, u: int, t: int) -> tuple[
     )
 
 
-def _lift_masks(p: Poly, ctx: RingContext) -> list[int]:
-    """The masks of every lift of p into the cover ring ctx, the last term's sheet varying fastest."""
-    l, m = p.ctx.l, p.ctx.m
-    sheets = [(l * i, m * j) for i in range(ctx.l // l) for j in range(ctx.m // m)]
-    options = [[1 << ctx.index(x.a + i, x.b + j) for i, j in sheets] for x in p.terms]  # a bit per sheet
-    return [sum(bits) for bits in product(*options)]
-
-
 def _side_representatives(base_poly: Poly, u: int, t: int, mults: list[Monomial]) -> list[Poly]:
-    """The orbit minimum of every class of lifts under the group mults, in ``terms``
-    order: ``cover_multipliers`` (the preimage of base_poly's stabilizer), or the
-    identity alone, under which every lift is its own class.  An orbit is a whole
-    class, so each class is shifted once."""
+    """The orbit minimum of every class of lifts, p's ``lifts`` of base_poly, under the
+    group mults, in ``terms`` order: ``cover_multipliers`` (the preimage of base_poly's
+    stabilizer), or the identity alone, under which every lift is its own class.  An
+    orbit is a whole class, so each class is shifted once."""
     ctx = RingContext(base_poly.ctx.l * u, base_poly.ctx.m * t)
     seen: set[int] = set()
     reps = []
-    for v in _lift_masks(base_poly, ctx):
+    for v in LatticeMap(ctx, base_poly.ctx).lifts(base_poly.mask):
         if v not in seen:
             orbit = [ctx.shift(v, *mu) for mu in mults]
             seen.update(orbit)

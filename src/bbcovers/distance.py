@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .autos import antipode_zx_duality, verify_zx_duality
-from .codes import BBCode, Classification, InternalConsistencyError, PauliOp, Refusal
+from .codes import BBCode, Classification, InternalConsistencyError, PauliOp, Refusal, _require_basis
 from .gf2 import first_in_ascending_support
 
 
@@ -93,6 +93,7 @@ def _cluster_search(code: BBCode, basis: str):
 
 def _lightest_logical(code: BBCode, basis: str, w_max: int) -> tuple[int, int] | None:
     """(d, witness vector) of the given side, or None when d > w_max."""
+    _require_basis(basis)
     if w_max < 1:
         raise Refusal(f"w_max must be >= 1, got {w_max}")
     if code.k == 0:
@@ -108,7 +109,8 @@ def _lightest_logical(code: BBCode, basis: str, w_max: int) -> tuple[int, int] |
 
 
 def distance_one_side(code: BBCode, basis: str, w_max: int) -> DistanceResult:
-    """Exact d_X (basis='X') or d_Z (basis='Z'), or a d > w_max certificate."""
+    """Exact d_X (basis='X') or d_Z (basis='Z'), or a d > w_max certificate; any
+    other basis is refused before the search."""
     found = _lightest_logical(code, basis, w_max)
     if found is None:
         return DistanceResult("lower-bound-interval", None, "enumeration", w_max=w_max)

@@ -54,40 +54,46 @@ class EnumerationCase:
         return parse_code_spec(self.base_spec)
 
 
-def _load(fixtures_path: str | Path | None = None) -> dict:
+def _load(fixtures_path: str | Path | None, what: str, build):
+    """build(the fixture data), or Refusal for a file that cannot be read or for
+    data of the wrong shape: a missing key or a value of the wrong JSON type."""
     if fixtures_path is not None:
         try:
-            return json.loads(Path(fixtures_path).read_text())
+            data = json.loads(Path(fixtures_path).read_text())
         except (OSError, ValueError) as exc:
             raise Refusal(f"cannot read fixtures file {str(fixtures_path)!r}: {exc}") from None
-    ref = resources.files("bbcovers.fixtures").joinpath("sequence_tables.json")
-    return json.loads(ref.read_text())
+    else:
+        data = json.loads(resources.files("bbcovers.fixtures").joinpath("sequence_tables.json").read_text())
+    try:
+        return build(data)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise Refusal(f"{what} have the wrong shape: {type(exc).__name__}: {exc}") from None
 
 
-# The keys of a fixture row in TableRow field order (after ``sequence``), with their JSON types.
+# The keys of a fixture row in TableRow field order (after ``sequence``), and of an
+# enumeration case in EnumerationCase field order, with their JSON types.
 _ROW_FIELDS = {
     "row": int, "n": int, "k": int, "d": int, "d_is_bound": bool, "l": int, "m": int, "h": int, "A": str, "B": str
 }
+_CASE_FIELDS = {"base": str, "lt": int, "mt": int, "h": int, "histogram": dict}
 
 
-def _sequence_rows(seq: dict) -> list[TableRow]:
-    name = seq["name"]
-    if type(name) is not str:
-        raise TypeError(f"sequence name {name!r} is not a string")
-    rows = [[r[key] for key in _ROW_FIELDS] for r in seq["rows"]]
-    for values in rows:
-        wrong = [key for key, v in zip(_ROW_FIELDS, values) if type(v) is not _ROW_FIELDS[key]]
-        if wrong:
-            raise TypeError(f"a row of sequence {name!r} has {', '.join(wrong)} of the wrong type")
-    return [TableRow(name, *values) for values in rows]
+def _values(record: dict, fields: dict[str, type], what: str) -> list:
+    """The values of ``fields`` in record, in their order; TypeError for one of the wrong type."""
+    values = [record[key] for key in fields]
+    wrong = [key for key, v in zip(fields, values) if type(v) is not fields[key]]
+    if wrong:
+        raise TypeError(f"{what} has {', '.join(wrong)} of the wrong type")
+    return values
+
+
+def _sequence(seq: dict) -> tuple[str, list[TableRow]]:
+    name, rows = _values(seq, {"name": str, "rows": list}, "a sequence")
+    return name, [TableRow(name, *_values(r, _ROW_FIELDS, f"a row of sequence {name!r}")) for r in rows]
 
 
 def sequence_tables(fixtures_path: str | Path | None = None) -> dict[str, list[TableRow]]:
-    data = _load(fixtures_path)
-    try:
-        return {seq["name"]: _sequence_rows(seq) for seq in data["sequences"]}
-    except (KeyError, TypeError) as exc:
-        raise Refusal(f"sequence tables have the wrong shape: {type(exc).__name__}: {exc}") from None
+    return _load(fixtures_path, "sequence tables", lambda d: dict(map(_sequence, d["sequences"])))
 
 
 def all_rows(fixtures_path: str | Path | None = None) -> list[TableRow]:
@@ -101,18 +107,13 @@ def base_row(rows: list[TableRow]) -> TableRow:
     return ones[0]
 
 
+def _case(c: dict) -> EnumerationCase:
+    *fields, histogram = _values(c, _CASE_FIELDS, "an enumeration case")
+    return EnumerationCase(*fields, {int(k): v for k, v in histogram.items()})
+
+
 def enumeration_cases(fixtures_path: str | Path | None = None) -> list[EnumerationCase]:
-    data = _load(fixtures_path)
-    return [
-        EnumerationCase(
-            base_spec=c["base"],
-            lt=c["lt"],
-            mt=c["mt"],
-            h=c["h"],
-            histogram={int(k): v for k, v in c["histogram"].items()},
-        )
-        for c in data["enumeration"]
-    ]
+    return _load(fixtures_path, "enumeration cases", lambda d: [_case(c) for c in d["enumeration"]])
 
 
 def record_schema() -> dict:

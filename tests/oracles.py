@@ -5,16 +5,21 @@ from functools import reduce
 from itertools import combinations, islice, product
 
 from bbcovers.codes import BBCode, Classification, PauliOp, Refusal
-from bbcovers.covers import _lift_masks, build_tanner_graph, is_connected
+from bbcovers.covers import build_tanner_graph, is_connected
 from bbcovers.distance import _cluster_search, _lightest_logical
 from bbcovers.gf2 import BinMatrix, RowReducer, parities
 from bbcovers.rings import Poly, RingContext
 
 
 def lifts_of_poly(p: Poly, u: int, t: int) -> list[Poly]:
-    """All u*t-per-term exponent lifts of p into the (u*l, t*m) ring."""
-    ctx = RingContext(p.ctx.l * u, p.ctx.m * t)
-    return [Poly(ctx, v) for v in _lift_masks(p, ctx)]
+    """All u*t-per-term exponent lifts of p into the (u*l, t*m) ring: term x^a y^b on
+    sheet (i, j) is x^(a + l i) y^(b + m j), sheets in (i, j) order, the last term's
+    sheet varying fastest."""
+    l, m = p.ctx.l, p.ctx.m
+    ctx = RingContext(l * u, m * t)
+    sheets = [(l * i, m * j) for i in range(u) for j in range(t)]
+    options = [[(x.a + i, x.b + j) for i, j in sheets] for x in p.terms]
+    return [Poly.make(ctx, terms) for terms in product(*options)]
 
 
 def stabilizer_support(code, r, basis: str) -> PauliOp:

@@ -39,6 +39,7 @@ from bbcovers.covers import (
 )
 from bbcovers.distance import exact_distance
 from bbcovers.gf2 import BinMatrix, parities, xor_rows
+from bbcovers.lattice import LatticeMap
 from bbcovers.rings import Monomial, Poly, RingContext, parse_poly
 
 from oracles import (
@@ -226,6 +227,15 @@ def test_side_representatives_are_the_orbit_minima_of_every_lift(p, u, t):
     assert _side_representatives(p, u, t, [Monomial(0, 0)]) == sorted(lifts, key=lambda q: q.terms)
 
 
+@settings(max_examples=60, deadline=None)
+@given(polys(max_terms=4), st.integers(1, 3), st.integers(1, 3))
+def test_p_lifts_are_the_sheet_lifts_in_order(p, u, t):
+    # one cell of each fibre, ascending, the fibre over the highest term fastest:
+    # the oracle's sheets (l i, m j) in (i, j) order, the last term's fastest
+    cover = RingContext(p.ctx.l * u, p.ctx.m * t)
+    assert LatticeMap(cover, p.ctx).lifts(p.mask) == [q.mask for q in lifts_of_poly(p, u, t)]
+
+
 @settings(deadline=None)
 @given(polys(min_terms=1), st.data())
 def test_translation_connectivity_matches_networkx(a, data):
@@ -256,12 +266,12 @@ def test_covering_map_tables_match_loop_oracles(lift, data):
     # every sheet is a section of p, sheet (g1, g2) the base cells moved by (l g1, m g2),
     # and together they partition the cover's cells
     l, m = base.l, base.m
-    assert len(w.sheets) == w.h
-    for j, sheet in enumerate(w.sheets):
+    assert len(w.p.sheets) == w.h
+    for j, sheet in enumerate(w.p.sheets):
         g1, g2 = divmod(j, w.t)
         assert [w.p.cells[c] for c in sheet] == list(range(base.ctx.dim))
         assert list(sheet) == [(a + l * g1) * cover.m + b + m * g2 for a in range(l) for b in range(m)]
-    assert sorted(c for sheet in w.sheets for c in sheet) == list(range(cover.ctx.dim))
+    assert sorted(c for sheet in w.p.sheets for c in sheet) == list(range(cover.ctx.dim))
     op = _lightest_logical_op(base)
     if w.h**op.weight <= 256:  # the reference classifies every candidate too
         hits = weight_preserving_lift_search(w, op)

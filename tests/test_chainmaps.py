@@ -223,7 +223,7 @@ def test_sheets_refuse_fibres_that_are_not_translates_of_the_kernel(forgery):
     w.p.__dict__["cells"] = tuple(cells)
     with pytest.raises(InternalConsistencyError, match="not the translates of its kernel"):
         constant_section(w, 1, 0)
-    sheets = check_cover(BASE_18, w.cover).sheets  # an unforged witness of the same cover
+    sheets = check_cover(BASE_18, w.cover).p.sheets  # an unforged witness of the same cover
     assert len(sheets) == 3 and sorted(c for s in sheets for c in s) == list(range(w.cover.ctx.dim))
 
 
@@ -443,6 +443,19 @@ def test_wpl_budget_refusal():
     op = parse_pauli("X(1+x|0)", BASE_18.ctx)
     with pytest.raises(Refusal, match="9"):
         weight_preserving_lift_search(W_54, op, limit=8)
+
+
+def test_wpl_refuses_a_forged_p_whose_fibres_share_a_cell():
+    # p's lifts OR one cell of each fibre: the fibre over x, forged to hold cover
+    # cell 0 of the fibre over 1, gives a lift of X(1+x|0) with one qubit
+    w = check_cover(BASE_18, COVER_54)
+    fibres = list(w.p.fibres)
+    fibres[3] = fibres[3] & (fibres[3] - 1) | 1  # its lowest cell swapped for cell 0
+    assert fibres[3].bit_count() == 3 and fibres[0] & fibres[3] == 1
+    w.p.__dict__["fibres"] = tuple(fibres)
+    assert min(v.bit_count() for v in w.p.lifts(0b1001)) == 1
+    with pytest.raises(InternalConsistencyError, match="collapsed the support"):
+        weight_preserving_lift_search(w, parse_pauli("X(1+x|0)", BASE_18.ctx))
 
 
 def test_wpl_requires_nontrivial_logical():

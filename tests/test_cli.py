@@ -89,7 +89,7 @@ def test_enumerate_over_budget_is_refused_before_any_lift(monkeypatch, capsys):
     def fail(*args):
         raise AssertionError("the refusal came too late: a lift was generated")
 
-    monkeypatch.setattr(covers, "_lift_masks", fail)
+    monkeypatch.setattr(covers.LatticeMap, "lifts", fail)
     assert main(["enumerate", CODE_18, "--lt", "180", "--mt", "3"]) == 2
     assert "enumeration budget" in capsys.readouterr().err
 
@@ -260,6 +260,9 @@ BAD_FIXTURES = {
     "not-json": "{sequences: ",
     "wrong-shape": json.dumps({"sequences": 5}),
     "wrong-field-type": json.dumps({"sequences": [{"name": "a", "rows": [dict(_ROW, h=1, l="3")]}]}),
+    "missing-field": json.dumps(
+        {"sequences": [{"name": "a", "rows": [{k: v for k, v in dict(_ROW, h=1).items() if k != "B"}]}]}
+    ),
     # a good first set, so the second one's missing base row must be found before it runs
     "no-base-row": json.dumps(
         {"sequences": [{"name": "a", "rows": [dict(_ROW, h=1)]}, {"name": "b", "rows": [dict(_ROW, h=2)]}]}
@@ -287,6 +290,27 @@ def test_sequence_refuses_a_row_with_a_lattice_order_below_1(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.err.startswith("refused: bad lattice parameter: ring orders must be positive, got l=0, m=3")
     assert "Traceback" not in captured.err
+
+
+_CASE = {"base": CODE_18, "lt": 6, "mt": 3, "h": 2, "histogram": {"8": 3, "16": 1}}
+BAD_CASES = {
+    "missing-key": {k: v for k, v in _CASE.items() if k != "mt"},
+    "list-histogram": dict(_CASE, histogram=[[8, 3], [16, 1]]),
+}
+
+
+@pytest.mark.parametrize("case", BAD_CASES.values(), ids=BAD_CASES.keys())
+def test_enumeration_cases_refuse_a_malformed_case(tmp_path, case):
+    # a case without "mt" let a bare KeyError escape; the sequence tables' shape check refuses
+    from bbcovers.codes import Refusal
+    from bbcovers.tables import enumeration_cases
+
+    path = tmp_path / "fixtures.json"
+    path.write_text(json.dumps({"enumeration": [_CASE]}))
+    assert [(c.lt, c.mt, c.histogram) for c in enumeration_cases(path)] == [(6, 3, {8: 3, 16: 1})]
+    path.write_text(json.dumps({"enumeration": [_CASE, case]}))
+    with pytest.raises(Refusal, match="^enumeration cases have the wrong shape: "):
+        enumeration_cases(path)
 
 
 def _readme_examples() -> list[list[str]]:

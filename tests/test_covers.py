@@ -431,7 +431,7 @@ def test_enumeration_budget_bounds_the_classes_before_lifting(monkeypatch):
     monkeypatch.setattr(covers, "MAX_ENUMERATION_JOBS", 150)
     with pytest.raises(Refusal, match=r"^\d+ A-classes x \d+ B-classes = 168 codes"):
         enumerate_covers(base, 9, 6)  # the bound passes, the exact count does not
-    monkeypatch.setattr(covers, "_lift_masks", fail)
+    monkeypatch.setattr(covers.LatticeMap, "lifts", fail)
     monkeypatch.setattr(covers, "MAX_ENUMERATION_JOBS", 143)
     with pytest.raises(Refusal, match="^at least 12 A-classes x 12 B-classes = 144 codes"):
         enumerate_covers(base, 9, 6)
@@ -667,3 +667,21 @@ def test_cover_isomorphism_refuses_generator_heads_that_collide_on_a_base_vertex
     assert build_tanner_graph(cover).rows == build_derived_graph(base, bad).rows
     assert not verify_cover_isomorphism(base, cover, bad)
     assert not verify_cover_isomorphism_reference(base, cover, bad)
+
+
+def test_lattice_maps_live_in_a_module_of_their_own():
+    # one class, bound in every module that builds lattice maps; p owns its sheets
+    # and lifts, and lattice.py imports none of the modules built on it
+    import ast
+    from pathlib import Path
+
+    from bbcovers import autos, chainmaps, lattice
+
+    assert covers.LatticeMap is chainmaps.LatticeMap is autos.LatticeMap is lattice.LatticeMap
+    assert not hasattr(CoverWitness, "sheets") and not hasattr(covers, "_lift_masks")
+    names = set()
+    for node in ast.walk(ast.parse(Path(lattice.__file__).read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(getattr(node, "module", None) or "", *(a.name for a in node.names))
+    parts = {part for name in names for part in name.split(".")}
+    assert parts and not parts & {"covers", "chainmaps", "autos"}

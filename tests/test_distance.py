@@ -32,6 +32,22 @@ def test_exact_distance_72():
     assert res.method == "enumeration"
 
 
+@pytest.mark.parametrize("basis,w_max", [("z", 1), ("z", 4), ("Y", 4)])
+def test_a_basis_other_than_x_or_z_is_refused_before_any_search(monkeypatch, basis, w_max):
+    # "z" ran the X-side search, and at w_max 4 both searched before a bare ValueError
+    import bbcovers.distance as distance
+
+    def fail(*args):
+        raise AssertionError("the search ran before the refusal")
+
+    monkeypatch.setattr(distance, "_cluster_search", fail)
+    code = parse_code_spec("l=3 m=3 A=1+y+y^2 B=1+x+x^2")
+    with pytest.raises(Refusal, match=f"^basis must be 'X' or 'Z', not '{basis}'$"):
+        distance_one_side(code, basis, w_max)
+    with pytest.raises(Refusal, match="^basis must be 'X' or 'Z'"):
+        code.classify_vector(basis, 0)
+
+
 def test_both_sides_searches_the_z_side_only(monkeypatch):
     import bbcovers.distance as distance
 
